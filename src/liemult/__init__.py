@@ -10,10 +10,12 @@ the bundled classification tables for s in 0..7.
 from .core import (
     DependentIdentification,
     DimensionMismatch,
+    DimensionTooLarge,
     IndexOutOfRange,
     JacobiViolation,
     LieAlgebra,
     LieError,
+    MAX_DIM,
     NotAnIdeal,
     NotCentral,
     NotNilpotent,
@@ -61,8 +63,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianInput", "CentralExtension", "DependentIdentification",
-    "DimensionMismatch", "IndexOutOfRange", "JacobiViolation", "LieAlgebra",
-    "LieError", "Matrix", "MultiplierResult", "NotAnIdeal", "NotCentral",
+    "DimensionMismatch", "DimensionTooLarge", "IndexOutOfRange", "JacobiViolation", "LieAlgebra",
+    "LieError", "MAX_DIM", "Matrix", "MultiplierResult", "NotAnIdeal", "NotCentral",
     "NotCentralIdeal", "NotNilpotent", "ParamOutOfDomain", "PreconditionNotMet",
     "PresentationError", "QuotientMap", "Subspace", "UnknownName", "abelian",
     "build_closure", "central_product", "check_derived_bound", "check_third_term_bound",

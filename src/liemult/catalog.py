@@ -29,6 +29,7 @@ from .core import (
     LieAlgebra,
     LieError,
     central_product as _central_product,
+    check_dim,
     direct_sum as _direct_sum,
     rational_expr,
 )
@@ -53,6 +54,7 @@ class ParamOutOfDomain(LieError):
 def abelian(n: int) -> LieAlgebra:
     if n < 0:
         raise ParamOutOfDomain("A(n) needs n >= 0")
+    check_dim(n)
     return LieAlgebra(n, {}, name=f"A({n})")
 
 
@@ -60,6 +62,7 @@ def heisenberg(m: int) -> LieAlgebra:
     """H(m): dim 2m+1, brackets [x_{2i-1}, x_{2i}] = x_{2m+1}."""
     if m < 1:
         raise ParamOutOfDomain("H(m) needs m >= 1")
+    check_dim(2 * m + 1)  # before the m brackets are built
     z = 2 * m
     brackets = {(2 * i, 2 * i + 1): {z: Q(1)} for i in range(m)}
     return LieAlgebra(2 * m + 1, brackets, name=f"H({m})")

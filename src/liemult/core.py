@@ -50,6 +50,10 @@ class PresentationError(LieError):
     """Malformed presentation input (bad JSON shape, i >= j, duplicates...)."""
 
 
+class DimensionTooLarge(LieError):
+    """Declared dimension above MAX_DIM."""
+
+
 class JacobiViolation(LieError):
     """Jacobi identity fails on a basis triple.  Indices are 1-based."""
 
@@ -84,6 +88,28 @@ class DependentIdentification(LieError):
     pass
 
 
+# The largest dimension a caller may declare: a presentation's "dim", A(k)
+# and H(m).  Dense n x n work (full_space, quotients) stays cheap well past
+# it: an abelian dim-200 algebra loads in about 0.1 s.  The cap turns a huge
+# declared dimension into an input error before anything of that size is
+# allocated.  Algebras the program builds for itself (covers, direct sums,
+# central products) are not capped: the cover of A(20) has dim 210.
+MAX_DIM = 200
+
+
+def check_dim(dim: int) -> None:
+    """Reject a declared dimension outside 0..MAX_DIM."""
+    if dim < 0:
+        raise PresentationError("dimension must be >= 0")
+    if dim > MAX_DIM:
+        raise DimensionTooLarge(f"dimension {dim} exceeds the limit of {MAX_DIM}")
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: int but not bool (which Python counts as an int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # rational coefficient expressions ("1", "-1/2", "eps", "1-lam", "-2")
 # ---------------------------------------------------------------------------
@@ -98,14 +124,12 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
     names and +,-,*,/ with parentheses are accepted so parameterized
     presentations (eps, lam, 1-lam) share the same parser.
     """
+    if not isinstance(text, str):
+        raise PresentationError(f"rational expression must be a string, not {text!r}")
     params = params or {}
-    try:
-        node = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError as exc:
-        raise PresentationError(f"bad rational expression {text!r}") from exc
 
     def ev(n) -> Fraction:
-        if isinstance(n, ast.Constant) and isinstance(n.value, int):
+        if isinstance(n, ast.Constant) and _is_int(n.value):
             return Q(n.value)
         if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
             v = ev(n.operand)
@@ -127,7 +151,14 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
             return params[n.id]
         raise PresentationError(f"bad rational expression {text!r}")
 
-    return ev(node)
+    try:
+        return ev(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, older Pythons
+        raise PresentationError(f"bad rational expression {text!r}") from exc
+    except RecursionError as exc:
+        raise PresentationError(
+            f"rational expression nested too deeply ({len(text)} characters)"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +644,30 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
     """
     if not isinstance(doc, Mapping):
         raise PresentationError("presentation must be a JSON object")
-    if "dim" not in doc or not isinstance(doc["dim"], int):
+    if "dim" not in doc or not _is_int(doc["dim"]):
         raise PresentationError('presentation needs an integer "dim"')
     dim = doc["dim"]
+    check_dim(dim)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise PresentationError('"name" must be a string')
+    raw_params = doc.get("params") or {}
+    if not isinstance(raw_params, Mapping):
+        raise PresentationError('"params" must be an object of name: rational')
     declared = {}
-    for key, value in (doc.get("params") or {}).items():
+    for key, value in raw_params.items():
         declared[key] = rational_expr(str(value))
     if params:
         declared.update(params)
+    raw_brackets = doc.get("brackets", [])
+    if not isinstance(raw_brackets, list):
+        raise PresentationError('"brackets" must be a list')
     brackets: BracketTable = {}
-    for item in doc.get("brackets", []):
-        try:
-            i, j = item["i"], item["j"]
-        except (TypeError, KeyError) as exc:
-            raise PresentationError('each bracket needs integer "i" and "j"') from exc
-        if not (isinstance(i, int) and isinstance(j, int)):
+    for item in raw_brackets:
+        if not (isinstance(item, Mapping) and "i" in item and "j" in item):
+            raise PresentationError('each bracket needs integer "i" and "j"')
+        i, j = item["i"], item["j"]
+        if not (_is_int(i) and _is_int(j)):
             raise PresentationError('bracket indices "i", "j" must be integers')
         if not (1 <= i < j <= dim):
             raise PresentationError(
@@ -638,10 +675,15 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
             )
         if (i - 1, j - 1) in brackets:
             raise PresentationError(f"duplicate bracket pair ({i}, {j})")
+        raw_terms = item.get("terms", [])
+        if not isinstance(raw_terms, list):
+            raise PresentationError(f'"terms" of pair ({i}, {j}) must be a list')
         terms: dict[int, Fraction] = {}
-        for term in item.get("terms", []):
+        for term in raw_terms:
+            if not isinstance(term, Mapping):
+                raise PresentationError(f'each term of pair ({i}, {j}) must be an object')
             k = term.get("k")
-            if not isinstance(k, int) or not 1 <= k <= dim:
+            if not _is_int(k) or not 1 <= k <= dim:
                 raise PresentationError(f"bracket target {k!r} out of range in pair ({i}, {j})")
             c = rational_expr(str(term.get("c", "1")), declared)
             if c:

@@ -1,18 +1,24 @@
 """Exact rational dense matrices: rank, reduced row echelon form, nullspace.
 
 Scalars are `fractions.Fraction`, so every result is exact; there is no
-rounding anywhere in the package.  Elimination uses the deterministic
-pivot rule "first row with a nonzero entry, columns scanned left to
-right", which makes echelon forms (and everything derived from them,
-e.g. canonical subspace bases) reproducible across runs.
+rounding anywhere in the package.  Elimination is sparse and fraction-free
+(after Bareiss): each row is cleared of denominators into a {column: int}
+dict, reduced with integer combinations, and only the final division by
+the pivots creates Fractions.  The reduced row echelon form of a matrix is
+unique, so `rref`, `pivot_columns`, `rank` and `nullspace_basis` (and
+everything derived from them, e.g. canonical subspace bases) are canonical,
+whatever order the kernel eliminates in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
+_ZERO = Q(0)
+_ONE = Q(1)
 
 Vector = tuple[Fraction, ...]
 
@@ -33,20 +39,46 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in v)
-
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
+
+
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of a rational row as {column: int}, scaled by the
+    lcm of their denominators and divided by their gcd."""
+    # Fraction keeps its lowest-terms value in the _numerator and _denominator
+    # slots; reading them directly skips a Python-level call per entry, which
+    # is most of the cost of scanning a dense row.  This needs every entry to
+    # be an exact fractions.Fraction: Matrix.__init__ coerces through qf, and
+    # _eliminate builds its rref from Fractions, so every Matrix.data holds
+    # only Fractions (tests/test_linalg.py checks this).
+    nonzero = [(j, x) for j, x in enumerate(row) if x._numerator]
+    den = lcm(*[x._denominator for _, x in nonzero])
+    return _primitive({j: x._numerator * (den // x._denominator) for j, x in nonzero})
+
+
+def _primitive(w: dict[int, int]) -> dict[int, int]:
+    g = gcd(*w.values())
+    if g > 1:
+        return {j: v // g for j, v in w.items()}
+    return w
+
+
+def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive integer row a*w - b*p whose entry in column c is 0."""
+    g = gcd(w[c], p[c])
+    a, b = p[c] // g, w[c] // g
+    out = dict(w) if a == 1 else {j: a * v for j, v in w.items()}
+    for j, v in p.items():
+        x = out.get(j, 0) - b * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 class Matrix:
@@ -75,15 +107,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def from_rows(cls, vectors: Iterable[Sequence], cols: int) -> "Matrix":
-        return cls(list(vectors), cols=cols)
+        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
 
     # -- basics ---------------------------------------------------------------
 
@@ -95,11 +123,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Matrix(self.data + other.data, cols=self.cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,7 +145,7 @@ class Matrix:
         cols = other.cols
         out = []
         for r in self.data:
-            row = [Q(0)] * cols
+            row = [_ZERO] * cols
             for k, a in enumerate(r):
                 if a:
                     orow = other.data[k]
@@ -139,7 +162,7 @@ class Matrix:
             raise ValueError("shape mismatch in matrix-vector product")
         out = []
         for r in self.data:
-            acc = Q(0)
+            acc = _ZERO
             for a, b in zip(r, v):
                 if a and b:
                     acc += a * b
@@ -152,38 +175,41 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def _eliminate(self) -> None:
-        rows = [list(r) for r in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pr = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pr = i
+        """Gauss-Jordan on primitive integer rows, keyed by leading column."""
+        echelon: dict[int, dict[int, int]] = {}
+        for row in self.data:
+            w = _integer_row(row)
+            while w:
+                c = min(w)
+                p = echelon.get(c)
+                if p is None:
+                    echelon[c] = w
                     break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            prow = rows[r]
-            inv = 1 / prow[c]
-            if inv != 1:
-                rows[r] = prow = [x * inv for x in prow]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    rows[i] = [x - f * y for x, y in zip(ri, prow)]
-            pivots.append(c)
-            r += 1
+                w = _cancel(w, p, c)
+        pivots = sorted(echelon)
+        # Back substitution, last pivot first: each pivot row is already free
+        # of every later pivot column when it is used.
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            p = echelon[c]
+            for lead in pivots[:k]:
+                w = echelon[lead]
+                if c in w:
+                    echelon[lead] = _cancel(w, p, c)
+        ncols = self.cols
+        data = []
+        for c in pivots:
+            p = echelon[c]
+            pv = p[c]
+            row = [_ZERO] * ncols
+            for j, v in p.items():
+                row[j] = Q(v, pv)
+            data.append(tuple(row))
+        data.extend([(_ZERO,) * ncols] * (self.rows - len(pivots)))
         self._rref = Matrix.__new__(Matrix)
-        self._rref.rows = nrows
+        self._rref.rows = self.rows
         self._rref.cols = ncols
-        self._rref.data = tuple(tuple(r) for r in rows)
+        self._rref.data = tuple(data)
         self._rref._rref = self._rref
         self._rref._pivots = tuple(pivots)
         self._pivots = tuple(pivots)
@@ -210,8 +236,8 @@ class Matrix:
         for free in range(self.cols):
             if free in pivot_set:
                 continue
-            v = [Q(0)] * self.cols
-            v[free] = Q(1)
+            v = [_ZERO] * self.cols
+            v[free] = _ONE
             for prow, pcol in enumerate(pivots):
                 v[pcol] = -red.data[prow][free]
             basis.append(tuple(v))

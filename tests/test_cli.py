@@ -1,11 +1,14 @@
 """Command-line interface behavior, exit codes, and error tags."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liemult
 from liemult.cli import main
 
 
@@ -170,3 +173,48 @@ def test_module_invocation_deterministic_across_processes(tmp_path):
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+H1_BRACKETS = [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]
+MALFORMED = {
+    "terms_string": {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": "x"}]},
+    "terms_of_int": {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [5]}]},
+    "params_list": {"dim": 3, "params": [1], "brackets": H1_BRACKETS},
+    "deep_coefficient": {
+        "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "-" * 5000 + "1"}]}],
+    },
+    "dim_boolean": {"dim": True, "brackets": []},
+    "index_boolean": {"dim": 3, "brackets": [{"i": True, "j": 2, "terms": []}]},
+    "target_boolean": {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": True}]}]},
+}
+
+
+def run_compute_subprocess(tmp_path, doc):
+    """`python -m liemult compute FILE` in a fresh process: no traceback may
+    escape, whatever the input."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(liemult.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "liemult", "compute", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_compute_malformed_presentation_exits_2(tmp_path, case):
+    proc = run_compute_subprocess(tmp_path, MALFORMED[case])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[0] == "error=PresentationError"
+    assert "Traceback" not in proc.stderr
+
+
+def test_compute_dimension_above_cap_exits_2(tmp_path):
+    proc = run_compute_subprocess(tmp_path, {"dim": 100000, "brackets": []})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[0] == "error=DimensionTooLarge"
+
+
+def test_info_heisenberg_above_cap(capsys):
+    code, _, err = run_cli(capsys, "info", "H(100000000)")
+    assert code == 2
+    assert err.splitlines()[0] == "error=DimensionTooLarge"

@@ -1,6 +1,9 @@
 """Structure-constant algebras: loading, validation, subspaces, constructions."""
 
+import io
 import json
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 
 import hypothesis.strategies as st
@@ -8,15 +11,19 @@ import pytest
 from hypothesis import given, settings
 
 from liemult import (
+    MAX_DIM,
     DependentIdentification,
+    DimensionTooLarge,
     JacobiViolation,
     LieAlgebra,
+    LieError,
     NotAnIdeal,
     NotCentral,
     NotNilpotent,
     PresentationError,
     abelian,
     central_product,
+    cover,
     direct_sum,
     fingerprint,
     get,
@@ -25,6 +32,8 @@ from liemult import (
     presentation_from_dict,
     presentation_to_dict,
 )
+from liemult.cli import main
+from liemult.core import rational_expr
 from liemult.linalg import unit_vector
 
 
@@ -330,3 +339,106 @@ def test_presentation_rejects_bad_rational():
 def test_presentation_accepts_json_string():
     alg = load_presentation(json.dumps(H1_DOC))
     assert alg.name == "h" and alg == heisenberg(1)
+
+
+# -- malformed input, size cap and fuzzing ------------------------------------
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": True}]}]},
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1+" * 5000 + "1"}]}]},
+    {"dim": 3, "brackets": {"i": 1, "j": 2}},
+    {"dim": 3, "brackets": None},
+    {"dim": 3, "brackets": [[1, 2]]},
+])
+def test_presentation_rejects_malformed_shapes(doc):
+    with pytest.raises(PresentationError):
+        presentation_from_dict(doc)
+
+
+def test_falsy_params_mean_none():
+    for params in (None, [], {}):
+        doc = {"dim": 3, "params": params, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3}]}]}
+        assert presentation_from_dict(doc) == heisenberg(1)
+
+
+def test_dimension_cap_fails_before_allocating():
+    assert MAX_DIM >= 200
+    assert abelian(MAX_DIM).full_space().dim == MAX_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge):
+            presentation_from_dict({"dim": 100000, "brackets": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one length-100000 row of Fractions alone is ~10 MB
+    with pytest.raises(DimensionTooLarge):
+        presentation_from_dict({"dim": MAX_DIM + 1, "brackets": []})
+    with pytest.raises(DimensionTooLarge):
+        abelian(MAX_DIM + 1)
+
+
+def test_dimension_cap_spares_built_algebras():
+    # the cap is on declared input; sums and covers of valid input may exceed it
+    assert direct_sum(abelian(MAX_DIM), abelian(1)).dim == MAX_DIM + 1
+    assert cover(abelian(20)).total.dim == 210
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+coefficients = st.sampled_from(["1", "-2/3", "a", "1-a", "1/0", "b", "0", "1e3"]) | json_values
+indices = st.integers(-1, 6) | json_values
+terms = st.lists(st.fixed_dictionaries({"k": indices, "c": coefficients}), max_size=3) | json_values
+brackets = st.lists(
+    st.fixed_dictionaries({"i": indices, "j": indices, "terms": terms}), max_size=4
+) | json_values
+
+
+def presentation_docs(dims):
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            "dim": dims,
+            "name": st.text(max_size=6) | json_values,
+            "params": st.dictionaries(st.sampled_from(["a", "b"]), coefficients, max_size=2)
+            | json_values,
+            "brackets": brackets,
+        },
+    )
+
+
+presentations = presentation_docs(st.integers(-1, 5) | json_values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations | json_values)
+def test_fuzz_presentation_from_dict(doc):
+    try:
+        alg = presentation_from_dict(doc)
+    except LieError:
+        return
+    assert isinstance(alg, LieAlgebra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_docs(st.integers(-1, 5)))
+def test_fuzz_compute_exits_0_or_2(doc):
+    """`liemult compute` on any small document: a report or an input error,
+    never a traceback (main lets anything but LieError and OSError
+    propagate).  Dimensions stay small because a valid abelian algebra near
+    MAX_DIM has an intractable cochain slice."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["compute", json.dumps(doc)]) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text() | st.from_regex(r"[-+*/() 0-9ab]{0,40}", fullmatch=True))
+def test_fuzz_rational_expr(text):
+    try:
+        value = rational_expr(text, {"a": Q(1, 2)})
+    except LieError:
+        return
+    assert isinstance(value, Q)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from liemult.linalg import Matrix, format_rational, span_rref
 
@@ -103,3 +103,86 @@ def test_rref_idempotent(m):
     r = m.rref()
     assert r.rref() == r
     assert r.rank() == m.rank()
+
+
+# -- the elimination kernel against a dense Fraction reference ---------------
+
+def reference_rref(rows, cols):
+    """Dense Fraction Gauss-Jordan, first nonzero row as pivot, columns left
+    to right: the plain kernel the sparse integer one must agree with."""
+    rows = [[Q(x) for x in r] for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(r) for r in rows), tuple(pivots)
+
+
+def reference_nullspace(red, pivots, cols):
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [Q(0)] * cols
+        v[free] = Q(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -red[prow][free]
+        basis.append(tuple(v))
+    return basis
+
+
+big = st.integers(10**30, 10**40) | st.integers(-(10**40), -(10**30))
+entries = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Q, big, st.integers(1, 10**6)),
+    st.builds(Q, st.integers(-9, 9), big.map(abs)),
+)
+shaped = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
+    lambda rc: st.tuples(
+        st.lists(
+            st.one_of(
+                st.lists(entries, min_size=rc[1], max_size=rc[1]),
+                st.just([Q(0)] * rc[1]),
+            ),
+            min_size=rc[0],
+            max_size=rc[0],
+        ),
+        st.just(rc[1]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped)
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[-2, 4, Q(-1, 3)], [10**31, -(10**32), 7], [1, -2, Q(1, 6)]], 3))
+def test_kernel_matches_dense_reference(case):
+    rows, cols = case
+    m = Matrix(rows, cols=cols)
+    # the kernel reads Fraction's slots directly, so entries must be exact Fractions
+    assert all(type(x) is Q for r in m.data + m.rref().data for x in r)
+    red, pivots = reference_rref(rows, cols)
+    assert m.rref().data == red
+    assert m.rref().rows == len(rows) and m.rref().cols == cols
+    assert m.pivot_columns() == pivots
+    assert m.rank() == len(pivots)
+    null = m.nullspace_basis()
+    assert null == reference_nullspace(red, pivots, cols)
+    for v in null:
+        assert all(x == 0 for x in m.mul_vec(v))
