@@ -31,9 +31,10 @@ from .core import (
     central_product as _central_product,
     check_dim,
     direct_sum as _direct_sum,
+    format_rational,
     rational_expr,
 )
-from .linalg import Q, format_rational
+from .linalg import Q
 
 DSUM = "⊕"   # direct sum
 CPROD = "∔"  # central product

@@ -17,9 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, verify
-from .core import LieError, load_presentation, presentation_to_dict
+from .core import LieError, format_rational, load_presentation, presentation_to_dict
 from .invariants import InvariantReport, invariant_report
-from .linalg import format_rational
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,6 @@ from .linalg import (
     Matrix,
     Q,
     Vector,
-    format_rational,
     is_zero_vec,
     qf,
     span_rref,
@@ -116,13 +116,63 @@ def _is_int(x) -> bool:
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
+# Most decimal digits an integer may have where a coefficient is read
+# (`rational_expr`) or rendered (`format_rational`).  CPython refuses int/str
+# conversions above sys.get_int_max_str_digits() (4300 by default), but that
+# is a process-wide setting, so both convert in pieces of _PIECE digits,
+# below the 640 that is the lowest limit CPython accepts, and this cap is the
+# only limit.
+MAX_DIGITS = 10_000
+_DIGITS_BOUND = 10**MAX_DIGITS
+_PIECE = 600
+_PIECE_BASE = 10**_PIECE
+_LONG_LITERAL = re.compile(r"(?<![\w.])[1-9][0-9]{%d,}(?![\w.])" % _PIECE)
+
+
+def _split_literal(match: re.Match) -> str:
+    """A long decimal literal as a Horner expression in literals of at most
+    _PIECE + 1 digits, which the parser converts whatever the limit."""
+    digits = match.group()
+    if len(digits) > MAX_DIGITS:
+        raise PresentationError(
+            f"integer literal of {len(digits)} digits exceeds the limit of {MAX_DIGITS}")
+    head = len(digits) % _PIECE or _PIECE
+    expr = digits[:head]
+    for k in range(head, len(digits), _PIECE):
+        expr = f"({expr}*{_PIECE_BASE}+{digits[k:k + _PIECE].lstrip('0') or '0'})"
+    return expr
+
+
+def _decimal(n: int) -> str:
+    """str(n) for |n| of at most MAX_DIGITS digits, in _PIECE-digit pieces."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n >= _DIGITS_BOUND:
+        raise PresentationError(f"integer of more than {MAX_DIGITS} digits cannot be rendered")
+    pieces = []
+    while n >= _PIECE_BASE:
+        n, r = divmod(n, _PIECE_BASE)
+        pieces.append(str(r).zfill(_PIECE))
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
+
+
+def format_rational(x: Fraction) -> str:
+    """Render as "p" or "p/q" in lowest terms (Fraction normalizes); p and q
+    may have up to MAX_DIGITS digits each."""
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
 
 def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fraction:
     """Evaluate a rational expression with optional named parameters.
 
     Plain rational strings "p" and "p/q" are the common case; parameter
     names and +,-,*,/ with parentheses are accepted so parameterized
-    presentations (eps, lam, 1-lam) share the same parser.
+    presentations (eps, lam, 1-lam) share the same parser.  Integer
+    literals, and the numerator and denominator of the value, may have up
+    to MAX_DIGITS digits.
     """
     if not isinstance(text, str):
         raise PresentationError(f"rational expression must be a string, not {text!r}")
@@ -152,13 +202,17 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
         raise PresentationError(f"bad rational expression {text!r}")
 
     try:
-        return ev(ast.parse(text.strip(), mode="eval").body)
+        value = ev(ast.parse(_LONG_LITERAL.sub(_split_literal, text.strip()), mode="eval").body)
     except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, older Pythons
         raise PresentationError(f"bad rational expression {text!r}") from exc
     except RecursionError as exc:
         raise PresentationError(
             f"rational expression nested too deeply ({len(text)} characters)"
         ) from exc
+    if abs(value.numerator) >= _DIGITS_BOUND or value.denominator >= _DIGITS_BOUND:
+        raise PresentationError(
+            f"rational expression {text[:40]!r}... has a value of more than {MAX_DIGITS} digits")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ dict, reduced with integer combinations, and only the final division by
 the pivots creates Fractions.  The reduced row echelon form of a matrix is
 unique, so `rref`, `pivot_columns`, `rank` and `nullspace_basis` (and
 everything derived from them, e.g. canonical subspace bases) are canonical,
-whatever order the kernel eliminates in.
+whatever order the kernel eliminates in.  `extend_echelon` exposes the same
+reduction step for growing a span one vector at a time.
+
+`Matrix(...)` is the entry point for outside values: it coerces every entry
+through `qf` and rejects floats.  Code here that already holds Fractions
+builds matrices through the trusted `Matrix._of` and `Matrix.from_sparse`
+({column: Fraction} rows) instead, and products skip zero entries of both
+factors, so sparse matrices cost in proportion to their nonzeros.
 """
 
 from __future__ import annotations
@@ -32,13 +39,6 @@ def qf(x) -> Fraction:
     return Fraction(x)
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as "p" or "p/q" in lowest terms (Fraction normalizes)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
@@ -53,8 +53,8 @@ def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
     # slots; reading them directly skips a Python-level call per entry, which
     # is most of the cost of scanning a dense row.  This needs every entry to
     # be an exact fractions.Fraction: Matrix.__init__ coerces through qf, and
-    # _eliminate builds its rref from Fractions, so every Matrix.data holds
-    # only Fractions (tests/test_linalg.py checks this).
+    # the trusted constructors are only given Fractions, so every Matrix.data
+    # holds only Fractions (tests/test_linalg.py checks this).
     nonzero = [(j, x) for j, x in enumerate(row) if x._numerator]
     den = lcm(*[x._denominator for _, x in nonzero])
     return _primitive({j: x._numerator * (den // x._denominator) for j, x in nonzero})
@@ -65,6 +65,21 @@ def _primitive(w: dict[int, int]) -> dict[int, int]:
     if g > 1:
         return {j: v // g for j, v in w.items()}
     return w
+
+
+def extend_echelon(echelon: dict[int, dict[int, int]], row: Sequence[Fraction]) -> bool:
+    """Reduce a rational row against `echelon`, primitive integer rows keyed by
+    leading column.  If a nonzero remainder is left, add it as a new pivot row
+    and return True; return False when the row lies in their span."""
+    w = _integer_row(row)
+    while w:
+        c = min(w)
+        p = echelon.get(c)
+        if p is None:
+            echelon[c] = w
+            return True
+        w = _cancel(w, p, c)
+    return False
 
 
 def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -106,12 +121,35 @@ class Matrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def _of(cls, data: tuple[Vector, ...], cols: int) -> "Matrix":
+        """Trusted constructor: `data` is a tuple of `cols`-long tuples of
+        Fractions, taken as is."""
+        m = cls.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        m._rref = None
+        m._pivots = None
+        return m
+
+    @classmethod
+    def from_sparse(cls, rows: Iterable[dict[int, Fraction]], cols: int) -> "Matrix":
+        """Densify {column: Fraction} rows; the values must be Fractions."""
+        data = []
+        for r in rows:
+            row = [_ZERO] * cols
+            for j, x in r.items():
+                row[j] = x
+            data.append(tuple(row))
+        return cls._of(tuple(data), cols)
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._of(((_ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(unit_vector(n, i) for i in range(n)), n)
 
     # -- basics ---------------------------------------------------------------
 
@@ -122,7 +160,9 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)], cols=self.rows)
+        # zip(*()) is empty, so a 0 x c matrix needs its c empty rows spelled out
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix._of(data, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -136,26 +176,24 @@ class Matrix:
         return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(x) for x in r) for r in self.data)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Product over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         cols = other.cols
+        right = [[(j, b) for j, b in enumerate(r) if b._numerator] for r in other.data]
         out = []
         for r in self.data:
-            row = [_ZERO] * cols
+            acc: dict[int, Fraction] = {}
             for k, a in enumerate(r):
-                if a:
-                    orow = other.data[k]
-                    for j in range(cols):
-                        b = orow[j]
-                        if b:
-                            row[j] += a * b
-                    # a*0 contributes nothing; skipping keeps sparse inputs fast
-            out.append(row)
-        return Matrix(out, cols=cols)
+                if a._numerator:
+                    for j, b in right[k]:
+                        acc[j] = acc.get(j, _ZERO) + a * b
+            out.append(acc)
+        return Matrix.from_sparse(out, cols)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
@@ -170,7 +208,7 @@ class Matrix:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.data)
+        return not any(x._numerator for r in self.data for x in r)
 
     # -- elimination ----------------------------------------------------------
 
@@ -178,14 +216,7 @@ class Matrix:
         """Gauss-Jordan on primitive integer rows, keyed by leading column."""
         echelon: dict[int, dict[int, int]] = {}
         for row in self.data:
-            w = _integer_row(row)
-            while w:
-                c = min(w)
-                p = echelon.get(c)
-                if p is None:
-                    echelon[c] = w
-                    break
-                w = _cancel(w, p, c)
+            extend_echelon(echelon, row)
         pivots = sorted(echelon)
         # Back substitution, last pivot first: each pivot row is already free
         # of every later pivot column when it is used.
@@ -206,10 +237,7 @@ class Matrix:
                 row[j] = Q(v, pv)
             data.append(tuple(row))
         data.extend([(_ZERO,) * ncols] * (self.rows - len(pivots)))
-        self._rref = Matrix.__new__(Matrix)
-        self._rref.rows = self.rows
-        self._rref.cols = ncols
-        self._rref.data = tuple(data)
+        self._rref = Matrix._of(tuple(data), ncols)
         self._rref._rref = self._rref
         self._rref._pivots = tuple(pivots)
         self._pivots = tuple(pivots)

@@ -10,7 +10,10 @@ Two independent routes compute dim M(L):
   C(n,2) - dim L^2 - rank(boundary_3) survivors.
 
 Both are exact ranks over Q and must agree on every input; the agreement
-is asserted whenever both run.
+is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
+columns) come from one helper, `_wedge_row`, so the agreement checks the
+ranks but not that assembly; the tests check it against a dense
+per-entry reference on brackets with several terms.
 
 A cover E is built from canonical cocycle representatives: E = L + Q^m
 with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ..., f_m(x,y)).  Its
@@ -32,7 +35,7 @@ from .core import (
     QuotientMap,
     Subspace,
 )
-from .linalg import Matrix, Q, Vector, unit_vector
+from .linalg import Matrix, Vector, extend_echelon, unit_vector
 
 
 def pair_index(n: int) -> list[tuple[int, int]]:
@@ -43,13 +46,26 @@ def triple_index(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
 
 
-def _wedge_coords(i: int, j: int, pos: dict[tuple[int, int], int], coeff: Fraction, out: list[Fraction]) -> None:
-    if i == j:
-        return
-    if i < j:
-        out[pos[(i, j)]] += coeff
-    else:
-        out[pos[(j, i)]] -= coeff
+def _wedge_row(L: LieAlgebra, triple: tuple[int, int, int], pos: dict[tuple[int, int], int],
+               sign: int) -> dict[int, Fraction]:
+    """sign * ([xi,xj]^xk - [xi,xk]^xj + [xj,xk]^xi) in pair coordinates, as
+    sparse {pair index: coefficient}: the image of xi^xj^xk under the chain
+    boundary (sign 1), or the d2 row of the triple (sign -1)."""
+    i, j, k = triple
+    row: dict[int, Fraction] = {}
+    for (a, b, c, s) in ((i, j, k, sign), (i, k, j, -sign), (j, k, i, sign)):
+        for l, cl in L.bracket_basis(a, b).items():
+            if l == c:
+                continue
+            # l^c = -(c^l); c stays the outer term's index for later terms
+            if l < c:
+                idx = pos[(l, c)]
+                v = cl if s > 0 else -cl
+            else:
+                idx = pos[(c, l)]
+                v = -cl if s > 0 else cl
+            row[idx] = row[idx] + v if idx in row else v
+    return row
 
 
 @dataclass(frozen=True)
@@ -63,29 +79,19 @@ class CochainComplexSlice:
 
 
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
-    """Build the degree-(1,2) cochain slice and check d2 . d1 = 0 exactly."""
+    """Build the degree-(1,2) cochain slice and check d2 . d1 = 0 exactly.
+
+    d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
+    d2 = -b3^T); each is built row by row from the sparse brackets.
+    """
     n = L.dim
     pairs = pair_index(n)
     triples = triple_index(n)
     pos = {p: a for a, p in enumerate(pairs)}
-
-    d1_rows = []
-    for (i, j) in pairs:
-        row = [Q(0)] * n
-        for k, c in L.bracket_basis(i, j).items():
-            row[k] -= c
-        d1_rows.append(row)
-    d1 = Matrix(d1_rows, cols=n)
-
-    d2_rows = []
-    for (i, j, k) in triples:
-        row = [Q(0)] * len(pairs)
-        # (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi)
-        for (a, b, c, sign) in ((i, j, k, -1), (i, k, j, 1), (j, k, i, -1)):
-            for l, cl in L.bracket_basis(a, b).items():
-                _wedge_coords(l, c, pos, sign * cl, row)
-        d2_rows.append(row)
-    d2 = Matrix(d2_rows, cols=len(pairs))
+    d1 = Matrix.from_sparse(
+        ({k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs), n)
+    # (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi)
+    d2 = Matrix.from_sparse((_wedge_row(L, t, pos, -1) for t in triples), len(pairs))
 
     if not (d2 * d1).is_zero():
         raise LieError("cochain differentials do not compose to zero")
@@ -98,13 +104,11 @@ def boundary2(L: LieAlgebra) -> Matrix:
     """Lambda^2 L -> L, x^y -> [x,y]; columns indexed by pairs."""
     n = L.dim
     pairs = pair_index(n)
-    cols = []
-    for (i, j) in pairs:
-        col = [Q(0)] * n
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for a, (i, j) in enumerate(pairs):
         for k, c in L.bracket_basis(i, j).items():
-            col[k] += c
-        cols.append(col)
-    return (Matrix(cols, cols=n) if cols else Matrix([], cols=n)).transpose()
+            rows[k][a] = c
+    return Matrix.from_sparse(rows, len(pairs))
 
 
 def boundary3(L: LieAlgebra) -> Matrix:
@@ -112,18 +116,14 @@ def boundary3(L: LieAlgebra) -> Matrix:
 
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.
     """
-    n = L.dim
-    pairs = pair_index(n)
-    triples = triple_index(n)
+    pairs = pair_index(L.dim)
+    triples = triple_index(L.dim)
     pos = {p: a for a, p in enumerate(pairs)}
-    cols = []
-    for (i, j, k) in triples:
-        col = [Q(0)] * len(pairs)
-        for (a, b, c, sign) in ((i, j, k, 1), (i, k, j, -1), (j, k, i, 1)):
-            for l, cl in L.bracket_basis(a, b).items():
-                _wedge_coords(l, c, pos, sign * cl, col)
-        cols.append(col)
-    return (Matrix(cols, cols=len(pairs)) if cols else Matrix([], cols=len(pairs))).transpose()
+    rows: list[dict[int, Fraction]] = [{} for _ in pairs]
+    for t, triple in enumerate(triples):
+        for a, x in _wedge_row(L, triple, pos, 1).items():
+            rows[a][t] = x
+    return Matrix.from_sparse(rows, len(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +155,6 @@ class MultiplierResult:
     method: str
 
 
-class _SpanTracker:
-    """Incremental row reduction: add(v) reports whether v enlarged the span."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def add(self, vec) -> bool:
-        w = list(vec)
-        for pcol, row in self.rows:
-            f = w[pcol]
-            if f:
-                w = [x - f * y for x, y in zip(w, row)]
-        piv = next((idx for idx, x in enumerate(w) if x), None)
-        if piv is None:
-            return False
-        inv = 1 / w[piv]
-        if inv != 1:
-            w = [x * inv for x in w]
-        self.rows.append((piv, w))
-        return True
-
-
 _REPS_CACHE: dict[tuple, tuple[Vector, ...]] = {}
 
 
@@ -186,17 +164,18 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     Vectors live in pair coordinates (the value of the 2-form on
     x_i^x_j, pairs ordered lexicographically). Deterministic: the
     coboundary span is extended by nullspace vectors in rref order,
-    keeping those that enlarge it.
+    keeping those that enlarge it (which does not depend on the basis the
+    span is reduced in).
     """
     key = L.canonical_key()
     with _CACHE_LOCK:
         if key in _REPS_CACHE:
             return _REPS_CACHE[key]
     slice_ = cochain_slice(L)
-    tracker = _SpanTracker()
-    for j in range(slice_.d1.cols):
-        tracker.add(slice_.d1.column(j))
-    chosen = tuple(v for v in slice_.d2.nullspace_basis() if tracker.add(v))
+    echelon: dict[int, dict[int, int]] = {}
+    for coboundary in zip(*slice_.d1.data):
+        extend_echelon(echelon, coboundary)
+    chosen = tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
     with _CACHE_LOCK:
         _REPS_CACHE[key] = chosen
     return chosen

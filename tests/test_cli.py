@@ -10,6 +10,7 @@ import pytest
 
 import liemult
 from liemult.cli import main
+from liemult.core import MAX_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,14 @@ MALFORMED = {
     "dim_boolean": {"dim": True, "brackets": []},
     "index_boolean": {"dim": 3, "brackets": [{"i": True, "j": 2, "terms": []}]},
     "target_boolean": {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": True}]}]},
+    "coefficient_above_digit_cap": {
+        "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1" + "0" * MAX_DIGITS}]}],
+    },
+    "coefficient_value_above_digit_cap": {
+        "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1" + "0" * 6000 + "*3" + "0" * 6000}]}],
+    },
 }
 
 
@@ -206,6 +215,15 @@ def test_compute_malformed_presentation_exits_2(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines()[0] == "error=PresentationError"
     assert "Traceback" not in proc.stderr
+
+
+def test_compute_accepts_5000_digit_coefficient(tmp_path):
+    # above CPython's default 4300-digit limit on int/str conversion
+    n = "7" + "0" * 4998 + "3"
+    proc = run_compute_subprocess(
+        tmp_path, {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": n}]}]})
+    assert proc.returncode == 0, proc.stderr
+    assert "  dim M:      2" in proc.stdout.splitlines()
 
 
 def test_compute_dimension_above_cap_exits_2(tmp_path):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
@@ -33,7 +34,7 @@ from liemult import (
     presentation_to_dict,
 )
 from liemult.cli import main
-from liemult.core import rational_expr
+from liemult.core import MAX_DIGITS, format_rational, rational_expr
 from liemult.linalg import unit_vector
 
 
@@ -353,6 +354,52 @@ def test_presentation_accepts_json_string():
 def test_presentation_rejects_malformed_shapes(doc):
     with pytest.raises(PresentationError):
         presentation_from_dict(doc)
+
+
+def test_long_integer_coefficients():
+    """Integers above CPython's int/str digit limit (4300 by default, 640 at
+    the lowest) read and render up to MAX_DIGITS digits, whatever the limit,
+    and the process-wide limit is left alone."""
+    text = "7" + "0" * 4998 + "3"
+    n = 7 * 10**4999 + 3
+    top = 10**MAX_DIGITS - 1
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (limit, 640):
+            sys.set_int_max_str_digits(setting)
+            assert rational_expr(text) == n
+            assert rational_expr(f"-{text}/2 + a", {"a": Q(1)}) == Q(-n, 2) + 1
+            assert rational_expr("9" * MAX_DIGITS) == top
+            assert format_rational(Q(n)) == text
+            assert format_rational(Q(-1, n)) == "-1/" + text
+            assert format_rational(Q(top)) == "9" * MAX_DIGITS
+            assert format_rational(Q(-(10**600), 3)) == "-1" + "0" * 600 + "/3"
+            assert sys.get_int_max_str_digits() == setting
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_integers_above_digit_cap_rejected():
+    with pytest.raises(PresentationError):
+        rational_expr("1" + "0" * MAX_DIGITS)
+    with pytest.raises(PresentationError):
+        format_rational(Q(10**MAX_DIGITS))
+    with pytest.raises(PresentationError):
+        format_rational(Q(1, -(10**MAX_DIGITS)))
+    # the cap holds for the value, not only for each decimal literal
+    half = "9" * (MAX_DIGITS // 2 + 1)
+    for text in (f"{half}*{half}", f"1/({half}*{half})", "0x1" + "0" * 8400, "-0x1" + "0" * 8400):
+        with pytest.raises(PresentationError):
+            rational_expr(text)
+    doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": f"{half}*{half}"}]}]}
+    with pytest.raises(PresentationError):
+        presentation_from_dict(doc)
+    assert rational_expr(f"{half}*{half}/{half}") == 10 ** len(half) - 1
+    # only decimal literals change: hex, underscores and floats behave as before
+    assert rational_expr("0x" + "1" * 5000) == int("1" * 5000, 16)
+    for text in ("1_" + "0" * 5000, "1" * 5000 + ".5", "1" * 5000 + "e3", "0" + "1" * 5000):
+        with pytest.raises(PresentationError):
+            rational_expr(text)
 
 
 def test_falsy_params_mean_none():

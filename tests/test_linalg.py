@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from liemult.linalg import Matrix, format_rational, span_rref
+from liemult.core import format_rational
+from liemult.linalg import Matrix, span_rref
 
 
 def test_rank_identity():
@@ -60,6 +61,22 @@ def test_product_and_transpose():
     b = Matrix([[0, 1], [1, 0]])
     assert a * b == Matrix([[2, 1], [4, 3]])
     assert a.transpose().transpose() == a
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (2, 0)])
+def test_transpose_empty_shapes(rows, cols):
+    m = Matrix([[]] * rows, cols=0) if cols == 0 else Matrix([], cols=cols)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.data == ((),) * cols
+    assert t.transpose() == m
+
+
+def test_is_zero():
+    assert Matrix.zero(2, 3).is_zero()
+    assert Matrix([], cols=4).is_zero() and Matrix([[], []], cols=0).is_zero()
+    assert Matrix([[0, Q(0, 7)], [Q(-0), 0]]).is_zero()
+    assert not Matrix([[0, 0], [0, Q(-1, 10**40)]]).is_zero()
 
 
 def test_span_rref_drops_zero_rows():
@@ -175,8 +192,12 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
 def test_kernel_matches_dense_reference(case):
     rows, cols = case
     m = Matrix(rows, cols=cols)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, len(rows)) and t.transpose() == m
+    sparse = Matrix.from_sparse([{j: x for j, x in enumerate(r) if x} for r in m.data], cols)
+    assert sparse == m
     # the kernel reads Fraction's slots directly, so entries must be exact Fractions
-    assert all(type(x) is Q for r in m.data + m.rref().data for x in r)
+    assert all(type(x) is Q for r in m.data + m.rref().data + t.data + sparse.data for x in r)
     red, pivots = reference_rref(rows, cols)
     assert m.rref().data == red
     assert m.rref().rows == len(rows) and m.rref().cols == cols
@@ -186,3 +207,40 @@ def test_kernel_matches_dense_reference(case):
     assert null == reference_nullspace(red, pivots, cols)
     for v in null:
         assert all(x == 0 for x in m.mul_vec(v))
+
+
+# -- the sparse product against a naive triple loop ----------------------------
+
+def naive_product(a, b, inner, cols):
+    return tuple(
+        tuple(sum((r[k] * b[k][j] for k in range(inner)), Q(0)) for j in range(cols)) for r in a
+    )
+
+
+# zeros that are not the kernel's shared zero object, next to the other entries
+product_entries = entries | st.integers(1, 9).map(lambda d: Q(0, d))
+
+
+def dense_rows(nrows, ncols):
+    return st.lists(st.lists(product_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+product_cases = st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(dense_rows(s[0], s[1]), dense_rows(s[1], s[2]), st.just(s))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases)
+@example(([], [], (0, 0, 0)))
+@example(([], [[1, 2]], (0, 1, 2)))
+@example(([[], []], [], (2, 0, 3)))
+@example(([[1, 2]], [[], []], (1, 2, 0)))
+@example(([[Q(0, 3), -(10**35)], [1, Q(-1, 2)]], [[Q(2, 7), 0], [10**31, Q(0, 5)]], (2, 2, 2)))
+def test_product_matches_naive_reference(case):
+    a_rows, b_rows, (nrows, inner, ncols) = case
+    p = Matrix(a_rows, cols=inner) * Matrix(b_rows, cols=ncols)
+    assert (p.rows, p.cols) == (nrows, ncols)
+    assert p.data == naive_product(a_rows, b_rows, inner, ncols)
+    assert all(type(x) is Q for r in p.data for x in r)

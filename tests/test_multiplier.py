@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from liemult import (
+    LieAlgebra,
     abelian,
     cover,
     dim_exterior_square,
@@ -20,9 +21,10 @@ from liemult import (
     quotient_exterior_check,
     s_invariant,
 )
-from liemult.linalg import unit_vector
+import liemult.catalog as cat
+from liemult.linalg import Matrix, unit_vector
 from liemult.multiplier import boundary2, boundary3, cochain_slice, cocycle_representatives
-from liemult.verify import witness_extensions
+from liemult.verify import build_closure, witness_extensions
 
 
 # -- dimension values ---------------------------------------------------------
@@ -70,6 +72,13 @@ def test_both_methods_H1():
     assert len(result.cocycle_basis) == 2
 
 
+def test_multiplier_in_a_non_adapted_basis():
+    """H(1) in the basis x1, x2, x2 + x3: ad(x1) has diagonal entries, so two
+    boundary terms of one triple land on the same pair and must add up."""
+    skew = LieAlgebra(3, {(0, 1): {1: Q(-1), 2: Q(1)}, (0, 2): {1: Q(-1), 2: Q(1)}})
+    assert dim_multiplier(skew) == dim_multiplier_cover(skew).dim_M == 2
+
+
 def test_witness_extension_values_cover_method():
     values = {name: dim_multiplier_cover(alg).dim_M for name, alg, _ in witness_extensions()}
     assert values["ext(37A; [x1,x7]=x8)"] == 14
@@ -105,6 +114,108 @@ def test_boundaries_compose_to_zero():
         assert (boundary2(alg) * boundary3(alg)).is_zero()
 
 
+def _negated(m):
+    return Matrix([[-x for x in r] for r in m.data], cols=m.cols)
+
+
+def _reference_wedge_rows(alg, signs):
+    """Dense per-entry assembly of the wedge boundary, one row per triple:
+    for xi^xj^xk, add signs[t] * [xa,xb]^xc over the three terms
+    (xa,xb,xc) = (xi,xj,xk), (xi,xk,xj), (xj,xk,xi), folding l^c with l > c
+    into -(c^l).  The reference that the sparse `_wedge_row` must agree with."""
+    n = alg.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = {p: a for a, p in enumerate(pairs)}
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                row = [Q(0)] * len(pairs)
+                for (a, b, c), sign in zip(((i, j, k), (i, k, j), (j, k, i)), signs):
+                    for l, cl in alg.bracket_basis(a, b).items():
+                        if l < c:
+                            row[pos[(l, c)]] += sign * cl
+                        elif l > c:
+                            row[pos[(c, l)]] -= sign * cl
+                rows.append(row)
+    return Matrix(rows, cols=len(pairs))
+
+
+def reference_d2(alg):
+    # (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi)
+    return _reference_wedge_rows(alg, (-1, 1, -1))
+
+
+def reference_boundary3(alg):
+    # d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x, columns indexed by triples
+    return _reference_wedge_rows(alg, (1, -1, 1)).transpose()
+
+
+def _shear(alg, a, b, t, reverse):
+    """alg in the basis y with y_b = x_b + t*x_a and y_i = x_i otherwise;
+    each bracket's terms are listed in descending index order if reverse."""
+    n = alg.dim
+    basis = [list(unit_vector(n, i)) for i in range(n)]
+    basis[b][a] += t
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = list(alg.bracket(basis[i], basis[j]))
+            w[a] -= t * w[b]  # x-coordinates to y-coordinates
+            terms = [(k, c) for k, c in enumerate(w) if c]
+            if terms:
+                brackets[(i, j)] = dict(reversed(terms) if reverse else terms)
+    return LieAlgebra(n, brackets, name=f"{alg.name} sheared")
+
+
+def _multi_term_algebras():
+    """Presentations whose brackets have several terms, listed in descending
+    or mixed index order: no catalog algebra has such a bracket."""
+    l43_a1 = {(0, 1): {2: Q(1)}, (0, 2): {4: Q(1), 3: Q(1)}}  # L4_3 + A1, skewed
+    h1_skew = {(0, 1): {2: Q(1), 1: Q(-1)}, (0, 2): {2: Q(1), 1: Q(-1)}}
+    out = [
+        (LieAlgebra(5, l43_a1, name="L4_3+A1 skew"), 4),
+        (LieAlgebra(3, h1_skew, name="H(1) skew, reversed"), 2),
+    ]
+    for name, a, b, t in (("L_{6,10}", 0, 4, Q(2)), ("1357A", 2, 5, Q(-3, 2)),
+                          ("L_{5,8}", 1, 3, Q(1))):
+        base = get(name)
+        once = _shear(base, a, b, t, reverse=True)
+        out.append((_shear(once, b, a, Q(1, 3), reverse=False), dim_multiplier(base)))
+        out.append((_shear(once, b, a, Q(1, 3), reverse=True), dim_multiplier(base)))
+    return out
+
+
+def test_wedge_assembly_matches_dense_reference_on_multi_term_brackets():
+    """d2 and b3 share one sparse wedge helper, so their duality cannot catch
+    a fault in it; the dense per-entry assembly can."""
+    from liemult.multiplier import clear_caches
+    clear_caches()  # the cache key sorts terms, so an ascending copy could answer
+    for alg, expected in _multi_term_algebras():
+        slice_ = cochain_slice(alg)
+        assert slice_.d2 == reference_d2(alg), alg.name
+        assert boundary3(alg) == reference_boundary3(alg), alg.name
+        assert dim_multiplier(alg) == expected, alg.name
+        assert dim_multiplier_cover(alg).dim_M == expected, alg.name
+        assert cover(alg).kernel.dim == expected, alg.name
+
+
+def test_cochains_are_negated_chain_boundaries():
+    """d1 = -b2^T and d2 = -b3^T exactly, and d2, b3 equal the dense
+    reference assembly, on every catalog sample and H(4..7)."""
+    algebras = [entry.build(v) for entry in cat.entries() for v in entry.sample_values("full")]
+    algebras += [heisenberg(m) for m in range(4, 8)]
+    for alg in algebras:
+        slice_ = cochain_slice(alg)
+        b2, b3 = boundary2(alg), boundary3(alg)
+        assert slice_.d1 == _negated(b2.transpose()), alg.name
+        assert slice_.d2 == _negated(b3.transpose()), alg.name
+        assert slice_.d2 == reference_d2(alg), alg.name
+        # the kernel reads Fraction's slots directly, so entries must be exact Fractions
+        for m in (slice_.d1, slice_.d2, b2, b3):
+            assert all(type(x) is Q for r in m.data for x in r), alg.name
+
+
 def _eval_form(form, pairs, u, v):
     """Evaluate a pair-coordinate 2-form on two coordinate vectors."""
     total = Q(0)
@@ -130,6 +241,44 @@ def test_cocycles_vanish_on_jacobi_boundaries():
                             w = alg.bracket(unit_vector(n, a), unit_vector(n, b))
                             total += _eval_form(f, slice_.pairs, w, unit_vector(n, c))
                         assert total == 0
+
+
+class ReferenceSpanTracker:
+    """Dense Fraction incremental row reduction: add(v) reports whether v
+    enlarged the span.  The reference the integer echelon must agree with."""
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[Q]]] = []
+
+    def add(self, vec) -> bool:
+        w = list(vec)
+        for pcol, row in self.rows:
+            f = w[pcol]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        piv = next((idx for idx, x in enumerate(w) if x), None)
+        if piv is None:
+            return False
+        inv = 1 / w[piv]
+        if inv != 1:
+            w = [x * inv for x in w]
+        self.rows.append((piv, w))
+        return True
+
+
+def reference_cocycle_representatives(alg):
+    slice_ = cochain_slice(alg)
+    tracker = ReferenceSpanTracker()
+    for j in range(slice_.d1.cols):
+        tracker.add(slice_.d1.column(j))
+    return tuple(v for v in slice_.d2.nullspace_basis() if tracker.add(v))
+
+
+def test_cocycle_representatives_match_dense_reference():
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    assert len(algebras) == 263 + 4
+    for alg in algebras:
+        assert cocycle_representatives(alg) == reference_cocycle_representatives(alg), alg.name
 
 
 # -- covers ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Verification harness: tables, sweeps, suites, reports."""
 
+import hashlib
+
 import liemult.catalog as cat
 from liemult import verify
 from liemult.verify import (
@@ -174,6 +176,15 @@ def test_reports_deterministic(full_report):
     assert report_to_json(full_report) == report_to_json(again)
     assert report_to_csv(full_report) == report_to_csv(again)
     assert report_to_markdown(full_report) == report_to_markdown(again)
+
+
+# sha256 of report_to_json(run_all(9)): a refactor or speedup must keep these
+# bytes; a change that alters the report on purpose says what and why.
+REPORT_SHA256 = "6cab71cbe9e8a699b2ed7759b5f834103236c0062a79159e61fddce6bae74681"
+
+
+def test_report_bytes_pinned(full_report):
+    assert hashlib.sha256(report_to_json(full_report).encode()).hexdigest() == REPORT_SHA256
 
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
