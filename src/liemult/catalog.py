@@ -108,7 +108,6 @@ class CatalogEntry:
     expected_dim_M: int | None = None
     expected_s: int | None = None
     expected_table: int | None = None      # 7..10 when the value is a table row
-    expected_capable: bool | None = None
     provenance: str = "verbatim"
     known_discrepancy: bool = False
     note: str = ""
@@ -191,21 +190,21 @@ _ENTRIES: list[CatalogEntry] = [
     _E("L_{6,5}", 6, "table1", "[1,2]=3 [1,3]=5 [2,4]=5"),
     _E("L_{6,8}", 6, "table1", "[1,2]=4 [1,3]=5"),
     _E("L_{6,10}", 6, "table1", "[1,2]=3 [1,3]=6 [4,5]=6",
-       expected_dim_M=6, expected_s=5, expected_table=10, expected_capable=False),
+       expected_dim_M=6, expected_s=5, expected_table=10),
     _E("L_{6,22}(eps)", 6, "table1", "[1,2]=5 [1,3]=6 [2,4]=eps*6 [3,4]=5", param=EPS_ANY),
     # ---- table 2: dim 7, dim L^2 = 2 ---------------------------------------
-    _E("L_{6,3}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=4", expected_capable=True),
-    _E("L_{6,5}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=5 [2,4]=5", expected_capable=True),
-    _E("L_{6,8}" + DSUM + "A(1)", 7, "table2", "[1,2]=4 [1,3]=5", expected_capable=True),
+    _E("L_{6,3}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=4"),
+    _E("L_{6,5}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=5 [2,4]=5"),
+    _E("L_{6,8}" + DSUM + "A(1)", 7, "table2", "[1,2]=4 [1,3]=5"),
     _E("L_{6,22}(eps)" + DSUM + "A(1)", 7, "table2", "[1,2]=5 [1,3]=6 [2,4]=eps*6 [3,4]=5",
-       param=EPS_ANY, expected_capable=True),
+       param=EPS_ANY),
     _E("L_{6,10}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=6 [4,5]=6",
-       expected_dim_M=10, expected_s=6, expected_table=10, expected_capable=False),
+       expected_dim_M=10, expected_s=6, expected_table=10),
     _E("27A", 7, "table2", "[1,2]=6 [1,4]=7 [3,5]=7",
-       expected_dim_M=10, expected_s=6, expected_table=10, expected_capable=False),
-    _E("27B", 7, "table2", "[1,2]=6 [3,4]=6 [1,5]=7 [2,3]=7", expected_capable=True),
+       expected_dim_M=10, expected_s=6, expected_table=10),
+    _E("27B", 7, "table2", "[1,2]=6 [3,4]=6 [1,5]=7 [2,3]=7"),
     _E("157", 7, "table2", "[1,2]=3 [1,3]=7 [2,4]=7 [5,6]=7",
-       expected_dim_M=10, expected_s=6, expected_table=10, expected_capable=False),
+       expected_dim_M=10, expected_s=6, expected_table=10),
     # ---- table 3: dim <= 6, dim L^2 = 3 ------------------------------------
     _E("L_{5,6}", 5, "table3", "[1,2]=3 [1,3]=4 [1,4]=5 [2,3]=5",
        expected_dim_M=3, expected_s=4, expected_table=7),
@@ -236,7 +235,7 @@ _ENTRIES: list[CatalogEntry] = [
     _E("L_{6,25}", 6, "table3", "[1,2]=3 [1,3]=5 [1,4]=6",
        expected_dim_M=6, expected_s=5, expected_table=7),
     _E("L_{6,26}", 6, "table3", "[1,2]=4 [1,3]=5 [2,3]=6",
-       expected_dim_M=8, expected_s=3, expected_table=7, expected_capable=True),
+       expected_dim_M=8, expected_s=3, expected_table=7),
     # ---- table 4: dim 7, dim L^2 = 3, indecomposable -----------------------
     _E("37A", 7, "table4", "[1,2]=5 [2,3]=6 [2,4]=7",
        expected_dim_M=12, expected_s=4, expected_table=8),

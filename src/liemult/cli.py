@@ -14,18 +14,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import catalog, verify
-from .core import LieError, format_rational, load_presentation, presentation_to_dict
+from .core import LieError, load_presentation, presentation_to_dict, rational_expr
 from .invariants import InvariantReport, invariant_report
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LieError(f"bad rational value {text!r}") from exc
 
 
 def _resolve(name: str, eps, lam):
@@ -174,23 +166,7 @@ def cmd_verify(args) -> int:
         reports = [verify.verify_table(t) for t in (7, 8, 9, 10)]
         ok = all(t.passed for t in reports)
         if args.format == "json":
-            doc = [
-                {
-                    "table": t.table_id,
-                    "passed": t.passed,
-                    "rows": [
-                        {
-                            "name": r.name,
-                            "params": r.params,
-                            "dim_M": {"computed": r.dim_M_computed, "expected": r.dim_M_expected},
-                            "s": {"computed": r.s_computed, "expected": r.s_expected},
-                            "match": r.match,
-                        }
-                        for r in t.rows
-                    ],
-                }
-                for t in reports
-            ]
+            doc = [verify.table_to_dict(t) for t in reports]
             _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         elif args.format == "csv":
             lines = ["table,name,params,dim_M_computed,dim_M_expected,s_computed,s_expected,match"]
@@ -218,18 +194,7 @@ def cmd_verify(args) -> int:
         closure = verify.build_closure(args.dim_cap)
         reports = [verify.classify_by_s(s, args.dim_cap, closure) for s in values]
         ok = all(r.passed for r in reports)
-        doc = [
-            {
-                "s": r.s_value,
-                "passed": r.passed,
-                "expected": r.expected_names,
-                "computed": r.computed_names,
-                "missing": r.missing,
-                "extra": r.extra,
-                "out_of_closure": r.out_of_closure,
-            }
-            for r in reports
-        ]
+        doc = [verify.classification_to_dict(r) for r in reports]
         if args.format == "json":
             _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         else:
@@ -246,10 +211,7 @@ def cmd_verify(args) -> int:
         claims = verify.verify_capability_claims()
         ok = all(c.match for c in claims)
         if args.format == "json":
-            doc = [
-                {"name": c.name, "expected": c.expected, "computed": c.computed, "match": c.match}
-                for c in claims
-            ]
+            doc = [verify.claim_to_dict(c) for c in claims]
             _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         else:
             lines = [
@@ -295,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_list)
 
     def add_params(p):
-        p.add_argument("--eps", type=_parse_fraction, default=None,
+        # rational_expr raises PresentationError, which argparse passes on to main
+        p.add_argument("--eps", type=rational_expr, default=None,
                        help="rational value for eps families (default 1)")
-        p.add_argument("--lambda", type=_parse_fraction, default=None, dest="lam",
+        p.add_argument("--lambda", type=rational_expr, default=None, dest="lam",
                        help="rational value for the lam family (default 3)")
 
     p_info = sub.add_parser("info", help="invariants of a catalog algebra or presentation file")
@@ -334,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except LieError as exc:
         sys.stderr.write(f"error={type(exc).__name__}\n{exc}\n")

@@ -149,7 +149,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(tuple(unit_vector(n, i) for i in range(n)), n)
+        return cls._of(tuple(unit_vector(n, i) for i in range(n)), n)._own_rref(tuple(range(n)))
+
+    def _own_rref(self, pivots: tuple[int, ...]) -> "Matrix":
+        """Mark this matrix, known to be in rref with these pivots, as its own
+        rref, so that it is never eliminated."""
+        self._rref = self
+        self._pivots = pivots
+        return self
 
     # -- basics ---------------------------------------------------------------
 
@@ -237,10 +244,8 @@ class Matrix:
                 row[j] = Q(v, pv)
             data.append(tuple(row))
         data.extend([(_ZERO,) * ncols] * (self.rows - len(pivots)))
-        self._rref = Matrix._of(tuple(data), ncols)
-        self._rref._rref = self._rref
-        self._rref._pivots = tuple(pivots)
         self._pivots = tuple(pivots)
+        self._rref = Matrix._of(tuple(data), ncols)._own_rref(self._pivots)
 
     def rref(self) -> "Matrix":
         if self._rref is None:
@@ -273,11 +278,15 @@ class Matrix:
 
 
 def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
-    """Canonical (rref, no zero rows) basis matrix for a span of vectors."""
-    rows = [tuple(qf(x) for x in v) for v in vectors]
-    rows = [r for r in rows if not is_zero_vec(r)]
-    if not rows:
-        return Matrix([], cols=cols)
-    red = Matrix(rows, cols=cols).rref()
-    keep = red.data[: red.rank()]
-    return Matrix(keep, cols=cols)
+    """Canonical (rref, no zero rows) basis matrix for a span of vectors.
+
+    The result is its own rref, so it is never eliminated again."""
+    rows = []
+    for v in vectors:
+        row = tuple(qf(x) for x in v)
+        if len(row) != cols:
+            raise ValueError(f"vector of length {len(row)} in a span of width {cols}")
+        rows.append(row)
+    m = Matrix._of(tuple(rows), cols)
+    pivots = m.pivot_columns()
+    return Matrix._of(m.rref().data[: len(pivots)], cols)._own_rref(pivots)

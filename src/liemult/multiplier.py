@@ -24,6 +24,7 @@ iff that image vanishes.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,25 +128,43 @@ def boundary3(L: LieAlgebra) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# multiplier dimension, both methods, memoized
+# the memo: one dict of results keyed by (function, canonical brackets)
 # ---------------------------------------------------------------------------
 
-_DIM_CACHE: dict[tuple, int] = {}
+_MEMO: dict[tuple[str, tuple], object] = {}
 _CACHE_LOCK = threading.Lock()
 
 
+def _memoized(fn):
+    """Memoize fn(L) in _MEMO under (fn's name, L.canonical_key())."""
+    @functools.wraps(fn)
+    def memo(L: LieAlgebra):
+        key = (fn.__name__, L.canonical_key())
+        with _CACHE_LOCK:
+            if key in _MEMO:
+                return _MEMO[key]
+        value = fn(L)
+        with _CACHE_LOCK:
+            _MEMO[key] = value
+        return value
+    return memo
+
+
+def clear_caches() -> None:
+    """Drop memoized multiplier/cover/epicenter results (for tests)."""
+    with _CACHE_LOCK:
+        _MEMO.clear()
+
+
+# ---------------------------------------------------------------------------
+# multiplier dimension, both methods
+# ---------------------------------------------------------------------------
+
+@_memoized
 def dim_multiplier(L: LieAlgebra) -> int:
     """dim M(L) = dim H^2(L; Q) = C(n,2) - dim L^2 - rank(d2)."""
-    key = L.canonical_key()
-    with _CACHE_LOCK:
-        if key in _DIM_CACHE:
-            return _DIM_CACHE[key]
     slice_ = cochain_slice(L)
-    n_pairs = len(slice_.pairs)
-    value = n_pairs - slice_.d1.rank() - slice_.d2.rank()
-    with _CACHE_LOCK:
-        _DIM_CACHE[key] = value
-    return value
+    return len(slice_.pairs) - slice_.d1.rank() - slice_.d2.rank()
 
 
 @dataclass(frozen=True)
@@ -155,9 +174,7 @@ class MultiplierResult:
     method: str
 
 
-_REPS_CACHE: dict[tuple, tuple[Vector, ...]] = {}
-
-
+@_memoized
 def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     """Canonical basis of a complement of im(d1) inside ker(d2).
 
@@ -167,18 +184,11 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     keeping those that enlarge it (which does not depend on the basis the
     span is reduced in).
     """
-    key = L.canonical_key()
-    with _CACHE_LOCK:
-        if key in _REPS_CACHE:
-            return _REPS_CACHE[key]
     slice_ = cochain_slice(L)
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in zip(*slice_.d1.data):
         extend_echelon(echelon, coboundary)
-    chosen = tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
-    with _CACHE_LOCK:
-        _REPS_CACHE[key] = chosen
-    return chosen
+    return tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
 
 
 def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
@@ -219,9 +229,7 @@ class CentralExtension:
             raise LieError("projection kernel differs from the declared kernel")
 
 
-_COVER_CACHE: dict[tuple, "CentralExtension"] = {}
-
-
+@_memoized
 def cover(L: LieAlgebra) -> CentralExtension:
     """Stem cover E -> L with kernel of dimension dim M(L).
 
@@ -229,10 +237,6 @@ def cover(L: LieAlgebra) -> CentralExtension:
     over the canonical cocycle representatives.  The stem property
     (kernel inside Z(E) and inside E^2) is asserted, not assumed.
     """
-    key = L.canonical_key()
-    with _CACHE_LOCK:
-        if key in _COVER_CACHE:
-            return _COVER_CACHE[key]
     n = L.dim
     reps = cocycle_representatives(L)
     m = len(reps)
@@ -258,12 +262,7 @@ def cover(L: LieAlgebra) -> CentralExtension:
     derived = total.derived_subalgebra()
     if not derived.contains_subspace(kernel):
         raise LieError("cover kernel escaped E^2: stem property failed")
-    with _CACHE_LOCK:
-        _COVER_CACHE[key] = ext
     return ext
-
-
-_EPICENTER_CACHE: dict[tuple, tuple] = {}
 
 
 def epicenter(L: LieAlgebra) -> Subspace:
@@ -272,20 +271,18 @@ def epicenter(L: LieAlgebra) -> Subspace:
     For non-abelian nilpotent input this always lands inside Z(L) ^ L^2
     (asserted).
     """
-    key = L.canonical_key()
-    with _CACHE_LOCK:
-        cached = _EPICENTER_CACHE.get(key)
-    if cached is not None:
-        return L.subspace(cached)
+    return L.subspace(_epicenter_basis(L))
+
+
+@_memoized
+def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
     ext = cover(L)
     image = ext.projection.apply_subspace(ext.total.center())
     if not L.is_abelian:
         bound = L.center().intersect(L.derived_subalgebra())
         if not bound.contains_subspace(image):
             raise LieError("epicenter escaped Z(L) ^ L^2")
-    with _CACHE_LOCK:
-        _EPICENTER_CACHE[key] = tuple(image.basis_vectors())
-    return image
+    return tuple(image.basis_vectors())
 
 
 def is_capable(L: LieAlgebra) -> bool:
@@ -320,12 +317,3 @@ def quotient_exterior_check(L: LieAlgebra) -> bool:
         return True
     quotient_alg, _ = L.quotient(z)
     return dim_exterior_square(L) == dim_exterior_square(quotient_alg)
-
-
-def clear_caches() -> None:
-    """Drop memoized multiplier/cover/epicenter results (for tests)."""
-    with _CACHE_LOCK:
-        _DIM_CACHE.clear()
-        _COVER_CACHE.clear()
-        _EPICENTER_CACHE.clear()
-        _REPS_CACHE.clear()

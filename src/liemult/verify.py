@@ -14,8 +14,8 @@ their abelian paddings, and the Heisenberg family, up to a dimension cap):
   allowlist.
 
 Reports are deterministic: two runs produce byte-identical JSON/CSV/
-Markdown.  Recorded-value mismatches that are on the pinned allowlist are
-report content, never failures; anything else fails the run (exit code 1).
+Markdown.  A fixture mismatch that names an id of discrepancy_notes() is
+report content, never a failure; anything else fails the run (exit code 1).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog
-from .catalog import CPROD, DSUM, CatalogEntry, abelian, heisenberg
-from .core import LieAlgebra, direct_sum
+from .catalog import CPROD, DSUM, LAM_NOT01, CatalogEntry, abelian, heisenberg
+from .core import LieAlgebra, direct_sum, format_rational
 from .invariants import (
     central_basis_vectors,
     check_derived_bound,
@@ -51,10 +51,11 @@ from .multiplier import (
 
 KUNNETH_SEED = 0x5138
 VERIFY_EPS = (Q(1), Q(-1), Q(2))
+HEISENBERG_MAX = 3
 
 
 def verify_samples(entry: CatalogEntry) -> list[Fraction | None]:
-    """Sample set {1, -1, 2} intersected with the family domain."""
+    """VERIFY_EPS intersected with the family domain."""
     if entry.param is None:
         return [None]
     return [v for v in VERIFY_EPS if entry.param.contains(v)]
@@ -72,8 +73,9 @@ class ClosureMember:
     base_entry: str | None
 
 
-def build_closure(dim_cap: int = 9, heisenberg_max: int = 3) -> list[ClosureMember]:
-    """Catalog instances + A(k)-paddings + H(m)(+A(k)), dim <= dim_cap.
+def build_closure(dim_cap: int = 9) -> list[ClosureMember]:
+    """Catalog instances + A(k)-paddings + H(m)(+A(k)), m <= HEISENBERG_MAX,
+    dim <= dim_cap.
 
     Catalog instances are added first so that a padding that happens to
     coincide with a named entry (L_{4,3}+A(1) vs the printed L_{5,3})
@@ -98,7 +100,7 @@ def build_closure(dim_cap: int = 9, heisenberg_max: int = 3) -> list[ClosureMemb
                 continue
             add(alg.name, alg, "catalog", entry.name)
             bases.append((alg, entry.name))
-    for m in range(1, heisenberg_max + 1):
+    for m in range(1, HEISENBERG_MAX + 1):
         if 2 * m + 1 > dim_cap:
             break
         h = heisenberg(m)
@@ -204,15 +206,11 @@ def verify_table(table_id: int) -> TableReport:
 # classification sweeps
 # ---------------------------------------------------------------------------
 
-def _eps22(tail: str = "") -> list[str]:
-    return [f"L_{{6,22}}({v}){tail}" for v in (1, -1, 2)]
-
-
 def _eps(stem: str, tail: str = "") -> list[str]:
-    return [f"{stem}({v}){tail}" for v in (1, -1, 2)]
+    return [f"{stem}({format_rational(v)}){tail}" for v in VERIFY_EPS]
 
 
-def classification_list(s_value: int, dim_cap: int, heisenberg_max: int = 3) -> list[str]:
+def classification_list(s_value: int, dim_cap: int) -> list[str]:
     """The classification list for one s value, instantiated by name.
 
     A(k)-tail families are instantiated up to dim_cap; fixed names are
@@ -226,28 +224,28 @@ def classification_list(s_value: int, dim_cap: int, heisenberg_max: int = 3) -> 
         return ["L_{5,8}"]
     if s_value == 2:
         names = ["L_{5,8}" + a1, "L_{4,3}"]
-        for m in range(2, heisenberg_max + 1):
+        for m in range(2, HEISENBERG_MAX + 1):
             for k in range(0, dim_cap - 2 * m):
                 names.append(f"H({m}){DSUM}A({k})" if k else f"H({m})")
         return names
     if s_value == 3:
-        return ["L_{5,8}" + a2, "L_{4,3}" + a1, "L_{5,5}"] + _eps22() + ["L_{6,26}"]
+        return ["L_{5,8}" + a2, "L_{4,3}" + a1, "L_{5,5}"] + _eps("L_{6,22}") + ["L_{6,26}"]
     if s_value == 4:
         return (["L_{5,8}" + DSUM + "A(3)", "L_{4,3}" + a2, "L_{5,5}" + a1]
-                + _eps22(a1) + ["L_{5,6}", "L_{5,7}", "L_{5,9}", "37A"])
+                + _eps("L_{6,22}", a1) + ["L_{5,6}", "L_{5,7}", "L_{5,9}", "37A"])
     if s_value == 5:
         return (["L_{5,8}" + DSUM + "A(4)", "L_{4,3}" + DSUM + "A(3)", "L_{5,5}" + a2]
-                + _eps22(a2)
+                + _eps("L_{6,22}", a2)
                 + ["L_{6,26}" + a1, "L_{6,10}", "L_{6,23}", "L_{6,25}", "37B", "37C", "37D"])
     if s_value == 6:
         return (["L_{5,8}" + DSUM + "A(5)", "L_{4,3}" + DSUM + "A(4)", "L_{5,5}" + DSUM + "A(3)"]
-                + _eps22(DSUM + "A(3)")
+                + _eps("L_{6,22}", DSUM + "A(3)")
                 + ["L_{6,10}" + a1, "27A", "157", "37A" + a1,
                    "L_{6,6}", "L_{6,7}", "L_{6,9}", "L_{6,11}", "L_{6,12}"]
                 + _eps("L_{6,19}") + ["L_{6,20}"] + _eps("L_{6,24}"))
     if s_value == 7:
         return (["L_{5,8}" + DSUM + "A(6)", "L_{4,3}" + DSUM + "A(5)", "L_{5,5}" + DSUM + "A(4)"]
-                + _eps22(DSUM + "A(4)")
+                + _eps("L_{6,22}", DSUM + "A(4)")
                 + ["27B", "L_{6,10}" + a2, "27A" + a1, "157" + a1,
                    "L_{6,10}" + CPROD + "H(1)", "H(1)" + DSUM + "H(2)", "S1",
                    "L_{6,23}" + a1, "L_{6,25}" + a1,
@@ -319,20 +317,18 @@ def classify_by_s(s_value: int, dim_cap: int = 9,
 # capability claims
 # ---------------------------------------------------------------------------
 
-# (name for get(), expected capability, catalog entry the claim certifies)
-CAPABILITY_CLAIMS: list[tuple[str, bool, str]] = (
-    [
-        ("L_{6,10}", False, "L_{6,10}"),
-        ("27A", False, "27A"),
-        ("27B", True, "27B"),
-        ("157", False, "157"),
-        ("L_{6,10}" + DSUM + "A(1)", False, "L_{6,10}" + DSUM + "A(1)"),
-        ("L_{6,3}" + DSUM + "A(1)", True, "L_{6,3}" + DSUM + "A(1)"),
-        ("L_{6,5}" + DSUM + "A(1)", True, "L_{6,5}" + DSUM + "A(1)"),
-        ("L_{6,8}" + DSUM + "A(1)", True, "L_{6,8}" + DSUM + "A(1)"),
-    ]
-    + [(f"L_{{6,22}}({v}){DSUM}A(1)", True, "L_{6,22}(eps)" + DSUM + "A(1)") for v in (1, -1, 2)]
-)
+# (catalog entry, expected capability), checked at each of its verify_samples
+CAPABILITY_CLAIMS: list[tuple[str, bool]] = [
+    ("L_{6,10}", False),
+    ("27A", False),
+    ("27B", True),
+    ("157", False),
+    ("L_{6,10}" + DSUM + "A(1)", False),
+    ("L_{6,3}" + DSUM + "A(1)", True),
+    ("L_{6,5}" + DSUM + "A(1)", True),
+    ("L_{6,8}" + DSUM + "A(1)", True),
+    ("L_{6,22}(eps)" + DSUM + "A(1)", True),
+]
 
 
 @dataclass
@@ -348,8 +344,11 @@ class ClaimResult:
 
 def verify_capability_claims() -> list[ClaimResult]:
     out = []
-    for name, expected, _ in CAPABILITY_CLAIMS:
-        out.append(ClaimResult(name, expected, is_capable(catalog.get(name))))
+    for name, expected in CAPABILITY_CLAIMS:
+        entry = catalog.lookup(name)
+        for v in verify_samples(entry):
+            alg = entry.build(v)
+            out.append(ClaimResult(alg.name, expected, is_capable(alg)))
     return out
 
 
@@ -382,6 +381,13 @@ def witness_extensions() -> list[tuple[str, LieAlgebra, int]]:
     ]
 
 
+# The stem witnesses of the s = 6, 7 lemmas, each built at its catalog
+# default (147E(lam) at the generic lam = 3), and the 147E(lam) sample on
+# the orbit {2, -1, 1/2} where its recorded dim M fails.
+LEMMA_ENTRIES = ("357A", "247N", "147D", "147F", "147E(lam)")
+ORBIT_LAM = Q(2)
+
+
 @dataclass
 class FixtureRow:
     name: str
@@ -389,39 +395,41 @@ class FixtureRow:
     expected: int
     match: bool
     note: str = ""
+    allowed_by: str | None = None  # id of the discrepancy_notes() entry allowing a mismatch
 
 
 def fixtures_suite() -> list[FixtureRow]:
     """Pinned multiplier values, computed with the cover-count method."""
     rows: list[FixtureRow] = []
 
-    def check(name: str, alg: LieAlgebra, expected: int, note: str = "") -> None:
+    def check(alg: LieAlgebra, expected: int, note: str = "",
+              allowed_by: str | None = None) -> None:
         got = dim_multiplier_cover(alg).dim_M
-        rows.append(FixtureRow(name, got, expected, got == expected, note))
+        rows.append(FixtureRow(alg.name, got, expected, got == expected, note, allowed_by))
 
-    check("H(1)", heisenberg(1), 2)
-    for name, alg, expected in witness_extensions():
-        check(name, alg, expected)
-    check("357A", catalog.get("357A"), 8)
-    check("247N", catalog.get("247N"), 7)
-    check("147D", catalog.get("147D"), 7)
-    check("147F", catalog.get("147F"), 7, "presentation repaired; see catalog note")
-    check("147E(3)", catalog.get("147E", lam=3), 7, "generic family member")
-    check("147E(2)", catalog.get("147E", lam=2), 7,
-          "documented discrepancy: the recorded value 7 holds generically but "
-          "the eigenvalue-coincidence orbit lam in {2, -1, 1/2} gives 8")
+    check(heisenberg(1), 2)
+    for _, alg, expected in witness_extensions():
+        check(alg, expected)
+    for name in LEMMA_ENTRIES:
+        entry = catalog.lookup(name)
+        note = ("presentation repaired; see catalog note" if entry.provenance == "repaired"
+                else "generic family member" if entry.param else "")
+        check(entry.build(), entry.expected_dim_M, note)
+    e147 = catalog.lookup("147E")
+    check(e147.build(ORBIT_LAM), e147.expected_dim_M,
+          f"documented discrepancy: the recorded value {e147.expected_dim_M} holds "
+          "generically but the eigenvalue-coincidence orbit lam in {2, -1, 1/2} gives 8",
+          allowed_by="multiplier-147E-special-orbit")
     return rows
 
 
 def discrepancy_notes() -> list[dict]:
     """The pinned allowlist of recorded values that the computation refutes."""
     l58 = dim_multiplier(catalog.get("L_{5,8}"))
-    lemma_s = {
-        name: s_invariant(catalog.get(name))
-        for name in ("357A", "247N", "147D", "147F")
-    }
-    lemma_s["147E(3)"] = s_invariant(catalog.get("147E", lam=3))
-    e2 = dim_multiplier(catalog.get("147E", lam=2))
+    lemma_s = {alg.name: s_invariant(alg)
+               for alg in (catalog.lookup(name).build() for name in LEMMA_ENTRIES)}
+    e147 = catalog.lookup("147E")
+    e2 = dim_multiplier(e147.build(ORBIT_LAM))
     return [
         {
             "id": "multiplier-L_{5,8}",
@@ -433,13 +441,13 @@ def discrepancy_notes() -> list[dict]:
         {
             "id": "stem-witness-s-values",
             "recorded": {"357A": 14, "247N": 15, "147D": 15, "147E": 15, "147F": 15},
-            "computed": {k: v for k, v in sorted(lemma_s.items())},
+            "computed": dict(sorted(lemma_s.items())),
             "note": "the recorded s-values contradict s = (n-1)(n-2)/2 + 1 - dim M; "
                     "s is always recomputed from the definition",
         },
         {
             "id": "multiplier-147E-special-orbit",
-            "recorded": 7,
+            "recorded": e147.expected_dim_M,
             "computed": e2,
             "note": "dim M(147E(lam)) = 7 for generic lam but 8 on the coincidence "
                     "orbit lam in {2, -1, 1/2} (the eigenvalue triple {-1, lam, 1-lam} "
@@ -678,8 +686,9 @@ class FullReport:
 
     @property
     def passed(self) -> bool:
+        allowed = {d["id"] for d in self.discrepancies}
         fixture_fail = any(
-            not row.match and "documented discrepancy" not in row.note for row in self.fixtures
+            not row.match and row.allowed_by not in allowed for row in self.fixtures
         )
         return (
             all(t.passed for t in self.tables)
@@ -717,8 +726,8 @@ def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
     for table in tables:
         for row in table.rows:
             covered.add(row.name)
-    covered.update({"357A", "247N", "147D", "147E(lam)", "147F"})
-    covered.update(entry_name for _, _, entry_name in CAPABILITY_CLAIMS)
+    covered.update(LEMMA_ENTRIES)
+    covered.update(name for name, _ in CAPABILITY_CLAIMS)
     swept_names = set()
     for cls in classifications:
         swept_names.update(cls.computed_names)
@@ -754,50 +763,56 @@ def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
 # rendering
 # ---------------------------------------------------------------------------
 
+def table_to_dict(t: TableReport) -> dict:
+    return {
+        "table": t.table_id,
+        "passed": t.passed,
+        "rows": [
+            {
+                "name": r.name,
+                "params": r.params,
+                "dim_M": {"computed": r.dim_M_computed, "expected": r.dim_M_expected},
+                "s": {"computed": r.s_computed, "expected": r.s_expected},
+                "match": r.match,
+            }
+            for r in t.rows
+        ],
+        "discrepancies": t.discrepancies,
+    }
+
+
+def classification_to_dict(c: ClassificationReport) -> dict:
+    return {
+        "s": c.s_value,
+        "passed": c.passed,
+        "expected": c.expected_names,
+        "computed": c.computed_names,
+        "missing": c.missing,
+        "extra": c.extra,
+        "out_of_closure": c.out_of_closure,
+        "aliases": c.aliases,
+    }
+
+
+def claim_to_dict(c: ClaimResult) -> dict:
+    return {"name": c.name, "expected": c.expected, "computed": c.computed, "match": c.match}
+
+
 def report_to_dict(report: FullReport) -> dict:
     return {
         "format": "liemult-report/1",
         "closure": {
             "dim_cap": report.dim_cap,
-            "heisenberg_max": 3,
+            "heisenberg_max": HEISENBERG_MAX,
             "size": report.closure_size,
-            "samples": {"eps": ["1", "-1", "2"], "lam": ["-1", "2"]},
+            "samples": {
+                "eps": [format_rational(v) for v in VERIFY_EPS],
+                "lam": [format_rational(v) for v in VERIFY_EPS if LAM_NOT01.contains(v)],
+            },
         },
-        "tables": [
-            {
-                "table": t.table_id,
-                "passed": t.passed,
-                "rows": [
-                    {
-                        "name": r.name,
-                        "params": r.params,
-                        "dim_M": {"computed": r.dim_M_computed, "expected": r.dim_M_expected},
-                        "s": {"computed": r.s_computed, "expected": r.s_expected},
-                        "match": r.match,
-                    }
-                    for r in t.rows
-                ],
-                "discrepancies": t.discrepancies,
-            }
-            for t in report.tables
-        ],
-        "classification": [
-            {
-                "s": c.s_value,
-                "passed": c.passed,
-                "expected": c.expected_names,
-                "computed": c.computed_names,
-                "missing": c.missing,
-                "extra": c.extra,
-                "out_of_closure": c.out_of_closure,
-                "aliases": c.aliases,
-            }
-            for c in report.classifications
-        ],
-        "capability": [
-            {"name": c.name, "expected": c.expected, "computed": c.computed, "match": c.match}
-            for c in report.capability
-        ],
+        "tables": [table_to_dict(t) for t in report.tables],
+        "classification": [classification_to_dict(c) for c in report.classifications],
+        "capability": [claim_to_dict(c) for c in report.capability],
         "bounds": {
             key: {"checked": s.checked, "violations": s.violations}
             for key, s in report.bounds.items()
@@ -834,19 +849,6 @@ def report_to_dict(report: FullReport) -> dict:
 
 def report_to_json(report: FullReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-
-
-def table_csv_rows(report: FullReport) -> list[list[str]]:
-    rows = []
-    for t in report.tables:
-        for r in t.rows:
-            rows.append([
-                f"table{t.table_id}", r.name, r.params,
-                str(r.dim_M_computed), str(r.dim_M_expected),
-                str(r.s_computed), str(r.s_expected),
-                "ok" if r.match else "mismatch",
-            ])
-    return rows
 
 
 def report_to_csv(report: FullReport) -> str:

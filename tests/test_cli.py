@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import liemult
+from liemult import verify
 from liemult.cli import main
 from liemult.core import MAX_DIGITS
 
@@ -150,6 +151,15 @@ def test_verify_capability(capsys):
     assert all(row["match"] for row in doc)
 
 
+def test_verify_scopes_render_report_sections(capsys, full_report):
+    report = verify.report_to_dict(full_report)
+    for scope, key in (("tables", "tables"), ("theorems", "classification"),
+                       ("capability", "capability")):
+        code, out, _ = run_cli(capsys, "verify", scope, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == report[key]
+
+
 def test_verify_all_small_cap_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "all", "--dim-cap", "5",
@@ -199,14 +209,18 @@ MALFORMED = {
 }
 
 
+def run_subprocess(*argv):
+    """`python -m liemult ARGV` in a fresh process: no traceback may escape,
+    whatever the input."""
+    env = dict(os.environ, PYTHONPATH=str(Path(liemult.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "liemult", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def run_compute_subprocess(tmp_path, doc):
-    """`python -m liemult compute FILE` in a fresh process: no traceback may
-    escape, whatever the input."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(Path(liemult.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "liemult", "compute", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return run_subprocess("compute", str(path))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -224,6 +238,25 @@ def test_compute_accepts_5000_digit_coefficient(tmp_path):
         tmp_path, {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": n}]}]})
     assert proc.returncode == 0, proc.stderr
     assert "  dim M:      2" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ("L6_22", "--eps", "abc"),
+    ("147E", "--lambda", "1/0"),
+    ("L6_22", "--eps", "1" + "0" * MAX_DIGITS),
+])
+def test_info_bad_parameter_value_exits_2(argv):
+    proc = run_subprocess("info", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[0] == "error=PresentationError"
+    assert "Traceback" not in proc.stderr
+
+
+def test_info_accepts_5000_digit_parameter():
+    eps = "7" + "0" * 4998 + "3"
+    proc = run_subprocess("info", "L6_22", "--eps", eps)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"L_{{6,22}}({eps})"
 
 
 def test_compute_dimension_above_cap_exits_2(tmp_path):

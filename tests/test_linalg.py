@@ -84,6 +84,12 @@ def test_span_rref_drops_zero_rows():
     assert m.rows == 1 and m.data[0] == (1, 1)
 
 
+@pytest.mark.parametrize("vectors", [[[1, 2, 3]], [[1, 0], [0]], [[0, 0, 0]]])
+def test_span_rref_rejects_wrong_length(vectors):
+    with pytest.raises(ValueError):
+        span_rref(vectors, 2)
+
+
 def test_format_rational():
     assert format_rational(Q(3)) == "3"
     assert format_rational(Q(-2, 6)) == "-1/3"
@@ -207,6 +213,12 @@ def test_kernel_matches_dense_reference(case):
     assert null == reference_nullspace(red, pivots, cols)
     for v in null:
         assert all(x == 0 for x in m.mul_vec(v))
+    # span_rref: the reference rref without its zero rows, already its own rref
+    span = span_rref(rows, cols)
+    assert span.data == red[: len(pivots)] and span.cols == cols
+    assert span.pivot_columns() == pivots
+    assert span.rref() is span
+    assert all(type(x) is Q for r in span.data for x in r)
 
 
 # -- the sparse product against a naive triple loop ----------------------------

@@ -1,6 +1,7 @@
 """Verification harness: tables, sweeps, suites, reports."""
 
 import hashlib
+from dataclasses import replace
 
 import liemult.catalog as cat
 from liemult import verify
@@ -160,6 +161,21 @@ def test_fixtures_in_report(full_report):
     assert rows["247N"].computed == 7
     assert rows["147E(2)"].computed == 8 and not rows["147E(2)"].match
     assert "documented discrepancy" in rows["147E(2)"].note
+
+
+def test_fixture_mismatch_allowed_only_by_discrepancy_id(full_report):
+    (allowed,) = [f for f in full_report.fixtures if not f.match]
+    assert allowed.allowed_by == "multiplier-147E-special-orbit"
+
+    def passed_with(row, discrepancies=full_report.discrepancies):
+        fixtures = [row if f is allowed else f for f in full_report.fixtures]
+        return replace(full_report, fixtures=fixtures, discrepancies=discrepancies).passed
+
+    assert passed_with(replace(allowed, note="reworded"))
+    assert not passed_with(replace(allowed, allowed_by=None))
+    assert not passed_with(replace(allowed, allowed_by="no-such-id"))
+    assert not passed_with(allowed, [d for d in full_report.discrepancies
+                                     if d["id"] != allowed.allowed_by])
 
 
 def test_collisions_reported(full_report):
