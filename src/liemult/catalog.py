@@ -3,7 +3,8 @@
 Each entry records a presentation in a compact bracket notation
 ("[1,2]=3 [2,4]=eps*6 [3,4]=-2*7"), its source table, parameter domain,
 and the expected (dim M, s) values recorded in the reference tables
-(7-10) where the classification states them.  Presentations are entered
+(7-10) where the classification states them; TABLE_ORDER says which
+entries are the rows of which table.  Presentations are entered
 verbatim from the source; rows that are printed self-inconsistently
 (duplicated lines, Jacobi-violating coefficients) carry
 provenance="repaired" and use the form from the cited classification
@@ -107,7 +108,6 @@ class CatalogEntry:
     param: ParamSpec | None = None
     expected_dim_M: int | None = None
     expected_s: int | None = None
-    expected_table: int | None = None      # 7..10 when the value is a table row
     provenance: str = "verbatim"
     known_discrepancy: bool = False
     note: str = ""
@@ -190,7 +190,7 @@ _ENTRIES: list[CatalogEntry] = [
     _E("L_{6,5}", 6, "table1", "[1,2]=3 [1,3]=5 [2,4]=5"),
     _E("L_{6,8}", 6, "table1", "[1,2]=4 [1,3]=5"),
     _E("L_{6,10}", 6, "table1", "[1,2]=3 [1,3]=6 [4,5]=6",
-       expected_dim_M=6, expected_s=5, expected_table=10),
+       expected_dim_M=6, expected_s=5),
     _E("L_{6,22}(eps)", 6, "table1", "[1,2]=5 [1,3]=6 [2,4]=eps*6 [3,4]=5", param=EPS_ANY),
     # ---- table 2: dim 7, dim L^2 = 2 ---------------------------------------
     _E("L_{6,3}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=4"),
@@ -199,147 +199,147 @@ _ENTRIES: list[CatalogEntry] = [
     _E("L_{6,22}(eps)" + DSUM + "A(1)", 7, "table2", "[1,2]=5 [1,3]=6 [2,4]=eps*6 [3,4]=5",
        param=EPS_ANY),
     _E("L_{6,10}" + DSUM + "A(1)", 7, "table2", "[1,2]=3 [1,3]=6 [4,5]=6",
-       expected_dim_M=10, expected_s=6, expected_table=10),
+       expected_dim_M=10, expected_s=6),
     _E("27A", 7, "table2", "[1,2]=6 [1,4]=7 [3,5]=7",
-       expected_dim_M=10, expected_s=6, expected_table=10),
+       expected_dim_M=10, expected_s=6),
     _E("27B", 7, "table2", "[1,2]=6 [3,4]=6 [1,5]=7 [2,3]=7"),
     _E("157", 7, "table2", "[1,2]=3 [1,3]=7 [2,4]=7 [5,6]=7",
-       expected_dim_M=10, expected_s=6, expected_table=10),
+       expected_dim_M=10, expected_s=6),
     # ---- table 3: dim <= 6, dim L^2 = 3 ------------------------------------
     _E("L_{5,6}", 5, "table3", "[1,2]=3 [1,3]=4 [1,4]=5 [2,3]=5",
-       expected_dim_M=3, expected_s=4, expected_table=7),
+       expected_dim_M=3, expected_s=4),
     _E("L_{5,7}", 5, "table3", "[1,2]=3 [1,3]=4 [1,4]=5",
-       expected_dim_M=3, expected_s=4, expected_table=7),
+       expected_dim_M=3, expected_s=4),
     _E("L_{5,9}", 5, "table3", "[1,2]=3 [1,3]=4 [2,3]=5",
-       expected_dim_M=3, expected_s=4, expected_table=7),
+       expected_dim_M=3, expected_s=4),
     _E("L_{6,6}", 6, "table3", "[1,2]=3 [1,3]=4 [1,4]=5 [2,3]=5",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,7}", 6, "table3", "[1,2]=3 [1,3]=4 [1,4]=5",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,9}", 6, "table3", "[1,2]=3 [1,3]=4 [2,3]=5",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,11}", 6, "table3", "[1,2]=3 [1,3]=4 [1,4]=6 [2,3]=6 [2,5]=6",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,12}", 6, "table3", "[1,2]=3 [1,3]=4 [1,4]=6 [2,5]=6",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,13}", 6, "table3", "[1,2]=3 [1,3]=5 [2,4]=5 [1,5]=6 [3,4]=6",
-       expected_dim_M=4, expected_s=7, expected_table=7),
+       expected_dim_M=4, expected_s=7),
     _E("L_{6,19}(eps)", 6, "table3", "[1,2]=4 [1,3]=5 [1,5]=6 [2,4]=6 [3,5]=eps*6",
-       param=EPS_STAR, expected_dim_M=5, expected_s=6, expected_table=7),
+       param=EPS_STAR, expected_dim_M=5, expected_s=6),
     _E("L_{6,20}", 6, "table3", "[1,2]=4 [1,3]=5 [1,5]=6 [2,4]=6",
-       expected_dim_M=5, expected_s=6, expected_table=7),
+       expected_dim_M=5, expected_s=6),
     _E("L_{6,23}", 6, "table3", "[1,2]=3 [1,3]=5 [2,4]=5 [1,4]=6",
-       expected_dim_M=6, expected_s=5, expected_table=7),
+       expected_dim_M=6, expected_s=5),
     _E("L_{6,24}(eps)", 6, "table3", "[1,2]=3 [1,3]=5 [2,4]=5 [1,4]=eps*6 [2,3]=6",
-       param=EPS_ANY, expected_dim_M=5, expected_s=6, expected_table=7),
+       param=EPS_ANY, expected_dim_M=5, expected_s=6),
     _E("L_{6,25}", 6, "table3", "[1,2]=3 [1,3]=5 [1,4]=6",
-       expected_dim_M=6, expected_s=5, expected_table=7),
+       expected_dim_M=6, expected_s=5),
     _E("L_{6,26}", 6, "table3", "[1,2]=4 [1,3]=5 [2,3]=6",
-       expected_dim_M=8, expected_s=3, expected_table=7),
+       expected_dim_M=8, expected_s=3),
     # ---- table 4: dim 7, dim L^2 = 3, indecomposable -----------------------
     _E("37A", 7, "table4", "[1,2]=5 [2,3]=6 [2,4]=7",
-       expected_dim_M=12, expected_s=4, expected_table=8),
+       expected_dim_M=12, expected_s=4),
     _E("37B", 7, "table4", "[1,2]=5 [2,3]=6 [3,4]=7",
-       expected_dim_M=11, expected_s=5, expected_table=8),
+       expected_dim_M=11, expected_s=5),
     _E("37C", 7, "table4", "[1,2]=5 [3,4]=5 [2,3]=6 [2,4]=7",
-       expected_dim_M=11, expected_s=5, expected_table=8),
+       expected_dim_M=11, expected_s=5),
     _E("37D", 7, "table4", "[1,2]=5 [3,4]=5 [1,3]=6 [2,4]=7",
-       expected_dim_M=11, expected_s=5, expected_table=8),
+       expected_dim_M=11, expected_s=5),
     _E("257A", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [1,5]=7",
-       expected_dim_M=9, expected_s=7, expected_table=8),
+       expected_dim_M=9, expected_s=7),
     _E("257B", 7, "table4", "[1,2]=3 [1,3]=6 [1,4]=7 [2,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257C", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [2,5]=7",
-       expected_dim_M=9, expected_s=7, expected_table=8),
+       expected_dim_M=9, expected_s=7),
     _E("257D", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [1,4]=7 [2,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257E", 7, "table4", "[1,2]=3 [1,3]=6 [4,5]=6 [2,4]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257F", 7, "table4", "[1,2]=3 [2,3]=6 [4,5]=6 [2,4]=7",
-       expected_dim_M=9, expected_s=7, expected_table=8),
+       expected_dim_M=9, expected_s=7),
     _E("257G", 7, "table4", "[1,2]=3 [1,3]=6 [4,5]=6 [1,5]=7 [2,4]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257H", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [4,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257I", 7, "table4", "[1,2]=3 [1,3]=6 [1,4]=6 [1,5]=7 [2,3]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257J", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [1,5]=7 [2,3]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("257K", 7, "table4", "[1,2]=3 [1,3]=6 [2,5]=7 [4,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8, provenance="repaired",
+       expected_dim_M=8, expected_s=8, provenance="repaired",
        note="printed row has [x2,x3]=x7, which contradicts the recorded values "
             "(computed (6, 10)); [x2,x5]=x7 restores them for both 257K and 257L"),
     _E("257L", 7, "table4", "[1,2]=3 [1,3]=6 [2,4]=6 [2,5]=7 [4,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8, provenance="repaired",
+       expected_dim_M=8, expected_s=8, provenance="repaired",
        note="printed row has [x2,x3]=x7, which contradicts the recorded values "
             "(computed (6, 10)); [x2,x5]=x7 restores them for both 257K and 257L"),
     _E("147A", 7, "table4", "[1,2]=4 [1,3]=5 [1,6]=7 [2,5]=7 [3,4]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("147B", 7, "table4", "[1,2]=4 [1,3]=5 [1,4]=7 [2,6]=7 [3,5]=7",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("1457A", 7, "table4", "[1,2]=3 [1,3]=4 [1,4]=7 [5,6]=7",
-       expected_dim_M=6, expected_s=10, expected_table=8),
+       expected_dim_M=6, expected_s=10),
     _E("1457B", 7, "table4", "[1,2]=3 [1,3]=4 [1,4]=7 [2,3]=7 [5,6]=7",
-       expected_dim_M=6, expected_s=10, expected_table=8),
+       expected_dim_M=6, expected_s=10),
     _E("137A", 7, "table4", "[1,2]=5 [1,5]=7 [3,6]=7 [3,4]=6",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("137B", 7, "table4", "[1,2]=5 [3,4]=6 [1,5]=7 [2,4]=7 [3,6]=7",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("137C", 7, "table4", "[1,2]=5 [1,4]=6 [2,3]=6 [1,6]=7 [3,5]=-7",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("137D", 7, "table4", "[1,2]=5 [1,4]=6 [2,3]=6 [1,6]=7 [2,4]=7 [3,5]=-7",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("1357A", 7, "table4", "[1,2]=4 [1,4]=5 [2,3]=5 [1,5]=7 [2,6]=7 [3,4]=-7",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("1357B", 7, "table4", "[1,2]=4 [1,4]=5 [2,3]=5 [1,5]=7 [3,6]=7 [3,4]=-7",
-       expected_dim_M=6, expected_s=10, expected_table=8),
+       expected_dim_M=6, expected_s=10),
     _E("1357C", 7, "table4", "[1,2]=4 [1,4]=5 [2,3]=5 [1,5]=7 [2,4]=7 [3,6]=7 [3,4]=-7",
-       expected_dim_M=6, expected_s=10, expected_table=8, provenance="repaired",
+       expected_dim_M=6, expected_s=10, provenance="repaired",
        note="printed row never involves x6 (decomposable, center dim 2, wrong "
             "series type); restoring the [x3,x6]=x7 term of the 1357B pattern "
             "yields the recorded values and the (1,3,5,7) type"),
     # ---- table 5: dim 7, dim L^2 = 3, decomposable (recipes) ---------------
     _E("L_{4,3}" + DSUM + "H(1)", 7, "table5", recipe="L_{4,3}" + DSUM + "H(1)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{5,6}" + DSUM + "A(2)", 7, "table5", recipe="L_{5,6}" + DSUM + "A(2)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{5,7}" + DSUM + "A(2)", 7, "table5", recipe="L_{5,7}" + DSUM + "A(2)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{5,9}" + DSUM + "A(2)", 7, "table5", recipe="L_{5,9}" + DSUM + "A(2)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{6,11}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,11}" + DSUM + "A(1)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{6,12}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,12}" + DSUM + "A(1)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{6,13}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,13}" + DSUM + "A(1)",
-       expected_dim_M=7, expected_s=9, expected_table=8),
+       expected_dim_M=7, expected_s=9),
     _E("L_{6,19}(eps)" + DSUM + "A(1)", 7, "table5", recipe="L_{6,19}(eps)" + DSUM + "A(1)",
-       param=EPS_STAR, expected_dim_M=8, expected_s=8, expected_table=8),
+       param=EPS_STAR, expected_dim_M=8, expected_s=8),
     _E("L_{6,20}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,20}" + DSUM + "A(1)",
-       expected_dim_M=8, expected_s=8, expected_table=8),
+       expected_dim_M=8, expected_s=8),
     _E("L_{6,23}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,23}" + DSUM + "A(1)",
-       expected_dim_M=9, expected_s=7, expected_table=8),
+       expected_dim_M=9, expected_s=7),
     _E("L_{6,24}(eps)" + DSUM + "A(1)", 7, "table5", recipe="L_{6,24}(eps)" + DSUM + "A(1)",
-       param=EPS_ANY, expected_dim_M=8, expected_s=8, expected_table=8),
+       param=EPS_ANY, expected_dim_M=8, expected_s=8),
     _E("L_{6,25}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,25}" + DSUM + "A(1)",
-       expected_dim_M=9, expected_s=7, expected_table=8),
+       expected_dim_M=9, expected_s=7),
     _E("L_{6,26}" + DSUM + "A(1)", 7, "table5", recipe="L_{6,26}" + DSUM + "A(1)",
-       expected_dim_M=11, expected_s=5, expected_table=8),
+       expected_dim_M=11, expected_s=5),
     # ---- table 6: dim 6, dim L^2 = 4 ----------------------------------------
     _E("L_{6,14}", 6, "table6", "[1,2]=3 [1,3]=4 [1,4]=5 [2,3]=5 [2,5]=6 [3,4]=-6",
-       expected_dim_M=2, expected_s=9, expected_table=9),
+       expected_dim_M=2, expected_s=9),
     _E("L_{6,15}", 6, "table6", "[1,2]=3 [1,3]=4 [1,4]=5 [2,3]=5 [1,5]=6 [2,4]=6",
-       expected_dim_M=3, expected_s=8, expected_table=9, provenance="repaired",
+       expected_dim_M=3, expected_s=8, provenance="repaired",
        note="printed row duplicates L_{6,16}; classification-source form used"),
     _E("L_{6,16}", 6, "table6", "[1,2]=3 [1,3]=4 [1,4]=5 [2,5]=6 [3,4]=-6",
-       expected_dim_M=2, expected_s=9, expected_table=9),
+       expected_dim_M=2, expected_s=9),
     _E("L_{6,17}", 6, "table6", "[1,2]=3 [1,3]=4 [1,4]=5 [1,5]=6 [2,3]=6",
-       expected_dim_M=3, expected_s=8, expected_table=9, provenance="repaired",
+       expected_dim_M=3, expected_s=8, provenance="repaired",
        note="printed row repeats the line [x1,x3]=x4; duplicate dropped"),
     _E("L_{6,18}", 6, "table6", "[1,2]=3 [1,3]=4 [1,4]=5 [1,5]=6",
-       expected_dim_M=3, expected_s=8, expected_table=9),
+       expected_dim_M=3, expected_s=8),
     _E("L_{6,21}(eps)", 6, "table6", "[1,2]=3 [1,3]=4 [2,3]=5 [1,4]=6 [2,5]=eps*6",
-       param=EPS_STAR, expected_dim_M=4, expected_s=7, expected_table=9,
+       param=EPS_STAR, expected_dim_M=4, expected_s=7,
        provenance="repaired", note="printed row repeats the line [x1,x3]=x4; duplicate dropped"),
     # ---- extras -------------------------------------------------------------
     _E("S1", 8, "extra", "[1,2]=6 [1,4]=8 [3,5]=8 [2,7]=8",
@@ -364,6 +364,42 @@ _ENTRIES: list[CatalogEntry] = [
     _E("H(1)" + DSUM + "H(2)", 8, "composite", recipe="H(1)" + DSUM + "H(2)",
        expected_dim_M=15, expected_s=7),
 ]
+
+# The rows of reference tables 7-10, in the order the tables print them.
+TABLE_ORDER: dict[int, list[str]] = {
+    7: [
+        "L_{5,6}", "L_{5,7}", "L_{5,9}",
+        "L_{6,6}", "L_{6,7}", "L_{6,9}", "L_{6,11}", "L_{6,12}",
+        "L_{6,19}(eps)", "L_{6,20}", "L_{6,24}(eps)",
+        "L_{6,13}",
+        "L_{6,23}", "L_{6,25}",
+        "L_{6,26}",
+    ],
+    8: [
+        "37A",
+        "37B", "37C", "37D",
+        "257A", "257C", "257F",
+        "257B", "257D", "257E", "257G", "257H", "257I", "257J",
+        "147A", "147B", "L_{4,3}" + DSUM + "H(1)",
+        "L_{5,6}" + DSUM + "A(2)", "L_{5,7}" + DSUM + "A(2)", "L_{5,9}" + DSUM + "A(2)",
+        "L_{6,11}" + DSUM + "A(1)", "L_{6,12}" + DSUM + "A(1)",
+        "L_{6,19}(eps)" + DSUM + "A(1)", "L_{6,20}" + DSUM + "A(1)",
+        "L_{6,24}(eps)" + DSUM + "A(1)", "257K", "257L",
+        "1457A", "1457B", "1357B", "1357C",
+        "137A", "137B", "137C", "137D", "1357A", "L_{6,13}" + DSUM + "A(1)",
+        "L_{6,23}" + DSUM + "A(1)", "L_{6,25}" + DSUM + "A(1)",
+        "L_{6,26}" + DSUM + "A(1)",
+    ],
+    9: [
+        "L_{6,14}", "L_{6,16}",
+        "L_{6,15}", "L_{6,17}", "L_{6,18}",
+        "L_{6,21}(eps)",
+    ],
+    10: [
+        "L_{6,10}",
+        "27A", "L_{6,10}" + DSUM + "A(1)", "157",
+    ],
+}
 
 _INDEX: dict[str, CatalogEntry] = {}
 
@@ -506,14 +542,15 @@ def entries() -> list[CatalogEntry]:
 
 def all_entries(dim: int | None = None, derived_dim: int | None = None,
                 source: str | None = None, table: int | None = None) -> list[CatalogEntry]:
-    """Filtered catalog listing in deterministic (table, name) order."""
+    """Filtered catalog listing in catalog order; `table` keeps the rows of
+    that reference table (TABLE_ORDER)."""
     out = []
     for entry in _ENTRIES:
         if dim is not None and entry.dim != dim:
             continue
         if source is not None and entry.source != source:
             continue
-        if table is not None and entry.expected_table != table:
+        if table is not None and entry.name not in TABLE_ORDER.get(table, ()):
             continue
         if derived_dim is not None:
             alg = entry.build()

@@ -92,6 +92,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+LIST_FIELDS = ("name", "dim", "dim_derived", "source", "params", "expected_dim_M",
+               "expected_s", "provenance")
+
+
 def cmd_list(args) -> int:
     entries = catalog.all_entries(
         dim=args.dim, derived_dim=args.derived_dim, source=args.source, table=args.table
@@ -113,16 +117,9 @@ def cmd_list(args) -> int:
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        lines = ["name,dim,dim_derived,source,params,expected_dim_M,expected_s,provenance"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    str(r[k]) if r[k] is not None else ""
-                    for k in ("name", "dim", "dim_derived", "source", "params",
-                              "expected_dim_M", "expected_s", "provenance")
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        # csv writes None as an empty field
+        _emit(verify.csv_text([LIST_FIELDS] + [[r[k] for k in LIST_FIELDS] for r in rows]),
+              args.out)
     else:
         lines = ["| name | dim | dim L^2 | source | params | dim M | s |", "|---|---|---|---|---|---|---|"]
         for r in rows:
@@ -161,74 +158,60 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """A single scope prints its sections of the full report: the same JSON
+    sections and CSV rows, under the report's CSV header."""
     scope = args.scope
+    if scope == "all":
+        report = verify.run_all(args.dim_cap)
+        if args.format == "json":
+            _emit(verify.report_to_json(report), args.out)
+        elif args.format == "csv":
+            _emit(verify.report_to_csv(report), args.out)
+        else:
+            _emit(verify.report_to_markdown(report), args.out)
+        return report.exit_code
     if scope == "tables":
         reports = [verify.verify_table(t) for t in (7, 8, 9, 10)]
         ok = all(t.passed for t in reports)
-        if args.format == "json":
-            doc = [verify.table_to_dict(t) for t in reports]
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-        elif args.format == "csv":
-            lines = ["table,name,params,dim_M_computed,dim_M_expected,s_computed,s_expected,match"]
-            for t in reports:
-                for r in t.rows:
-                    lines.append(
-                        f"table{t.table_id},{r.name},{r.params},{r.dim_M_computed},"
-                        f"{r.dim_M_expected},{r.s_computed},{r.s_expected},"
-                        f"{'ok' if r.match else 'mismatch'}"
-                    )
-            _emit("\n".join(lines) + "\n", args.out)
-        else:
-            lines = []
-            for t in reports:
-                lines.append(f"## Table {t.table_id}: {'pass' if t.passed else 'FAIL'}")
-                for r in t.rows:
-                    lines.append(
-                        f"- {r.name}: dim M {r.dim_M_computed}/{r.dim_M_expected}, "
-                        f"s {r.s_computed}/{r.s_expected}"
-                    )
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0 if ok else 1
-    if scope == "theorems":
+        doc = [verify.table_to_dict(t) for t in reports]
+        rows = [row for t in reports for row in verify.table_to_csv_rows(t)]
+        lines = []
+        for t in reports:
+            lines.append(f"## Table {t.table_id}: {'pass' if t.passed else 'FAIL'}")
+            for r in t.rows:
+                lines.append(
+                    f"- {r.name}: dim M {r.dim_M_computed}/{r.dim_M_expected}, "
+                    f"s {r.s_computed}/{r.s_expected}"
+                )
+    elif scope == "theorems":
         values = [args.s] if args.s is not None else list(range(8))
         closure = verify.build_closure(args.dim_cap)
         reports = [verify.classify_by_s(s, args.dim_cap, closure) for s in values]
         ok = all(r.passed for r in reports)
         doc = [verify.classification_to_dict(r) for r in reports]
-        if args.format == "json":
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-        else:
-            lines = []
-            for r in doc:
-                flag = "pass" if r["passed"] else "FAIL"
-                lines.append(
-                    f"s={r['s']}: {flag} ({len(r['computed'])} members; "
-                    f"missing {r['missing']}; extra {r['extra']})"
-                )
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0 if ok else 1
-    if scope == "capability":
+        rows = [verify.classification_to_csv_row(r) for r in reports]
+        lines = [
+            f"s={r['s']}: {'pass' if r['passed'] else 'FAIL'} ({len(r['computed'])} members; "
+            f"missing {r['missing']}; extra {r['extra']})"
+            for r in doc
+        ]
+    else:
         claims = verify.verify_capability_claims()
         ok = all(c.match for c in claims)
-        if args.format == "json":
-            doc = [verify.claim_to_dict(c) for c in claims]
-            _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-        else:
-            lines = [
-                f"{c.name}: computed {c.computed}, expected {c.expected} "
-                f"({'ok' if c.match else 'MISMATCH'})"
-                for c in claims
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0 if ok else 1
-    report = verify.run_all(args.dim_cap)
+        doc = [verify.claim_to_dict(c) for c in claims]
+        rows = [verify.claim_to_csv_row(c) for c in claims]
+        lines = [
+            f"{c.name}: computed {c.computed}, expected {c.expected} "
+            f"({'ok' if c.match else 'MISMATCH'})"
+            for c in claims
+        ]
     if args.format == "json":
-        _emit(verify.report_to_json(report), args.out)
+        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        _emit(verify.report_to_csv(report), args.out)
+        _emit(verify.csv_text([verify.CSV_HEADER, *rows]), args.out)
     else:
-        _emit(verify.report_to_markdown(report), args.out)
-    return report.exit_code
+        _emit("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 1
 
 
 def cmd_export(args) -> int:

@@ -7,6 +7,12 @@ validates the Jacobi identity on every basis triple and nilpotency of
 the lower central series; non-nilpotent input is an error, not a
 supported case.
 
+Both central series are built inside L, without quotient algebras.
+Validation computes and caches the lower series.  The upper series steps
+Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
+`Subspace.residue`) from Z_0 = 0, whose step is the centre.  Either series
+raises NotNilpotent when a term stops changing, also without validation.
+
 Everything here is immutable after construction and all operations are
 pure, so concurrent use needs no coordination.
 """
@@ -67,12 +73,12 @@ class JacobiViolation(LieError):
 
 
 class NotNilpotent(LieError):
-    """Lower central series stabilized at a nonzero term."""
+    """A central series stabilized short of its end (0 for the lower, L for the upper)."""
 
     def __init__(self, stabilized_dim: int):
         self.stabilized_dim = stabilized_dim
         super().__init__(
-            f"lower central series stabilizes at a nonzero term of dimension {stabilized_dim}"
+            f"not nilpotent: a central series stabilizes at a term of dimension {stabilized_dim}"
         )
 
 
@@ -255,7 +261,7 @@ class LieAlgebra:
         self._key: tuple | None = None
         if validate:
             self._check_jacobi()
-            self._check_nilpotent()
+            self.lower_central_series()
 
     # -- bracket --------------------------------------------------------------
 
@@ -331,14 +337,6 @@ class LieAlgebra:
                         (triple[0] + 1, triple[1] + 1, triple[2] + 1), defect
                     )
 
-    def _check_nilpotent(self) -> None:
-        term = self.full_space()
-        while term.dim > 0:
-            nxt = self.product_space(term, self.full_space())
-            if nxt.dim == term.dim:
-                raise NotNilpotent(term.dim)
-            term = nxt
-
     # -- identity -------------------------------------------------------------
 
     def canonical_key(self) -> tuple:
@@ -370,7 +368,7 @@ class LieAlgebra:
         return Subspace(self, Matrix.identity(self.dim))
 
     def zero_subspace(self) -> "Subspace":
-        return Subspace(self, Matrix([], cols=self.dim))
+        return Subspace(self, Matrix._of((), self.dim)._own_rref(()))
 
     def product_space(self, u: "Subspace", v: "Subspace") -> "Subspace":
         """Span of [a, b] over basis pairs of U x V, in canonical form."""
@@ -400,7 +398,10 @@ class LieAlgebra:
         if self._lcs is None:
             series = [self.full_space()]
             while series[-1].dim > 0:
-                series.append(self.product_space(series[-1], self.full_space()))
+                nxt = self.product_space(series[-1], series[0])
+                if nxt.dim == series[-1].dim:
+                    raise NotNilpotent(nxt.dim)
+                series.append(nxt)
             self._lcs = series
         return self._lcs
 
@@ -411,37 +412,37 @@ class LieAlgebra:
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.lower_central_series())
 
-    def center(self) -> "Subspace":
-        """Z(L) via the nullspace of the stacked adjoint matrices."""
-        if self._center is None:
-            rows: dict[tuple[int, int], list[Fraction]] = {}
-            for (i, j), terms in self.brackets.items():
-                for k, c in terms.items():
+    def _centralizer_mod(self, s: "Subspace") -> "Subspace":
+        """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
+        with each bracket reduced modulo S; S = 0 gives the centre."""
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for (i, j), terms in self.brackets.items():
+            for k, c in enumerate(s.residue(self._sparse_to_vec(terms))):
+                if c:
                     row = rows.setdefault((j, k), [Q(0)] * self.dim)
                     row[i] += c
                     row = rows.setdefault((i, k), [Q(0)] * self.dim)
                     row[j] -= c
-            if rows:
-                stacked = Matrix([rows[key] for key in sorted(rows)], cols=self.dim)
-                self._center = self.subspace(stacked.nullspace_basis())
-            else:
-                self._center = self.full_space()
+        if not rows:
+            return self.full_space()
+        stacked = Matrix([rows[key] for key in sorted(rows)], cols=self.dim)
+        return self.subspace(stacked.nullspace_basis())
+
+    def center(self) -> "Subspace":
+        """Z(L) via the nullspace of the stacked adjoint matrices."""
+        if self._center is None:
+            self._center = self._centralizer_mod(self.zero_subspace())
         return self._center
 
     def upper_central_series(self) -> list["Subspace"]:
         """[Z_1, Z_2, ...] strictly increasing up to and including L."""
         if self._ucs is None:
-            series: list[Subspace] = []
-            current = self.center()
-            if self.dim == 0:
-                self._ucs = [self.full_space()]
-                return self._ucs
-            while True:
-                series.append(current)
-                if current.dim == self.dim:
-                    break
-                quotient_alg, pi = self.quotient(current)
-                current = pi.preimage(quotient_alg.center())
+            series = [self.center()]
+            while series[-1].dim < self.dim:
+                nxt = self._centralizer_mod(series[-1])
+                if nxt.dim == series[-1].dim:
+                    raise NotNilpotent(nxt.dim)
+                series.append(nxt)
             self._ucs = series
         return self._ucs
 
@@ -482,12 +483,7 @@ class LieAlgebra:
         pos = {c: a for a, c in enumerate(free)}
 
         def project(v: Sequence[Fraction]) -> Vector:
-            w = list(v)
-            for prow, pcol in enumerate(pivots):
-                f = w[pcol]
-                if f:
-                    row = ideal.basis.data[prow]
-                    w = [x - f * y for x, y in zip(w, row)]
+            w = ideal.residue(v)
             return tuple(w[c] for c in free)
 
         proj_matrix = Matrix(
@@ -496,7 +492,7 @@ class LieAlgebra:
         new_brackets: BracketTable = {}
         for a in range(qdim):
             for b in range(a + 1, qdim):
-                img = project(self.bracket(unit_vector(self.dim, free[a]), unit_vector(self.dim, free[b])))
+                img = project(self._sparse_to_vec(self.bracket_basis(free[a], free[b])))
                 terms = {k: c for k, c in enumerate(img) if c}
                 if terms:
                     new_brackets[(a, b)] = terms
@@ -526,14 +522,18 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return list(self.basis.data)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def residue(self, v: Sequence[Fraction]) -> list[Fraction]:
+        """v reduced against the rref basis: zero in every pivot column,
+        and zero everywhere iff v lies in the subspace."""
         w = list(v)
-        for prow, pcol in enumerate(self.basis.pivot_columns()):
+        for row, pcol in zip(self.basis.data, self.basis.pivot_columns()):
             f = w[pcol]
             if f:
-                row = self.basis.data[prow]
                 w = [x - f * y for x, y in zip(w, row)]
-        return is_zero_vec(w)
+        return w
+
+    def contains(self, v: Sequence[Fraction]) -> bool:
+        return is_zero_vec(self.residue(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis_vectors())
@@ -544,24 +544,11 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return self.ambient.zero_subspace()
-        # x = a^T U = b^T V  <=>  (a, -b) in the nullspace of [U^T | V^T]
-        u, v = self.basis, other.basis
-        stacked = Matrix(
-            [list(u.column(j)) + list(v.column(j)) for j in range(self.ambient.dim)],
-            cols=u.rows + v.rows,
-        )
-        vectors = []
-        for sol in stacked.nullspace_basis():
-            coeffs = sol[: u.rows]
-            x = [Q(0)] * self.ambient.dim
-            for c, row in zip(coeffs, u.data):
-                if c:
-                    for idx, val in enumerate(row):
-                        x[idx] += c * val
-            vectors.append(tuple(x))
-        return self.ambient.subspace(vectors)
+        # sum_i a_i u_i lies in V iff sum_i a_i residue_V(u_i) = 0
+        residues = Matrix._of(tuple(tuple(other.residue(u)) for u in self.basis.data),
+                              self.ambient.dim)
+        coeffs = Matrix._of(tuple(residues.transpose().nullspace_basis()), self.dim)
+        return self.ambient.subspace((coeffs * self.basis).data)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient is not other.ambient:
@@ -623,16 +610,6 @@ class QuotientMap:
 
     def kernel(self) -> Subspace:
         return self.source.subspace(self.matrix.nullspace_basis())
-
-    def preimage(self, s: Subspace) -> Subspace:
-        """{v : pi(v) in S} as a subspace of the source."""
-        if s.ambient is not self.target:
-            raise AmbientMismatch("subspace not in the target algebra")
-        if s.dim == self.target.dim:
-            return self.source.full_space()
-        perp = Matrix(s.basis.nullspace_basis(), cols=self.target.dim) if s.dim else Matrix.identity(self.target.dim)
-        composed = perp * self.matrix
-        return self.source.subspace(composed.nullspace_basis())
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,24 @@ class CentralExtension:
             raise LieError("projection kernel differs from the declared kernel")
 
 
-@_memoized
 def cover(L: LieAlgebra) -> CentralExtension:
     """Stem cover E -> L with kernel of dimension dim M(L).
 
     E = L + Q^m with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y),...,f_m(x,y))
     over the canonical cocycle representatives.  The stem property
-    (kernel inside Z(E) and inside E^2) is asserted, not assumed.
+    (kernel inside Z(E) and inside E^2) is asserted, not assumed.  The
+    projection always targets the caller's L, also when the memo holds the
+    cover of an equal algebra.
     """
+    ext = _stem_cover(L)
+    if ext.projection.target is not L:
+        projection = QuotientMap(ext.total, L, ext.projection.matrix, check=False)
+        ext = CentralExtension(total=ext.total, projection=projection, kernel=ext.kernel)
+    return ext
+
+
+@_memoized
+def _stem_cover(L: LieAlgebra) -> CentralExtension:
     n = L.dim
     reps = cocycle_representatives(L)
     m = len(reps)

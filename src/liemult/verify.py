@@ -20,13 +20,15 @@ report content, never a failure; anything else fails the run (exit code 1).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog
-from .catalog import CPROD, DSUM, LAM_NOT01, CatalogEntry, abelian, heisenberg
+from .catalog import CPROD, DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
 from .core import LieAlgebra, direct_sum, format_rational
 from .invariants import (
     central_basis_vectors,
@@ -116,42 +118,6 @@ def build_closure(dim_cap: int = 9) -> list[ClosureMember]:
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
-
-TABLE_ORDER: dict[int, list[str]] = {
-    7: [
-        "L_{5,6}", "L_{5,7}", "L_{5,9}",
-        "L_{6,6}", "L_{6,7}", "L_{6,9}", "L_{6,11}", "L_{6,12}",
-        "L_{6,19}(eps)", "L_{6,20}", "L_{6,24}(eps)",
-        "L_{6,13}",
-        "L_{6,23}", "L_{6,25}",
-        "L_{6,26}",
-    ],
-    8: [
-        "37A",
-        "37B", "37C", "37D",
-        "257A", "257C", "257F",
-        "257B", "257D", "257E", "257G", "257H", "257I", "257J",
-        "147A", "147B", "L_{4,3}" + DSUM + "H(1)",
-        "L_{5,6}" + DSUM + "A(2)", "L_{5,7}" + DSUM + "A(2)", "L_{5,9}" + DSUM + "A(2)",
-        "L_{6,11}" + DSUM + "A(1)", "L_{6,12}" + DSUM + "A(1)",
-        "L_{6,19}(eps)" + DSUM + "A(1)", "L_{6,20}" + DSUM + "A(1)",
-        "L_{6,24}(eps)" + DSUM + "A(1)", "257K", "257L",
-        "1457A", "1457B", "1357B", "1357C",
-        "137A", "137B", "137C", "137D", "1357A", "L_{6,13}" + DSUM + "A(1)",
-        "L_{6,23}" + DSUM + "A(1)", "L_{6,25}" + DSUM + "A(1)",
-        "L_{6,26}" + DSUM + "A(1)",
-    ],
-    9: [
-        "L_{6,14}", "L_{6,16}",
-        "L_{6,15}", "L_{6,17}", "L_{6,18}",
-        "L_{6,21}(eps)",
-    ],
-    10: [
-        "L_{6,10}",
-        "27A", "L_{6,10}" + DSUM + "A(1)", "157",
-    ],
-}
-
 
 @dataclass
 class TableRow:
@@ -851,40 +817,60 @@ def report_to_json(report: FullReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
-def report_to_csv(report: FullReport) -> str:
-    lines = ["section,check,subject,computed,expected,status,note"]
+CSV_HEADER = ("section", "check", "subject", "computed", "expected", "status", "note")
 
-    def emit(section, check, subject, computed, expected, ok, note=""):
-        row = [section, check, subject, str(computed), str(expected),
-               "ok" if ok else "fail", note]
-        lines.append(",".join('"' + x.replace('"', '""') + '"' if ("," in x or '"' in x) else x
-                              for x in row))
 
-    for t in report.tables:
-        for r in t.rows:
-            emit(f"table{t.table_id}", "dim_M,s", r.name,
+def csv_text(rows) -> str:
+    """Rows as CSV, fields quoted where needed, each line ending in "\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_row(section, check, subject, computed, expected, ok, note="") -> tuple:
+    return (section, check, subject, str(computed), str(expected), "ok" if ok else "fail", note)
+
+
+def table_to_csv_rows(t: TableReport) -> list[tuple]:
+    return [
+        _csv_row(f"table{t.table_id}", "dim_M,s", r.name,
                  f"({r.dim_M_computed}; {r.s_computed})",
                  f"({r.dim_M_expected}; {r.s_expected})", r.match, r.params)
-    for c in report.classifications:
-        emit("classification", f"s={c.s_value}", f"{len(c.computed_names)} members",
-             "missing=" + "|".join(c.missing), "extra=" + "|".join(c.extra), c.passed,
-             "out_of_closure=" + "|".join(c.out_of_closure))
-    for claim in report.capability:
-        emit("capability", "is_capable", claim.name, claim.computed, claim.expected, claim.match)
+        for r in t.rows
+    ]
+
+
+def classification_to_csv_row(c: ClassificationReport) -> tuple:
+    return _csv_row("classification", f"s={c.s_value}", f"{len(c.computed_names)} members",
+                    "missing=" + "|".join(c.missing), "extra=" + "|".join(c.extra), c.passed,
+                    "out_of_closure=" + "|".join(c.out_of_closure))
+
+
+def claim_to_csv_row(c: ClaimResult) -> tuple:
+    return _csv_row("capability", "is_capable", c.name, c.computed, c.expected, c.match)
+
+
+def report_to_csv(report: FullReport) -> str:
+    rows = [CSV_HEADER]
+    for t in report.tables:
+        rows += table_to_csv_rows(t)
+    rows += [classification_to_csv_row(c) for c in report.classifications]
+    rows += [claim_to_csv_row(c) for c in report.capability]
     for key, s in {**report.bounds, **report.structure}.items():
-        emit("suite", key, f"{s.checked} checks", len(s.violations), 0, s.passed,
-             "|".join(s.violations))
-    emit("suite", "kunneth", f"{report.kunneth.checked} pairs",
-         len(report.kunneth.violations), 0, report.kunneth.passed)
-    emit("suite", "exterior_consequences", f"{report.exterior.checked} checks",
-         len(report.exterior.violations), 0, report.exterior.passed)
-    emit("suite", "subalgebra_series_law", f"{report.series_law.checked} checks",
-         len(report.series_law.violations), 0, report.series_law.passed)
+        rows.append(_csv_row("suite", key, f"{s.checked} checks", len(s.violations), 0, s.passed,
+                             "|".join(s.violations)))
+    rows.append(_csv_row("suite", "kunneth", f"{report.kunneth.checked} pairs",
+                         len(report.kunneth.violations), 0, report.kunneth.passed))
+    rows.append(_csv_row("suite", "exterior_consequences", f"{report.exterior.checked} checks",
+                         len(report.exterior.violations), 0, report.exterior.passed))
+    rows.append(_csv_row("suite", "subalgebra_series_law", f"{report.series_law.checked} checks",
+                         len(report.series_law.violations), 0, report.series_law.passed))
     for f in report.fixtures:
-        emit("fixture", "dim_M", f.name, f.computed, f.expected, f.match, f.note)
+        rows.append(_csv_row("fixture", "dim_M", f.name, f.computed, f.expected, f.match, f.note))
     for d in report.discrepancies:
-        emit("discrepancy", d["id"], "", str(d["computed"]), str(d["recorded"]), True, d["note"])
-    return "\n".join(lines) + "\n"
+        rows.append(_csv_row("discrepancy", d["id"], "", d["computed"], d["recorded"], True,
+                             d["note"]))
+    return csv_text(rows)
 
 
 def report_to_markdown(report: FullReport) -> str:

@@ -71,6 +71,7 @@ def test_all_entries_table9_filter():
     names = [e.name for e in cat.all_entries(table=9)]
     assert names == ["L_{6,14}", "L_{6,15}", "L_{6,16}", "L_{6,17}", "L_{6,18}",
                      "L_{6,21}(eps)"]
+    assert cat.all_entries(table=5) == []  # not a reference table: no rows
 
 
 def test_full_catalog_size():

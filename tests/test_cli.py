@@ -1,5 +1,8 @@
 """Command-line interface behavior, exit codes, and error tags."""
 
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import liemult
-from liemult import verify
+from liemult import catalog, verify
 from liemult.cli import main
 from liemult.core import MAX_DIGITS
 
@@ -120,6 +123,29 @@ def test_list_catalog_csv(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7  # header + six entries
     assert lines[0].startswith("name,dim,dim_derived")
+    # names such as L_{6,14} hold a comma, so they must come back as one field
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [e.name for e in catalog.all_entries(source="table6")]
+
+
+# sha256 of `liemult list --table t`, recorded when table membership was a
+# per-entry catalog field; it now comes from catalog.TABLE_ORDER
+LIST_TABLE_SHA256 = {
+    7: "2c719a01a29518d0ecf0aa1e14e7340b1b1cddda2b257b93bc586286767d162c",
+    8: "119fefebebef4aa0a8fe644d20c20d444be7c2102a90c4e717b21bd98cac5c8f",
+    9: "ce24728ad973fb68d3e801103b4574b9aa539b4fb519f7d0fea00284e8bb6cb1",
+    10: "d2589e1fac8ebe013ffaaa03889ec08e999fe2a9941173320f9fc1bf9822e62c",
+}
+
+
+@pytest.mark.parametrize("table", sorted(LIST_TABLE_SHA256))
+def test_list_table_output_pinned(capsys, table):
+    code, out, _ = run_cli(capsys, "list", "--table", str(table))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_TABLE_SHA256[table]
+    names = [e.name for e in catalog.all_entries(table=table)]
+    assert sorted(names) == sorted(catalog.TABLE_ORDER[table])
 
 
 def test_list_catalog_json_all(capsys):
@@ -132,9 +158,9 @@ def test_list_catalog_json_all(capsys):
 def test_verify_tables_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "tables", "--format", "csv")
     assert code == 0
-    data = out.strip().splitlines()[1:]
+    header, *data = csv.reader(io.StringIO(out))
     assert len(data) == 65
-    assert all(line.endswith("ok") for line in data)
+    assert all(row[header.index("status")] == "ok" for row in data)
 
 
 def test_verify_theorems_single_s(capsys):
@@ -153,11 +179,20 @@ def test_verify_capability(capsys):
 
 def test_verify_scopes_render_report_sections(capsys, full_report):
     report = verify.report_to_dict(full_report)
-    for scope, key in (("tables", "tables"), ("theorems", "classification"),
-                       ("capability", "capability")):
+    header, *report_rows = csv.reader(io.StringIO(verify.report_to_csv(full_report)))
+    for scope, key, section in (("tables", "tables", "table"),
+                                ("theorems", "classification", "classification"),
+                                ("capability", "capability", "capability")):
         code, out, _ = run_cli(capsys, "verify", scope, "--format", "json")
         assert code == 0
         assert json.loads(out) == report[key]
+        code, out, _ = run_cli(capsys, "verify", scope, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == header
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[1:] == [row for row in report_rows if row[0].startswith(section)]
+        assert rows[1:]
 
 
 def test_verify_all_small_cap_writes_report(tmp_path, capsys):

@@ -35,7 +35,8 @@ from liemult import (
 )
 from liemult.cli import main
 from liemult.core import MAX_DIGITS, format_rational, rational_expr
-from liemult.linalg import unit_vector
+from liemult.linalg import Matrix, unit_vector
+from liemult.verify import build_closure
 
 
 def mk(dim, spec, name=None):
@@ -167,6 +168,82 @@ def test_series_consistency_across_catalog_samples():
         zdims = [z.dim for z in zs]
         assert zdims == sorted(zdims) and zdims[-1] == L.dim
         assert len(zs) == c
+
+
+def quotient_upper_central_series(L):
+    """Reference: Z_{i+1} is the preimage of the centre of L/Z_i, built
+    through the validated quotient algebra."""
+    series = [L.center()]
+    while series[-1].dim < L.dim:
+        q, pi = L.quotient(series[-1])
+        z = q.center()
+        if z.dim == q.dim:
+            series.append(L.full_space())
+            continue
+        # v in the preimage iff pi(v) is annihilated by every functional
+        # vanishing on Z(L/Z_i)
+        perp = Matrix(z.basis.nullspace_basis(), cols=q.dim) if z.dim else Matrix.identity(q.dim)
+        series.append(L.subspace((perp * pi.matrix).nullspace_basis()))
+    return series
+
+
+def test_upper_series_matches_quotient_reference():
+    algebras = [m.algebra for m in build_closure(9)]
+    algebras += [heisenberg(m) for m in range(4, 8)]
+    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    for L in algebras:
+        assert L.upper_central_series() == quotient_upper_central_series(L), L
+
+
+def stacked_intersection(u, v):
+    """Reference: x = a^T U = b^T V iff (a, -b) is in the nullspace of
+    [U^T | V^T]; x is rebuilt from a."""
+    L = u.ambient
+    if u.dim == 0 or v.dim == 0:
+        return L.zero_subspace()
+    stacked = Matrix([list(u.basis.column(j)) + list(v.basis.column(j)) for j in range(L.dim)],
+                     cols=u.dim + v.dim)
+    vectors = []
+    for sol in stacked.nullspace_basis():
+        x = [Q(0)] * L.dim
+        for c, row in zip(sol[:u.dim], u.basis.data):
+            for idx, val in enumerate(row):
+                x[idx] += c * val
+        vectors.append(x)
+    return L.subspace(vectors)
+
+
+def test_intersect_matches_stacked_reference():
+    for member in build_closure(9):
+        L = member.algebra
+        for u in L.lower_central_series():
+            for v in (L.center(), L.zero_subspace()):
+                expected = stacked_intersection(u, v)
+                assert u.intersect(v) == expected and v.intersect(u) == expected, L
+    # skew subspaces, not spanned by basis vectors
+    L = abelian(4)
+    u = L.subspace([(1, 1, 0, 0), (0, 0, 1, 1)])
+    v = L.subspace([(1, 1, 1, 1), (1, -1, 0, 0)])
+    assert u.intersect(v) == stacked_intersection(u, v) == L.subspace([(1, 1, 1, 1)])
+
+
+def test_series_and_center_build_no_quotient(monkeypatch):
+    def no_quotient(self, ideal):
+        raise AssertionError("quotient called")
+
+    monkeypatch.setattr(LieAlgebra, "quotient", no_quotient)
+    for L in (get("257J"), get("L_{6,13}"), heisenberg(3), abelian(2), abelian(0)):
+        assert L.upper_central_series()[-1].dim == L.dim
+        assert L.center() == L.upper_central_series()[0]
+
+
+def test_unvalidated_non_nilpotent_series_raise():
+    # [x1, x2] = x1: the lower series stays at span(x1), the upper at 0
+    L = LieAlgebra(2, {(0, 1): {0: Q(1)}}, validate=False)
+    with pytest.raises(NotNilpotent):
+        L.lower_central_series()
+    with pytest.raises(NotNilpotent):
+        L.upper_central_series()
 
 
 # -- quotients ------------------------------------------------------------------

@@ -307,6 +307,18 @@ def test_cover_projection_bracket_compatible():
         ext.projection.check_compatible()
 
 
+def test_cover_projects_onto_the_callers_algebra():
+    # the memo is keyed by the bracket table, so b's cover is a's cover
+    a, b = get("L_{6,10}"), get("L_{6,10}")
+    assert a == b and a is not b
+    ext_a, ext_b = cover(a), cover(b)
+    assert ext_a.projection.target is a and ext_b.projection.target is b
+    assert ext_b.total is ext_a.total
+    image = ext_b.projection.apply_subspace(ext_b.total.center())
+    assert b.center().sum(image) == b.center()
+    ext_b.projection.check_compatible()
+
+
 # -- epicenter and capability -----------------------------------------------------
 
 def test_capability_claims():
