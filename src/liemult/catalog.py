@@ -540,8 +540,8 @@ def entries() -> list[CatalogEntry]:
     return list(_ENTRIES)
 
 
-def all_entries(dim: int | None = None, derived_dim: int | None = None,
-                source: str | None = None, table: int | None = None) -> list[CatalogEntry]:
+def all_entries(dim: int | None = None, source: str | None = None,
+                table: int | None = None) -> list[CatalogEntry]:
     """Filtered catalog listing in catalog order; `table` keeps the rows of
     that reference table (TABLE_ORDER)."""
     out = []
@@ -552,10 +552,6 @@ def all_entries(dim: int | None = None, derived_dim: int | None = None,
             continue
         if table is not None and entry.name not in TABLE_ORDER.get(table, ()):
             continue
-        if derived_dim is not None:
-            alg = entry.build()
-            if alg.derived_subalgebra().dim != derived_dim:
-                continue
         out.append(entry)
     return out
 

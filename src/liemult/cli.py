@@ -97,16 +97,16 @@ LIST_FIELDS = ("name", "dim", "dim_derived", "source", "params", "expected_dim_M
 
 
 def cmd_list(args) -> int:
-    entries = catalog.all_entries(
-        dim=args.dim, derived_dim=args.derived_dim, source=args.source, table=args.table
-    )
     rows = []
-    for e in entries:
+    for e in catalog.all_entries(dim=args.dim, source=args.source, table=args.table):
+        dim_derived = e.build().derived_subalgebra().dim
+        if args.derived_dim is not None and dim_derived != args.derived_dim:
+            continue
         rows.append(
             {
                 "name": e.name,
                 "dim": e.dim,
-                "dim_derived": e.build().derived_subalgebra().dim,
+                "dim_derived": dim_derived,
                 "source": e.source,
                 "params": "" if e.param is None else f"{e.param.name}: {e.param.label()}",
                 "expected_dim_M": e.expected_dim_M,
@@ -159,7 +159,7 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     """A single scope prints its sections of the full report: the same JSON
-    sections and CSV rows, under the report's CSV header."""
+    sections, Markdown sections and CSV rows, under the report's CSV header."""
     scope = args.scope
     if scope == "all":
         report = verify.run_all(args.dim_cap)
@@ -175,14 +175,7 @@ def cmd_verify(args) -> int:
         ok = all(t.passed for t in reports)
         doc = [verify.table_to_dict(t) for t in reports]
         rows = [row for t in reports for row in verify.table_to_csv_rows(t)]
-        lines = []
-        for t in reports:
-            lines.append(f"## Table {t.table_id}: {'pass' if t.passed else 'FAIL'}")
-            for r in t.rows:
-                lines.append(
-                    f"- {r.name}: dim M {r.dim_M_computed}/{r.dim_M_expected}, "
-                    f"s {r.s_computed}/{r.s_expected}"
-                )
+        lines = [line for t in reports for line in verify.table_to_markdown(t)]
     elif scope == "theorems":
         values = [args.s] if args.s is not None else list(range(8))
         closure = verify.build_closure(args.dim_cap)
@@ -190,27 +183,19 @@ def cmd_verify(args) -> int:
         ok = all(r.passed for r in reports)
         doc = [verify.classification_to_dict(r) for r in reports]
         rows = [verify.classification_to_csv_row(r) for r in reports]
-        lines = [
-            f"s={r['s']}: {'pass' if r['passed'] else 'FAIL'} ({len(r['computed'])} members; "
-            f"missing {r['missing']}; extra {r['extra']})"
-            for r in doc
-        ]
+        lines = verify.classifications_to_markdown(reports)
     else:
         claims = verify.verify_capability_claims()
         ok = all(c.match for c in claims)
         doc = [verify.claim_to_dict(c) for c in claims]
         rows = [verify.claim_to_csv_row(c) for c in claims]
-        lines = [
-            f"{c.name}: computed {c.computed}, expected {c.expected} "
-            f"({'ok' if c.match else 'MISMATCH'})"
-            for c in claims
-        ]
+        lines = verify.claims_to_markdown(claims)
     if args.format == "json":
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     elif args.format == "csv":
         _emit(verify.csv_text([verify.CSV_HEADER, *rows]), args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines), args.out)
     return 0 if ok else 1
 
 

@@ -12,7 +12,7 @@ tight) so reports can show tightness patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import LieAlgebra, LieError, Subspace
 from .linalg import unit_vector
@@ -128,15 +128,35 @@ def check_third_term_bound(L: LieAlgebra) -> BoundCheck:
     return BoundCheck("third-term-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
 
 
-# ---------------------------------------------------------------------------
-# fingerprints and reports
-# ---------------------------------------------------------------------------
-
 def central_basis_vectors(L: LieAlgebra) -> list[int]:
     """Indices i with x_i central (each spans a 1-dim central ideal)."""
     center = L.center()
     return [i for i in range(L.dim) if center.contains(unit_vector(L.dim, i))]
 
+
+def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
+    """Every bound check that applies to L, in report order: derived,
+    gamma3, third-term, non-capable, then the central-ideal bound for
+    K = <x_i> at each central basis vector x_i, with id
+    central-ideal-bound[x_i].  The one place that decides applicability."""
+    m = L.derived_subalgebra().dim
+    checks: list[BoundCheck] = []
+    if m >= 1:
+        checks.append(check_derived_bound(L))
+    if L.nilpotency_class >= 3:
+        checks.append(gamma3_defect(L))
+        checks.append(check_third_term_bound(L))
+    if m >= 2 and not is_capable(L):
+        checks.append(check_noncapable_bound(L))
+    for i in central_basis_vectors(L):
+        chk = check_central_ideal_bound(L, L.subspace([unit_vector(L.dim, i)]))
+        checks.append(replace(chk, check_id=f"{chk.check_id}[x{i + 1}]"))
+    return checks
+
+
+# ---------------------------------------------------------------------------
+# fingerprints and reports
+# ---------------------------------------------------------------------------
 
 Fingerprint = tuple
 
@@ -179,30 +199,16 @@ def invariant_report(L: LieAlgebra, name: str | None = None) -> InvariantReport:
     """Everything the CLI prints for one algebra."""
     from .multiplier import dim_exterior_square, dim_tensor_square
 
-    m = L.derived_subalgebra().dim
-    checks: list[BoundCheck] = []
-    if m >= 1:
-        checks.append(check_derived_bound(L))
-    if L.nilpotency_class >= 3:
-        checks.append(gamma3_defect(L))
-        checks.append(check_third_term_bound(L))
-    capable = is_capable(L)
-    if not capable and m >= 2:
-        checks.append(check_noncapable_bound(L))
-    for i in central_basis_vectors(L):
-        chk = check_central_ideal_bound(L, L.subspace([unit_vector(L.dim, i)]))
-        checks.append(
-            BoundCheck(f"central-ideal-bound[x{i + 1}]", chk.lhs, chk.rhs, chk.holds, chk.tight)
-        )
+    checks = bound_checks(L)
     return InvariantReport(
         name=name or L.name or "(unnamed)",
         n=L.dim,
-        dim_derived=m,
+        dim_derived=L.derived_subalgebra().dim,
         nilpotency_class=L.nilpotency_class,
         dim_M=dim_multiplier(L),
         s=None if L.is_abelian else s_invariant(L),
         t=t_invariant(L),
-        capable=capable,
+        capable=is_capable(L),
         gamma_dims=L.lower_central_dims(),
         z_dims=L.upper_central_dims(),
         dim_exterior=dim_exterior_square(L),

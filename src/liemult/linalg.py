@@ -272,7 +272,9 @@ class Matrix:
             v = [_ZERO] * self.cols
             v[free] = _ONE
             for prow, pcol in enumerate(pivots):
-                v[pcol] = -red.data[prow][free]
+                x = red.data[prow][free]
+                if x._numerator:  # zeros stay the shared _ZERO
+                    v[pcol] = -x
             basis.append(tuple(v))
         return basis
 

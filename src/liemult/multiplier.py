@@ -3,7 +3,9 @@
 Two independent routes compute dim M(L):
 
 * cohomology: the Chevalley-Eilenberg slice L* -> Lambda^2 L* -> Lambda^3 L*
-  with trivial coefficients; dim M = dim ker(d2) - rank(d1).
+  with trivial coefficients; dim M = dim ker(d2) - rank(d1), the size of
+  the canonical cocycle basis (`cocycle_representatives`), which is the
+  only place the slice is built and d2 eliminated.
 * cover (the generators-and-relations elimination count): the homological
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
@@ -160,13 +162,6 @@ def clear_caches() -> None:
 # multiplier dimension, both methods
 # ---------------------------------------------------------------------------
 
-@_memoized
-def dim_multiplier(L: LieAlgebra) -> int:
-    """dim M(L) = dim H^2(L; Q) = C(n,2) - dim L^2 - rank(d2)."""
-    slice_ = cochain_slice(L)
-    return len(slice_.pairs) - slice_.d1.rank() - slice_.d2.rank()
-
-
 @dataclass(frozen=True)
 class MultiplierResult:
     dim_M: int
@@ -189,6 +184,12 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     for coboundary in zip(*slice_.d1.data):
         extend_echelon(echelon, coboundary)
     return tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
+
+
+def dim_multiplier(L: LieAlgebra) -> int:
+    """dim M(L) = dim H^2(L; Q) = dim ker(d2) - rank(d1): the size of the
+    cocycle basis, so each algebra's slice is built and eliminated once."""
+    return len(cocycle_representatives(L))
 
 
 def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:

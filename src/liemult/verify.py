@@ -30,17 +30,7 @@ from fractions import Fraction
 from . import catalog
 from .catalog import CPROD, DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
 from .core import LieAlgebra, direct_sum, format_rational
-from .invariants import (
-    central_basis_vectors,
-    check_derived_bound,
-    check_third_term_bound,
-    check_noncapable_bound,
-    check_central_ideal_bound,
-    fingerprint,
-    gamma3_defect,
-    s_invariant,
-    t_invariant,
-)
+from .invariants import bound_checks, fingerprint, s_invariant
 from .linalg import Q, unit_vector
 from .multiplier import (
     cover,
@@ -436,50 +426,38 @@ class SuiteResult:
         return not self.violations
 
 
+# bound_checks id (without its [x_i] suffix) -> report suite, in report order
+BOUND_SUITES = {
+    "derived-bound": "derived_bound",
+    "central-ideal-bound": "central_ideal_bound",
+    "non-capable-s-bound": "non_capable_bound",
+    "third-term-bound": "third_term_bound",
+    "gamma3-defect": "gamma3_defect",
+}
+
+
 def bound_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
-    derived_bound = SuiteResult(0)
-    ideal_bound = SuiteResult(0)
-    noncapable = SuiteResult(0)
-    third_term = SuiteResult(0)
-    gamma3 = SuiteResult(0)
+    """The bound_checks of every non-abelian member, grouped by suite, plus
+    the m = 1 case of the derived bound: equality iff L = H(1)+A(n-3)."""
+    suites = {key: SuiteResult(0) for key in BOUND_SUITES.values()}
     for member in closure:
         L = member.algebra
         if L.is_abelian:
             continue
-        chk = check_derived_bound(L)
-        derived_bound.checked += 1
-        if not chk.holds:
-            derived_bound.violations.append(f"{member.name}: {chk.lhs} > {chk.rhs}")
-        if L.derived_subalgebra().dim == 1:
-            reference = fingerprint(direct_sum(heisenberg(1), abelian(L.dim - 3)))
-            should_be_tight = fingerprint(L) == reference
-            if chk.tight != should_be_tight:
-                derived_bound.violations.append(
-                    f"{member.name}: m=1 equality holds iff H(1)+A(n-3); "
-                    f"tight={chk.tight} fingerprint-match={should_be_tight}"
-                )
-        for i in central_basis_vectors(L):
-            chk_ideal = check_central_ideal_bound(L, L.subspace([unit_vector(L.dim, i)]))
-            ideal_bound.checked += 1
-            if not chk_ideal.holds:
-                ideal_bound.violations.append(f"{member.name}, K=<x{i+1}>: {chk_ideal.lhs} > {chk_ideal.rhs}")
-        if L.derived_subalgebra().dim >= 2 and not is_capable(L):
-            chk_nc = check_noncapable_bound(L)
-            noncapable.checked += 1
-            if not chk_nc.holds:
-                noncapable.violations.append(f"{member.name}: n-3 = {chk_nc.lhs} >= s = {chk_nc.rhs}")
-        if L.nilpotency_class >= 3:
-            chk_third = check_third_term_bound(L)
-            third_term.checked += 1
-            if not chk_third.holds:
-                third_term.violations.append(f"{member.name}: {chk_third.lhs} > {chk_third.rhs}")
-            gd = gamma3_defect(L)
-            gamma3.checked += 1
-            if not gd.holds:
-                gamma3.violations.append(f"{member.name}: defect {gd.lhs} < bound {gd.rhs}")
-    return {"derived_bound": derived_bound, "central_ideal_bound": ideal_bound,
-            "non_capable_bound": noncapable, "third_term_bound": third_term,
-            "gamma3_defect": gamma3}
+        for chk in bound_checks(L):
+            suite = suites[BOUND_SUITES[chk.check_id.partition("[")[0]]]
+            suite.checked += 1
+            if not chk.holds:
+                suite.violations.append(f"{member.name}: {chk.check_id}: {chk.lhs} vs {chk.rhs}")
+            if chk.check_id == "derived-bound" and L.derived_subalgebra().dim == 1:
+                reference = fingerprint(direct_sum(heisenberg(1), abelian(L.dim - 3)))
+                should_be_tight = fingerprint(L) == reference
+                if chk.tight != should_be_tight:
+                    suite.violations.append(
+                        f"{member.name}: m=1 equality holds iff H(1)+A(n-3); "
+                        f"tight={chk.tight} fingerprint-match={should_be_tight}"
+                    )
+    return suites
 
 
 def structure_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
@@ -873,40 +851,48 @@ def report_to_csv(report: FullReport) -> str:
     return csv_text(rows)
 
 
+def table_to_markdown(t: TableReport) -> list[str]:
+    out = [f"## Table {t.table_id} ({len(t.rows)} rows, {'pass' if t.passed else 'FAIL'})", "",
+           "| name | params | dim M | recorded | s | recorded | match |",
+           "|---|---|---|---|---|---|---|"]
+    for r in t.rows:
+        out.append(
+            f"| {r.name} | {r.params} | {r.dim_M_computed} | {r.dim_M_expected} "
+            f"| {r.s_computed} | {r.s_expected} | {'yes' if r.match else 'NO'} |"
+        )
+    return out + [""]
+
+
+def classifications_to_markdown(cs: list[ClassificationReport]) -> list[str]:
+    out = ["## Classification sweeps", "",
+           "| s | expected | computed | missing | extra | out of closure | pass |",
+           "|---|---|---|---|---|---|---|"]
+    for c in cs:
+        out.append(
+            f"| {c.s_value} | {len(c.expected_names)} | {len(c.computed_names)} "
+            f"| {len(c.missing)} | {len(c.extra)} | {len(c.out_of_closure)} "
+            f"| {'yes' if c.passed else 'NO'} |"
+        )
+    return out + [""]
+
+
+def claims_to_markdown(claims: list[ClaimResult]) -> list[str]:
+    out = ["## Capability claims", ""]
+    for claim in claims:
+        flag = "ok" if claim.match else "MISMATCH"
+        out.append(f"- {claim.name}: computed {claim.computed}, expected {claim.expected} ({flag})")
+    return out + [""]
+
+
 def report_to_markdown(report: FullReport) -> str:
     out = ["# Verification report", ""]
     out.append(f"Closure: dimension cap {report.dim_cap}, {report.closure_size} members.")
     out.append(f"Overall: **{'PASS' if report.passed else 'FAIL'}**")
     out.append("")
     for t in report.tables:
-        status = "pass" if t.passed else "FAIL"
-        out.append(f"## Table {t.table_id} ({len(t.rows)} rows, {status})")
-        out.append("")
-        out.append("| name | params | dim M | recorded | s | recorded | match |")
-        out.append("|---|---|---|---|---|---|---|")
-        for r in t.rows:
-            out.append(
-                f"| {r.name} | {r.params} | {r.dim_M_computed} | {r.dim_M_expected} "
-                f"| {r.s_computed} | {r.s_expected} | {'yes' if r.match else 'NO'} |"
-            )
-        out.append("")
-    out.append("## Classification sweeps")
-    out.append("")
-    out.append("| s | expected | computed | missing | extra | out of closure | pass |")
-    out.append("|---|---|---|---|---|---|---|")
-    for c in report.classifications:
-        out.append(
-            f"| {c.s_value} | {len(c.expected_names)} | {len(c.computed_names)} "
-            f"| {len(c.missing)} | {len(c.extra)} | {len(c.out_of_closure)} "
-            f"| {'yes' if c.passed else 'NO'} |"
-        )
-    out.append("")
-    out.append("## Capability claims")
-    out.append("")
-    for claim in report.capability:
-        flag = "ok" if claim.match else "MISMATCH"
-        out.append(f"- {claim.name}: computed {claim.computed}, expected {claim.expected} ({flag})")
-    out.append("")
+        out += table_to_markdown(t)
+    out += classifications_to_markdown(report.classifications)
+    out += claims_to_markdown(report.capability)
     out.append("## Suites")
     out.append("")
     for key, s in {**report.bounds, **report.structure,

@@ -59,7 +59,8 @@ def test_constructors():
 
 
 def test_all_entries_table1_filter():
-    names = {e.name for e in cat.all_entries(derived_dim=2) if e.dim <= 6}
+    names = {e.name for e in cat.all_entries()
+             if e.dim <= 6 and e.build().derived_subalgebra().dim == 2}
     assert names == {
         "L_{4,3}", "L_{5,3}", "L_{5,5}", "L_{5,8}", "L_{6,3}", "L_{6,5}",
         "L_{6,8}", "L_{6,10}", "L_{6,22}(eps)",

@@ -148,6 +148,32 @@ def test_list_table_output_pinned(capsys, table):
     assert sorted(names) == sorted(catalog.TABLE_ORDER[table])
 
 
+# sha256 of `liemult list --derived-dim 3`, recorded when the catalog filter
+# built each kept entry a second time for its dim L^2 column
+LIST_DERIVED_DIM_3_SHA256 = "7c6f6d31b1126a0ef1c3116b302dbf0b2cd46274a7aaee7f76994402d3a3fd1e"
+
+
+def test_list_derived_dim_builds_each_entry_once(capsys, monkeypatch):
+    built, depth = [], []
+    build = catalog.CatalogEntry.build
+
+    def outermost_builds(entry, *args, **kwargs):
+        if not depth:  # composite entries build their parts inside
+            built.append(entry.name)
+        depth.append(entry)
+        try:
+            return build(entry, *args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(catalog.CatalogEntry, "build", outermost_builds)
+    code, out, _ = run_cli(capsys, "list", "--derived-dim", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_DERIVED_DIM_3_SHA256
+    assert len(out.splitlines()) == 2 + 55
+    assert built == [e.name for e in catalog.entries()]
+
+
 def test_list_catalog_json_all(capsys):
     code, out, _ = run_cli(capsys, "list", "--format", "json")
     assert code == 0
@@ -180,6 +206,7 @@ def test_verify_capability(capsys):
 def test_verify_scopes_render_report_sections(capsys, full_report):
     report = verify.report_to_dict(full_report)
     header, *report_rows = csv.reader(io.StringIO(verify.report_to_csv(full_report)))
+    markdown = verify.report_to_markdown(full_report)
     for scope, key, section in (("tables", "tables", "table"),
                                 ("theorems", "classification", "classification"),
                                 ("capability", "capability", "capability")):
@@ -193,6 +220,9 @@ def test_verify_scopes_render_report_sections(capsys, full_report):
         assert all(len(row) == len(header) for row in rows)
         assert rows[1:] == [row for row in report_rows if row[0].startswith(section)]
         assert rows[1:]
+        code, out, _ = run_cli(capsys, "verify", scope, "--format", "md")
+        assert code == 0
+        assert out.startswith("## ") and out in markdown
 
 
 def test_verify_all_small_cap_writes_report(tmp_path, capsys):

@@ -21,7 +21,7 @@ from liemult import (
     s_invariant,
     t_invariant,
 )
-from liemult.invariants import central_basis_vectors
+from liemult.invariants import bound_checks, central_basis_vectors
 from liemult.linalg import unit_vector
 
 
@@ -162,3 +162,28 @@ def test_fingerprint_examples():
     assert fingerprint(abelian(3)) == (3, (3, 0), (3,), 3, 0)
     assert fingerprint(get("L_{5,8}")) == (5, (5, 2, 0), (2, 5), 6, 2)
     assert fingerprint(get("L_{6,26}")) == (6, (6, 3, 0), (3, 6), 8, 3)
+
+
+# (check_id, lhs, rhs, holds, tight) of `liemult info`, recorded before the
+# applicability rule moved into bound_checks
+INFO_CHECKS = {
+    "L_{5,6}": [("derived-bound", 3, 4, True, False), ("gamma3-defect", 1, -2, True, None),
+                ("third-term-bound", 5, 8, True, False),
+                ("central-ideal-bound[x5]", 4, 4, True, True)],
+    "L_{6,10}": [("derived-bound", 6, 10, True, False), ("gamma3-defect", 4, 1, True, None),
+                 ("third-term-bound", 7, 9, True, False),
+                 ("non-capable-s-bound", 3, 5, True, None),
+                 ("central-ideal-bound[x6]", 7, 11, True, False)],
+    "27A": [("derived-bound", 10, 15, True, False), ("non-capable-s-bound", 4, 6, True, None),
+            ("central-ideal-bound[x6]", 11, 14, True, False),
+            ("central-ideal-bound[x7]", 11, 16, True, False)],
+    "H(2)": [("derived-bound", 5, 7, True, False), ("central-ideal-bound[x5]", 6, 10, True, False)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFO_CHECKS))
+def test_report_checks_are_bound_checks(name):
+    alg = get(name)
+    checks = bound_checks(alg)
+    assert [(c.check_id, c.lhs, c.rhs, c.holds, c.tight) for c in checks] == INFO_CHECKS[name]
+    assert invariant_report(alg).bound_checks == checks

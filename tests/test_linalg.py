@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from liemult.core import format_rational
-from liemult.linalg import Matrix, span_rref
+from liemult.linalg import _ZERO, Matrix, span_rref
 
 
 def test_rank_identity():
@@ -219,6 +219,17 @@ def test_kernel_matches_dense_reference(case):
     assert span.pivot_columns() == pivots
     assert span.rref() is span
     assert all(type(x) is Q for r in span.data for x in r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped)
+@example(([[1, 0, 2, 0], [0, 1, 0, 0]], 4))
+def test_nullspace_zeros_are_the_shared_zero(case):
+    rows, cols = case
+    m = Matrix(rows, cols=cols)
+    null = m.nullspace_basis()
+    assert null == reference_nullspace(*reference_rref(rows, cols), cols)
+    assert all(x is _ZERO for v in null for x in v if not x)
 
 
 # -- the sparse product against a naive triple loop ----------------------------

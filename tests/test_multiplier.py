@@ -22,6 +22,7 @@ from liemult import (
     s_invariant,
 )
 import liemult.catalog as cat
+from liemult import multiplier
 from liemult.linalg import Matrix, unit_vector
 from liemult.multiplier import boundary2, boundary3, cochain_slice, cocycle_representatives
 from liemult.verify import build_closure, witness_extensions
@@ -279,6 +280,39 @@ def test_cocycle_representatives_match_dense_reference():
     assert len(algebras) == 263 + 4
     for alg in algebras:
         assert cocycle_representatives(alg) == reference_cocycle_representatives(alg), alg.name
+
+
+def reference_dim_multiplier(alg):
+    """The rank formula dim M = C(n,2) - rank d1 - rank d2 on a fresh slice."""
+    slice_ = cochain_slice(alg)
+    return len(slice_.pairs) - slice_.d1.rank() - slice_.d2.rank()
+
+
+def test_dim_multiplier_matches_rank_formula():
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    quotients = [alg.quotient(alg.lower_central_series()[2])[0]
+                 for alg in algebras if alg.nilpotency_class >= 3]
+    assert len(algebras) == 263 + 4 and quotients
+    for alg in algebras + quotients:
+        assert dim_multiplier(alg) == reference_dim_multiplier(alg), alg.name
+
+
+def test_one_cochain_slice_per_algebra(monkeypatch):
+    built = []
+
+    def counted(alg):
+        built.append(alg.name)
+        return cochain_slice(alg)
+
+    monkeypatch.setattr(multiplier, "cochain_slice", counted)
+    multiplier.clear_caches()
+    alg = get("L_{6,10}")
+    assert dim_multiplier(alg) == 6
+    assert len(cocycle_representatives(alg)) == 6
+    assert dim_multiplier_cover(alg).dim_M == 6
+    assert cover(alg).kernel.dim == 6
+    assert not is_capable(alg)
+    assert built == ["L_{6,10}"]
 
 
 # -- covers ----------------------------------------------------------------------

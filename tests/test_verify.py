@@ -4,7 +4,8 @@ import hashlib
 from dataclasses import replace
 
 import liemult.catalog as cat
-from liemult import verify
+from liemult import invariants, verify
+from liemult.invariants import BoundCheck, bound_checks
 from liemult.verify import (
     build_closure,
     classify_by_s,
@@ -129,6 +130,44 @@ def test_bound_suites_are_nonempty(full_report):
         assert suite.violations == []
 
 
+# report suite -> the id of its bound_checks (central-ideal ids carry [x_i])
+SUITE_CHECK_IDS = {
+    "derived_bound": "derived-bound",
+    "central_ideal_bound": "central-ideal-bound[",
+    "non_capable_bound": "non-capable-s-bound",
+    "third_term_bound": "third-term-bound",
+    "gamma3_defect": "gamma3-defect",
+}
+
+
+def test_bound_suites_count_bound_checks(full_report):
+    ids = [c.check_id for m in build_closure(9) if not m.algebra.is_abelian
+           for c in bound_checks(m.algebra)]
+    assert {key: suite.checked for key, suite in full_report.bounds.items()} == {
+        key: sum(i == prefix or i.startswith(prefix) for i in ids)
+        for key, prefix in SUITE_CHECK_IDS.items()
+    }
+
+
+def test_failed_bound_check_is_a_suite_violation(monkeypatch):
+    def fails(check_id):
+        return lambda *args: BoundCheck(check_id, 9, 1, False, False)
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("bound_suites must not build invariant reports")
+
+    monkeypatch.setattr(invariants, "check_third_term_bound", fails("third-term-bound"))
+    monkeypatch.setattr(invariants, "check_central_ideal_bound", fails("central-ideal-bound"))
+    monkeypatch.setattr(invariants, "invariant_report", no_report)
+    member = verify.ClosureMember("L_{5,6}", cat.get("L_{5,6}"), "catalog", "L_{5,6}")
+    suites = verify.bound_suites([member])
+    assert suites["third_term_bound"].violations == ["L_{5,6}: third-term-bound: 9 vs 1"]
+    assert suites["central_ideal_bound"].violations == ["L_{5,6}: central-ideal-bound[x5]: 9 vs 1"]
+    assert [key for key, suite in suites.items() if not suite.passed] == [
+        "central_ideal_bound", "third_term_bound"]
+    assert not [name for name in vars(verify) if name.startswith("check_")]
+
+
 def test_structure_suites(full_report):
     for key in ("method_agreement", "cover_stem", "epicenter_containment",
                 "derived_dim_one_form"):
@@ -197,10 +236,18 @@ def test_reports_deterministic(full_report):
 # sha256 of report_to_json(run_all(9)): a refactor or speedup must keep these
 # bytes; a change that alters the report on purpose says what and why.
 REPORT_SHA256 = "6cab71cbe9e8a699b2ed7759b5f834103236c0062a79159e61fddce6bae74681"
+REPORT_CSV_SHA256 = "ca7a599b30358314100147bacf1bb8014f875f36d1698b50c7002d250f0b475c"
+REPORT_MARKDOWN_SHA256 = "d774dfbb9941f95345d8a3c01ada6a99cc9053caa1d55300f638810a39d4f1b0"
 
 
 def test_report_bytes_pinned(full_report):
     assert hashlib.sha256(report_to_json(full_report).encode()).hexdigest() == REPORT_SHA256
+
+
+def test_csv_and_markdown_report_bytes_pinned(full_report):
+    assert hashlib.sha256(report_to_csv(full_report).encode()).hexdigest() == REPORT_CSV_SHA256
+    assert (hashlib.sha256(report_to_markdown(full_report).encode()).hexdigest()
+            == REPORT_MARKDOWN_SHA256)
 
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
