@@ -2,10 +2,13 @@
 
 An algebra is a dimension n plus a table of basis brackets
 [x_i, x_j] = sum_k c_{ij}^k x_k for i < j (0-based internally; the JSON
-presentation format and all human-facing output are 1-based).  Loading
-validates the Jacobi identity on every basis triple and nilpotency of
-the lower central series; non-nilpotent input is an error, not a
-supported case.
+presentation format and all human-facing output are 1-based).  Presentations
+and direct sums are validated: the Jacobi identity on every basis triple and
+nilpotency of the lower central series; non-nilpotent input is an error, not
+a supported case.  Quotients (and, in `multiplier`, stem covers) are built
+trusted, by theorem: L/I is a nilpotent Lie algebra whenever I is an ideal
+of a nilpotent L, and the projection is a homomorphism, so only `is_ideal`
+is checked.
 
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
@@ -473,7 +476,9 @@ class LieAlgebra:
 
         The quotient basis is the set of standard basis vectors whose
         columns are non-pivot in I's rref, so the construction is
-        deterministic and reproducible.
+        deterministic and reproducible.  Only `is_ideal` is checked; the
+        target and the map are built without validation (see the module
+        docstring).
         """
         if not self.is_ideal(ideal):
             raise NotAnIdeal("subspace is not an ideal")
@@ -497,8 +502,8 @@ class LieAlgebra:
                 if terms:
                     new_brackets[(a, b)] = terms
         label = f"{self.name}/I" if self.name else None
-        target = LieAlgebra(qdim, new_brackets, name=label)
-        pi = QuotientMap(self, target, proj_matrix)
+        target = LieAlgebra(qdim, new_brackets, name=label, validate=False)
+        pi = QuotientMap(self, target, proj_matrix, check=False)
         return target, pi
 
 
@@ -529,7 +534,7 @@ class Subspace:
         for row, pcol in zip(self.basis.data, self.basis.pivot_columns()):
             f = w[pcol]
             if f:
-                w = [x - f * y for x, y in zip(w, row)]
+                w = [x - f * y if y else x for x, y in zip(w, row)]
         return w
 
     def contains(self, v: Sequence[Fraction]) -> bool:
@@ -582,7 +587,8 @@ class QuotientMap:
         self.target = target
         self.matrix = matrix
         # check=False is reserved for maps that are compatible by
-        # construction (coordinate truncation of an adjoined extension).
+        # construction: the projection onto a quotient by an ideal, and the
+        # coordinate truncation of an adjoined central extension.
         if check:
             self.check_compatible()
 
@@ -728,11 +734,16 @@ def load_presentation(text_or_path: str, params: Mapping[str, Fraction] | None =
     text = text_or_path
     if not text.lstrip().startswith("{"):
         with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise PresentationError(f"presentation file is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PresentationError("JSON nested too deeply") from exc
     return presentation_from_dict(doc, params)
 
 

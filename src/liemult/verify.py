@@ -21,6 +21,7 @@ report content, never a failure; anything else fails the run (exit code 1).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import random
@@ -30,7 +31,7 @@ from fractions import Fraction
 from . import catalog
 from .catalog import CPROD, DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
 from .core import LieAlgebra, direct_sum, format_rational
-from .invariants import bound_checks, fingerprint, s_invariant
+from .invariants import Fingerprint, bound_checks, fingerprint, s_invariant
 from .linalg import Q, unit_vector
 from .multiplier import (
     cover,
@@ -436,10 +437,16 @@ BOUND_SUITES = {
 }
 
 
+def _heisenberg_sum_fingerprint(n: int, m: int) -> Fingerprint:
+    """fingerprint of H(m) + A(n - 2m - 1), the dim-n algebras with dim L^2 = 1."""
+    return fingerprint(direct_sum(heisenberg(m), abelian(n - 2 * m - 1)))
+
+
 def bound_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
     """The bound_checks of every non-abelian member, grouped by suite, plus
     the m = 1 case of the derived bound: equality iff L = H(1)+A(n-3)."""
     suites = {key: SuiteResult(0) for key in BOUND_SUITES.values()}
+    reference = functools.cache(_heisenberg_sum_fingerprint)
     for member in closure:
         L = member.algebra
         if L.is_abelian:
@@ -450,8 +457,7 @@ def bound_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
             if not chk.holds:
                 suite.violations.append(f"{member.name}: {chk.check_id}: {chk.lhs} vs {chk.rhs}")
             if chk.check_id == "derived-bound" and L.derived_subalgebra().dim == 1:
-                reference = fingerprint(direct_sum(heisenberg(1), abelian(L.dim - 3)))
-                should_be_tight = fingerprint(L) == reference
+                should_be_tight = fingerprint(L) == reference(L.dim, 1)
                 if chk.tight != should_be_tight:
                     suite.violations.append(
                         f"{member.name}: m=1 equality holds iff H(1)+A(n-3); "
@@ -465,6 +471,7 @@ def structure_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
     stem = SuiteResult(0)
     epi = SuiteResult(0)
     derived_one = SuiteResult(0)
+    reference = functools.cache(_heisenberg_sum_fingerprint)
     for member in closure:
         L = member.algebra
         mr = dim_multiplier_cover(L)
@@ -492,12 +499,7 @@ def structure_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
         if L.derived_subalgebra().dim == 1:
             derived_one.checked += 1
             n = L.dim
-            ok = any(
-                fingerprint(L) == fingerprint(
-                    direct_sum(heisenberg(m), abelian(n - 2 * m - 1))
-                )
-                for m in range(1, (n - 1) // 2 + 1)
-            )
+            ok = any(fingerprint(L) == reference(n, m) for m in range(1, (n - 1) // 2 + 1))
             if not ok:
                 derived_one.violations.append(member.name)
     return {"method_agreement": agreement, "cover_stem": stem,

@@ -271,6 +271,9 @@ MALFORMED = {
         "dim": 3,
         "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1" + "0" * 6000 + "*3" + "0" * 6000}]}],
     },
+    # raw file contents rather than documents
+    "not_utf8": b'\xff\xfe{"dim": 3, "brackets": []}',
+    "json_nested_too_deeply": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -283,8 +286,9 @@ def run_subprocess(*argv):
 
 
 def run_compute_subprocess(tmp_path, doc):
+    """`compute` on a file holding doc as JSON, or doc itself if it is bytes."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     return run_subprocess("compute", str(path))
 
 

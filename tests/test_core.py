@@ -227,6 +227,31 @@ def test_intersect_matches_stacked_reference():
     assert u.intersect(v) == stacked_intersection(u, v) == L.subspace([(1, 1, 1, 1)])
 
 
+COORDINATE = st.one_of(
+    st.just(Q(0)),
+    st.fractions(max_denominator=10**12),
+    st.integers(-10**40, 10**40).map(Q),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_residue_matches_dense_reference(data):
+    n = data.draw(st.integers(1, 7))
+    vector = st.lists(COORDINATE, min_size=n, max_size=n)
+    s = abelian(n).subspace(data.draw(st.lists(vector, max_size=n)))
+    v = data.draw(vector)
+    expected = list(v)
+    for row, pcol in zip(s.basis.data, s.basis.pivot_columns()):
+        f = expected[pcol]
+        expected = [x - f * y for x, y in zip(expected, row)]
+    got = s.residue(v)
+    assert got == expected and all(type(x) is Q for x in got)
+    coeffs = data.draw(st.lists(COORDINATE, min_size=s.dim, max_size=s.dim))
+    inside = [sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), Q(0)) for k in range(n)]
+    assert not any(s.residue(inside))
+
+
 def test_series_and_center_build_no_quotient(monkeypatch):
     def no_quotient(self, ideal):
         raise AssertionError("quotient called")

@@ -23,6 +23,8 @@ from liemult import (
 )
 import liemult.catalog as cat
 from liemult import multiplier
+from liemult.core import QuotientMap
+from liemult.invariants import central_basis_vectors
 from liemult.linalg import Matrix, unit_vector
 from liemult.multiplier import boundary2, boundary3, cochain_slice, cocycle_representatives
 from liemult.verify import build_closure, witness_extensions
@@ -316,6 +318,33 @@ def test_one_cochain_slice_per_algebra(monkeypatch):
 
 
 # -- covers ----------------------------------------------------------------------
+
+def trusted_constructions(alg):
+    """(algebra, projection) for the cover of alg and each quotient the bound
+    checks build (L/gamma3, L/<x_i> for central x_i), plus L/Z*(L) when
+    Z*(L) is nonzero: each built without validation."""
+    ext = cover(alg)
+    out = [(ext.total, ext.projection)]
+    ideals = [alg.subspace([unit_vector(alg.dim, i)]) for i in central_basis_vectors(alg)]
+    if alg.nilpotency_class >= 3:
+        ideals.append(alg.lower_central_series()[2])
+    if not alg.is_abelian and epicenter(alg).dim:
+        ideals.append(epicenter(alg))
+    for ideal in ideals:
+        target, pi = alg.quotient(ideal)
+        out.append((target, pi))
+    return out
+
+
+def test_trusted_quotients_and_covers_pass_full_validation():
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    built = [c for alg in algebras for c in trusted_constructions(alg)]
+    assert len(built) > 2 * len(algebras)
+    for alg, pi in built:
+        LieAlgebra(alg.dim, alg.brackets)
+        QuotientMap(pi.source, pi.target, pi.matrix)
+
 
 def test_cover_of_A1_is_trivial():
     ext = cover(abelian(1))

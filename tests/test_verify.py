@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import liemult.catalog as cat
 from liemult import invariants, verify
+from liemult.core import direct_sum
 from liemult.invariants import BoundCheck, bound_checks
 from liemult.verify import (
     build_closure,
@@ -166,6 +167,25 @@ def test_failed_bound_check_is_a_suite_violation(monkeypatch):
     assert [key for key, suite in suites.items() if not suite.passed] == [
         "central_ideal_bound", "third_term_bound"]
     assert not [name for name in vars(verify) if name.startswith("check_")]
+
+
+def test_dim_one_references_built_once_per_dimension(monkeypatch):
+    # the dim L^2 = 1 members span n = 3..9; the reference H(m) + A(n - 2m - 1)
+    # is built once per n (bound suites, m = 1) or per (n, m) tried
+    closure = build_closure(9)
+    calls = []
+
+    def counted(a, b, name=None):
+        calls.append((a.dim + b.dim, (a.dim - 1) // 2))
+        return direct_sum(a, b, name)
+
+    monkeypatch.setattr(verify, "direct_sum", counted)
+    verify.bound_suites(closure)
+    assert sorted(calls) == [(n, 1) for n in range(3, 10)]
+    calls.clear()
+    verify.structure_suites(closure)
+    assert len(calls) == len(set(calls)) == 15
+    assert set(calls) <= {(n, m) for n in range(3, 10) for m in range(1, (n - 1) // 2 + 1)}
 
 
 def test_structure_suites(full_report):
