@@ -51,6 +51,7 @@ from .multiplier import (
     dim_exterior_square,
     dim_multiplier,
     dim_multiplier_cover,
+    dim_multiplier_quotient,
     dim_square_part,
     dim_tensor_square,
     epicenter,
@@ -69,7 +70,7 @@ __all__ = [
     "PresentationError", "QuotientMap", "Subspace", "UnknownName", "abelian",
     "build_closure", "central_product", "check_derived_bound", "check_third_term_bound",
     "check_noncapable_bound", "check_central_ideal_bound", "classify_by_s", "cover",
-    "dim_exterior_square", "dim_multiplier", "dim_multiplier_cover",
+    "dim_exterior_square", "dim_multiplier", "dim_multiplier_cover", "dim_multiplier_quotient",
     "dim_square_part", "dim_tensor_square", "direct_sum", "epicenter",
     "fingerprint", "gamma3_defect", "get", "heisenberg", "invariant_report",
     "is_capable", "load_presentation", "presentation_from_dict",

@@ -7,8 +7,8 @@ and direct sums are validated: the Jacobi identity on every basis triple and
 nilpotency of the lower central series; non-nilpotent input is an error, not
 a supported case.  Quotients (and, in `multiplier`, stem covers) are built
 trusted, by theorem: L/I is a nilpotent Lie algebra whenever I is an ideal
-of a nilpotent L, and the projection is a homomorphism, so only `is_ideal`
-is checked.
+of a nilpotent L, and the projection is a homomorphism of full rank, so only
+`is_ideal` is checked.
 
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
@@ -581,15 +581,17 @@ class QuotientMap:
     def __init__(self, source: LieAlgebra, target: LieAlgebra, matrix: Matrix, check: bool = True):
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise DimensionMismatch("projection matrix shape mismatch")
-        if matrix.rank() != target.dim:
-            raise DimensionMismatch("projection must have full row rank")
         self.source = source
         self.target = target
         self.matrix = matrix
-        # check=False is reserved for maps that are compatible by
-        # construction: the projection onto a quotient by an ideal, and the
-        # coordinate truncation of an adjoined central extension.
+        # check=False is reserved for maps that are surjective and compatible
+        # by construction: the projection onto a quotient by an ideal, and
+        # the coordinate truncation of an adjoined central extension.  Both
+        # are the identity on the target's coordinates, so full row rank is
+        # not re-checked either.
         if check:
+            if matrix.rank() != target.dim:
+                raise DimensionMismatch("projection must have full row rank")
             self.check_compatible()
 
     def check_compatible(self) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import LieAlgebra, LieError, Subspace
 from .linalg import unit_vector
-from .multiplier import dim_multiplier, is_capable
+from .multiplier import dim_multiplier, dim_multiplier_quotient, is_capable
 
 
 class AbelianInput(LieError):
@@ -66,19 +66,22 @@ def check_central_ideal_bound(L: LieAlgebra, K: Subspace) -> BoundCheck:
     """dim M(L) + dim(L^2 ^ K) <= dim M(L/K) + dim M(K) + dim((L/K)^ab x K).
 
     K must be a central ideal; being central it is abelian, so
-    dim M(K) = C(dim K, 2).
+    dim M(K) = C(dim K, 2).  dim M(L/K) is read off L's d2
+    (`dim_multiplier_quotient`), and dim (L/K)^ab = n - k - dim L^2 +
+    dim(L^2 ^ K), so L/K is never built.
     """
     if K.ambient is not L:
         raise NotCentralIdeal("K is not a subspace of L")
     if not L.center().contains_subspace(K):
         raise NotCentralIdeal("K is not central")
     k = K.dim
-    quotient_alg, _ = L.quotient(K)
-    lhs = dim_multiplier(L) + L.derived_subalgebra().intersect(K).dim
+    derived = L.derived_subalgebra()
+    meet = derived.intersect(K).dim
+    lhs = dim_multiplier(L) + meet
     rhs = (
-        dim_multiplier(quotient_alg)
+        dim_multiplier_quotient(L, K)
         + k * (k - 1) // 2
-        + quotient_alg.abelianization_dim() * k
+        + (L.dim - k - derived.dim + meet) * k
     )
     return BoundCheck("central-ideal-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
 
@@ -98,16 +101,16 @@ def gamma3_defect(L: LieAlgebra) -> BoundCheck:
     """defect >= n - m - c where
 
     defect = dim M(L/g3) - dim g3 + dim(L^ab x g3) - dim M(L),
-    m = dim L^2, c = nilpotency class; needs class >= 3.
+    m = dim L^2, c = nilpotency class; needs class >= 3.  dim M(L/g3) is
+    read off L's d2 (`dim_multiplier_quotient`).
     """
     c = L.nilpotency_class
     if c < 3:
         raise PreconditionNotMet("needs nilpotency class >= 3")
     series = L.lower_central_series()
     g3 = series[2]
-    quotient_alg, _ = L.quotient(g3)
     defect = (
-        dim_multiplier(quotient_alg)
+        dim_multiplier_quotient(L, g3)
         - g3.dim
         + L.abelianization_dim() * g3.dim
         - dim_multiplier(L)
@@ -117,14 +120,16 @@ def gamma3_defect(L: LieAlgebra) -> BoundCheck:
 
 
 def check_third_term_bound(L: LieAlgebra) -> BoundCheck:
-    """dim L^3 + dim M(L) <= dim M(L/L^3) + dim(L/Z_2 x L^3); class >= 3."""
+    """dim L^3 + dim M(L) <= dim M(L/L^3) + dim(L/Z_2 x L^3); class >= 3.
+
+    dim M(L/L^3) is read off L's d2 (`dim_multiplier_quotient`).
+    """
     if L.nilpotency_class < 3:
         raise PreconditionNotMet("needs nilpotency class >= 3")
     g3 = L.lower_central_series()[2]
-    quotient_alg, _ = L.quotient(g3)
     z2 = L.upper_central_series()[1]
     lhs = g3.dim + dim_multiplier(L)
-    rhs = dim_multiplier(quotient_alg) + (L.dim - z2.dim) * g3.dim
+    rhs = dim_multiplier_quotient(L, g3) + (L.dim - z2.dim) * g3.dim
     return BoundCheck("third-term-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
 
 

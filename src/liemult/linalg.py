@@ -8,7 +8,8 @@ the pivots creates Fractions.  The reduced row echelon form of a matrix is
 unique, so `rref`, `pivot_columns`, `rank` and `nullspace_basis` (and
 everything derived from them, e.g. canonical subspace bases) are canonical,
 whatever order the kernel eliminates in.  `extend_echelon` exposes the same
-reduction step for growing a span one vector at a time.
+reduction step for growing a span one vector at a time, and
+`extend_integer_echelon` takes rows that are already {column: int}.
 
 `Matrix(...)` is the entry point for outside values: it coerces every entry
 through `qf` and rejects floats.  Code here that already holds Fractions
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 _ZERO = Q(0)
@@ -48,16 +49,25 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
     """The nonzero entries of a rational row as {column: int}, scaled by the
-    lcm of their denominators and divided by their gcd."""
+    lcm of their denominators."""
     # Fraction keeps its lowest-terms value in the _numerator and _denominator
     # slots; reading them directly skips a Python-level call per entry, which
     # is most of the cost of scanning a dense row.  This needs every entry to
     # be an exact fractions.Fraction: Matrix.__init__ coerces through qf, and
     # the trusted constructors are only given Fractions, so every Matrix.data
     # holds only Fractions (tests/test_linalg.py checks this).
-    nonzero = [(j, x) for j, x in enumerate(row) if x._numerator]
+    return _integer_terms([(j, x) for j, x in enumerate(row) if x._numerator])
+
+
+def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
+    """`_integer_row` of a sparse {column: Fraction} row; zero values are
+    dropped."""
+    return _integer_terms([(j, x) for j, x in terms.items() if x._numerator])
+
+
+def _integer_terms(nonzero: list[tuple[int, Fraction]]) -> dict[int, int]:
     den = lcm(*[x._denominator for _, x in nonzero])
-    return _primitive({j: x._numerator * (den // x._denominator) for j, x in nonzero})
+    return {j: x._numerator * (den // x._denominator) for j, x in nonzero}
 
 
 def _primitive(w: dict[int, int]) -> dict[int, int]:
@@ -71,7 +81,12 @@ def extend_echelon(echelon: dict[int, dict[int, int]], row: Sequence[Fraction]) 
     """Reduce a rational row against `echelon`, primitive integer rows keyed by
     leading column.  If a nonzero remainder is left, add it as a new pivot row
     and return True; return False when the row lies in their span."""
-    w = _integer_row(row)
+    return extend_integer_echelon(echelon, _integer_row(row))
+
+
+def extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
+    """`extend_echelon` for a row already in {column: int} form."""
+    w = _primitive(w)
     while w:
         c = min(w)
         p = echelon.get(c)

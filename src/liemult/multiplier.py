@@ -24,6 +24,15 @@ Lie algebra by construction (L's Jacobi identity is d2 . d1 = 0, checked in
 re-checked.  Its kernel lands in Z(E) and in E^2 (checked at runtime, not
 assumed), and the epicenter is the image of Z(E) under the projection; L is
 capable iff that image vanishes.
+
+dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
+without building L/K or a second slice.  By inflation (Hochschild-Serre),
+the cochains of L/K are the forms on L that vanish when an argument lies
+in K, so d2(L/K) is d2(L) restricted to them; the bound checks and
+`quotient_exterior_check` use it.  Its rank is an elimination of its own:
+the Ganea sequence would give dim M(L/K) for central K from L's cocycles,
+but it would make the central-ideal bound hold by construction, so it is
+used only in the tests, as a third route.
 """
 
 from __future__ import annotations
@@ -33,14 +42,23 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .core import (
     LieAlgebra,
     LieError,
+    NotAnIdeal,
     QuotientMap,
     Subspace,
 )
-from .linalg import Matrix, Vector, extend_echelon, unit_vector
+from .linalg import (
+    Matrix,
+    Vector,
+    extend_echelon,
+    extend_integer_echelon,
+    sparse_integer_row,
+    unit_vector,
+)
 
 
 def pair_index(n: int) -> list[tuple[int, int]]:
@@ -155,7 +173,7 @@ def _memoized(fn):
 
 
 def clear_caches() -> None:
-    """Drop memoized multiplier/cover/epicenter results (for tests)."""
+    """Drop memoized cocycle bases, d2 rows, covers and epicenter bases."""
     with _CACHE_LOCK:
         _MEMO.clear()
 
@@ -211,6 +229,68 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
     if len(reps) != m:
         raise LieError("cover and cohomology multiplier dimensions disagree")
     return MultiplierResult(dim_M=m, cocycle_basis=tuple(reps), method="cover")
+
+
+@_memoized
+def _d2_rows(L: LieAlgebra) -> tuple[dict[int, int], ...]:
+    """The nonzero rows of L's d2 as {pair index: int}, each scaled to
+    integers; built without a dense slice."""
+    pos = {p: a for a, p in enumerate(pair_index(L.dim))}
+    rows = (sparse_integer_row(_wedge_row(L, t, pos, -1)) for t in triple_index(L.dim))
+    return tuple(r for r in rows if r)
+
+
+def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
+    """dim M(L/K) for an ideal K of L, without building L/K.
+
+    L/K has the basis `L.quotient` gives it, the x_c at the free columns c
+    of K's rref, with dual forms phi_c = e^c - sum_p K[p][c] e^p (p over
+    K's pivot rows).  Inflation phi_a ^ phi_b -> its 2-form on L is
+    injective and commutes with d2, so rank d2(L/K) = rank(d2(L) P_K), and
+
+        dim M(L/K) = C(q,2) - rank(d2(L) P_K) - (dim(L^2 + K) - dim K)
+
+    for q = dim L - dim K.  Column (i,j) of d2(L) goes to pi(x_i) ^ pi(x_j)
+    in L/K's pair coordinates; when K is spanned by basis vectors this is
+    a column selection.  Raises NotAnIdeal where `L.quotient` does.
+    """
+    if not L.is_ideal(K):
+        raise NotAnIdeal("subspace is not an ideal")
+    pivots = K.basis.pivot_columns()
+    pivot_set = set(pivots)
+    free = [c for c in range(L.dim) if c not in pivot_set]
+    q = len(free)
+    pos = {c: a for a, c in enumerate(free)}
+    # pi(x_c) in L/K's coordinates, all scaled by one common denominator
+    den = lcm(1, *(x.denominator for row in K.basis.data for x in row if x))
+    image: dict[int, dict[int, int]] = {c: {pos[c]: den} for c in free}
+    for row, p in zip(K.basis.data, pivots):
+        image[p] = {pos[c]: -int(row[c] * den) for c in free if row[c]}
+    qpair = {p: a for a, p in enumerate(pair_index(q))}
+    inflate: dict[int, dict[int, int]] = {}
+    for idx, (i, j) in enumerate(pair_index(L.dim)):
+        wedge: dict[int, int] = {}
+        for a, u in image[i].items():
+            for b, v in image[j].items():
+                if a != b:
+                    col, x = (qpair[(a, b)], u * v) if a < b else (qpair[(b, a)], -u * v)
+                    wedge[col] = wedge.get(col, 0) + x
+        wedge = {col: x for col, x in wedge.items() if x}
+        if wedge:
+            inflate[idx] = wedge
+    echelon: dict[int, dict[int, int]] = {}
+    for w in _d2_rows(L):
+        out: dict[int, int] = {}
+        for idx, x in w.items():
+            if idx in inflate:
+                for col, y in inflate[idx].items():
+                    out[col] = out.get(col, 0) + x * y
+        extend_integer_echelon(echelon, {col: x for col, x in out.items() if x})
+    # rank d1(L/K) = dim (L/K)^2 = dim(L^2 + K) - dim K, the rank of L^2 mod K
+    projected: dict[int, dict[int, int]] = {}
+    rank_d1 = sum(extend_echelon(projected, K.residue(v))
+                  for v in L.derived_subalgebra().basis_vectors())
+    return q * (q - 1) // 2 - len(echelon) - rank_d1
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +405,15 @@ def dim_tensor_square(L: LieAlgebra) -> int:
 
 
 def quotient_exterior_check(L: LieAlgebra) -> bool:
-    """dim(L^L) equals dim of the exterior square of L/Z*(L)."""
+    """dim(L^L) equals dim of the exterior square of L/Z*(L).
+
+    dim (L/Z*)^2 = dim(L^2 + Z*) - dim Z*, and dim M(L/Z*) is read off L's
+    d2 (`dim_multiplier_quotient`), so L/Z*(L) is never built.
+    """
     if L.is_abelian:
         raise LieError("quotient_exterior_check needs non-abelian input")
     z = epicenter(L)
     if z.dim == 0:
         return True
-    quotient_alg, _ = L.quotient(z)
-    return dim_exterior_square(L) == dim_exterior_square(quotient_alg)
+    quotient_derived = L.derived_subalgebra().sum(z).dim - z.dim
+    return dim_exterior_square(L) == quotient_derived + dim_multiplier_quotient(L, z)

@@ -34,7 +34,13 @@ from liemult import (
     presentation_to_dict,
 )
 from liemult.cli import main
-from liemult.core import MAX_DIGITS, format_rational, rational_expr
+from liemult.core import (
+    MAX_DIGITS,
+    DimensionMismatch,
+    QuotientMap,
+    format_rational,
+    rational_expr,
+)
 from liemult.linalg import Matrix, unit_vector
 from liemult.verify import build_closure
 
@@ -299,6 +305,19 @@ def test_quotient_requires_ideal():
     L = get("L_{4,3}")
     with pytest.raises(NotAnIdeal):
         L.quotient(L.subspace([unit_vector(4, 0)]))
+
+
+def test_checked_quotient_map_needs_full_row_rank():
+    # check=True rejects a projection that is not onto; check=False trusts
+    # its caller (a quotient or cover projection, onto by construction) and
+    # does not eliminate the matrix
+    L, target = abelian(3), abelian(2)
+    with pytest.raises(DimensionMismatch):
+        QuotientMap(L, target, Matrix([[1, 0, 0], [2, 0, 0]]))
+    QuotientMap(L, target, Matrix([[1, 0, 0], [0, 1, 0]]))
+    L43 = get("L_{4,3}")
+    _, pi = L43.quotient(L43.center())
+    assert pi.matrix._pivots is None
 
 
 def test_quotient_respects_brackets():

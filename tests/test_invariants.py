@@ -4,6 +4,7 @@ import pytest
 
 from liemult import (
     AbelianInput,
+    LieAlgebra,
     NotCentralIdeal,
     PreconditionNotMet,
     abelian,
@@ -18,11 +19,14 @@ from liemult import (
     get,
     heisenberg,
     invariant_report,
+    quotient_exterior_check,
     s_invariant,
     t_invariant,
 )
+from liemult import multiplier
 from liemult.invariants import bound_checks, central_basis_vectors
 from liemult.linalg import unit_vector
+from liemult.multiplier import cochain_slice
 
 
 def test_s_values():
@@ -151,6 +155,30 @@ def test_invariant_report_shape():
     assert "derived-bound" in ids
     assert any(i.startswith("central-ideal-bound") for i in ids)
     assert all(c.holds for c in rep.bound_checks)
+
+
+def test_invariant_report_builds_no_quotient_and_one_slice(monkeypatch):
+    """The bound checks and L/Z*(L) read dim M of a quotient off L's own d2:
+    no quotient algebra and no cochain slice besides L's."""
+    def no_quotient(self, ideal):
+        raise AssertionError("quotient called")
+
+    slices = []
+
+    def counted(alg):
+        slices.append(alg)
+        return cochain_slice(alg)
+
+    monkeypatch.setattr(LieAlgebra, "quotient", no_quotient)
+    monkeypatch.setattr(multiplier, "cochain_slice", counted)
+    for name in ("L_{6,10}", "1357A", "257J", "L_{6,26}"):
+        multiplier.clear_caches()
+        slices.clear()
+        L = get(name)
+        rep = invariant_report(L)
+        assert any(c.check_id.startswith("central-ideal-bound") for c in rep.bound_checks)
+        assert quotient_exterior_check(L)
+        assert slices == [L]
 
 
 def test_invariant_report_abelian():
