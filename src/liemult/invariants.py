@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import LieAlgebra, LieError, Subspace
 from .linalg import unit_vector
-from .multiplier import dim_multiplier, dim_multiplier_quotient, is_capable
+from .multiplier import _memoized, dim_multiplier, dim_multiplier_quotient, is_capable
 
 
 class AbelianInput(LieError):
@@ -97,12 +97,18 @@ def check_noncapable_bound(L: LieAlgebra) -> BoundCheck:
     return BoundCheck("non-capable-s-bound", n - 3, s, n - 3 < s, None)
 
 
+@_memoized
+def _dim_multiplier_mod_gamma3(L: LieAlgebra) -> int:
+    """dim M(L/g3), read off L's d2 (`dim_multiplier_quotient`) once per
+    algebra for both checks that use it."""
+    return dim_multiplier_quotient(L, L.lower_central_series()[2])
+
+
 def gamma3_defect(L: LieAlgebra) -> BoundCheck:
     """defect >= n - m - c where
 
     defect = dim M(L/g3) - dim g3 + dim(L^ab x g3) - dim M(L),
-    m = dim L^2, c = nilpotency class; needs class >= 3.  dim M(L/g3) is
-    read off L's d2 (`dim_multiplier_quotient`).
+    m = dim L^2, c = nilpotency class; needs class >= 3.
     """
     c = L.nilpotency_class
     if c < 3:
@@ -110,7 +116,7 @@ def gamma3_defect(L: LieAlgebra) -> BoundCheck:
     series = L.lower_central_series()
     g3 = series[2]
     defect = (
-        dim_multiplier_quotient(L, g3)
+        _dim_multiplier_mod_gamma3(L)
         - g3.dim
         + L.abelianization_dim() * g3.dim
         - dim_multiplier(L)
@@ -120,16 +126,13 @@ def gamma3_defect(L: LieAlgebra) -> BoundCheck:
 
 
 def check_third_term_bound(L: LieAlgebra) -> BoundCheck:
-    """dim L^3 + dim M(L) <= dim M(L/L^3) + dim(L/Z_2 x L^3); class >= 3.
-
-    dim M(L/L^3) is read off L's d2 (`dim_multiplier_quotient`).
-    """
+    """dim L^3 + dim M(L) <= dim M(L/L^3) + dim(L/Z_2 x L^3); class >= 3."""
     if L.nilpotency_class < 3:
         raise PreconditionNotMet("needs nilpotency class >= 3")
     g3 = L.lower_central_series()[2]
     z2 = L.upper_central_series()[1]
     lhs = g3.dim + dim_multiplier(L)
-    rhs = dim_multiplier_quotient(L, g3) + (L.dim - z2.dim) * g3.dim
+    rhs = _dim_multiplier_mod_gamma3(L) + (L.dim - z2.dim) * g3.dim
     return BoundCheck("third-term-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
 
 

@@ -218,13 +218,16 @@ class Matrix:
         return Matrix.from_sparse(out, cols)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
+        """Product over the nonzero entries of v: rows x nnz(v) work."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
+        nonzero = [(j, b) for j, b in enumerate(v) if b]
         out = []
         for r in self.data:
             acc = _ZERO
-            for a, b in zip(r, v):
-                if a and b:
+            for j, b in nonzero:
+                a = r[j]
+                if a:
                     acc += a * b
             out.append(acc)
         return tuple(out)

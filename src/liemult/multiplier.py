@@ -21,8 +21,10 @@ A cover E is built from canonical cocycle representatives: E = L + Q^m
 with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ..., f_m(x,y)).  E is a
 Lie algebra by construction (L's Jacobi identity is d2 . d1 = 0, checked in
 `cochain_slice`, and each f_t lies in ker d2), so its Jacobi identity is not
-re-checked.  Its kernel lands in Z(E) and in E^2 (checked at runtime, not
-assumed), and the epicenter is the image of Z(E) under the projection; L is
+re-checked.  Its kernel is central ([K, E] = 0) and lies in E^2, both
+checked at runtime, not assumed.  The epicenter is the image of Z(E) under
+the projection, computed without building Z(E): it is the set of z in Z(L)
+whose lift (z, 0) is central in E, one nullspace in dim Z(L) unknowns.  L is
 capable iff that image vanishes.
 
 dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
@@ -173,7 +175,8 @@ def _memoized(fn):
 
 
 def clear_caches() -> None:
-    """Drop memoized cocycle bases, d2 rows, covers and epicenter bases."""
+    """Drop memoized cocycle bases, d2 rows, covers, epicenter bases and
+    dim M(L/gamma3) (the `_memoized` helper in `invariants`)."""
     with _CACHE_LOCK:
         _MEMO.clear()
 
@@ -306,9 +309,18 @@ class CentralExtension:
     kernel: Subspace
 
     def __post_init__(self):
-        if not self.total.center().contains_subspace(self.kernel):
+        total, kernel = self.total, self.kernel
+        if kernel.ambient is not total or self.projection.source is not total:
+            raise LieError("kernel and projection must live on the total algebra")
+        # [K, E] = 0: every bracket of a kernel basis vector vanishes
+        if any(c for v in kernel.basis_vectors() for img in total.ad_images(v)
+               for c in img.values()):
             raise LieError("extension kernel is not central")
-        if self.projection.kernel() != self.kernel:
+        # A QuotientMap is surjective (checked when check=True, by construction
+        # otherwise), so its kernel has dimension dim E - dim L; the declared
+        # kernel is that kernel iff it maps to 0 and has that dimension.
+        if kernel.dim != total.dim - self.projection.target.dim or any(
+                any(self.projection.apply(v)) for v in kernel.basis_vectors()):
             raise LieError("projection kernel differs from the declared kernel")
 
 
@@ -317,7 +329,7 @@ def cover(L: LieAlgebra) -> CentralExtension:
 
     E = L + Q^m with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y),...,f_m(x,y))
     over the canonical cocycle representatives.  The stem property
-    (kernel inside Z(E) and inside E^2) is asserted, not assumed.  The
+    ([K, E] = 0 and K inside E^2) is asserted, not assumed.  The
     projection always targets the caller's L, also when the memo holds the
     cover of an equal algebra.
     """
@@ -362,18 +374,32 @@ def _stem_cover(L: LieAlgebra) -> CentralExtension:
 
 
 def epicenter(L: LieAlgebra) -> Subspace:
-    """Z*(L): image of the cover's center under the covering projection.
+    """Z*(L): image of the cover's center under the covering projection pi.
 
-    For non-abelian nilpotent input this always lands inside Z(L) ^ L^2
-    (asserted).
+    Z(E) is not built.  pi is a surjective homomorphism, so pi(Z(E)) lies
+    in Z(L); the kernel is central, so (z, a) is central in E exactly when
+    (z, 0) is.  Hence pi(Z(E)) = {z in Z(L) : (z, 0) central in E}, the
+    nullspace of the stacked brackets [(z_a, 0), e_j] over Z(L)'s basis
+    z_1..z_r.  For non-abelian nilpotent input this lands inside
+    Z(L) ^ L^2 (asserted).
     """
     return L.subspace(_epicenter_basis(L))
 
 
 @_memoized
 def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
-    ext = cover(L)
-    image = ext.projection.apply_subspace(ext.total.center())
+    total = cover(L).total
+    center = L.center().basis
+    pad = (Fraction(0),) * (total.dim - L.dim)
+    # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a
+    rows: dict[tuple[int, int], list[Fraction]] = {}
+    for a, z in enumerate(center.data):
+        for j, img in enumerate(total.ad_images(z + pad)):
+            for k, c in img.items():
+                if c:
+                    rows.setdefault((j, k), [Fraction(0)] * center.rows)[a] = c
+    coeffs = Matrix._of(tuple(map(tuple, rows.values())), center.rows).nullspace_basis()
+    image = L.subspace((Matrix._of(tuple(coeffs), center.rows) * center).data)
     if not L.is_abelian:
         bound = L.center().intersect(L.derived_subalgebra())
         if not bound.contains_subspace(image):

@@ -181,6 +181,35 @@ def test_invariant_report_builds_no_quotient_and_one_slice(monkeypatch):
         assert slices == [L]
 
 
+def test_gamma3_quotient_multiplier_read_once_per_algebra(monkeypatch):
+    """gamma3_defect and check_third_term_bound share one dim M(L/g3); the
+    other quotient reads are the central-ideal bounds, one per central x_i.
+    L_{5,9} has dim g3 = 2, so g3 is none of those lines."""
+    import liemult.invariants as invariants
+
+    ideals = []
+
+    def counted(alg, K):
+        ideals.append(K)
+        return multiplier.dim_multiplier_quotient(alg, K)
+
+    monkeypatch.setattr(invariants, "dim_multiplier_quotient", counted)
+    multiplier.clear_caches()
+    L = get("L_{5,9}")
+    g3 = L.lower_central_series()[2]
+    assert L.nilpotency_class == 3 and g3.dim == 2
+    ids = [c.check_id for c in bound_checks(L)]
+    assert "gamma3-defect" in ids and "third-term-bound" in ids
+    assert sum(K == g3 for K in ideals) == 1
+    assert len(ideals) == 1 + len(central_basis_vectors(L))
+    ideals.clear()
+    bound_checks(L)
+    assert sum(K == g3 for K in ideals) == 0
+    multiplier.clear_caches()
+    bound_checks(L)
+    assert sum(K == g3 for K in ideals) == 1
+
+
 def test_invariant_report_abelian():
     rep = invariant_report(abelian(3))
     assert rep.s is None and rep.t == 0 and rep.dim_M == 3

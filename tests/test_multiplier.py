@@ -28,10 +28,16 @@ from liemult import (
 )
 import liemult.catalog as cat
 from liemult import multiplier
-from liemult.core import AmbientMismatch, QuotientMap
+from liemult.core import AmbientMismatch, LieError, QuotientMap
 from liemult.invariants import central_basis_vectors
 from liemult.linalg import Matrix, unit_vector
-from liemult.multiplier import boundary2, boundary3, cochain_slice, cocycle_representatives
+from liemult.multiplier import (
+    CentralExtension,
+    boundary2,
+    boundary3,
+    cochain_slice,
+    cocycle_representatives,
+)
 from liemult.verify import build_closure, verify_samples, witness_extensions
 
 
@@ -490,6 +496,41 @@ def test_cover_of_H1():
     assert ext.total.derived_subalgebra().contains_subspace(ext.kernel)
 
 
+def test_extension_with_non_central_kernel_is_rejected():
+    # gamma2 = <x3, x4> of L_{4,3} is an ideal and the kernel of L -> L/gamma2,
+    # but [x1, x3] = x4
+    L = get("L_{4,3}")
+    ideal = L.lower_central_series()[1]
+    _, pi = L.quotient(ideal)
+    with pytest.raises(LieError, match="not central"):
+        CentralExtension(total=L, projection=pi, kernel=ideal)
+
+
+def test_extension_with_wrong_declared_kernel_is_rejected():
+    # H(1) + A(1) -> quotient by <x4>; <x3> is central and of the right
+    # dimension but does not map to 0, and 0 maps to 0 but is too small
+    E = direct_sum(heisenberg(1), abelian(1))
+    _, pi = E.quotient(E.subspace([unit_vector(4, 3)]))
+    for wrong in (E.subspace([unit_vector(4, 2)]), E.zero_subspace()):
+        with pytest.raises(LieError, match="projection kernel"):
+            CentralExtension(total=E, projection=pi, kernel=wrong)
+    CentralExtension(total=E, projection=pi, kernel=E.subspace([unit_vector(4, 3)]))
+
+
+def test_cover_stem_check_rejects_kernel_outside_derived(monkeypatch):
+    # a zero cochain adjoins an abelian direct factor: the kernel is central
+    # and is the projection kernel, but it is not inside E^2
+    L = heisenberg(1)
+    monkeypatch.setattr(multiplier, "cocycle_representatives",
+                        lambda alg: ((Q(0),) * len(multiplier.pair_index(alg.dim)),))
+    multiplier.clear_caches()
+    try:
+        with pytest.raises(LieError, match="stem property"):
+            cover(L)
+    finally:
+        multiplier.clear_caches()
+
+
 def test_cover_of_L58():
     ext = cover(get("L_{5,8}"))
     assert ext.total.dim == 11 and ext.kernel.dim == 6
@@ -534,6 +575,41 @@ def test_epicenter_of_A1():
     # the 1-dimensional abelian algebra is not capable
     assert epicenter(abelian(1)).dim == 1
     assert is_capable(abelian(2))
+
+
+def reference_epicenter(alg):
+    """pi(Z(E)) with Z(E) built: the reference for `epicenter`, which reads
+    Z*(L) off the lifts (z, 0) of Z(L) instead."""
+    ext = cover(alg)
+    return ext.projection.apply_subspace(ext.total.center())
+
+
+def test_epicenter_matches_image_of_cover_center():
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    assert len(algebras) == 263 + 4 + 2
+    nonzero = 0
+    for alg in algebras:
+        z = epicenter(alg)
+        assert z == reference_epicenter(alg), alg.name
+        nonzero += z.dim > 0
+    assert 0 < nonzero < len(algebras)
+
+
+def test_capability_builds_no_cover_center(monkeypatch):
+    centres = []
+    original = LieAlgebra.center
+
+    def counted(self):
+        centres.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "center", counted)
+    multiplier.clear_caches()
+    L = get("L_{6,10}")
+    assert not is_capable(L)
+    total = cover(L).total
+    assert centres and not any(alg is total for alg in centres)
 
 
 # -- exterior and tensor squares ----------------------------------------------------
