@@ -45,7 +45,6 @@ from .invariants import (
 )
 from .linalg import Matrix
 from .multiplier import (
-    CentralExtension,
     MultiplierResult,
     cover,
     dim_exterior_square,
@@ -63,7 +62,7 @@ from .verify import build_closure, classify_by_s, run_all, verify_capability_cla
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianInput", "CentralExtension", "DependentIdentification",
+    "AbelianInput", "DependentIdentification",
     "DimensionMismatch", "DimensionTooLarge", "IndexOutOfRange", "JacobiViolation", "LieAlgebra",
     "LieError", "MAX_DIM", "Matrix", "MultiplierResult", "NotAnIdeal", "NotCentral",
     "NotCentralIdeal", "NotNilpotent", "ParamOutOfDomain", "PreconditionNotMet",

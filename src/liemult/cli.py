@@ -20,15 +20,11 @@ from .core import LieError, load_presentation, presentation_to_dict, rational_ex
 from .invariants import InvariantReport, invariant_report
 
 
-def _resolve(name: str, eps, lam):
-    if os.path.exists(name) or name.endswith(".json"):
-        params = {}
-        if eps is not None:
-            params["eps"] = eps
-        if lam is not None:
-            params["lam"] = lam
-        return load_presentation(name, params or None)
-    return catalog.get(name, eps=eps, lam=lam)
+def _params(args) -> dict | None:
+    """The --eps/--lambda values a presentation file's coefficients may name."""
+    params = {key: value for key, value in (("eps", args.eps), ("lam", args.lam))
+              if value is not None}
+    return params or None
 
 
 def _report_lines(rep: InvariantReport) -> list[str]:
@@ -132,29 +128,23 @@ def cmd_list(args) -> int:
     return 0
 
 
-def cmd_info(args) -> int:
-    alg = _resolve(args.name, args.eps, args.lam)
+def _print_report(alg, args) -> int:
     rep = invariant_report(alg)
     if args.format == "json":
         _emit(json.dumps(_report_dict(rep), sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit("\n".join(_report_lines(rep)) + "\n", args.out)
     return 0
+
+
+def cmd_info(args) -> int:
+    if os.path.exists(args.name) or args.name.endswith(".json"):
+        return _print_report(load_presentation(args.name, _params(args)), args)
+    return _print_report(catalog.get(args.name, eps=args.eps, lam=args.lam), args)
 
 
 def cmd_compute(args) -> int:
-    params = {}
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.lam is not None:
-        params["lam"] = args.lam
-    alg = load_presentation(args.file, params or None)
-    rep = invariant_report(alg)
-    if args.format == "json":
-        _emit(json.dumps(_report_dict(rep), sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        _emit("\n".join(_report_lines(rep)) + "\n", args.out)
-    return 0
+    return _print_report(load_presentation(args.file, _params(args)), args)
 
 
 def cmd_verify(args) -> int:

@@ -5,10 +5,12 @@ An algebra is a dimension n plus a table of basis brackets
 presentation format and all human-facing output are 1-based).  Presentations
 and direct sums are validated: the Jacobi identity on every basis triple and
 nilpotency of the lower central series; non-nilpotent input is an error, not
-a supported case.  Quotients (and, in `multiplier`, stem covers) are built
-trusted, by theorem: L/I is a nilpotent Lie algebra whenever I is an ideal
-of a nilpotent L, and the projection is a homomorphism of full rank, so only
-`is_ideal` is checked.
+a supported case.  Quotients are built trusted, by theorem: L/I is a
+nilpotent Lie algebra whenever I is an ideal of a nilpotent L, and the
+projection is a homomorphism of full rank, so only `is_ideal` is checked.
+The stem covers of `multiplier` are plain algebras, built trusted by the
+theorems stated there; their projection is coordinate truncation, with no
+`QuotientMap`.
 
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
@@ -584,11 +586,10 @@ class QuotientMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        # check=False is reserved for maps that are surjective and compatible
-        # by construction: the projection onto a quotient by an ideal, and
-        # the coordinate truncation of an adjoined central extension.  Both
-        # are the identity on the target's coordinates, so full row rank is
-        # not re-checked either.
+        # check=False is reserved for the projection onto a quotient by an
+        # ideal (`LieAlgebra.quotient`), which is surjective and compatible by
+        # construction; it is the identity on the target's coordinates, so
+        # full row rank is not re-checked either.
         if check:
             if matrix.rank() != target.dim:
                 raise DimensionMismatch("projection must have full row rank")

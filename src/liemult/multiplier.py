@@ -17,15 +17,19 @@ columns) come from one helper, `_wedge_row`, so the agreement checks the
 ranks but not that assembly; the tests check it against a dense
 per-entry reference on brackets with several terms.
 
-A cover E is built from canonical cocycle representatives: E = L + Q^m
-with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ..., f_m(x,y)).  E is a
-Lie algebra by construction (L's Jacobi identity is d2 . d1 = 0, checked in
-`cochain_slice`, and each f_t lies in ker d2), so its Jacobi identity is not
-re-checked.  Its kernel is central ([K, E] = 0) and lies in E^2, both
-checked at runtime, not assumed.  The epicenter is the image of Z(E) under
-the projection, computed without building Z(E): it is the set of z in Z(L)
-whose lift (z, 0) is central in E, one nullspace in dim Z(L) unknowns.  L is
-capable iff that image vanishes.
+The stem cover is the algebra E = L + Q^m built from the canonical cocycle
+representatives, with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ...,
+f_m(x,y)); `cover` returns E itself.  Its first n coordinates are L's basis,
+its last m span the kernel K, and the covering projection is truncation to
+the first n coordinates.  E is a Lie algebra by construction (L's Jacobi
+identity is d2 . d1 = 0, checked in `cochain_slice`, and each f_t lies in
+ker d2), so its Jacobi identity is not re-checked.  K is central because no
+bracket of E has an adjoined index as an argument; K lies in E^2, which is
+checked at runtime by one product space (dim E^2 = dim L^2 + m).  The
+epicenter is the image of Z(E) under the projection, computed without
+building Z(E): it is the set of z in Z(L) whose lift (z, 0) is central in
+E, one nullspace in dim Z(L) unknowns.  L is capable iff that image
+vanishes.
 
 dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
 without building L/K or a second slice.  By inflation (Hochschild-Serre),
@@ -50,7 +54,6 @@ from .core import (
     LieAlgebra,
     LieError,
     NotAnIdeal,
-    QuotientMap,
     Subspace,
 )
 from .linalg import (
@@ -59,7 +62,6 @@ from .linalg import (
     extend_echelon,
     extend_integer_echelon,
     sparse_integer_row,
-    unit_vector,
 )
 
 
@@ -300,54 +302,24 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
 # covers, epicenter, capability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralExtension:
-    """0 -> kernel -> total -> L -> 0 with central kernel."""
-
-    total: LieAlgebra
-    projection: QuotientMap
-    kernel: Subspace
-
-    def __post_init__(self):
-        total, kernel = self.total, self.kernel
-        if kernel.ambient is not total or self.projection.source is not total:
-            raise LieError("kernel and projection must live on the total algebra")
-        # [K, E] = 0: every bracket of a kernel basis vector vanishes
-        if any(c for v in kernel.basis_vectors() for img in total.ad_images(v)
-               for c in img.values()):
-            raise LieError("extension kernel is not central")
-        # A QuotientMap is surjective (checked when check=True, by construction
-        # otherwise), so its kernel has dimension dim E - dim L; the declared
-        # kernel is that kernel iff it maps to 0 and has that dimension.
-        if kernel.dim != total.dim - self.projection.target.dim or any(
-                any(self.projection.apply(v)) for v in kernel.basis_vectors()):
-            raise LieError("projection kernel differs from the declared kernel")
-
-
-def cover(L: LieAlgebra) -> CentralExtension:
-    """Stem cover E -> L with kernel of dimension dim M(L).
+@_memoized
+def cover(L: LieAlgebra) -> LieAlgebra:
+    """The stem cover E of L, with dim E = dim L + dim M(L).
 
     E = L + Q^m with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y),...,f_m(x,y))
-    over the canonical cocycle representatives.  The stem property
-    ([K, E] = 0 and K inside E^2) is asserted, not assumed.  The
-    projection always targets the caller's L, also when the memo holds the
-    cover of an equal algebra.
+    over the canonical cocycle representatives.  E's first n coordinates
+    are L's basis and its last m span the kernel K; the covering projection
+    is truncation to the first n coordinates.  K is central by
+    construction: no key of E's bracket table names an adjoined index.
+    K inside E^2 is asserted, not assumed: truncation maps E^2 onto L^2
+    with kernel E^2 ^ K, so it holds iff dim E^2 = dim L^2 + m.  E holds
+    no reference to L, so equal algebras share one memoized cover.
     """
-    ext = _stem_cover(L)
-    if ext.projection.target is not L:
-        projection = QuotientMap(ext.total, L, ext.projection.matrix, check=False)
-        ext = CentralExtension(total=ext.total, projection=projection, kernel=ext.kernel)
-    return ext
-
-
-@_memoized
-def _stem_cover(L: LieAlgebra) -> CentralExtension:
     n = L.dim
     reps = cocycle_representatives(L)
     m = len(reps)
-    pairs = pair_index(n)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for idx, (i, j) in enumerate(pairs):
+    for idx, (i, j) in enumerate(pair_index(n)):
         terms: dict[int, Fraction] = dict(L.bracket_basis(i, j))
         for t, f in enumerate(reps):
             if f[idx]:
@@ -356,21 +328,13 @@ def _stem_cover(L: LieAlgebra) -> CentralExtension:
             brackets[(i, j)] = terms
     label = f"cover({L.name})" if L.name else "cover"
     # Jacobi for E is L's (d2 . d1 = 0, checked in cochain_slice) plus each
-    # cocycle lying in ker d2; nilpotency is checked by the stem check below,
-    # which builds E's lower central series.
+    # cocycle lying in ker d2, and a central extension of a nilpotent
+    # algebra is nilpotent, so E is built without validation
     total = LieAlgebra(n + m, brackets, name=label, validate=False)
-    proj = Matrix(
-        [unit_vector(n + m, i) for i in range(n)], cols=n + m
-    )
-    # truncation of an adjoined central extension is bracket-compatible
-    # by construction; the tests re-verify it across the closure
-    projection = QuotientMap(total, L, proj, check=False)
-    kernel = total.subspace([unit_vector(n + m, n + t) for t in range(m)])
-    ext = CentralExtension(total=total, projection=projection, kernel=kernel)
-    derived = total.derived_subalgebra()
-    if not derived.contains_subspace(kernel):
+    full = total.full_space()
+    if total.product_space(full, full).dim != L.derived_subalgebra().dim + m:
         raise LieError("cover kernel escaped E^2: stem property failed")
-    return ext
+    return total
 
 
 def epicenter(L: LieAlgebra) -> Subspace:
@@ -381,14 +345,15 @@ def epicenter(L: LieAlgebra) -> Subspace:
     (z, 0) is.  Hence pi(Z(E)) = {z in Z(L) : (z, 0) central in E}, the
     nullspace of the stacked brackets [(z_a, 0), e_j] over Z(L)'s basis
     z_1..z_r.  For non-abelian nilpotent input this lands inside
-    Z(L) ^ L^2 (asserted).
+    Z(L) ^ L^2; it is a combination of Z(L)'s basis by construction, so
+    only the L^2 part is asserted.
     """
     return L.subspace(_epicenter_basis(L))
 
 
 @_memoized
 def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
-    total = cover(L).total
+    total = cover(L)
     center = L.center().basis
     pad = (Fraction(0),) * (total.dim - L.dim)
     # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a
@@ -400,10 +365,8 @@ def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
                     rows.setdefault((j, k), [Fraction(0)] * center.rows)[a] = c
     coeffs = Matrix._of(tuple(map(tuple, rows.values())), center.rows).nullspace_basis()
     image = L.subspace((Matrix._of(tuple(coeffs), center.rows) * center).data)
-    if not L.is_abelian:
-        bound = L.center().intersect(L.derived_subalgebra())
-        if not bound.contains_subspace(image):
-            raise LieError("epicenter escaped Z(L) ^ L^2")
+    if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
+        raise LieError("epicenter escaped Z(L) ^ L^2")
     return tuple(image.basis_vectors())
 
 

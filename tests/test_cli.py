@@ -107,6 +107,19 @@ def test_info_accepts_file_path(tmp_path, capsys):
     assert code == 0 and "dim:        2" in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--eps", "2", "--format", "json"]])
+def test_compute_and_info_print_the_same_report(tmp_path, capsys, extra):
+    # [x1, x2] = x5, [x3, x4] = eps x5: --eps reaches the file's coefficients
+    doc = {"dim": 5, "params": {"eps": "1"}, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 5, "c": "1"}]},
+        {"i": 3, "j": 4, "terms": [{"k": 5, "c": "eps"}]}]}
+    path = tmp_path / "h2.json"
+    path.write_text(json.dumps(doc))
+    compute = run_cli(capsys, "compute", str(path), *extra)
+    assert compute == run_cli(capsys, "info", str(path), *extra)
+    assert compute[0] == 0 and ("dim M:      5" in compute[1] or '"dim_M": 5' in compute[1])
+
+
 def test_export_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "l610.json"
     code, _, _ = run_cli(capsys, "export", "L_{6,10}", "--out", str(out_path))

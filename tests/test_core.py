@@ -11,6 +11,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import liemult
+
 from liemult import (
     MAX_DIM,
     DependentIdentification,
@@ -196,7 +198,7 @@ def quotient_upper_central_series(L):
 def test_upper_series_matches_quotient_reference():
     algebras = [m.algebra for m in build_closure(9)]
     algebras += [heisenberg(m) for m in range(4, 8)]
-    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    algebras += [cover(get(name)) for name in ("L_{6,10}", "27A")]
     for L in algebras:
         assert L.upper_central_series() == quotient_upper_central_series(L), L
 
@@ -546,10 +548,16 @@ def test_dimension_cap_fails_before_allocating():
         abelian(MAX_DIM + 1)
 
 
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from liemult import *", namespace)
+    assert [name for name in liemult.__all__ if name not in namespace] == []
+
+
 def test_dimension_cap_spares_built_algebras():
     # the cap is on declared input; sums and covers of valid input may exceed it
     assert direct_sum(abelian(MAX_DIM), abelian(1)).dim == MAX_DIM + 1
-    assert cover(abelian(20)).total.dim == 210
+    assert cover(abelian(20)).dim == 210
 
 
 json_values = st.recursive(

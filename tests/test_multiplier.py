@@ -32,7 +32,6 @@ from liemult.core import AmbientMismatch, LieError, QuotientMap
 from liemult.invariants import central_basis_vectors
 from liemult.linalg import Matrix, unit_vector
 from liemult.multiplier import (
-    CentralExtension,
     boundary2,
     boundary3,
     cochain_slice,
@@ -211,7 +210,7 @@ def test_wedge_assembly_matches_dense_reference_on_multi_term_brackets():
         assert boundary3(alg) == reference_boundary3(alg), alg.name
         assert dim_multiplier(alg) == expected, alg.name
         assert dim_multiplier_cover(alg).dim_M == expected, alg.name
-        assert cover(alg).kernel.dim == expected, alg.name
+        assert cover(alg).dim == alg.dim + expected, alg.name
 
 
 def test_cochains_are_negated_chain_boundaries():
@@ -323,7 +322,7 @@ def test_one_cochain_slice_per_algebra(monkeypatch):
     assert dim_multiplier(alg) == 6
     assert len(cocycle_representatives(alg)) == 6
     assert dim_multiplier_cover(alg).dim_M == 6
-    assert cover(alg).kernel.dim == 6
+    assert cover(alg).dim == alg.dim + 6
     assert not is_capable(alg)
     assert built == ["L_{6,10}"]
 
@@ -342,14 +341,24 @@ def bound_check_ideals(alg):
     return ideals
 
 
+def cover_parts(alg):
+    """(E, pi, K) for the stem cover E of alg: pi is the truncation to the
+    first dim L coordinates, built trusted as a quotient projection is, and
+    K is the span of the adjoined coordinates."""
+    E = cover(alg)
+    n = alg.dim
+    pi = QuotientMap(E, alg, Matrix([unit_vector(E.dim, i) for i in range(n)], cols=E.dim),
+                     check=False)
+    return E, pi, E.subspace([unit_vector(E.dim, k) for k in range(n, E.dim)])
+
+
 def trusted_constructions(alg):
     """(algebra, projection, kernel) for the cover of alg and for L/K at each
     of the bound checks' ideals K, all built without validation.  The bound
     checks read these quotients' dim M off L's d2 rather than build them;
     `LieAlgebra.quotient` still builds them for `central_product` and the
     tests."""
-    ext = cover(alg)
-    out = [(ext.total, ext.projection, ext.kernel)]
+    out = [cover_parts(alg)]
     for ideal in bound_check_ideals(alg):
         target, pi = alg.quotient(ideal)
         out.append((target, pi, ideal))
@@ -358,7 +367,7 @@ def trusted_constructions(alg):
 
 def test_trusted_quotients_and_covers_pass_full_validation():
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
-    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    algebras += [cover(get(name)) for name in ("L_{6,10}", "27A")]
     built = [c for alg in algebras for c in trusted_constructions(alg)]
     assert len(built) > 2 * len(algebras)
     for built_alg, pi, kernel in built:
@@ -367,6 +376,33 @@ def test_trusted_quotients_and_covers_pass_full_validation():
         # trusted construction (check=False) skips
         QuotientMap(pi.source, pi.target, pi.matrix)
         assert pi.kernel() == kernel
+    for alg in algebras:
+        # the stem property: K is central in E and lies in E^2
+        E, _, kernel = cover_parts(alg)
+        assert E.dim == alg.dim + dim_multiplier(alg), alg.name
+        assert E.center().contains_subspace(kernel), alg.name
+        assert E.derived_subalgebra().contains_subspace(kernel), alg.name
+
+
+def test_cover_builds_one_product_space_and_no_series_on_E(monkeypatch):
+    calls = []
+    series, product = LieAlgebra.lower_central_series, LieAlgebra.product_space
+
+    def counted_series(self):
+        calls.append(("series", self))
+        return series(self)
+
+    def counted_product(self, u, v):
+        calls.append(("product", self))
+        return product(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "lower_central_series", counted_series)
+    monkeypatch.setattr(LieAlgebra, "product_space", counted_product)
+    multiplier.clear_caches()
+    L = get("L_{6,10}")
+    E = cover(L)
+    assert E.dim == 12
+    assert [kind for kind, alg in calls if alg is E] == ["product"]
 
 
 # -- dim M of a quotient, read off L's d2 ---------------------------------------
@@ -484,42 +520,20 @@ def test_ganea_identity_on_central_basis_vectors():
 
 
 def test_cover_of_A1_is_trivial():
-    ext = cover(abelian(1))
-    assert ext.total.dim == 1 and ext.kernel.dim == 0
+    assert cover(abelian(1)).dim == 1
 
 
 def test_cover_of_H1():
-    ext = cover(heisenberg(1))
-    assert ext.total.dim == 5
-    assert ext.kernel.dim == 2
-    assert ext.total.center().contains_subspace(ext.kernel)
-    assert ext.total.derived_subalgebra().contains_subspace(ext.kernel)
-
-
-def test_extension_with_non_central_kernel_is_rejected():
-    # gamma2 = <x3, x4> of L_{4,3} is an ideal and the kernel of L -> L/gamma2,
-    # but [x1, x3] = x4
-    L = get("L_{4,3}")
-    ideal = L.lower_central_series()[1]
-    _, pi = L.quotient(ideal)
-    with pytest.raises(LieError, match="not central"):
-        CentralExtension(total=L, projection=pi, kernel=ideal)
-
-
-def test_extension_with_wrong_declared_kernel_is_rejected():
-    # H(1) + A(1) -> quotient by <x4>; <x3> is central and of the right
-    # dimension but does not map to 0, and 0 maps to 0 but is too small
-    E = direct_sum(heisenberg(1), abelian(1))
-    _, pi = E.quotient(E.subspace([unit_vector(4, 3)]))
-    for wrong in (E.subspace([unit_vector(4, 2)]), E.zero_subspace()):
-        with pytest.raises(LieError, match="projection kernel"):
-            CentralExtension(total=E, projection=pi, kernel=wrong)
-    CentralExtension(total=E, projection=pi, kernel=E.subspace([unit_vector(4, 3)]))
+    E, _, kernel = cover_parts(heisenberg(1))
+    assert E.dim == 5
+    assert kernel.dim == 2
+    assert E.center().contains_subspace(kernel)
+    assert E.derived_subalgebra().contains_subspace(kernel)
 
 
 def test_cover_stem_check_rejects_kernel_outside_derived(monkeypatch):
     # a zero cochain adjoins an abelian direct factor: the kernel is central
-    # and is the projection kernel, but it is not inside E^2
+    # but it is not inside E^2
     L = heisenberg(1)
     monkeypatch.setattr(multiplier, "cocycle_representatives",
                         lambda alg: ((Q(0),) * len(multiplier.pair_index(alg.dim)),))
@@ -532,26 +546,13 @@ def test_cover_stem_check_rejects_kernel_outside_derived(monkeypatch):
 
 
 def test_cover_of_L58():
-    ext = cover(get("L_{5,8}"))
-    assert ext.total.dim == 11 and ext.kernel.dim == 6
+    assert cover(get("L_{5,8}")).dim == 11
 
 
 def test_cover_projection_bracket_compatible():
     for name in ("H(2)", "L_{6,10}"):
-        ext = cover(get(name))
-        ext.projection.check_compatible()
-
-
-def test_cover_projects_onto_the_callers_algebra():
-    # the memo is keyed by the bracket table, so b's cover is a's cover
-    a, b = get("L_{6,10}"), get("L_{6,10}")
-    assert a == b and a is not b
-    ext_a, ext_b = cover(a), cover(b)
-    assert ext_a.projection.target is a and ext_b.projection.target is b
-    assert ext_b.total is ext_a.total
-    image = ext_b.projection.apply_subspace(ext_b.total.center())
-    assert b.center().sum(image) == b.center()
-    ext_b.projection.check_compatible()
+        _, pi, _ = cover_parts(get(name))
+        pi.check_compatible()
 
 
 # -- epicenter and capability -----------------------------------------------------
@@ -578,15 +579,15 @@ def test_epicenter_of_A1():
 
 
 def reference_epicenter(alg):
-    """pi(Z(E)) with Z(E) built: the reference for `epicenter`, which reads
-    Z*(L) off the lifts (z, 0) of Z(L) instead."""
-    ext = cover(alg)
-    return ext.projection.apply_subspace(ext.total.center())
+    """pi(Z(E)) with Z(E) built, pi the truncation to the first dim L
+    coordinates: the reference for `epicenter`, which reads Z*(L) off the
+    lifts (z, 0) of Z(L) instead."""
+    return alg.subspace(v[:alg.dim] for v in cover(alg).center().basis_vectors())
 
 
 def test_epicenter_matches_image_of_cover_center():
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
-    algebras += [cover(get(name)).total for name in ("L_{6,10}", "27A")]
+    algebras += [cover(get(name)) for name in ("L_{6,10}", "27A")]
     assert len(algebras) == 263 + 4 + 2
     nonzero = 0
     for alg in algebras:
@@ -608,7 +609,7 @@ def test_capability_builds_no_cover_center(monkeypatch):
     multiplier.clear_caches()
     L = get("L_{6,10}")
     assert not is_capable(L)
-    total = cover(L).total
+    total = cover(L)
     assert centres and not any(alg is total for alg in centres)
 
 

@@ -4,7 +4,8 @@ import hashlib
 from dataclasses import replace
 
 import liemult.catalog as cat
-from liemult import invariants, verify
+from liemult import invariants, multiplier, verify
+from liemult.cli import main
 from liemult.core import direct_sum
 from liemult.invariants import BoundCheck, bound_checks
 from liemult.verify import (
@@ -186,6 +187,31 @@ def test_dim_one_references_built_once_per_dimension(monkeypatch):
     verify.structure_suites(closure)
     assert len(calls) == len(set(calls)) == 15
     assert set(calls) <= {(n, m) for n in range(3, 10) for m in range(1, (n - 1) // 2 + 1)}
+
+
+def test_method_disagreement_is_a_suite_violation(monkeypatch, tmp_path, capsys):
+    # the cohomology route loses one cocycle of L_{6,10}, so the cover count
+    # (rank of the chain boundary) disagrees with it
+    target = cat.get("L_{6,10}")
+    original = multiplier.cocycle_representatives
+
+    def dropped(alg):
+        reps = original(alg)
+        return reps[:-1] if alg == target else reps
+
+    monkeypatch.setattr(multiplier, "cocycle_representatives", dropped)
+    multiplier.clear_caches()
+    try:
+        member = verify.ClosureMember("L_{6,10}", target, "catalog", "L_{6,10}")
+        suites = verify.structure_suites([member])
+        assert suites["method_agreement"].violations == [
+            "L_{6,10}: cover and cohomology multiplier dimensions disagree"]
+        out = tmp_path / "report.json"
+        assert main(["verify", "all", "--dim-cap", "6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        assert "L_{6,10}: cover and cohomology" in out.read_text()
+    finally:
+        multiplier.clear_caches()
 
 
 def test_structure_suites(full_report):
