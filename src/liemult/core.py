@@ -420,17 +420,17 @@ class LieAlgebra:
     def _centralizer_mod(self, s: "Subspace") -> "Subspace":
         """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
         with each bracket reduced modulo S; S = 0 gives the centre."""
-        rows: dict[tuple[int, int], list[Fraction]] = {}
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), terms in self.brackets.items():
             for k, c in enumerate(s.residue(self._sparse_to_vec(terms))):
                 if c:
-                    row = rows.setdefault((j, k), [Q(0)] * self.dim)
-                    row[i] += c
-                    row = rows.setdefault((i, k), [Q(0)] * self.dim)
-                    row[j] -= c
+                    row = rows.setdefault((j, k), {})
+                    row[i] = row[i] + c if i in row else c
+                    row = rows.setdefault((i, k), {})
+                    row[j] = row[j] - c if j in row else -c
         if not rows:
             return self.full_space()
-        stacked = Matrix([rows[key] for key in sorted(rows)], cols=self.dim)
+        stacked = Matrix.from_sparse([rows[key] for key in sorted(rows)], self.dim)
         return self.subspace(stacked.nullspace_basis())
 
     def center(self) -> "Subspace":

@@ -1,21 +1,31 @@
-"""Exact rational dense matrices: rank, reduced row echelon form, nullspace.
+"""Exact rational matrices, held as sparse rows: rank, rref, nullspace.
 
 Scalars are `fractions.Fraction`, so every result is exact; there is no
-rounding anywhere in the package.  Elimination is sparse and fraction-free
-(after Bareiss): each row is cleared of denominators into a {column: int}
-dict, reduced with integer combinations, and only the final division by
-the pivots creates Fractions.  The reduced row echelon form of a matrix is
-unique, so `rref`, `pivot_columns`, `rank` and `nullspace_basis` (and
-everything derived from them, e.g. canonical subspace bases) are canonical,
-whatever order the kernel eliminates in.  `extend_echelon` exposes the same
-reduction step for growing a span one vector at a time, and
-`extend_integer_echelon` takes rows that are already {column: int}.
+rounding anywhere in the package.  A `Matrix` keeps one {column: Fraction}
+dict per row, zeros dropped (`Matrix.sparse_rows`), and every arithmetic
+method reads only those: elimination, products, `is_zero` and
+`nullspace_basis`.  The dense rows (`Matrix.data`) are a view for callers
+that index positions (subspaces, `transpose`, `column`, `mul_vec`, `==`
+and `hash`): a matrix built from sparse rows densifies on the first read
+of `data` and caches the result, and a matrix built from dense rows
+derives its sparse rows once, on first use.
+
+Elimination is fraction-free (after Bareiss): each row is cleared of
+denominators into a {column: int} dict, reduced with integer combinations,
+and only the final division by the pivots creates Fractions.  The reduced
+row echelon form of a matrix is unique, so `rref`, `pivot_columns`, `rank`
+and `nullspace_basis` (and everything derived from them, e.g. canonical
+subspace bases) are canonical, whatever order the kernel eliminates in.
+`extend_echelon` exposes the same reduction step for growing a span one
+vector at a time, and `extend_integer_echelon` takes rows that are already
+{column: int}.
 
 `Matrix(...)` is the entry point for outside values: it coerces every entry
 through `qf` and rejects floats.  Code here that already holds Fractions
-builds matrices through the trusted `Matrix._of` and `Matrix.from_sparse`
-({column: Fraction} rows) instead, and products skip zero entries of both
-factors, so sparse matrices cost in proportion to their nonzeros.
+builds matrices through the trusted `Matrix.from_sparse` ({column: Fraction}
+rows) and `Matrix._of` (dense rows) instead, and products touch only the
+nonzero entries of both factors, so sparse matrices cost in proportion to
+their nonzeros.
 """
 
 from __future__ import annotations
@@ -54,8 +64,8 @@ def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
     # slots; reading them directly skips a Python-level call per entry, which
     # is most of the cost of scanning a dense row.  This needs every entry to
     # be an exact fractions.Fraction: Matrix.__init__ coerces through qf, and
-    # the trusted constructors are only given Fractions, so every Matrix.data
-    # holds only Fractions (tests/test_linalg.py checks this).
+    # the trusted constructors are only given Fractions, so both row forms of
+    # every Matrix hold only Fractions (tests/test_linalg.py checks this).
     return _integer_terms([(j, x) for j, x in enumerate(row) if x._numerator])
 
 
@@ -111,10 +121,31 @@ def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(out)
 
 
-class Matrix:
-    """Immutable dense matrix over the rationals."""
+def _dense_rows(rows: Iterable[Mapping[int, Fraction]], cols: int) -> tuple[Vector, ...]:
+    """{column: Fraction} rows as `cols`-long tuples; zeros are the shared
+    _ZERO."""
+    dense = []
+    for r in rows:
+        row = [_ZERO] * cols
+        for j, x in r.items():
+            row[j] = x
+        dense.append(tuple(row))
+    return tuple(dense)
 
-    __slots__ = ("rows", "cols", "data", "_rref", "_pivots")
+
+class Matrix:
+    """Immutable matrix over the rationals, held as sparse rows.
+
+    The source of truth for arithmetic is one {column: Fraction} dict per
+    row, zeros dropped (`sparse_rows`).  Elimination, products, `is_zero`
+    and `nullspace_basis` read only those rows.  The dense rows (`data`, a
+    tuple of `cols`-long tuples) are a view for callers that index
+    positions; a matrix built from sparse rows builds it on first read and
+    caches it, and a matrix built from dense rows derives its sparse rows
+    once, on first use.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_sparse", "_rref", "_pivots")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = tuple(tuple(qf(x) for x in row) for row in data)
@@ -129,7 +160,8 @@ class Matrix:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = len(rows)
         self.cols = cols
-        self.data = rows
+        self._data = rows
+        self._sparse: tuple[dict[int, Fraction], ...] | None = None
         self._rref: Matrix | None = None
         self._pivots: tuple[int, ...] | None = None
 
@@ -142,25 +174,29 @@ class Matrix:
         m = cls.__new__(cls)
         m.rows = len(data)
         m.cols = cols
-        m.data = data
+        m._data = data
+        m._sparse = None
         m._rref = None
         m._pivots = None
         return m
 
     @classmethod
-    def from_sparse(cls, rows: Iterable[dict[int, Fraction]], cols: int) -> "Matrix":
-        """Densify {column: Fraction} rows; the values must be Fractions."""
-        data = []
-        for r in rows:
-            row = [_ZERO] * cols
-            for j, x in r.items():
-                row[j] = x
-            data.append(tuple(row))
-        return cls._of(tuple(data), cols)
+    def from_sparse(cls, rows: Iterable[Mapping[int, Fraction]], cols: int) -> "Matrix":
+        """Trusted constructor from {column: Fraction} rows; the values must
+        be Fractions.  Zero values are dropped and the dense view is not
+        built."""
+        m = cls.__new__(cls)
+        m._sparse = tuple({j: x for j, x in r.items() if x._numerator} for r in rows)
+        m.rows = len(m._sparse)
+        m.cols = cols
+        m._data = None
+        m._rref = None
+        m._pivots = None
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._of(((_ZERO,) * cols,) * rows, cols)
+        return cls.from_sparse(({},) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -172,6 +208,24 @@ class Matrix:
         self._rref = self
         self._pivots = pivots
         return self
+
+    # -- the two row forms ------------------------------------------------------
+
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """The dense rows, built from the sparse ones on first read."""
+        if self._data is None:
+            self._data = _dense_rows(self._sparse, self.cols)
+        return self._data
+
+    @property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The rows as {column: Fraction} with no zero values; shared with
+        the matrix, so callers must not mutate them."""
+        if self._sparse is None:
+            self._sparse = tuple({j: x for j, x in enumerate(r) if x._numerator}
+                                 for r in self._data)
+        return self._sparse
 
     # -- basics ---------------------------------------------------------------
 
@@ -187,7 +241,7 @@ class Matrix:
         return Matrix._of(data, self.rows)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
@@ -205,17 +259,15 @@ class Matrix:
         """Product over the nonzero entries of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.cols
-        right = [[(j, b) for j, b in enumerate(r) if b._numerator] for r in other.data]
+        right = other.sparse_rows
         out = []
-        for r in self.data:
+        for r in self.sparse_rows:
             acc: dict[int, Fraction] = {}
-            for k, a in enumerate(r):
-                if a._numerator:
-                    for j, b in right[k]:
-                        acc[j] = acc.get(j, _ZERO) + a * b
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
             out.append(acc)
-        return Matrix.from_sparse(out, cols)
+        return Matrix.from_sparse(out, other.cols)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         """Product over the nonzero entries of v: rows x nnz(v) work."""
@@ -233,15 +285,16 @@ class Matrix:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(x._numerator for r in self.data for x in r)
+        return not any(self.sparse_rows)
 
     # -- elimination ----------------------------------------------------------
 
     def _eliminate(self) -> None:
         """Gauss-Jordan on primitive integer rows, keyed by leading column."""
         echelon: dict[int, dict[int, int]] = {}
-        for row in self.data:
-            extend_echelon(echelon, row)
+        for row in self.sparse_rows:
+            if row:
+                extend_integer_echelon(echelon, sparse_integer_row(row))
         pivots = sorted(echelon)
         # Back substitution, last pivot first: each pivot row is already free
         # of every later pivot column when it is used.
@@ -252,18 +305,14 @@ class Matrix:
                 w = echelon[lead]
                 if c in w:
                     echelon[lead] = _cancel(w, p, c)
-        ncols = self.cols
-        data = []
+        reduced = []
         for c in pivots:
             p = echelon[c]
             pv = p[c]
-            row = [_ZERO] * ncols
-            for j, v in p.items():
-                row[j] = Q(v, pv)
-            data.append(tuple(row))
-        data.extend([(_ZERO,) * ncols] * (self.rows - len(pivots)))
+            reduced.append({j: Q(v, pv) for j, v in p.items()})
+        reduced.extend({} for _ in range(self.rows - len(pivots)))
         self._pivots = tuple(pivots)
-        self._rref = Matrix._of(tuple(data), ncols)._own_rref(self._pivots)
+        self._rref = Matrix.from_sparse(reduced, self.cols)._own_rref(self._pivots)
 
     def rref(self) -> "Matrix":
         if self._rref is None:
@@ -280,27 +329,24 @@ class Matrix:
 
     def nullspace_basis(self) -> list[Vector]:
         """Basis of {v : self @ v = 0}, one vector per free column."""
-        red = self.rref()
         pivots = self.pivot_columns()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [_ZERO] * self.cols
-            v[free] = _ONE
-            for prow, pcol in enumerate(pivots):
-                x = red.data[prow][free]
-                if x._numerator:  # zeros stay the shared _ZERO
-                    v[pcol] = -x
-            basis.append(tuple(v))
-        return basis
+        # a free column's vector is 1 there and -x at the pivot column of each
+        # rref row with x in that free column; an rref row is zero at every
+        # other pivot column, so its off-pivot entries all sit in free columns
+        vectors = {c: {c: _ONE} for c in range(self.cols)}
+        for pcol, row in zip(pivots, self.rref().sparse_rows):
+            del vectors[pcol]
+            for j, x in row.items():
+                if j != pcol:
+                    vectors[j][pcol] = -x
+        return list(_dense_rows(vectors.values(), self.cols))
 
 
 def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
     """Canonical (rref, no zero rows) basis matrix for a span of vectors.
 
-    The result is its own rref, so it is never eliminated again."""
+    The result is its own rref, so it is never eliminated again.  It is
+    built dense: its callers, the subspaces, read their basis by position."""
     rows = []
     for v in vectors:
         row = tuple(qf(x) for x in v)
@@ -309,4 +355,4 @@ def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
         rows.append(row)
     m = Matrix._of(tuple(rows), cols)
     pivots = m.pivot_columns()
-    return Matrix._of(m.rref().data[: len(pivots)], cols)._own_rref(pivots)
+    return Matrix._of(_dense_rows(m.rref().sparse_rows[: len(pivots)], cols), cols)._own_rref(pivots)

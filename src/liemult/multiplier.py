@@ -205,9 +205,14 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     span is reduced in).
     """
     slice_ = cochain_slice(L)
+    # the coboundaries are d1's columns, gathered from its sparse rows
+    coboundaries: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
+    for a, row in enumerate(slice_.d1.sparse_rows):
+        for k, c in row.items():
+            coboundaries[k][a] = c
     echelon: dict[int, dict[int, int]] = {}
-    for coboundary in zip(*slice_.d1.data):
-        extend_echelon(echelon, coboundary)
+    for coboundary in coboundaries:
+        extend_integer_echelon(echelon, sparse_integer_row(coboundary))
     return tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
 
 
@@ -357,13 +362,13 @@ def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
     center = L.center().basis
     pad = (Fraction(0),) * (total.dim - L.dim)
     # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, z in enumerate(center.data):
         for j, img in enumerate(total.ad_images(z + pad)):
             for k, c in img.items():
                 if c:
-                    rows.setdefault((j, k), [Fraction(0)] * center.rows)[a] = c
-    coeffs = Matrix._of(tuple(map(tuple, rows.values())), center.rows).nullspace_basis()
+                    rows.setdefault((j, k), {})[a] = c
+    coeffs = Matrix.from_sparse(rows.values(), center.rows).nullspace_basis()
     image = L.subspace((Matrix._of(tuple(coeffs), center.rows) * center).data)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")

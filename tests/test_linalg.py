@@ -188,6 +188,18 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
 )
 
 
+def sparse_twin(rows, cols):
+    """`Matrix.from_sparse` of dense rows, with explicit zero values (Q(0, 3))
+    at the odd zero columns and the even all-zero rows as empty dicts."""
+    sparse = []
+    for i, r in enumerate(rows):
+        if i % 2 == 0 and not any(r):
+            sparse.append({})
+        else:
+            sparse.append({j: Q(x) if x else Q(0, 3) for j, x in enumerate(r) if x or j % 2})
+    return Matrix.from_sparse(sparse, cols)
+
+
 @settings(max_examples=200, deadline=None)
 @given(shaped)
 @example(([], 0))
@@ -197,22 +209,30 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
 @example(([[-2, 4, Q(-1, 3)], [10**31, -(10**32), 7], [1, -2, Q(1, 6)]], 3))
 def test_kernel_matches_dense_reference(case):
     rows, cols = case
-    m = Matrix(rows, cols=cols)
-    t = m.transpose()
-    assert (t.rows, t.cols) == (cols, len(rows)) and t.transpose() == m
-    sparse = Matrix.from_sparse([{j: x for j, x in enumerate(r) if x} for r in m.data], cols)
-    assert sparse == m
-    # the kernel reads Fraction's slots directly, so entries must be exact Fractions
-    assert all(type(x) is Q for r in m.data + m.rref().data + t.data + sparse.data for x in r)
     red, pivots = reference_rref(rows, cols)
-    assert m.rref().data == red
-    assert m.rref().rows == len(rows) and m.rref().cols == cols
-    assert m.pivot_columns() == pivots
-    assert m.rank() == len(pivots)
-    null = m.nullspace_basis()
-    assert null == reference_nullspace(red, pivots, cols)
-    for v in null:
-        assert all(x == 0 for x in m.mul_vec(v))
+    null_ref = reference_nullspace(red, pivots, cols)
+    m = Matrix(rows, cols=cols)
+    twin = sparse_twin(rows, cols)
+    # arithmetic on the sparse form never builds its dense view
+    assert twin.rref().pivot_columns() == pivots and twin.nullspace_basis() == null_ref
+    assert twin.is_zero() == (not pivots) and twin._data is None
+    for a in (m, twin):
+        assert a.data == m.data == tuple(tuple(Q(x) for x in r) for r in rows)
+        assert a == m and hash(a) == hash(m)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, len(rows)) and t.transpose() == m
+        # the kernel reads Fraction's slots directly, so entries must be exact
+        # Fractions, in a lazily built dense view too
+        assert all(type(x) is Q for r in a.data + a.rref().data + t.data for x in r)
+        assert a.rref().data == red
+        assert a.rref().rows == len(rows) and a.rref().cols == cols
+        assert a.pivot_columns() == pivots
+        assert a.rank() == len(pivots)
+        assert a.is_zero() == (not pivots)
+        null = a.nullspace_basis()
+        assert null == null_ref
+        for v in null:
+            assert all(x == 0 for x in a.mul_vec(v))
     # span_rref: the reference rref without its zero rows, already its own rref
     span = span_rref(rows, cols)
     assert span.data == red[: len(pivots)] and span.cols == cols
@@ -263,7 +283,11 @@ product_cases = st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4
 @example(([[Q(0, 3), -(10**35)], [1, Q(-1, 2)]], [[Q(2, 7), 0], [10**31, Q(0, 5)]], (2, 2, 2)))
 def test_product_matches_naive_reference(case):
     a_rows, b_rows, (nrows, inner, ncols) = case
-    p = Matrix(a_rows, cols=inner) * Matrix(b_rows, cols=ncols)
-    assert (p.rows, p.cols) == (nrows, ncols)
-    assert p.data == naive_product(a_rows, b_rows, inner, ncols)
-    assert all(type(x) is Q for r in p.data for x in r)
+    want = naive_product(a_rows, b_rows, inner, ncols)
+    for a in (Matrix(a_rows, cols=inner), sparse_twin(a_rows, inner)):
+        for b in (Matrix(b_rows, cols=ncols), sparse_twin(b_rows, ncols)):
+            p = a * b
+            assert (p.rows, p.cols) == (nrows, ncols)
+            assert p.is_zero() == (not any(any(r) for r in want))
+            assert p.data == want
+            assert all(type(x) is Q for r in p.data for x in r)

@@ -327,6 +327,30 @@ def test_one_cochain_slice_per_algebra(monkeypatch):
     assert built == ["L_{6,10}"]
 
 
+def test_both_routes_keep_d2_and_boundary3_sparse(monkeypatch):
+    """Elimination, the nullspace, the coboundaries and the d2.d1 = 0 and
+    b2.b3 = 0 checks read the sparse rows only: the dense view of d1, d2 and
+    boundary_3 is never built."""
+    built = {}
+
+    def spy(name, fn):
+        def wrapped(alg):
+            built[name] = fn(alg)
+            return built[name]
+        monkeypatch.setattr(multiplier, name, wrapped)
+
+    spy("cochain_slice", cochain_slice)
+    spy("boundary3", boundary3)
+    multiplier.clear_caches()
+    alg = heisenberg(7)
+    assert dim_multiplier(alg) == dim_multiplier_cover(alg).dim_M == 2 * 49 - 7 - 1
+    d1, d2, b3 = built["cochain_slice"].d1, built["cochain_slice"].d2, built["boundary3"]
+    assert (d2.rows, d2.cols) == (b3.cols, b3.rows) == (455, 105)
+    # _data holds the dense view once it is built
+    for m in (d1, d2, b3):
+        assert getattr(m, "_data", "built with the matrix") is None
+
+
 # -- covers ----------------------------------------------------------------------
 
 def bound_check_ideals(alg):
