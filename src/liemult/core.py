@@ -17,6 +17,12 @@ Validation computes and caches the lower series.  The upper series steps
 Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
 `Subspace.residue`) from Z_0 = 0, whose step is the centre.  Either series
 raises NotNilpotent when a term stops changing, also without validation.
+`derived_subalgebra` computes L^2 alone, as the span of the stored
+brackets (one product space), and caches it; the lower series starts
+from that cached term.  It checks no nilpotency, which the multiplier
+needs none of: dim L^2 = rank d1 and dim H^2(L) are defined for every
+Lie algebra, so an unvalidated algebra (a quotient, a cover, a benchmark
+copy) pays for the rest of the series only if it asks for it.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use needs no coordination.
@@ -236,7 +242,7 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
-    __slots__ = ("dim", "name", "brackets", "_lcs", "_ucs", "_center", "_key")
+    __slots__ = ("dim", "name", "brackets", "_derived", "_lcs", "_ucs", "_center", "_key")
 
     def __init__(
         self,
@@ -260,6 +266,7 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.brackets = table
+        self._derived: Subspace | None = None
         self._lcs: list[Subspace] | None = None
         self._ucs: list[Subspace] | None = None
         self._center: Subspace | None = None
@@ -394,16 +401,22 @@ class LieAlgebra:
         return self.subspace(vectors)
 
     def derived_subalgebra(self) -> "Subspace":
-        return self.lower_central_series()[1] if self.dim else self.zero_subspace()
+        """L^2 = [L, L], one product space, cached; no nilpotency check."""
+        if self._derived is None:
+            full = self.full_space()
+            self._derived = self.product_space(full, full)
+        return self._derived
 
     # -- series ---------------------------------------------------------------
 
     def lower_central_series(self) -> list["Subspace"]:
-        """gamma_1 = L, gamma_{i+1} = [gamma_i, L], down to and including 0."""
+        """gamma_1 = L, gamma_{i+1} = [gamma_i, L], down to and including 0;
+        gamma_2 is the cached `derived_subalgebra`."""
         if self._lcs is None:
             series = [self.full_space()]
             while series[-1].dim > 0:
-                nxt = self.product_space(series[-1], series[0])
+                nxt = (self.derived_subalgebra() if len(series) == 1
+                       else self.product_space(series[-1], series[0]))
                 if nxt.dim == series[-1].dim:
                     raise NotNilpotent(nxt.dim)
                 series.append(nxt)

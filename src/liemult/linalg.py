@@ -183,10 +183,11 @@ class Matrix:
     @classmethod
     def from_sparse(cls, rows: Iterable[Mapping[int, Fraction]], cols: int) -> "Matrix":
         """Trusted constructor from {column: Fraction} rows; the values must
-        be Fractions.  Zero values are dropped and the dense view is not
-        built."""
+        be Fractions.  Zero values are dropped from nonempty rows, an empty
+        row is taken as a fresh {}, and the dense view is not built."""
         m = cls.__new__(cls)
-        m._sparse = tuple({j: x for j, x in r.items() if x._numerator} for r in rows)
+        m._sparse = tuple({j: x for j, x in r.items() if x._numerator} if r else {}
+                          for r in rows)
         m.rows = len(m._sparse)
         m.cols = cols
         m._data = None
@@ -329,6 +330,11 @@ class Matrix:
 
     def nullspace_basis(self) -> list[Vector]:
         """Basis of {v : self @ v = 0}, one vector per free column."""
+        return list(_dense_rows(self.sparse_nullspace_basis(), self.cols))
+
+    def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
+        """`nullspace_basis` as {column: Fraction} vectors with no zero
+        values, in the same order."""
         pivots = self.pivot_columns()
         # a free column's vector is 1 there and -x at the pivot column of each
         # rref row with x in that free column; an rref row is zero at every
@@ -339,7 +345,7 @@ class Matrix:
             for j, x in row.items():
                 if j != pcol:
                     vectors[j][pcol] = -x
-        return list(_dense_rows(vectors.values(), self.cols))
+        return list(vectors.values())
 
 
 def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:

@@ -13,9 +13,11 @@ Two independent routes compute dim M(L):
 
 Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
-columns) come from one helper, `_wedge_row`, so the agreement checks the
-ranks but not that assembly; the tests check it against a dense
-per-entry reference on brackets with several terms.
+columns) come from one sweep over the stored brackets, `_wedge_rows`, in
+which each bracket [xa,xb] meets every third index c once; it runs once
+per matrix and is not memoized.  The agreement checks the ranks but not
+that assembly; the tests check it against a dense per-entry reference on
+brackets with several terms and on the shapes of the benchmark.
 
 The stem cover is the algebra E = L + Q^m built from the canonical cocycle
 representatives, with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ...,
@@ -73,26 +75,45 @@ def triple_index(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
 
 
-def _wedge_row(L: LieAlgebra, triple: tuple[int, int, int], pos: dict[tuple[int, int], int],
-               sign: int) -> dict[int, Fraction]:
-    """sign * ([xi,xj]^xk - [xi,xk]^xj + [xj,xk]^xi) in pair coordinates, as
-    sparse {pair index: coefficient}: the image of xi^xj^xk under the chain
-    boundary (sign 1), or the d2 row of the triple (sign -1)."""
-    i, j, k = triple
-    row: dict[int, Fraction] = {}
-    for (a, b, c, s) in ((i, j, k, sign), (i, k, j, -sign), (j, k, i, sign)):
-        for l, cl in L.bracket_basis(a, b).items():
-            if l == c:
+def _wedge_rows(L: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+    """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
+    i < j < k, in one sweep over the stored brackets:
+
+        (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi).
+
+    A bracket [xa,xb], a < b, meets each c outside {a, b} once, as the
+    first (c > b), second (a < c < b) or third (c < a) term of the triple
+    sorted(a, b, c), with sign -1, +1, -1; l^c with l > c folds into
+    -(c^l).  Triples that no bracket reaches are absent, and entries whose
+    terms cancel are dropped, so rows hold no zero values but may be empty.
+    The chain boundary of xi^xj^xk is the negated row."""
+    n = L.dim
+    pos = {p: a for a, p in enumerate(pair_index(n))}
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (a, b), terms in L.brackets.items():
+        for c in range(n):
+            if c == a or c == b:
                 continue
-            # l^c = -(c^l); c stays the outer term's index for later terms
-            if l < c:
-                idx = pos[(l, c)]
-                v = cl if s > 0 else -cl
+            if c > b:
+                triple, negate = (a, b, c), True
+            elif c > a:
+                triple, negate = (a, c, b), False
             else:
-                idx = pos[(c, l)]
-                v = -cl if s > 0 else cl
-            row[idx] = row[idx] + v if idx in row else v
-    return row
+                triple, negate = (c, a, b), True
+            row = rows.setdefault(triple, {})
+            for l, cl in terms.items():
+                if l == c:
+                    continue
+                if l < c:
+                    idx, v = pos[(l, c)], -cl if negate else cl
+                else:
+                    idx, v = pos[(c, l)], cl if negate else -cl
+                x = row[idx] + v if idx in row else v
+                if x:
+                    row[idx] = x
+                else:
+                    del row[idx]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -109,16 +130,15 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """Build the degree-(1,2) cochain slice and check d2 . d1 = 0 exactly.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
-    d2 = -b3^T); each is built row by row from the sparse brackets.
+    d2 = -b3^T); d1 is read off the sparse brackets, d2 off `_wedge_rows`.
     """
     n = L.dim
     pairs = pair_index(n)
     triples = triple_index(n)
-    pos = {p: a for a, p in enumerate(pairs)}
     d1 = Matrix.from_sparse(
         ({k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs), n)
-    # (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi)
-    d2 = Matrix.from_sparse((_wedge_row(L, t, pos, -1) for t in triples), len(pairs))
+    swept = _wedge_rows(L)
+    d2 = Matrix.from_sparse([swept.get(t, {}) for t in triples], len(pairs))
 
     if not (d2 * d1).is_zero():
         raise LieError("cochain differentials do not compose to zero")
@@ -141,15 +161,16 @@ def boundary2(L: LieAlgebra) -> Matrix:
 def boundary3(L: LieAlgebra) -> Matrix:
     """Lambda^3 L -> Lambda^2 L, the standard boundary.
 
-    d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.
+    d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x, the negated transpose of d2.
     """
     pairs = pair_index(L.dim)
     triples = triple_index(L.dim)
-    pos = {p: a for a, p in enumerate(pairs)}
+    swept = _wedge_rows(L)
     rows: list[dict[int, Fraction]] = [{} for _ in pairs]
     for t, triple in enumerate(triples):
-        for a, x in _wedge_row(L, triple, pos, 1).items():
-            rows[a][t] = x
+        if triple in swept:
+            for a, x in swept[triple].items():
+                rows[a][t] = -x
     return Matrix.from_sparse(rows, len(triples))
 
 
@@ -213,7 +234,10 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in coboundaries:
         extend_integer_echelon(echelon, sparse_integer_row(coboundary))
-    return tuple(v for v in slice_.d2.nullspace_basis() if extend_echelon(echelon, v))
+    # the nullspace stays sparse; only the kept vectors are densified
+    kept = [v for v in slice_.d2.sparse_nullspace_basis()
+            if extend_integer_echelon(echelon, sparse_integer_row(v))]
+    return Matrix.from_sparse(kept, slice_.d2.cols).data
 
 
 def dim_multiplier(L: LieAlgebra) -> int:
@@ -244,10 +268,9 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
 @_memoized
 def _d2_rows(L: LieAlgebra) -> tuple[dict[int, int], ...]:
     """The nonzero rows of L's d2 as {pair index: int}, each scaled to
-    integers; built without a dense slice."""
-    pos = {p: a for a, p in enumerate(pair_index(L.dim))}
-    rows = (sparse_integer_row(_wedge_row(L, t, pos, -1)) for t in triple_index(L.dim))
-    return tuple(r for r in rows if r)
+    integers, in sweep order (only their span is used); built without a
+    slice."""
+    return tuple(sparse_integer_row(r) for r in _wedge_rows(L).values() if r)
 
 
 def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:

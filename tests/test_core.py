@@ -271,12 +271,36 @@ def test_series_and_center_build_no_quotient(monkeypatch):
 
 
 def test_unvalidated_non_nilpotent_series_raise():
-    # [x1, x2] = x1: the lower series stays at span(x1), the upper at 0
-    L = LieAlgebra(2, {(0, 1): {0: Q(1)}}, validate=False)
-    with pytest.raises(NotNilpotent):
-        L.lower_central_series()
-    with pytest.raises(NotNilpotent):
-        L.upper_central_series()
+    """[x1, x2] = x1: the lower series stays at span(x1), the upper at 0.
+    L^2 = span(x1) checks no nilpotency, asked before or after the series."""
+    for derived_first in (True, False):
+        L = LieAlgebra(2, {(0, 1): {0: Q(1)}}, validate=False)
+        if derived_first:
+            assert L.derived_subalgebra() == L.subspace([[Q(1), Q(0)]])
+        with pytest.raises(NotNilpotent):
+            L.lower_central_series()
+        with pytest.raises(NotNilpotent):
+            L.upper_central_series()
+        assert L.derived_subalgebra() == L.subspace([[Q(1), Q(0)]])
+
+
+def test_derived_subalgebra_is_the_second_lower_central_term():
+    """On the closure and on unvalidated copies of it, L^2 is the span of
+    all basis brackets and the lower series' second term, whichever of the
+    two is asked for first."""
+    for member in build_closure(9):
+        alg = member.algebra
+        n = alg.dim
+        brackets = [alg.bracket(unit_vector(n, i), unit_vector(n, j))
+                    for i in range(n) for j in range(i + 1, n)]
+        derived_first = LieAlgebra(n, alg.brackets, validate=False)
+        series_first = LieAlgebra(n, alg.brackets, validate=False)
+        first = derived_first.derived_subalgebra()
+        second = series_first.lower_central_series()[1]
+        for copy, seen in ((alg, alg.derived_subalgebra()), (derived_first, first),
+                           (series_first, second)):
+            assert copy.derived_subalgebra() == copy.lower_central_series()[1] == seen
+            assert seen == copy.subspace(brackets), alg.name
 
 
 # -- quotients ------------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_kernel_matches_dense_reference(case):
     twin = sparse_twin(rows, cols)
     # arithmetic on the sparse form never builds its dense view
     assert twin.rref().pivot_columns() == pivots and twin.nullspace_basis() == null_ref
+    # the sparse kernel vectors are the dense ones with their zeros left out
+    assert twin.sparse_nullspace_basis() == [{j: x for j, x in enumerate(v) if x}
+                                             for v in null_ref]
     assert twin.is_zero() == (not pivots) and twin._data is None
     for a in (m, twin):
         assert a.data == m.data == tuple(tuple(Q(x) for x in r) for r in rows)

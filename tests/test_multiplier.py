@@ -1,6 +1,7 @@
 """Multiplier dimensions, covers, capability, exterior/tensor squares."""
 
 import functools
+import random
 from fractions import Fraction as Q
 
 import hypothesis.strategies as st
@@ -135,7 +136,9 @@ def _reference_wedge_rows(alg, signs):
     """Dense per-entry assembly of the wedge boundary, one row per triple:
     for xi^xj^xk, add signs[t] * [xa,xb]^xc over the three terms
     (xa,xb,xc) = (xi,xj,xk), (xi,xk,xj), (xj,xk,xi), folding l^c with l > c
-    into -(c^l).  The reference that the sparse `_wedge_row` must agree with."""
+    into -(c^l).  It visits every triple and looks up its three brackets, the
+    reverse of the one sweep over the stored brackets (`_wedge_rows`) that
+    builds d2 and boundary_3 and must agree with it."""
     n = alg.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pos = {p: a for a, p in enumerate(pairs)}
@@ -213,17 +216,45 @@ def test_wedge_assembly_matches_dense_reference_on_multi_term_brackets():
         assert cover(alg).dim == alg.dim + expected, alg.name
 
 
+def test_wedge_sweep_drops_cancelled_terms():
+    """Terms cancel in these presentations (the "H(1) skew" rows come out
+    empty); no swept row, and no row of d2 or boundary_3, holds a zero."""
+    for alg, _ in _multi_term_algebras():
+        assert all(all(row.values()) for row in multiplier._wedge_rows(alg).values()), alg.name
+        for m in (cochain_slice(alg).d2, boundary3(alg)):
+            assert all(all(row.values()) for row in m.sparse_rows), alg.name
+    h1_skew = _multi_term_algebras()[1][0]
+    assert multiplier._wedge_rows(h1_skew) == {(0, 1, 2): {}}
+
+
+def benchmark_shaped_sums(seed=13):
+    """One direct sum of two catalog samples for each total dim 10-14, drawn
+    from a fixed seed: the shapes the large-dimension benchmark draws."""
+    rng = random.Random(seed)
+    pool = [entry.build(v) for entry in cat.entries() for v in entry.sample_values()]
+    sums = []
+    for total in range(10, 15):
+        a, b = rng.choice(pool), rng.choice(pool)
+        while a.dim + b.dim != total:
+            a, b = rng.choice(pool), rng.choice(pool)
+        sums.append(direct_sum(a, b))
+    return sums
+
+
 def test_cochains_are_negated_chain_boundaries():
     """d1 = -b2^T and d2 = -b3^T exactly, and d2, b3 equal the dense
-    reference assembly, on every catalog sample and H(4..7)."""
+    reference assembly, on every catalog sample, H(4..7) and sums of
+    total dim 10-14 (up to 455 x 105)."""
     algebras = [entry.build(v) for entry in cat.entries() for v in entry.sample_values("full")]
-    algebras += [heisenberg(m) for m in range(4, 8)]
+    algebras += [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums()
+    assert [alg.dim for alg in algebras[-9:]] == [9, 11, 13, 15, 10, 11, 12, 13, 14]
     for alg in algebras:
         slice_ = cochain_slice(alg)
         b2, b3 = boundary2(alg), boundary3(alg)
         assert slice_.d1 == _negated(b2.transpose()), alg.name
         assert slice_.d2 == _negated(b3.transpose()), alg.name
         assert slice_.d2 == reference_d2(alg), alg.name
+        assert b3 == reference_boundary3(alg), alg.name
         # the kernel reads Fraction's slots directly, so entries must be exact Fractions
         for m in (slice_.d1, slice_.d2, b2, b3):
             assert all(type(x) is Q for r in m.data for x in r), alg.name
