@@ -196,8 +196,19 @@ def cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its usage errors tagged like every other error:
+    the ``error=UsageError`` line, then argparse's own text and exit 2."""
+
+    def error(self, message: str):
+        sys.stderr.write("error=UsageError\n")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are built with the class of their parent, so they are
+    # tagged too
+    parser = _Parser(
         prog="liemult",
         description="Schur multiplier, capability, and s/t invariants of "
                     "nilpotent Lie algebras over the rationals",

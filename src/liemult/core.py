@@ -12,6 +12,18 @@ The stem covers of `multiplier` are plain algebras, built trusted by the
 theorems stated there; their projection is coordinate truncation, with no
 `QuotientMap`.
 
+The Jacobi check is one sweep over the stored brackets: each [x_a, x_b]
+meets every third index c once, as one term of J(sorted(a, b, c))
+(`_check_jacobi`).
+
+Subspaces stay on {column: Fraction} rows from the stored brackets to
+their canonical bases: `sparse_subspace` hands the rows to one
+elimination (`linalg.rref_basis`), and the basis keeps a dense view
+only for callers that read one.  `subspace` takes dense vectors from
+outside and coerces them first; both end in the same rref tail.
+`Subspace.residue` reduces a sparse row at the pivots where it is
+nonzero.  `full_space()` is built once per algebra.
+
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
 Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
@@ -40,10 +52,9 @@ from .linalg import (
     Matrix,
     Q,
     Vector,
-    is_zero_vec,
     qf,
+    rref_basis,
     span_rref,
-    unit_vector,
 )
 
 
@@ -242,7 +253,8 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
-    __slots__ = ("dim", "name", "brackets", "_derived", "_lcs", "_ucs", "_center", "_key")
+    __slots__ = ("dim", "name", "brackets", "_full", "_derived", "_lcs", "_ucs", "_center",
+                 "_key")
 
     def __init__(
         self,
@@ -266,6 +278,7 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.brackets = table
+        self._full: Subspace | None = None
         self._derived: Subspace | None = None
         self._lcs: list[Subspace] | None = None
         self._ucs: list[Subspace] | None = None
@@ -302,11 +315,12 @@ class LieAlgebra:
                         out[k] += coeff * c
         return tuple(out)
 
-    def ad_images(self, u: Sequence[Fraction]) -> list[dict[int, Fraction]]:
-        """[u, x_j] for every basis index j, in one sweep over the table."""
+    def ad_images(self, u: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
+        """[u, x_j] for every basis index j, in one sweep over the table; u
+        is a {column: Fraction} row, and the images may hold zero values."""
         outs: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
         for (i, j), terms in self.brackets.items():
-            ui, uj = u[i], u[j]
+            ui, uj = u.get(i), u.get(j)
             if ui:
                 d = outs[j]
                 for k, c in terms.items():
@@ -317,13 +331,9 @@ class LieAlgebra:
                     d[k] = d.get(k, Q(0)) - uj * c
         return outs
 
-    def _sparse_to_vec(self, terms: Mapping[int, Fraction]) -> Vector:
-        out = [Q(0)] * self.dim
-        for k, c in terms.items():
-            out[k] = c
-        return tuple(out)
-
     def _jacobi_defect(self, i: int, j: int, k: int) -> Vector:
+        """J(x_i, x_j, x_k) of one triple, term by term: the reference the
+        tests hold `_check_jacobi`'s sweep to."""
         out = [Q(0)] * self.dim
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             for l, cl in self.bracket_basis(a, b).items():
@@ -332,22 +342,54 @@ class LieAlgebra:
         return tuple(out)
 
     def _check_jacobi(self) -> None:
-        # A triple has zero defect unless one of its pairs is a stored
-        # bracket, so only candidates touching a bracket key are checked.
-        seen: set[tuple[int, int, int]] = set()
-        for (i, j) in self.brackets:
-            for k in range(self.dim):
-                if k == i or k == j:
+        """Jacobi on every basis triple, in one sweep over the stored brackets.
+
+        J(p,q,r) = [[p,q],r] + [[q,r],p] + [[r,p],q] for p < q < r.  A stored
+        [x_a,x_b], a < b, meets each c outside {a, b} once, as the term
+        [[x_a,x_b],x_c] of J(sorted(a, b, c)): with sign -1 when a < c < b,
+        where that term is [[x_b,x_a],x_c], and +1 otherwise.  A triple none
+        of whose pairs is stored has zero defect.  Triples are kept in the
+        order first met (bracket order, then c ascending), and the first
+        with a nonzero sum is reported.
+        """
+        table = self.brackets
+        # None until a nonzero term arrives; the key keeps its first-met place
+        sums: dict[tuple[int, int, int], dict[int, Fraction] | None] = {}
+        for (a, b), terms in table.items():
+            for c in range(self.dim):
+                if c == a or c == b:
                     continue
-                triple = tuple(sorted((i, j, k)))
-                if triple in seen:
-                    continue
-                seen.add(triple)
-                defect = self._jacobi_defect(*triple)
-                if not is_zero_vec(defect):
-                    raise JacobiViolation(
-                        (triple[0] + 1, triple[1] + 1, triple[2] + 1), defect
-                    )
+                if c > b:
+                    triple, negate = (a, b, c), False
+                elif c > a:
+                    triple, negate = (a, c, b), True
+                else:
+                    triple, negate = (c, a, b), False
+                acc = sums.setdefault(triple, None)
+                for l, cl in terms.items():
+                    # [x_l, x_c] from the stored pair, antisymmetry folded in
+                    if l < c:
+                        inner, f = table.get((l, c)), -cl if negate else cl
+                    elif l > c:
+                        inner, f = table.get((c, l)), cl if negate else -cl
+                    else:
+                        continue
+                    if inner:
+                        if acc is None:
+                            acc = sums[triple] = {}
+                        for m, cm in inner.items():
+                            x = acc[m] + f * cm if m in acc else f * cm
+                            if x:
+                                acc[m] = x
+                            else:
+                                del acc[m]
+        for triple, acc in sums.items():
+            if acc:
+                defect = [Q(0)] * self.dim
+                for m, x in acc.items():
+                    defect[m] = x
+                raise JacobiViolation(
+                    (triple[0] + 1, triple[1] + 1, triple[2] + 1), tuple(defect))
 
     # -- identity -------------------------------------------------------------
 
@@ -374,10 +416,18 @@ class LieAlgebra:
     # -- subspaces ------------------------------------------------------------
 
     def subspace(self, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
+        """The span of dense vectors from outside (coerced through `qf`)."""
         return Subspace(self, span_rref(vectors, self.dim))
 
+    def sparse_subspace(self, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+        """The span of {column: Fraction} rows; the values must be Fractions."""
+        return Subspace(self, rref_basis(Matrix.from_sparse(rows, self.dim)))
+
     def full_space(self) -> "Subspace":
-        return Subspace(self, Matrix.identity(self.dim))
+        """L itself, built once per algebra."""
+        if self._full is None:
+            self._full = Subspace(self, Matrix.identity(self.dim))
+        return self._full
 
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, Matrix._of((), self.dim)._own_rref(()))
@@ -388,17 +438,16 @@ class LieAlgebra:
             if s.ambient is not self:
                 raise AmbientMismatch("subspace belongs to a different algebra")
         if u.dim == self.dim and v.dim == self.dim:
-            return self.subspace(self._sparse_to_vec(t) for t in self.brackets.values())
-        if v.dim == self.dim:
-            vectors = [
-                self._sparse_to_vec(img)
-                for a in u.basis_vectors()
-                for img in self.ad_images(a)
-                if img
-            ]
-            return self.subspace(vectors)
-        vectors = [self.bracket(a, b) for a in u.basis_vectors() for b in v.basis_vectors()]
-        return self.subspace(vectors)
+            return self.sparse_subspace(self.brackets.values())
+        rows: list[dict[int, Fraction]] = []
+        for a in u.basis.sparse_rows:
+            images = self.ad_images(a)
+            if v.dim == self.dim:
+                rows += images
+            else:
+                # [a, b] = sum_j b_j [a, x_j] over the rows b of V
+                rows += (v.basis * Matrix.from_sparse(images, self.dim)).sparse_rows
+        return self.sparse_subspace(rows)
 
     def derived_subalgebra(self) -> "Subspace":
         """L^2 = [L, L], one product space, cached; no nilpotency check."""
@@ -435,16 +484,15 @@ class LieAlgebra:
         with each bracket reduced modulo S; S = 0 gives the centre."""
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), terms in self.brackets.items():
-            for k, c in enumerate(s.residue(self._sparse_to_vec(terms))):
-                if c:
-                    row = rows.setdefault((j, k), {})
-                    row[i] = row[i] + c if i in row else c
-                    row = rows.setdefault((i, k), {})
-                    row[j] = row[j] - c if j in row else -c
+            for k, c in s.residue(terms).items():
+                row = rows.setdefault((j, k), {})
+                row[i] = row[i] + c if i in row else c
+                row = rows.setdefault((i, k), {})
+                row[j] = row[j] - c if j in row else -c
         if not rows:
             return self.full_space()
         stacked = Matrix.from_sparse([rows[key] for key in sorted(rows)], self.dim)
-        return self.subspace(stacked.nullspace_basis())
+        return self.sparse_subspace(stacked.sparse_nullspace_basis())
 
     def center(self) -> "Subspace":
         """Z(L) via the nullspace of the stacked adjoint matrices."""
@@ -479,11 +527,8 @@ class LieAlgebra:
     def is_ideal(self, s: "Subspace") -> bool:
         if s.ambient is not self:
             raise AmbientMismatch("subspace belongs to a different algebra")
-        return all(
-            s.contains(self._sparse_to_vec(img))
-            for b in s.basis_vectors()
-            for img in self.ad_images(b)
-            if img
+        return not any(
+            s.residue(img) for b in s.basis.sparse_rows for img in self.ad_images(b)
         )
 
     def quotient(self, ideal: "Subspace") -> tuple["LieAlgebra", "QuotientMap"]:
@@ -497,23 +542,24 @@ class LieAlgebra:
         """
         if not self.is_ideal(ideal):
             raise NotAnIdeal("subspace is not an ideal")
-        pivots = ideal.basis.pivot_columns()
-        free = [c for c in range(self.dim) if c not in set(pivots)]
+        pivots = set(ideal.basis.pivot_columns())
+        free = [c for c in range(self.dim) if c not in pivots]
         qdim = len(free)
         pos = {c: a for a, c in enumerate(free)}
 
-        def project(v: Sequence[Fraction]) -> Vector:
-            w = ideal.residue(v)
-            return tuple(w[c] for c in free)
+        def project(terms: Mapping[int, Fraction]) -> dict[int, Fraction]:
+            """terms modulo I in L/I's coordinates: the residue is zero at
+            every pivot column, so its columns are all free."""
+            return {pos[c]: x for c, x in sorted(ideal.residue(terms).items())}
 
+        columns = [project({c: Q(1)}) for c in range(self.dim)]
         proj_matrix = Matrix(
-            [project(unit_vector(self.dim, c)) for c in range(self.dim)], cols=qdim
+            [[col.get(a, Q(0)) for a in range(qdim)] for col in columns], cols=qdim
         ).transpose()
         new_brackets: BracketTable = {}
         for a in range(qdim):
             for b in range(a + 1, qdim):
-                img = project(self._sparse_to_vec(self.bracket_basis(free[a], free[b])))
-                terms = {k: c for k, c in enumerate(img) if c}
+                terms = project(self.bracket_basis(free[a], free[b]))
                 if terms:
                     new_brackets[(a, b)] = terms
         label = f"{self.name}/I" if self.name else None
@@ -531,7 +577,7 @@ class Subspace:
         if basis.cols != ambient.dim:
             raise DimensionMismatch("basis width must equal the ambient dimension")
         if basis.rref() != basis or basis.rank() != basis.rows:
-            basis = span_rref(basis.data, basis.cols)
+            basis = rref_basis(basis)
         self.ambient = ambient
         self.basis = basis
 
@@ -542,33 +588,48 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return list(self.basis.data)
 
-    def residue(self, v: Sequence[Fraction]) -> list[Fraction]:
-        """v reduced against the rref basis: zero in every pivot column,
-        and zero everywhere iff v lies in the subspace."""
-        w = list(v)
-        for row, pcol in zip(self.basis.data, self.basis.pivot_columns()):
-            f = w[pcol]
+    def residue(self, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """The {column: value} row v reduced against the rref basis, zero
+        values dropped: zero in every pivot column, and empty iff v lies in
+        the subspace.
+
+        It is v - sum_p v[p] * row_p over the pivots p where v is nonzero.
+        This equals reducing by one row after another, because an rref row
+        is zero at every other pivot column, so no step changes v there."""
+        w = {j: x for j, x in v.items() if x}
+        for p, row in zip(self.basis.pivot_columns(), self.basis.sparse_rows):
+            f = v.get(p)
             if f:
-                w = [x - f * y if y else x for x, y in zip(w, row)]
+                for j, y in row.items():
+                    x = w[j] - f * y if j in w else -f * y
+                    if x:
+                        w[j] = x
+                    else:
+                        del w[j]
         return w
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.residue(v))
+        """Whether the dense vector v lies in the subspace."""
+        return not self.residue(dict(enumerate(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
+        return not any(self.residue(row) for row in other.basis.sparse_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return self.ambient.subspace(self.basis_vectors() + other.basis_vectors())
+        return self.ambient.sparse_subspace(self.basis.sparse_rows + other.basis.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        # sum_i a_i u_i lies in V iff sum_i a_i residue_V(u_i) = 0
-        residues = Matrix._of(tuple(tuple(other.residue(u)) for u in self.basis.data),
-                              self.ambient.dim)
-        coeffs = Matrix._of(tuple(residues.transpose().nullspace_basis()), self.dim)
-        return self.ambient.subspace((coeffs * self.basis).data)
+        # sum_a c_a u_a lies in V iff sum_a c_a residue_V(u_a) = 0: the c are
+        # the nullspace of the matrix whose columns are those residues
+        columns: list[dict[int, Fraction]] = [{} for _ in range(self.ambient.dim)]
+        for a, u in enumerate(self.basis.sparse_rows):
+            for k, x in other.residue(u).items():
+                columns[k][a] = x
+        coeffs = Matrix.from_sparse(
+            Matrix.from_sparse(columns, self.dim).sparse_nullspace_basis(), self.dim)
+        return self.ambient.sparse_subspace((coeffs * self.basis).sparse_rows)
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient is not other.ambient:
@@ -615,7 +676,7 @@ class QuotientMap:
         for i in range(n):
             for j in range(i + 1, n):
                 terms = self.source.bracket_basis(i, j)
-                lhs = self.apply(self.source._sparse_to_vec(terms)) if terms else zero
+                lhs = self.apply([terms.get(k, Q(0)) for k in range(n)]) if terms else zero
                 rhs = self.target.bracket(images[i], images[j])
                 if lhs != rhs:
                     raise LieError(
@@ -624,11 +685,6 @@ class QuotientMap:
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         return self.matrix.mul_vec(v)
-
-    def apply_subspace(self, s: Subspace) -> Subspace:
-        if s.ambient is not self.source:
-            raise AmbientMismatch("subspace not in the source algebra")
-        return self.target.subspace([self.apply(v) for v in s.basis_vectors()])
 
     def kernel(self) -> Subspace:
         return self.source.subspace(self.matrix.nullspace_basis())

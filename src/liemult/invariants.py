@@ -13,9 +13,9 @@ tight) so reports can show tightness patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .core import LieAlgebra, LieError, Subspace
-from .linalg import unit_vector
 from .multiplier import _memoized, dim_multiplier, dim_multiplier_quotient, is_capable
 
 
@@ -139,7 +139,7 @@ def check_third_term_bound(L: LieAlgebra) -> BoundCheck:
 def central_basis_vectors(L: LieAlgebra) -> list[int]:
     """Indices i with x_i central (each spans a 1-dim central ideal)."""
     center = L.center()
-    return [i for i in range(L.dim) if center.contains(unit_vector(L.dim, i))]
+    return [i for i in range(L.dim) if not center.residue({i: Fraction(1)})]
 
 
 def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
@@ -157,7 +157,7 @@ def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
     if m >= 2 and not is_capable(L):
         checks.append(check_noncapable_bound(L))
     for i in central_basis_vectors(L):
-        chk = check_central_ideal_bound(L, L.subspace([unit_vector(L.dim, i)]))
+        chk = check_central_ideal_bound(L, L.sparse_subspace([{i: Fraction(1)}]))
         checks.append(replace(chk, check_id=f"{chk.check_id}[x{i + 1}]"))
     return checks
 

@@ -5,10 +5,10 @@ rounding anywhere in the package.  A `Matrix` keeps one {column: Fraction}
 dict per row, zeros dropped (`Matrix.sparse_rows`), and every arithmetic
 method reads only those: elimination, products, `is_zero` and
 `nullspace_basis`.  The dense rows (`Matrix.data`) are a view for callers
-that index positions (subspaces, `transpose`, `column`, `mul_vec`, `==`
-and `hash`): a matrix built from sparse rows densifies on the first read
-of `data` and caches the result, and a matrix built from dense rows
-derives its sparse rows once, on first use.
+that index positions (`transpose`, `column`, `mul_vec`, `==` and `hash`):
+a matrix built from sparse rows densifies on the first read of `data` and
+caches the result, and a matrix built from dense rows derives its sparse
+rows once, on first use.
 
 Elimination is fraction-free (after Bareiss): each row is cleared of
 denominators into a {column: int} dict, reduced with integer combinations,
@@ -16,9 +16,13 @@ and only the final division by the pivots creates Fractions.  The reduced
 row echelon form of a matrix is unique, so `rref`, `pivot_columns`, `rank`
 and `nullspace_basis` (and everything derived from them, e.g. canonical
 subspace bases) are canonical, whatever order the kernel eliminates in.
-`extend_echelon` exposes the same reduction step for growing a span one
-vector at a time, and `extend_integer_echelon` takes rows that are already
-{column: int}.
+`extend_integer_echelon` exposes the same reduction step for growing a
+span one {column: int} row at a time.
+
+`rref_basis` turns a matrix into the canonical basis of its row space,
+held as sparse rows: its rref without the zero rows.  Subspaces are built
+by it from sparse rows; `span_rref` is the same tail for dense vectors
+from outside, coerced through `qf` first.
 
 `Matrix(...)` is the entry point for outside values: it coerces every entry
 through `qf` and rejects floats.  Code here that already holds Fractions
@@ -50,28 +54,19 @@ def qf(x) -> Fraction:
     return Fraction(x)
 
 
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero entries of a rational row as {column: int}, scaled by the
-    lcm of their denominators."""
-    # Fraction keeps its lowest-terms value in the _numerator and _denominator
-    # slots; reading them directly skips a Python-level call per entry, which
-    # is most of the cost of scanning a dense row.  This needs every entry to
-    # be an exact fractions.Fraction: Matrix.__init__ coerces through qf, and
-    # the trusted constructors are only given Fractions, so both row forms of
-    # every Matrix hold only Fractions (tests/test_linalg.py checks this).
-    return _integer_terms([(j, x) for j, x in enumerate(row) if x._numerator])
-
-
 def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
-    """`_integer_row` of a sparse {column: Fraction} row; zero values are
-    dropped."""
+    """The nonzero entries of a {column: Fraction} row as {column: int},
+    scaled by the lcm of their denominators; zero values are dropped."""
+    # Fraction keeps its lowest-terms value in the _numerator and _denominator
+    # slots; reading them directly skips a Python-level call per entry.  This
+    # needs every value to be an exact fractions.Fraction: Matrix.__init__
+    # coerces through qf, and the trusted constructors are only given
+    # Fractions, so both row forms of every Matrix hold only Fractions
+    # (tests/test_linalg.py checks this).
     return _integer_terms([(j, x) for j, x in terms.items() if x._numerator])
 
 
@@ -87,15 +82,11 @@ def _primitive(w: dict[int, int]) -> dict[int, int]:
     return w
 
 
-def extend_echelon(echelon: dict[int, dict[int, int]], row: Sequence[Fraction]) -> bool:
-    """Reduce a rational row against `echelon`, primitive integer rows keyed by
-    leading column.  If a nonzero remainder is left, add it as a new pivot row
-    and return True; return False when the row lies in their span."""
-    return extend_integer_echelon(echelon, _integer_row(row))
-
-
 def extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
-    """`extend_echelon` for a row already in {column: int} form."""
+    """Reduce a {column: int} row against `echelon`, primitive integer rows
+    keyed by leading column.  If a nonzero remainder is left, add it as a new
+    pivot row and return True; return False when the row lies in their
+    span."""
     w = _primitive(w)
     while w:
         c = min(w)
@@ -201,7 +192,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(tuple(unit_vector(n, i) for i in range(n)), n)._own_rref(tuple(range(n)))
+        return cls.from_sparse([{i: _ONE} for i in range(n)], n)._own_rref(tuple(range(n)))
 
     def _own_rref(self, pivots: tuple[int, ...]) -> "Matrix":
         """Mark this matrix, known to be in rref with these pivots, as its own
@@ -348,17 +339,27 @@ class Matrix:
         return list(vectors.values())
 
 
-def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
-    """Canonical (rref, no zero rows) basis matrix for a span of vectors.
+def rref_basis(m: Matrix) -> Matrix:
+    """Canonical (rref, no zero rows) basis matrix of m's row space, held as
+    sparse rows; one elimination of m.
 
-    The result is its own rref, so it is never eliminated again.  It is
-    built dense: its callers, the subspaces, read their basis by position."""
+    The result is its own rref, so it is never eliminated again, and its
+    dense view is built only if a caller reads it.  When m's rows are
+    independent, m's rref is that basis already and is returned as is."""
+    pivots = m.pivot_columns()
+    rref = m.rref()
+    if rref.rows == len(pivots):
+        return rref
+    return Matrix.from_sparse(rref.sparse_rows[: len(pivots)], m.cols)._own_rref(pivots)
+
+
+def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
+    """`rref_basis` of a span of dense vectors from outside, each coerced
+    through `qf` and checked to have length `cols`."""
     rows = []
     for v in vectors:
         row = tuple(qf(x) for x in v)
         if len(row) != cols:
             raise ValueError(f"vector of length {len(row)} in a span of width {cols}")
         rows.append(row)
-    m = Matrix._of(tuple(rows), cols)
-    pivots = m.pivot_columns()
-    return Matrix._of(_dense_rows(m.rref().sparse_rows[: len(pivots)], cols), cols)._own_rref(pivots)
+    return rref_basis(Matrix._of(tuple(rows), cols))

@@ -61,7 +61,6 @@ from .core import (
 from .linalg import (
     Matrix,
     Vector,
-    extend_echelon,
     extend_integer_echelon,
     sparse_integer_row,
 )
@@ -131,6 +130,8 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
     d2 = -b3^T); d1 is read off the sparse brackets, d2 off `_wedge_rows`.
+    rank d1 = dim L^2 holds by construction (d1's nonzero rows are the
+    negated stored brackets, whose span is L^2), so it is not re-checked.
     """
     n = L.dim
     pairs = pair_index(n)
@@ -142,8 +143,6 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
 
     if not (d2 * d1).is_zero():
         raise LieError("cochain differentials do not compose to zero")
-    if d1.rank() != L.derived_subalgebra().dim:
-        raise LieError("rank(d1) must equal dim L^2")
     return CochainComplexSlice(d1, d2, tuple(pairs), tuple(triples))
 
 
@@ -294,11 +293,13 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
     free = [c for c in range(L.dim) if c not in pivot_set]
     q = len(free)
     pos = {c: a for a, c in enumerate(free)}
-    # pi(x_c) in L/K's coordinates, all scaled by one common denominator
-    den = lcm(1, *(x.denominator for row in K.basis.data for x in row if x))
+    # pi(x_c) in L/K's coordinates, all scaled by one common denominator; an
+    # rref row of K is zero at every other pivot, so off p it is all free
+    rows = K.basis.sparse_rows
+    den = lcm(1, *(x.denominator for row in rows for x in row.values()))
     image: dict[int, dict[int, int]] = {c: {pos[c]: den} for c in free}
-    for row, p in zip(K.basis.data, pivots):
-        image[p] = {pos[c]: -int(row[c] * den) for c in free if row[c]}
+    for row, p in zip(rows, pivots):
+        image[p] = {pos[c]: -int(x * den) for c, x in row.items() if c != p}
     qpair = {p: a for a, p in enumerate(pair_index(q))}
     inflate: dict[int, dict[int, int]] = {}
     for idx, (i, j) in enumerate(pair_index(L.dim)):
@@ -321,8 +322,8 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
         extend_integer_echelon(echelon, {col: x for col, x in out.items() if x})
     # rank d1(L/K) = dim (L/K)^2 = dim(L^2 + K) - dim K, the rank of L^2 mod K
     projected: dict[int, dict[int, int]] = {}
-    rank_d1 = sum(extend_echelon(projected, K.residue(v))
-                  for v in L.derived_subalgebra().basis_vectors())
+    rank_d1 = sum(extend_integer_echelon(projected, sparse_integer_row(K.residue(row)))
+                  for row in L.derived_subalgebra().basis.sparse_rows)
     return q * (q - 1) // 2 - len(echelon) - rank_d1
 
 
@@ -376,26 +377,27 @@ def epicenter(L: LieAlgebra) -> Subspace:
     Z(L) ^ L^2; it is a combination of Z(L)'s basis by construction, so
     only the L^2 part is asserted.
     """
-    return L.subspace(_epicenter_basis(L))
+    return L.sparse_subspace(_epicenter_basis(L))
 
 
 @_memoized
-def _epicenter_basis(L: LieAlgebra) -> tuple[Vector, ...]:
+def _epicenter_basis(L: LieAlgebra) -> tuple[dict[int, Fraction], ...]:
+    """The rref basis of Z*(L) as {column: Fraction} rows."""
     total = cover(L)
     center = L.center().basis
-    pad = (Fraction(0),) * (total.dim - L.dim)
-    # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a
+    # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a;
+    # a row of Z(L) is already (z_a, 0) in E's coordinates
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, z in enumerate(center.data):
-        for j, img in enumerate(total.ad_images(z + pad)):
+    for a, z in enumerate(center.sparse_rows):
+        for j, img in enumerate(total.ad_images(z)):
             for k, c in img.items():
                 if c:
                     rows.setdefault((j, k), {})[a] = c
-    coeffs = Matrix.from_sparse(rows.values(), center.rows).nullspace_basis()
-    image = L.subspace((Matrix._of(tuple(coeffs), center.rows) * center).data)
+    coeffs = Matrix.from_sparse(rows.values(), center.rows).sparse_nullspace_basis()
+    image = L.sparse_subspace((Matrix.from_sparse(coeffs, center.rows) * center).sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")
-    return tuple(image.basis_vectors())
+    return image.basis.sparse_rows
 
 
 def is_capable(L: LieAlgebra) -> bool:

@@ -351,3 +351,28 @@ def test_info_heisenberg_above_cap(capsys):
     code, _, err = run_cli(capsys, "info", "H(100000000)")
     assert code == 2
     assert err.splitlines()[0] == "error=DimensionTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("bogus",),
+    ("info",),
+    ("info", "L_{4,3}", "extra"),
+])
+def test_usage_errors_are_tagged(argv):
+    """argparse's usage errors print the error=UsageError line first, then
+    argparse's own usage text, and exit 2."""
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "error=UsageError"
+    assert lines[1].startswith("usage: liemult")
+    assert any(line.startswith("liemult") and ": error: " in line for line in lines)
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("info", "--help")])
+def test_help_exits_0_untagged(argv):
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: liemult") and proc.stderr == ""

@@ -6,10 +6,11 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import liemult
 
@@ -82,6 +83,73 @@ def test_index_out_of_range():
     from liemult import IndexOutOfRange
     with pytest.raises(IndexOutOfRange):
         LieAlgebra(3, {(0, 1): {7: Q(1)}})
+
+
+def first_jacobi_violation(alg):
+    """Reference for the sweep in `_check_jacobi`: each triple's defect
+    term by term (`_jacobi_defect`), triples taken in bracket order, then
+    third index ascending; the first nonzero one, 1-based, or None."""
+    seen = set()
+    for (i, j) in alg.brackets:
+        for k in range(alg.dim):
+            triple = tuple(sorted((i, j, k)))
+            if k in (i, j) or triple in seen:
+                continue
+            seen.add(triple)
+            defect = alg._jacobi_defect(*triple)
+            if any(defect):
+                return tuple(t + 1 for t in triple), defect
+    return None
+
+
+def violating_triples(alg):
+    return [t for t in combinations(range(alg.dim), 3) if any(alg._jacobi_defect(*t))]
+
+
+COEFFICIENT = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3)])
+
+
+@st.composite
+def bracket_tables(draw):
+    n = draw(st.integers(3, 6))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          unique=True, max_size=8))
+    table = {p: draw(st.dictionaries(st.integers(0, n - 1), COEFFICIENT, min_size=1, max_size=3))
+             for p in pairs}
+    return n, table
+
+
+# several violating triples, multi-term brackets, the first in sweep order
+# sitting on a middle index (a < c < b) of its first bracket
+SEVERAL_VIOLATIONS = (5, {(0, 3): {1: Q(1), 4: Q(2)}, (1, 2): {0: Q(1, 2), 4: Q(-1)},
+                          (0, 1): {2: Q(1), 3: Q(-2)}, (2, 4): {3: Q(3)}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_tables())
+@example(SEVERAL_VIOLATIONS)
+@example((4, {(0, 1): {2: Q(1)}, (0, 2): {3: Q(1)}, (1, 3): {2: Q(1)}}))
+def test_jacobi_sweep_reports_the_reference_triple(case):
+    n, table = case
+    alg = LieAlgebra(n, table, validate=False)
+    expected = first_jacobi_violation(alg)
+    if expected is None:
+        alg._check_jacobi()
+        return
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(n, table)
+    assert (err.value.triple, err.value.defect) == expected
+    assert all(type(x) is Q for x in err.value.defect)
+
+
+def test_jacobi_example_has_several_violations():
+    n, table = SEVERAL_VIOLATIONS
+    alg = LieAlgebra(n, table, validate=False)
+    # lexicographically the first is (1, 2, 5); in sweep order it is
+    # (1, 3, 4), met from the stored [x1, x4] with x3 between
+    assert [tuple(t + 1 for t in v) for v in violating_triples(alg)] == [
+        (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4)]
+    assert first_jacobi_violation(alg)[0] == (1, 3, 4)
 
 
 # -- bracket ------------------------------------------------------------------
@@ -235,6 +303,52 @@ def test_intersect_matches_stacked_reference():
     assert u.intersect(v) == stacked_intersection(u, v) == L.subspace([(1, 1, 1, 1)])
 
 
+def dense_residue(s, v):
+    """Reference for `Subspace.residue`: the dense vector v reduced by one
+    rref row after another."""
+    w = list(v)
+    for row, pcol in zip(s.basis.data, s.basis.pivot_columns()):
+        f = w[pcol]
+        if f:
+            w = [x - f * y if y else x for x, y in zip(w, row)]
+    return w
+
+
+def residue_intersection(u, v):
+    """Reference for `Subspace.intersect` on dense rows: the coefficients
+    of U's basis are the nullspace of the transposed matrix of dense
+    residues mod V, and U ^ V is the span of their combinations."""
+    L = u.ambient
+    residues = Matrix([dense_residue(v, r) for r in u.basis.data], cols=L.dim)
+    coeffs = Matrix(residues.transpose().nullspace_basis(), cols=u.dim)
+    return L.subspace((coeffs * u.basis).data)
+
+
+def test_sparse_subspace_layer_matches_dense_references():
+    """Over the closure: Z(L) ^ L^2, is_ideal and contains_subspace, on the
+    series terms, Z(L) ^ L^2 and the spans <x_i> (mostly not ideals),
+    agree with the dense residue and the residue-nullspace intersection."""
+    for member in build_closure(9):
+        L = member.algebra
+        n = L.dim
+        z, d = L.center(), L.derived_subalgebra()
+        meet = z.intersect(d)
+        assert meet == residue_intersection(z, d) == residue_intersection(d, z), member.name
+        units = [L.subspace([unit_vector(n, i)]) for i in range(n)]
+        spaces = L.lower_central_series() + L.upper_central_series() + [meet] + units
+        for s in spaces:
+            images = [L.bracket(b, unit_vector(n, j)) for b in s.basis.data for j in range(n)]
+            assert L.is_ideal(s) == all(not any(dense_residue(s, w)) for w in images)
+            for w in images:
+                sparse = s.residue({k: x for k, x in enumerate(w) if x})
+                assert [sparse.get(k, Q(0)) for k in range(n)] == dense_residue(s, w)
+        pairs = [(s, t) for s in spaces for t in (z, d, meet)]
+        pairs += [(s, t) for s in (z, d) for t in units]
+        for s, t in pairs:
+            assert s.contains_subspace(t) == all(
+                not any(dense_residue(s, r)) for r in t.basis.data), member.name
+
+
 COORDINATE = st.one_of(
     st.just(Q(0)),
     st.fractions(max_denominator=10**12),
@@ -253,11 +367,13 @@ def test_residue_matches_dense_reference(data):
     for row, pcol in zip(s.basis.data, s.basis.pivot_columns()):
         f = expected[pcol]
         expected = [x - f * y for x, y in zip(expected, row)]
-    got = s.residue(v)
-    assert got == expected and all(type(x) is Q for x in got)
+    # residue takes and returns {column: value} rows with no zero values
+    sparse = s.residue(dict(enumerate(v)))
+    got = [sparse.get(k, Q(0)) for k in range(n)]
+    assert got == expected and all(type(x) is Q for x in got) and all(sparse.values())
     coeffs = data.draw(st.lists(COORDINATE, min_size=s.dim, max_size=s.dim))
     inside = [sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), Q(0)) for k in range(n)]
-    assert not any(s.residue(inside))
+    assert not s.residue(dict(enumerate(inside)))
 
 
 def test_series_and_center_build_no_quotient(monkeypatch):

@@ -340,6 +340,18 @@ def test_dim_multiplier_matches_rank_formula():
         assert dim_multiplier(alg) == reference_dim_multiplier(alg), alg.name
 
 
+def test_rank_d1_is_dim_derived():
+    """rank d1 = dim L^2: d1's nonzero rows are the negated stored brackets,
+    whose span is L^2.  cochain_slice does not re-check it, so it is
+    checked here, on unvalidated quotients too."""
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    quotients = [alg.quotient(alg.lower_central_series()[2])[0]
+                 for alg in algebras if alg.nilpotency_class >= 3]
+    assert len(algebras) == 263 + 4 and quotients
+    for alg in algebras + quotients:
+        assert cochain_slice(alg).d1.rank() == alg.derived_subalgebra().dim, alg.name
+
+
 def test_one_cochain_slice_per_algebra(monkeypatch):
     built = []
 
