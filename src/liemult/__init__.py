@@ -20,7 +20,6 @@ from .core import (
     NotCentral,
     NotNilpotent,
     PresentationError,
-    QuotientMap,
     Subspace,
     central_product,
     direct_sum,
@@ -66,7 +65,7 @@ __all__ = [
     "DimensionMismatch", "DimensionTooLarge", "IndexOutOfRange", "JacobiViolation", "LieAlgebra",
     "LieError", "MAX_DIM", "Matrix", "MultiplierResult", "NotAnIdeal", "NotCentral",
     "NotCentralIdeal", "NotNilpotent", "ParamOutOfDomain", "PreconditionNotMet",
-    "PresentationError", "QuotientMap", "Subspace", "UnknownName", "abelian",
+    "PresentationError", "Subspace", "UnknownName", "abelian",
     "build_closure", "central_product", "check_derived_bound", "check_third_term_bound",
     "check_noncapable_bound", "check_central_ideal_bound", "classify_by_s", "cover",
     "dim_exterior_square", "dim_multiplier", "dim_multiplier_cover", "dim_multiplier_quotient",

@@ -8,9 +8,10 @@ nilpotency of the lower central series; non-nilpotent input is an error, not
 a supported case.  Quotients are built trusted, by theorem: L/I is a
 nilpotent Lie algebra whenever I is an ideal of a nilpotent L, and the
 projection is a homomorphism of full rank, so only `is_ideal` is checked.
-The stem covers of `multiplier` are plain algebras, built trusted by the
-theorems stated there; their projection is coordinate truncation, with no
-`QuotientMap`.
+`quotient` returns L/I with the images pi(x_c) of L's basis vectors as
+sparse rows, and builds no map object.  The stem covers of `multiplier` are
+plain algebras, built trusted by the theorems stated there; their
+projection is coordinate truncation.
 
 The Jacobi check is one sweep over the stored brackets: each [x_a, x_b]
 meets every third index c once, as one term of J(sorted(a, b, c))
@@ -18,11 +19,11 @@ meets every third index c once, as one term of J(sorted(a, b, c))
 
 Subspaces stay on {column: Fraction} rows from the stored brackets to
 their canonical bases: `sparse_subspace` hands the rows to one
-elimination (`linalg.rref_basis`), and the basis keeps a dense view
-only for callers that read one.  `subspace` takes dense vectors from
-outside and coerces them first; both end in the same rref tail.
-`Subspace.residue` reduces a sparse row at the pivots where it is
-nonzero.  `full_space()` is built once per algebra.
+elimination (`linalg.rref_basis`).  `subspace` and `Subspace.contains`
+take dense vectors from outside, coerce them through `qf` and check
+their length; `subspace` ends in the same rref tail.  `Subspace.residue`
+reduces a sparse row at the pivots where it is nonzero.  `full_space()`
+is built once per algebra.
 
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
@@ -430,7 +431,7 @@ class LieAlgebra:
         return self._full
 
     def zero_subspace(self) -> "Subspace":
-        return Subspace(self, Matrix._of((), self.dim)._own_rref(()))
+        return Subspace(self, Matrix.zero(0, self.dim)._own_rref(()))
 
     def product_space(self, u: "Subspace", v: "Subspace") -> "Subspace":
         """Span of [a, b] over basis pairs of U x V, in canonical form."""
@@ -531,14 +532,15 @@ class LieAlgebra:
             s.residue(img) for b in s.basis.sparse_rows for img in self.ad_images(b)
         )
 
-    def quotient(self, ideal: "Subspace") -> tuple["LieAlgebra", "QuotientMap"]:
-        """L/I on the complement of I's pivot coordinates.
+    def quotient(self, ideal: "Subspace") -> tuple["LieAlgebra", list[dict[int, Fraction]]]:
+        """(L/I, images) on the complement of I's pivot coordinates.
 
         The quotient basis is the set of standard basis vectors whose
         columns are non-pivot in I's rref, so the construction is
-        deterministic and reproducible.  Only `is_ideal` is checked; the
-        target and the map are built without validation (see the module
-        docstring).
+        deterministic and reproducible.  images[c] is pi(x_c), a
+        {column: Fraction} row in L/I's coordinates with no zero values.
+        Only `is_ideal` is checked; the target is built without validation
+        (see the module docstring).
         """
         if not self.is_ideal(ideal):
             raise NotAnIdeal("subspace is not an ideal")
@@ -552,10 +554,7 @@ class LieAlgebra:
             every pivot column, so its columns are all free."""
             return {pos[c]: x for c, x in sorted(ideal.residue(terms).items())}
 
-        columns = [project({c: Q(1)}) for c in range(self.dim)]
-        proj_matrix = Matrix(
-            [[col.get(a, Q(0)) for a in range(qdim)] for col in columns], cols=qdim
-        ).transpose()
+        images = [project({c: Q(1)}) for c in range(self.dim)]
         new_brackets: BracketTable = {}
         for a in range(qdim):
             for b in range(a + 1, qdim):
@@ -563,9 +562,7 @@ class LieAlgebra:
                 if terms:
                     new_brackets[(a, b)] = terms
         label = f"{self.name}/I" if self.name else None
-        target = LieAlgebra(qdim, new_brackets, name=label, validate=False)
-        pi = QuotientMap(self, target, proj_matrix, check=False)
-        return target, pi
+        return LieAlgebra(qdim, new_brackets, name=label, validate=False), images
 
 
 class Subspace:
@@ -608,9 +605,15 @@ class Subspace:
                         del w[j]
         return w
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        """Whether the dense vector v lies in the subspace."""
-        return not self.residue(dict(enumerate(v)))
+    def contains(self, v: Sequence) -> bool:
+        """Whether the dense vector v from outside lies in the subspace; its
+        entries are coerced through `qf` and its length must be the ambient
+        dimension."""
+        row = [qf(x) for x in v]
+        if len(row) != self.ambient.dim:
+            raise DimensionMismatch(
+                f"vector of length {len(row)} in an algebra of dim {self.ambient.dim}")
+        return not self.residue(dict(enumerate(row)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return not any(self.residue(row) for row in other.basis.sparse_rows)
@@ -647,47 +650,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"<Subspace dim {self.dim} of {self.ambient!r}>"
-
-
-class QuotientMap:
-    """Surjective bracket-compatible linear map in coordinates."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: LieAlgebra, target: LieAlgebra, matrix: Matrix, check: bool = True):
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise DimensionMismatch("projection matrix shape mismatch")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        # check=False is reserved for the projection onto a quotient by an
-        # ideal (`LieAlgebra.quotient`), which is surjective and compatible by
-        # construction; it is the identity on the target's coordinates, so
-        # full row rank is not re-checked either.
-        if check:
-            if matrix.rank() != target.dim:
-                raise DimensionMismatch("projection must have full row rank")
-            self.check_compatible()
-
-    def check_compatible(self) -> None:
-        n = self.source.dim
-        zero = (Q(0),) * self.target.dim
-        images = [self.matrix.column(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                terms = self.source.bracket_basis(i, j)
-                lhs = self.apply([terms.get(k, Q(0)) for k in range(n)]) if terms else zero
-                rhs = self.target.bracket(images[i], images[j])
-                if lhs != rhs:
-                    raise LieError(
-                        f"projection is not bracket-compatible on pair ({i + 1}, {j + 1})"
-                    )
-
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        return self.matrix.mul_vec(v)
-
-    def kernel(self) -> Subspace:
-        return self.source.subspace(self.matrix.nullspace_basis())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Exact rational matrices, held as sparse rows: rank, rref, nullspace.
 
 Scalars are `fractions.Fraction`, so every result is exact; there is no
-rounding anywhere in the package.  A `Matrix` keeps one {column: Fraction}
-dict per row, zeros dropped (`Matrix.sparse_rows`), and every arithmetic
-method reads only those: elimination, products, `is_zero` and
-`nullspace_basis`.  The dense rows (`Matrix.data`) are a view for callers
-that index positions (`transpose`, `column`, `mul_vec`, `==` and `hash`):
-a matrix built from sparse rows densifies on the first read of `data` and
-caches the result, and a matrix built from dense rows derives its sparse
-rows once, on first use.
+rounding anywhere in the package.  A `Matrix` holds one row form: one
+{column: Fraction} dict per row, zeros dropped (`Matrix.sparse_rows`).
+Every method reads only those rows: elimination, products, `is_zero`,
+`nullspace_basis`, `transpose`, `column`, `mul_vec`, `==` and `hash`.
+`Matrix.data`, the dense rows, is built from them on each read for
+callers that index positions, and is not kept.
 
 Elimination is fraction-free (after Bareiss): each row is cleared of
 denominators into a {column: int} dict, reduced with integer combinations,
@@ -21,15 +19,15 @@ span one {column: int} row at a time.
 
 `rref_basis` turns a matrix into the canonical basis of its row space,
 held as sparse rows: its rref without the zero rows.  Subspaces are built
-by it from sparse rows; `span_rref` is the same tail for dense vectors
-from outside, coerced through `qf` first.
+by it; `span_rref` is `rref_basis` of `Matrix(vectors, cols)`, the one
+path for dense vectors from outside.
 
 `Matrix(...)` is the entry point for outside values: it coerces every entry
-through `qf` and rejects floats.  Code here that already holds Fractions
-builds matrices through the trusted `Matrix.from_sparse` ({column: Fraction}
-rows) and `Matrix._of` (dense rows) instead, and products touch only the
-nonzero entries of both factors, so sparse matrices cost in proportion to
-their nonzeros.
+through `qf`, rejects floats and ragged rows, and keeps the nonzero entries.
+Code here that already holds Fractions builds matrices through the trusted
+`Matrix.from_sparse` ({column: Fraction} rows) instead, and products touch
+only the nonzero entries of both factors, so sparse matrices cost in
+proportion to their nonzeros.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
     # Fraction keeps its lowest-terms value in the _numerator and _denominator
     # slots; reading them directly skips a Python-level call per entry.  This
     # needs every value to be an exact fractions.Fraction: Matrix.__init__
-    # coerces through qf, and the trusted constructors are only given
-    # Fractions, so both row forms of every Matrix hold only Fractions
+    # coerces through qf, and the trusted constructor is only given
+    # Fractions, so the rows of every Matrix hold only Fractions
     # (tests/test_linalg.py checks this).
     return _integer_terms([(j, x) for j, x in terms.items() if x._numerator])
 
@@ -127,19 +125,16 @@ def _dense_rows(rows: Iterable[Mapping[int, Fraction]], cols: int) -> tuple[Vect
 class Matrix:
     """Immutable matrix over the rationals, held as sparse rows.
 
-    The source of truth for arithmetic is one {column: Fraction} dict per
-    row, zeros dropped (`sparse_rows`).  Elimination, products, `is_zero`
-    and `nullspace_basis` read only those rows.  The dense rows (`data`, a
-    tuple of `cols`-long tuples) are a view for callers that index
-    positions; a matrix built from sparse rows builds it on first read and
-    caches it, and a matrix built from dense rows derives its sparse rows
-    once, on first use.
+    `sparse_rows` holds one {column: Fraction} dict per row, zeros dropped,
+    and is the only row form: every method reads it.  `data`, a tuple of
+    `cols`-long tuples, is built from it on each read for callers that
+    index positions.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_sparse", "_rref", "_pivots")
+    __slots__ = ("rows", "cols", "sparse_rows", "_rref", "_pivots")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(tuple(qf(x) for x in row) for row in data)
+        rows = [[qf(x) for x in row] for row in data]
         if rows:
             cols_found = len(rows[0])
             if any(len(r) != cols_found for r in rows):
@@ -151,37 +146,23 @@ class Matrix:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = len(rows)
         self.cols = cols
-        self._data = rows
-        self._sparse: tuple[dict[int, Fraction], ...] | None = None
+        self.sparse_rows: tuple[dict[int, Fraction], ...] = tuple(
+            {j: x for j, x in enumerate(r) if x._numerator} for r in rows)
         self._rref: Matrix | None = None
         self._pivots: tuple[int, ...] | None = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _of(cls, data: tuple[Vector, ...], cols: int) -> "Matrix":
-        """Trusted constructor: `data` is a tuple of `cols`-long tuples of
-        Fractions, taken as is."""
-        m = cls.__new__(cls)
-        m.rows = len(data)
-        m.cols = cols
-        m._data = data
-        m._sparse = None
-        m._rref = None
-        m._pivots = None
-        return m
-
-    @classmethod
     def from_sparse(cls, rows: Iterable[Mapping[int, Fraction]], cols: int) -> "Matrix":
         """Trusted constructor from {column: Fraction} rows; the values must
-        be Fractions.  Zero values are dropped from nonempty rows, an empty
-        row is taken as a fresh {}, and the dense view is not built."""
+        be Fractions.  Zero values are dropped from nonempty rows, and an
+        empty row is taken as a fresh {}."""
         m = cls.__new__(cls)
-        m._sparse = tuple({j: x for j, x in r.items() if x._numerator} if r else {}
-                          for r in rows)
-        m.rows = len(m._sparse)
+        m.sparse_rows = tuple({j: x for j, x in r.items() if x._numerator} if r else {}
+                              for r in rows)
+        m.rows = len(m.sparse_rows)
         m.cols = cols
-        m._data = None
         m._rref = None
         m._pivots = None
         return m
@@ -201,47 +182,34 @@ class Matrix:
         self._pivots = pivots
         return self
 
-    # -- the two row forms ------------------------------------------------------
+    # -- basics ---------------------------------------------------------------
 
     @property
     def data(self) -> tuple[Vector, ...]:
-        """The dense rows, built from the sparse ones on first read."""
-        if self._data is None:
-            self._data = _dense_rows(self._sparse, self.cols)
-        return self._data
-
-    @property
-    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """The rows as {column: Fraction} with no zero values; shared with
-        the matrix, so callers must not mutate them."""
-        if self._sparse is None:
-            self._sparse = tuple({j: x for j, x in enumerate(r) if x._numerator}
-                                 for r in self._data)
-        return self._sparse
-
-    # -- basics ---------------------------------------------------------------
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
+        """The dense rows, built from the sparse ones on each read."""
+        return _dense_rows(self.sparse_rows, self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
+        return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
 
     def transpose(self) -> "Matrix":
-        # zip(*()) is empty, so a 0 x c matrix needs its c empty rows spelled out
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return Matrix._of(data, self.rows)
+        columns: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r.items():
+                columns[j][i] = x
+        return Matrix.from_sparse(columns, self.rows)
 
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        # a row's hash must not depend on its dict's insertion order
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -262,16 +230,16 @@ class Matrix:
         return Matrix.from_sparse(out, other.cols)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        """Product over the nonzero entries of v: rows x nnz(v) work."""
+        """Product over the nonzero entries of v and of each row."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
         nonzero = [(j, b) for j, b in enumerate(v) if b]
         out = []
-        for r in self.data:
+        for r in self.sparse_rows:
             acc = _ZERO
             for j, b in nonzero:
-                a = r[j]
-                if a:
+                a = r.get(j)
+                if a is not None:
                     acc += a * b
             out.append(acc)
         return tuple(out)
@@ -343,9 +311,9 @@ def rref_basis(m: Matrix) -> Matrix:
     """Canonical (rref, no zero rows) basis matrix of m's row space, held as
     sparse rows; one elimination of m.
 
-    The result is its own rref, so it is never eliminated again, and its
-    dense view is built only if a caller reads it.  When m's rows are
-    independent, m's rref is that basis already and is returned as is."""
+    The result is its own rref, so it is never eliminated again.  When m's
+    rows are independent, m's rref is that basis already and is returned as
+    is."""
     pivots = m.pivot_columns()
     rref = m.rref()
     if rref.rows == len(pivots):
@@ -354,12 +322,7 @@ def rref_basis(m: Matrix) -> Matrix:
 
 
 def span_rref(vectors: Iterable[Sequence], cols: int) -> Matrix:
-    """`rref_basis` of a span of dense vectors from outside, each coerced
-    through `qf` and checked to have length `cols`."""
-    rows = []
-    for v in vectors:
-        row = tuple(qf(x) for x in v)
-        if len(row) != cols:
-            raise ValueError(f"vector of length {len(row)} in a span of width {cols}")
-        rows.append(row)
-    return rref_basis(Matrix._of(tuple(rows), cols))
+    """`rref_basis` of a span of dense vectors from outside: `Matrix`
+    coerces each entry through `qf` and rejects a vector whose length is
+    not `cols` (ValueError)."""
+    return rref_basis(Matrix(vectors, cols))

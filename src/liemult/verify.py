@@ -32,7 +32,7 @@ from . import catalog
 from .catalog import CPROD, DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
 from .core import LieAlgebra, LieError, direct_sum, format_rational
 from .invariants import Fingerprint, bound_checks, fingerprint, s_invariant
-from .linalg import Q, unit_vector
+from .linalg import Q
 from .multiplier import (
     cover,
     dim_exterior_square,
@@ -571,10 +571,8 @@ def subalgebra_series_suite() -> SuiteResult:
         glue = total.subspace(
             [tuple(wa.basis.data[0]) + tuple(-x for x in wb.basis.data[0])]
         )
-        product_alg, pi = total.quotient(glue)
-        h_img = product_alg.subspace(
-            [pi.apply(unit_vector(total.dim, i)) for i in range(a.dim)]
-        )
+        product_alg, images = total.quotient(glue)
+        h_img = product_alg.sparse_subspace(images[:a.dim])
         h2 = product_alg.product_space(h_img, h_img)
         series = product_alg.lower_central_series()
         l2, l3 = series[1], series[2]

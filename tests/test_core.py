@@ -40,7 +40,6 @@ from liemult.cli import main
 from liemult.core import (
     MAX_DIGITS,
     DimensionMismatch,
-    QuotientMap,
     format_rational,
     rational_expr,
 )
@@ -251,15 +250,16 @@ def quotient_upper_central_series(L):
     through the validated quotient algebra."""
     series = [L.center()]
     while series[-1].dim < L.dim:
-        q, pi = L.quotient(series[-1])
+        q, images = L.quotient(series[-1])
         z = q.center()
         if z.dim == q.dim:
             series.append(L.full_space())
             continue
         # v in the preimage iff pi(v) is annihilated by every functional
-        # vanishing on Z(L/Z_i)
+        # vanishing on Z(L/Z_i); pi's matrix has the images as its columns
         perp = Matrix(z.basis.nullspace_basis(), cols=q.dim) if z.dim else Matrix.identity(q.dim)
-        series.append(L.subspace((perp * pi.matrix).nullspace_basis()))
+        projection = Matrix.from_sparse(images, q.dim).transpose()
+        series.append(L.subspace((perp * projection).nullspace_basis()))
     return series
 
 
@@ -424,9 +424,10 @@ def test_derived_subalgebra_is_the_second_lower_central_term():
 def test_quotient_L626_by_x6():
     L = get("L_{6,26}")
     ideal = L.subspace([unit_vector(6, 5)])
-    q, pi = L.quotient(ideal)
+    q, images = L.quotient(ideal)
     assert q == get("L_{5,8}")
-    assert pi.matrix.rows == 5
+    # x_1..x_5 are the quotient's basis and x_6 is in the ideal
+    assert images == [{c: Q(1)} for c in range(5)] + [{}]
 
 
 def test_quotient_by_everything():
@@ -449,28 +450,24 @@ def test_quotient_requires_ideal():
         L.quotient(L.subspace([unit_vector(4, 0)]))
 
 
-def test_checked_quotient_map_needs_full_row_rank():
-    # check=True rejects a projection that is not onto; check=False trusts
-    # its caller (a quotient or cover projection, onto by construction) and
-    # does not eliminate the matrix
-    L, target = abelian(3), abelian(2)
-    with pytest.raises(DimensionMismatch):
-        QuotientMap(L, target, Matrix([[1, 0, 0], [2, 0, 0]]))
-    QuotientMap(L, target, Matrix([[1, 0, 0], [0, 1, 0]]))
-    L43 = get("L_{4,3}")
-    _, pi = L43.quotient(L43.center())
-    assert pi.matrix._pivots is None
-
-
 def test_quotient_respects_brackets():
     L = get("L_{6,24}", eps=2)
     ideal = L.subspace([unit_vector(6, 5)])
-    _, pi = L.quotient(ideal)
+    q, images = L.quotient(ideal)
     n = L.dim
+
+    def project(v):
+        """pi(v) = sum_c v_c pi(x_c) as a dense vector of L/I."""
+        out = [Q(0)] * q.dim
+        for c, x in enumerate(v):
+            for a, y in images[c].items():
+                out[a] += x * y
+        return tuple(out)
+
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = pi.apply(L.bracket(unit_vector(n, i), unit_vector(n, j)))
-            rhs = pi.target.bracket(pi.apply(unit_vector(n, i)), pi.apply(unit_vector(n, j)))
+            lhs = project(L.bracket(unit_vector(n, i), unit_vector(n, j)))
+            rhs = q.bracket(project(unit_vector(n, i)), project(unit_vector(n, j)))
             assert lhs == rhs
 
 
@@ -537,6 +534,24 @@ def test_central_product_dimension_formula():
     b = heisenberg(2)
     pairs = [(unit_vector(4, 2), unit_vector(5, 4))]
     assert central_product(a, b, pairs).dim == a.dim + b.dim - len(pairs)
+
+
+def test_central_product_coerces_identification_entries():
+    # "1/2" is read as the rational it spells: z/2 ~ z' glues two copies of
+    # H(1) into an algebra isomorphic to H(2)
+    h = heisenberg(1)
+    alg = central_product(h, h, [((0, 0, "1/2"), (0, 0, 1))])
+    assert alg == central_product(h, h, [((0, 0, Q(1, 2)), (0, 0, 1))])
+    assert alg.dim == 5 and fingerprint(alg) == fingerprint(heisenberg(2))
+
+
+@pytest.mark.parametrize("u,v", [((0, 0), (0, 0, 1)), ((0, 1), (0, 0, 1)),
+                                 ((0, 0, 1), (0, 0, 1, 0))])
+def test_central_product_rejects_wrong_length(u, v):
+    # a short vector is not zero-padded and a long one not truncated
+    h = heisenberg(1)
+    with pytest.raises(DimensionMismatch):
+        central_product(h, h, [(u, v)])
 
 
 # -- presentation format ---------------------------------------------------------

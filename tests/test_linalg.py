@@ -1,12 +1,14 @@
 """Exact linear algebra kernel: examples and algebraic properties."""
 
 from fractions import Fraction as Q
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from liemult.core import format_rational
+from liemult import linalg
 from liemult.linalg import _ZERO, Matrix, span_rref
 
 
@@ -213,12 +215,19 @@ def test_kernel_matches_dense_reference(case):
     null_ref = reference_nullspace(red, pivots, cols)
     m = Matrix(rows, cols=cols)
     twin = sparse_twin(rows, cols)
-    # arithmetic on the sparse form never builds its dense view
-    assert twin.rref().pivot_columns() == pivots and twin.nullspace_basis() == null_ref
-    # the sparse kernel vectors are the dense ones with their zeros left out
-    assert twin.sparse_nullspace_basis() == [{j: x for j, x in enumerate(v) if x}
-                                             for v in null_ref]
-    assert twin.is_zero() == (not pivots) and twin._data is None
+    # arithmetic, equality and hashing never build a dense view of the
+    # matrix or its rref: `Matrix.data` hands its own sparse rows to
+    # `linalg._dense_rows`
+    with mock.patch.object(linalg, "_dense_rows", wraps=linalg._dense_rows) as densify:
+        assert twin.rref().pivot_columns() == pivots and twin.nullspace_basis() == null_ref
+        # the sparse kernel vectors are the dense ones with their zeros left out
+        assert twin.sparse_nullspace_basis() == [{j: x for j, x in enumerate(v) if x}
+                                                 for v in null_ref]
+        assert twin.is_zero() == (not pivots)
+        assert twin == m and hash(twin) == hash(m)
+        assert twin.transpose() == m.transpose()
+    densified = [c.args[0] for c in densify.call_args_list]
+    assert not any(r is a.sparse_rows for r in densified for a in (twin, twin.rref(), m))
     for a in (m, twin):
         assert a.data == m.data == tuple(tuple(Q(x) for x in r) for r in rows)
         assert a == m and hash(a) == hash(m)

@@ -28,8 +28,8 @@ from liemult import (
     s_invariant,
 )
 import liemult.catalog as cat
-from liemult import multiplier
-from liemult.core import AmbientMismatch, LieError, QuotientMap
+from liemult import linalg, multiplier
+from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors
 from liemult.linalg import Matrix, unit_vector
 from liemult.multiplier import (
@@ -382,16 +382,25 @@ def test_both_routes_keep_d2_and_boundary3_sparse(monkeypatch):
             return built[name]
         monkeypatch.setattr(multiplier, name, wrapped)
 
+    densified = []
+    dense_rows = linalg._dense_rows
+
+    def recorded(rows, cols):
+        densified.append(rows)
+        return dense_rows(rows, cols)
+
     spy("cochain_slice", cochain_slice)
     spy("boundary3", boundary3)
+    monkeypatch.setattr(linalg, "_dense_rows", recorded)
     multiplier.clear_caches()
     alg = heisenberg(7)
     assert dim_multiplier(alg) == dim_multiplier_cover(alg).dim_M == 2 * 49 - 7 - 1
     d1, d2, b3 = built["cochain_slice"].d1, built["cochain_slice"].d2, built["boundary3"]
     assert (d2.rows, d2.cols) == (b3.cols, b3.rows) == (455, 105)
-    # _data holds the dense view once it is built
-    for m in (d1, d2, b3):
-        assert getattr(m, "_data", "built with the matrix") is None
+    # no dense view of d1, d2 or boundary_3 was built: `Matrix.data` hands
+    # its own sparse rows to `linalg._dense_rows`
+    assert not any(rows is m.sparse_rows for rows in densified for m in (d1, d2, b3))
+    assert len(d2.data) == 455 and densified[-1] is d2.sparse_rows
 
 
 # -- covers ----------------------------------------------------------------------
@@ -409,26 +418,46 @@ def bound_check_ideals(alg):
 
 
 def cover_parts(alg):
-    """(E, pi, K) for the stem cover E of alg: pi is the truncation to the
-    first dim L coordinates, built trusted as a quotient projection is, and
-    K is the span of the adjoined coordinates."""
+    """(E, images, K) for the stem cover E of alg: images[c] is the image of
+    E's x_c under the truncation to the first dim L coordinates, and K is
+    the span of the adjoined coordinates."""
     E = cover(alg)
     n = alg.dim
-    pi = QuotientMap(E, alg, Matrix([unit_vector(E.dim, i) for i in range(n)], cols=E.dim),
-                     check=False)
-    return E, pi, E.subspace([unit_vector(E.dim, k) for k in range(n, E.dim)])
+    images = [{c: Q(1)} if c < n else {} for c in range(E.dim)]
+    return E, images, E.subspace([unit_vector(E.dim, k) for k in range(n, E.dim)])
+
+
+def check_projection(source, target, images, kernel):
+    """The checks a trusted projection skips: pi, given by images[c] =
+    pi(x_c) as sparse rows, maps onto target (full rank), pi([x_i, x_j]) =
+    [pi x_i, pi x_j] on every basis pair, and ker pi is `kernel`."""
+    assert len(images) == source.dim
+    # row c is pi(x_c): pi's matrix transposed
+    rows = Matrix.from_sparse(images, target.dim)
+    assert rows.rank() == target.dim
+    dense = rows.data
+    for i in range(source.dim):
+        for j in range(i + 1, source.dim):
+            lhs = [Q(0)] * target.dim
+            for c, x in source.bracket_basis(i, j).items():
+                for a, y in images[c].items():
+                    lhs[a] += x * y
+            assert tuple(lhs) == target.bracket(dense[i], dense[j]), (i + 1, j + 1)
+    assert source.sparse_subspace(rows.transpose().sparse_nullspace_basis()) == kernel
 
 
 def trusted_constructions(alg):
-    """(algebra, projection, kernel) for the cover of alg and for L/K at each
-    of the bound checks' ideals K, all built without validation.  The bound
-    checks read these quotients' dim M off L's d2 rather than build them;
-    `LieAlgebra.quotient` still builds them for `central_product` and the
-    tests."""
-    out = [cover_parts(alg)]
+    """(source, target, images, kernel) for the cover of alg (source E,
+    target alg) and for L/K at each of the bound checks' ideals K (source
+    alg, target L/K), the built algebras and projections made without
+    validation.  The bound checks read these quotients' dim M off L's d2
+    rather than build them; `LieAlgebra.quotient` still builds them for
+    `central_product` and the tests."""
+    E, images, kernel = cover_parts(alg)
+    out = [(E, alg, images, kernel)]
     for ideal in bound_check_ideals(alg):
-        target, pi = alg.quotient(ideal)
-        out.append((target, pi, ideal))
+        target, images = alg.quotient(ideal)
+        out.append((alg, target, images, ideal))
     return out
 
 
@@ -437,12 +466,12 @@ def test_trusted_quotients_and_covers_pass_full_validation():
     algebras += [cover(get(name)) for name in ("L_{6,10}", "27A")]
     built = [c for alg in algebras for c in trusted_constructions(alg)]
     assert len(built) > 2 * len(algebras)
-    for built_alg, pi, kernel in built:
-        LieAlgebra(built_alg.dim, built_alg.brackets)
-        # check=True re-runs the full-row-rank and bracket checks that the
-        # trusted construction (check=False) skips
-        QuotientMap(pi.source, pi.target, pi.matrix)
-        assert pi.kernel() == kernel
+    for source, target, images, kernel in built:
+        # the built algebra (E or L/K) passes Jacobi and nilpotency, and the
+        # projection the full-rank, bracket and kernel checks
+        for alg in (source, target):
+            LieAlgebra(alg.dim, alg.brackets)
+        check_projection(source, target, images, kernel)
     for alg in algebras:
         # the stem property: K is central in E and lies in E^2
         E, _, kernel = cover_parts(alg)
@@ -618,8 +647,9 @@ def test_cover_of_L58():
 
 def test_cover_projection_bracket_compatible():
     for name in ("H(2)", "L_{6,10}"):
-        _, pi, _ = cover_parts(get(name))
-        pi.check_compatible()
+        alg = get(name)
+        E, images, kernel = cover_parts(alg)
+        check_projection(E, alg, images, kernel)
 
 
 # -- epicenter and capability -----------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import replace
 import liemult.catalog as cat
 from liemult import invariants, multiplier, verify
 from liemult.cli import main
-from liemult.core import direct_sum
+from liemult.core import LieAlgebra, direct_sum
 from liemult.invariants import BoundCheck, bound_checks
 from liemult.verify import (
     build_closure,
@@ -221,6 +221,24 @@ def test_structure_suites(full_report):
         assert suite.checked > 0
         assert suite.violations == []
     assert full_report.structure["method_agreement"].checked == full_report.closure_size
+
+
+def test_series_suite_runs_on_the_catalog_central_product(monkeypatch):
+    # the suite's quotient is the catalog recipe L_{6,10} .+ H(1), and the
+    # images of L_{6,10}'s basis span a 6-dim subalgebra H of it
+    built = []
+    quotient = LieAlgebra.quotient
+
+    def recorded(self, ideal):
+        built.append(quotient(self, ideal))
+        return built[-1]
+
+    monkeypatch.setattr(LieAlgebra, "quotient", recorded)
+    assert verify.subalgebra_series_suite().passed
+    ((product_alg, images),) = built
+    assert product_alg == cat.get("L_{6,10}∔H(1)")
+    h = product_alg.sparse_subspace(images[:6])
+    assert h.dim == 6 and h.contains_subspace(product_alg.product_space(h, h))
 
 
 def test_kunneth_suite(full_report):
