@@ -148,45 +148,31 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """A single scope prints its sections of the full report: the same JSON
-    sections, Markdown sections and CSV rows, under the report's CSV header."""
-    scope = args.scope
-    if scope == "all":
+    """`all` prints the full report.  A single scope builds the one report
+    section it names and prints it as the report does: its JSON value, its
+    CSV rows under the report's CSV header, its Markdown lines."""
+    if args.scope == "all":
         report = verify.run_all(args.dim_cap)
-        if args.format == "json":
-            _emit(verify.report_to_json(report), args.out)
-        elif args.format == "csv":
-            _emit(verify.report_to_csv(report), args.out)
-        else:
-            _emit(verify.report_to_markdown(report), args.out)
+        writers = {"json": verify.report_to_json, "csv": verify.report_to_csv,
+                   "md": verify.report_to_markdown}
+        _emit(writers[args.format](report), args.out)
         return report.exit_code
-    if scope == "tables":
-        reports = [verify.verify_table(t) for t in (7, 8, 9, 10)]
-        ok = all(t.passed for t in reports)
-        doc = [verify.table_to_dict(t) for t in reports]
-        rows = [row for t in reports for row in verify.table_to_csv_rows(t)]
-        lines = [line for t in reports for line in verify.table_to_markdown(t)]
-    elif scope == "theorems":
-        values = [args.s] if args.s is not None else list(range(8))
-        closure = verify.build_closure(args.dim_cap)
-        reports = [verify.classify_by_s(s, args.dim_cap, closure) for s in values]
-        ok = all(r.passed for r in reports)
-        doc = [verify.classification_to_dict(r) for r in reports]
-        rows = [verify.classification_to_csv_row(r) for r in reports]
-        lines = verify.classifications_to_markdown(reports)
+    if args.scope == "tables":
+        section = verify.tables_section()
+    elif args.scope == "theorems":
+        s_values = [args.s] if args.s is not None else range(8)
+        section = verify.classification_section(verify.build_closure(args.dim_cap),
+                                                args.dim_cap, s_values)
     else:
-        claims = verify.verify_capability_claims()
-        ok = all(c.match for c in claims)
-        doc = [verify.claim_to_dict(c) for c in claims]
-        rows = [verify.claim_to_csv_row(c) for c in claims]
-        lines = verify.claims_to_markdown(claims)
+        section = verify.capability_section()
     if args.format == "json":
+        (doc,) = section.json.values()
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        _emit(verify.csv_text([verify.CSV_HEADER, *rows]), args.out)
+        _emit(verify.csv_text([verify.CSV_HEADER, *section.csv]), args.out)
     else:
-        _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+        _emit("\n".join(section.markdown), args.out)
+    return 0 if section.passed else 1
 
 
 def cmd_export(args) -> int:

@@ -4,16 +4,17 @@ Scalars are `fractions.Fraction`, so every result is exact; there is no
 rounding anywhere in the package.  A `Matrix` holds one row form: one
 {column: Fraction} dict per row, zeros dropped (`Matrix.sparse_rows`).
 Every method reads only those rows: elimination, products, `is_zero`,
-`nullspace_basis`, `transpose`, `column`, `mul_vec`, `==` and `hash`.
+`sparse_nullspace_basis`, `==` and `hash`.
 `Matrix.data`, the dense rows, is built from them on each read for
 callers that index positions, and is not kept.
 
 Elimination is fraction-free (after Bareiss): each row is cleared of
 denominators into a {column: int} dict, reduced with integer combinations,
 and only the final division by the pivots creates Fractions.  The reduced
-row echelon form of a matrix is unique, so `rref`, `pivot_columns`, `rank`
-and `nullspace_basis` (and everything derived from them, e.g. canonical
-subspace bases) are canonical, whatever order the kernel eliminates in.
+row echelon form of a matrix is unique, so `rref`, `pivot_columns`,
+`rank` and `sparse_nullspace_basis` (and everything derived from them,
+e.g. canonical subspace bases) are canonical, whatever order the kernel
+eliminates in.
 `extend_integer_echelon` exposes the same reduction step for growing a
 span one {column: int} row at a time.
 
@@ -50,10 +51,6 @@ def qf(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floating point input is not allowed in exact arithmetic")
     return Fraction(x)
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
@@ -189,16 +186,6 @@ class Matrix:
         """The dense rows, built from the sparse ones on each read."""
         return _dense_rows(self.sparse_rows, self.cols)
 
-    def column(self, j: int) -> Vector:
-        return tuple(r.get(j, _ZERO) for r in self.sparse_rows)
-
-    def transpose(self) -> "Matrix":
-        columns: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.sparse_rows):
-            for j, x in r.items():
-                columns[j][i] = x
-        return Matrix.from_sparse(columns, self.rows)
-
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, Matrix)
@@ -228,21 +215,6 @@ class Matrix:
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out.append(acc)
         return Matrix.from_sparse(out, other.cols)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        """Product over the nonzero entries of v and of each row."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        nonzero = [(j, b) for j, b in enumerate(v) if b]
-        out = []
-        for r in self.sparse_rows:
-            acc = _ZERO
-            for j, b in nonzero:
-                a = r.get(j)
-                if a is not None:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
@@ -287,13 +259,9 @@ class Matrix:
     def rank(self) -> int:
         return len(self.pivot_columns())
 
-    def nullspace_basis(self) -> list[Vector]:
-        """Basis of {v : self @ v = 0}, one vector per free column."""
-        return list(_dense_rows(self.sparse_nullspace_basis(), self.cols))
-
     def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
-        """`nullspace_basis` as {column: Fraction} vectors with no zero
-        values, in the same order."""
+        """Basis of {v : self @ v = 0}, one {column: Fraction} vector with no
+        zero values per free column, in column order."""
         pivots = self.pivot_columns()
         # a free column's vector is 1 there and -x at the pivot column of each
         # rref row with x in that free column; an rref row is zero at every

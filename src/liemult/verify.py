@@ -13,6 +13,15 @@ their abelian paddings, and the Heisenberg family, up to a dimension cap):
 * the generators-and-relations fixtures and the documented-discrepancy
   allowlist.
 
+The report is an ordered list of `Section`s, one per builder (tables,
+classification, capability, suites, fixtures, fingerprint collisions,
+coverage).  A section carries its `passed` flag, its top-level JSON keys,
+its CSV rows and its Markdown lines; `FullReport.passed` and the three
+writers loop over the list around a fixed header.  Adding a section takes
+two steps: a builder that calls its stages and returns a `Section`, and
+its entry in `run_all`'s list.  `liemult verify tables|theorems|capability`
+print one section through the same builders.
+
 Reports are deterministic: two runs produce byte-identical JSON/CSV/
 Markdown.  A fixture mismatch that names an id of discrepancy_notes() is
 report content, never a failure; anything else fails the run (exit code 1).
@@ -25,7 +34,7 @@ import functools
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import catalog
@@ -607,191 +616,24 @@ def fingerprint_collisions() -> list[list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# full run
+# report sections
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FullReport:
-    dim_cap: int
-    closure_size: int
-    tables: list[TableReport]
-    classifications: list[ClassificationReport]
-    capability: list[ClaimResult]
-    bounds: dict[str, SuiteResult]
-    structure: dict[str, SuiteResult]
-    kunneth: SuiteResult
-    exterior: SuiteResult
-    series_law: SuiteResult
-    fixtures: list[FixtureRow]
-    collisions: list[list[str]]
-    discrepancies: list[dict]
-    uncovered_entries: list[str]
+@dataclass(frozen=True)
+class Section:
+    """One part of the report, with its three renderings.
 
-    @property
-    def passed(self) -> bool:
-        allowed = {d["id"] for d in self.discrepancies}
-        fixture_fail = any(
-            not row.match and row.allowed_by not in allowed for row in self.fixtures
-        )
-        return (
-            all(t.passed for t in self.tables)
-            and all(c.passed for c in self.classifications)
-            and all(c.match for c in self.capability)
-            and all(s.passed for s in self.bounds.values())
-            and all(s.passed for s in self.structure.values())
-            and self.kunneth.passed
-            and self.exterior.passed
-            and self.series_law.passed
-            and not fixture_fail
-            and not self.uncovered_entries
-        )
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
-
-def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
-    closure = build_closure(dim_cap)
-    tables = [verify_table(t) for t in (7, 8, 9, 10)]
-    classifications = [classify_by_s(s, dim_cap, closure) for s in range(8)]
-    capability = verify_capability_claims()
-    bounds = bound_suites(closure)
-    structure = structure_suites(closure)
-    kunneth = kunneth_suite(kunneth_pairs)
-    exterior = exterior_consequence_suite()
-    series_law = subalgebra_series_suite()
-    fixtures = fixtures_suite()
-    collisions = fingerprint_collisions()
-    discrepancies = discrepancy_notes()
-
-    covered: set[str] = set()
-    for table in tables:
-        for row in table.rows:
-            covered.add(row.name)
-    covered.update(LEMMA_ENTRIES)
-    covered.update(name for name, _ in CAPABILITY_CLAIMS)
-    swept_names = set()
-    for cls in classifications:
-        swept_names.update(cls.computed_names)
-    for member in closure:
-        if member.base_entry is not None and member.name in swept_names:
-            covered.add(member.base_entry)
-    # entries beyond the cap cannot appear in sweeps; only a degraded cap
-    # (< 9) leaves any, and those are a cap artifact, not a coverage gap
-    uncovered = [
-        e.name for e in catalog.entries()
-        if e.name not in covered and e.dim <= dim_cap
-    ]
-
-    return FullReport(
-        dim_cap=dim_cap,
-        closure_size=len(closure),
-        tables=tables,
-        classifications=classifications,
-        capability=capability,
-        bounds=bounds,
-        structure=structure,
-        kunneth=kunneth,
-        exterior=exterior,
-        series_law=series_law,
-        fixtures=fixtures,
-        collisions=collisions,
-        discrepancies=discrepancies,
-        uncovered_entries=uncovered,
-    )
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-def table_to_dict(t: TableReport) -> dict:
-    return {
-        "table": t.table_id,
-        "passed": t.passed,
-        "rows": [
-            {
-                "name": r.name,
-                "params": r.params,
-                "dim_M": {"computed": r.dim_M_computed, "expected": r.dim_M_expected},
-                "s": {"computed": r.s_computed, "expected": r.s_expected},
-                "match": r.match,
-            }
-            for r in t.rows
-        ],
-        "discrepancies": t.discrepancies,
-    }
-
-
-def classification_to_dict(c: ClassificationReport) -> dict:
-    return {
-        "s": c.s_value,
-        "passed": c.passed,
-        "expected": c.expected_names,
-        "computed": c.computed_names,
-        "missing": c.missing,
-        "extra": c.extra,
-        "out_of_closure": c.out_of_closure,
-        "aliases": c.aliases,
-    }
-
-
-def claim_to_dict(c: ClaimResult) -> dict:
-    return {"name": c.name, "expected": c.expected, "computed": c.computed, "match": c.match}
-
-
-def report_to_dict(report: FullReport) -> dict:
-    return {
-        "format": "liemult-report/1",
-        "closure": {
-            "dim_cap": report.dim_cap,
-            "heisenberg_max": HEISENBERG_MAX,
-            "size": report.closure_size,
-            "samples": {
-                "eps": [format_rational(v) for v in VERIFY_EPS],
-                "lam": [format_rational(v) for v in VERIFY_EPS if LAM_NOT01.contains(v)],
-            },
-        },
-        "tables": [table_to_dict(t) for t in report.tables],
-        "classification": [classification_to_dict(c) for c in report.classifications],
-        "capability": [claim_to_dict(c) for c in report.capability],
-        "bounds": {
-            key: {"checked": s.checked, "violations": s.violations}
-            for key, s in report.bounds.items()
-        },
-        "structure": {
-            key: {"checked": s.checked, "violations": s.violations}
-            for key, s in report.structure.items()
-        },
-        "kunneth": {"checked": report.kunneth.checked, "violations": report.kunneth.violations},
-        "exterior_consequences": {
-            "checked": report.exterior.checked,
-            "violations": report.exterior.violations,
-        },
-        "subalgebra_series_law": {
-            "checked": report.series_law.checked,
-            "violations": report.series_law.violations,
-        },
-        "fixtures": [
-            {
-                "name": f.name,
-                "computed": f.computed,
-                "expected": f.expected,
-                "match": f.match,
-                "note": f.note,
-            }
-            for f in report.fixtures
-        ],
-        "fingerprint_collisions": report.collisions,
-        "documented_discrepancies": report.discrepancies,
-        "uncovered_entries": report.uncovered_entries,
-        "summary": {"passed": report.passed},
-    }
-
-
-def report_to_json(report: FullReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    `results` maps each top-level report key the section owns to what its
+    stages computed; `json` maps the same keys to their JSON values.
+    `csv` and `markdown` are its CSV rows and Markdown lines, in report
+    order.
+    """
+    name: str
+    passed: bool
+    results: dict
+    json: dict
+    csv: list[tuple]
+    markdown: list[str]
 
 
 CSV_HEADER = ("section", "check", "subject", "computed", "expected", "status", "note")
@@ -808,115 +650,235 @@ def _csv_row(section, check, subject, computed, expected, ok, note="") -> tuple:
     return (section, check, subject, str(computed), str(expected), "ok" if ok else "fail", note)
 
 
-def table_to_csv_rows(t: TableReport) -> list[tuple]:
-    return [
-        _csv_row(f"table{t.table_id}", "dim_M,s", r.name,
-                 f"({r.dim_M_computed}; {r.s_computed})",
-                 f"({r.dim_M_expected}; {r.s_expected})", r.match, r.params)
-        for r in t.rows
+def tables_section() -> Section:
+    """Reference tables 7-10, computed against the recorded (dim M, s)."""
+    tables = [verify_table(t) for t in (7, 8, 9, 10)]
+    doc, rows, lines = [], [], []
+    for t in tables:
+        doc.append({"table": t.table_id, "passed": t.passed, "discrepancies": t.discrepancies,
+                    "rows": [{"name": r.name, "params": r.params, "match": r.match,
+                              "dim_M": {"computed": r.dim_M_computed,
+                                        "expected": r.dim_M_expected},
+                              "s": {"computed": r.s_computed, "expected": r.s_expected}}
+                             for r in t.rows]})
+        rows += [
+            _csv_row(f"table{t.table_id}", "dim_M,s", r.name,
+                     f"({r.dim_M_computed}; {r.s_computed})",
+                     f"({r.dim_M_expected}; {r.s_expected})", r.match, r.params)
+            for r in t.rows
+        ]
+        lines += [f"## Table {t.table_id} ({len(t.rows)} rows, {'pass' if t.passed else 'FAIL'})",
+                  "", "| name | params | dim M | recorded | s | recorded | match |",
+                  "|---|---|---|---|---|---|---|"]
+        lines += [
+            f"| {r.name} | {r.params} | {r.dim_M_computed} | {r.dim_M_expected} "
+            f"| {r.s_computed} | {r.s_expected} | {'yes' if r.match else 'NO'} |"
+            for r in t.rows
+        ]
+        lines.append("")
+    return Section("tables", all(t.passed for t in tables), {"tables": tables},
+                   {"tables": doc}, rows, lines)
+
+
+def classification_section(closure: list[ClosureMember], dim_cap: int,
+                           s_values=range(8)) -> Section:
+    """The classification sweeps for each s in s_values over the closure."""
+    sweeps = [classify_by_s(s, dim_cap, closure) for s in s_values]
+    doc = [{"s": c.s_value, "passed": c.passed, "expected": c.expected_names,
+            "computed": c.computed_names, "missing": c.missing, "extra": c.extra,
+            "out_of_closure": c.out_of_closure, "aliases": c.aliases} for c in sweeps]
+    rows = [
+        _csv_row("classification", f"s={c.s_value}", f"{len(c.computed_names)} members",
+                 "missing=" + "|".join(c.missing), "extra=" + "|".join(c.extra), c.passed,
+                 "out_of_closure=" + "|".join(c.out_of_closure))
+        for c in sweeps
     ]
+    lines = ["## Classification sweeps", "",
+             "| s | expected | computed | missing | extra | out of closure | pass |",
+             "|---|---|---|---|---|---|---|"]
+    lines += [
+        f"| {c.s_value} | {len(c.expected_names)} | {len(c.computed_names)} "
+        f"| {len(c.missing)} | {len(c.extra)} | {len(c.out_of_closure)} "
+        f"| {'yes' if c.passed else 'NO'} |"
+        for c in sweeps
+    ]
+    return Section("classification", all(c.passed for c in sweeps), {"classification": sweeps},
+                   {"classification": doc}, rows, lines + [""])
 
 
-def classification_to_csv_row(c: ClassificationReport) -> tuple:
-    return _csv_row("classification", f"s={c.s_value}", f"{len(c.computed_names)} members",
-                    "missing=" + "|".join(c.missing), "extra=" + "|".join(c.extra), c.passed,
-                    "out_of_closure=" + "|".join(c.out_of_closure))
+def capability_section() -> Section:
+    """The capability claims, each at every sample of its entry."""
+    claims = verify_capability_claims()
+    doc = [{"name": c.name, "expected": c.expected, "computed": c.computed, "match": c.match}
+           for c in claims]
+    rows = [_csv_row("capability", "is_capable", c.name, c.computed, c.expected, c.match)
+            for c in claims]
+    lines = ["## Capability claims", ""]
+    lines += [f"- {c.name}: computed {c.computed}, expected {c.expected} "
+              f"({'ok' if c.match else 'MISMATCH'})" for c in claims]
+    return Section("capability", all(c.match for c in claims), {"capability": claims},
+                   {"capability": doc}, rows, lines + [""])
 
 
-def claim_to_csv_row(c: ClaimResult) -> tuple:
-    return _csv_row("capability", "is_capable", c.name, c.computed, c.expected, c.match)
+def suites_section(closure: list[ClosureMember], kunneth_pairs: int) -> Section:
+    """Every SuiteResult, each rendered the same way: the bound and structure
+    suites over the closure, Kunneth, the exterior consequences and the
+    subalgebra series law."""
+    bounds, structure = bound_suites(closure), structure_suites(closure)
+    single = {
+        "kunneth": kunneth_suite(kunneth_pairs),
+        "exterior_consequences": exterior_consequence_suite(),
+        "subalgebra_series_law": subalgebra_series_suite(),
+    }
+    suites = {**bounds, **structure, **single}
+    doc = {"bounds": {key: asdict(s) for key, s in bounds.items()},
+           "structure": {key: asdict(s) for key, s in structure.items()},
+           **{key: asdict(s) for key, s in single.items()}}
+    rows = [
+        _csv_row("suite", key, f"{s.checked} {'pairs' if key == 'kunneth' else 'checks'}",
+                 len(s.violations), 0, s.passed, "|".join(s.violations))
+        for key, s in suites.items()
+    ]
+    lines = ["## Suites", ""]
+    lines += [f"- {key}: {s.checked} checks, "
+              + ("pass" if s.passed else "FAIL: " + "; ".join(s.violations))
+              for key, s in suites.items()]
+    return Section("suites", all(s.passed for s in suites.values()),
+                   {"bounds": bounds, "structure": structure, **single}, doc, rows, lines + [""])
+
+
+def fixtures_section() -> Section:
+    """The fixtures and the documented discrepancies.  A fixture mismatch
+    passes only if its allowed_by names one of discrepancy_notes()."""
+    fixtures, notes = fixtures_suite(), discrepancy_notes()
+    allowed = {d["id"] for d in notes}
+    doc = [{"name": f.name, "computed": f.computed, "expected": f.expected, "match": f.match,
+            "note": f.note} for f in fixtures]
+    rows = [_csv_row("fixture", "dim_M", f.name, f.computed, f.expected, f.match, f.note)
+            for f in fixtures]
+    rows += [_csv_row("discrepancy", d["id"], "", d["computed"], d["recorded"], True, d["note"])
+             for d in notes]
+    lines = ["## Fixtures", ""]
+    lines += [f"- {f.name}: computed {f.computed}, recorded {f.expected} "
+              f"[{'ok' if f.match else 'differs'}]" + (f" ({f.note})" if f.note else "")
+              for f in fixtures]
+    lines += ["", "## Documented discrepancies", ""]
+    lines += [f"- {d['id']}: recorded {d['recorded']}, computed {d['computed']}. {d['note']}"
+              for d in notes]
+    return Section("fixtures", all(f.match or f.allowed_by in allowed for f in fixtures),
+                   {"fixtures": fixtures, "documented_discrepancies": notes},
+                   {"fixtures": doc, "documented_discrepancies": notes}, rows, lines + [""])
+
+
+def collisions_section() -> Section:
+    """Fingerprint collisions: reported, never a failure."""
+    groups = fingerprint_collisions()
+    lines = []
+    if groups:
+        lines = ["## Fingerprint collisions (necessary invariants only; reported, not resolved)",
+                 "", *("- " + ", ".join(group) for group in groups), ""]
+    return Section("fingerprint_collisions", True, {"fingerprint_collisions": groups},
+                   {"fingerprint_collisions": groups}, [], lines)
+
+
+def coverage_section(closure: list[ClosureMember], dim_cap: int,
+                     tables: list[TableReport], sweeps: list[ClassificationReport]) -> Section:
+    """Catalog entries of dim <= dim_cap that no table row, lemma witness,
+    capability claim or swept closure member covers; any fails the run."""
+    covered = {row.name for t in tables for row in t.rows}
+    covered.update(LEMMA_ENTRIES)
+    covered.update(name for name, _ in CAPABILITY_CLAIMS)
+    swept = {name for c in sweeps for name in c.computed_names}
+    covered.update(m.base_entry for m in closure
+                   if m.base_entry is not None and m.name in swept)
+    # entries beyond the cap cannot appear in sweeps; only a degraded cap
+    # (< 9) leaves any, and those are a cap artifact, not a coverage gap
+    uncovered = [e.name for e in catalog.entries() if e.name not in covered and e.dim <= dim_cap]
+    rows = [_csv_row("coverage", "covered", name, False, True, False) for name in uncovered]
+    lines = []
+    if uncovered:
+        lines = ["## Uncovered catalog entries", "", *(f"- {name}" for name in uncovered), ""]
+    return Section("uncovered_entries", not uncovered, {"uncovered_entries": uncovered},
+                   {"uncovered_entries": uncovered}, rows, lines)
+
+
+# ---------------------------------------------------------------------------
+# full run and writers
+# ---------------------------------------------------------------------------
+
+@dataclass
+class FullReport:
+    """The closure header and the report sections, in report order."""
+    dim_cap: int
+    closure_size: int
+    sections: list[Section]
+
+    @property
+    def passed(self) -> bool:
+        return all(s.passed for s in self.sections)
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.passed else 1
+
+    def __getitem__(self, key: str):
+        """What the stages computed for one top-level report key."""
+        for s in self.sections:
+            if key in s.results:
+                return s.results[key]
+        raise KeyError(key)
+
+
+def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
+    """Build every section over build_closure(dim_cap).
+
+    A new section is one builder returning a Section and one entry in
+    the list below; the writers and FullReport.passed loop over it.
+    """
+    closure = build_closure(dim_cap)
+    tables = tables_section()
+    sweeps = classification_section(closure, dim_cap)
+    return FullReport(dim_cap, len(closure), [
+        tables,
+        sweeps,
+        capability_section(),
+        suites_section(closure, kunneth_pairs),
+        fixtures_section(),
+        collisions_section(),
+        coverage_section(closure, dim_cap, tables.results["tables"],
+                         sweeps.results["classification"]),
+    ])
+
+
+def report_to_dict(report: FullReport) -> dict:
+    doc = {
+        "format": "liemult-report/1",
+        "closure": {
+            "dim_cap": report.dim_cap,
+            "heisenberg_max": HEISENBERG_MAX,
+            "size": report.closure_size,
+            "samples": {
+                "eps": [format_rational(v) for v in VERIFY_EPS],
+                "lam": [format_rational(v) for v in VERIFY_EPS if LAM_NOT01.contains(v)],
+            },
+        },
+    }
+    for s in report.sections:
+        doc.update(s.json)
+    doc["summary"] = {"passed": report.passed}
+    return doc
+
+
+def report_to_json(report: FullReport) -> str:
+    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
 def report_to_csv(report: FullReport) -> str:
-    rows = [CSV_HEADER]
-    for t in report.tables:
-        rows += table_to_csv_rows(t)
-    rows += [classification_to_csv_row(c) for c in report.classifications]
-    rows += [claim_to_csv_row(c) for c in report.capability]
-    for key, s in {**report.bounds, **report.structure}.items():
-        rows.append(_csv_row("suite", key, f"{s.checked} checks", len(s.violations), 0, s.passed,
-                             "|".join(s.violations)))
-    rows.append(_csv_row("suite", "kunneth", f"{report.kunneth.checked} pairs",
-                         len(report.kunneth.violations), 0, report.kunneth.passed))
-    rows.append(_csv_row("suite", "exterior_consequences", f"{report.exterior.checked} checks",
-                         len(report.exterior.violations), 0, report.exterior.passed))
-    rows.append(_csv_row("suite", "subalgebra_series_law", f"{report.series_law.checked} checks",
-                         len(report.series_law.violations), 0, report.series_law.passed))
-    for f in report.fixtures:
-        rows.append(_csv_row("fixture", "dim_M", f.name, f.computed, f.expected, f.match, f.note))
-    for d in report.discrepancies:
-        rows.append(_csv_row("discrepancy", d["id"], "", d["computed"], d["recorded"], True,
-                             d["note"]))
-    return csv_text(rows)
-
-
-def table_to_markdown(t: TableReport) -> list[str]:
-    out = [f"## Table {t.table_id} ({len(t.rows)} rows, {'pass' if t.passed else 'FAIL'})", "",
-           "| name | params | dim M | recorded | s | recorded | match |",
-           "|---|---|---|---|---|---|---|"]
-    for r in t.rows:
-        out.append(
-            f"| {r.name} | {r.params} | {r.dim_M_computed} | {r.dim_M_expected} "
-            f"| {r.s_computed} | {r.s_expected} | {'yes' if r.match else 'NO'} |"
-        )
-    return out + [""]
-
-
-def classifications_to_markdown(cs: list[ClassificationReport]) -> list[str]:
-    out = ["## Classification sweeps", "",
-           "| s | expected | computed | missing | extra | out of closure | pass |",
-           "|---|---|---|---|---|---|---|"]
-    for c in cs:
-        out.append(
-            f"| {c.s_value} | {len(c.expected_names)} | {len(c.computed_names)} "
-            f"| {len(c.missing)} | {len(c.extra)} | {len(c.out_of_closure)} "
-            f"| {'yes' if c.passed else 'NO'} |"
-        )
-    return out + [""]
-
-
-def claims_to_markdown(claims: list[ClaimResult]) -> list[str]:
-    out = ["## Capability claims", ""]
-    for claim in claims:
-        flag = "ok" if claim.match else "MISMATCH"
-        out.append(f"- {claim.name}: computed {claim.computed}, expected {claim.expected} ({flag})")
-    return out + [""]
+    return csv_text([CSV_HEADER, *(row for s in report.sections for row in s.csv)])
 
 
 def report_to_markdown(report: FullReport) -> str:
-    out = ["# Verification report", ""]
-    out.append(f"Closure: dimension cap {report.dim_cap}, {report.closure_size} members.")
-    out.append(f"Overall: **{'PASS' if report.passed else 'FAIL'}**")
-    out.append("")
-    for t in report.tables:
-        out += table_to_markdown(t)
-    out += classifications_to_markdown(report.classifications)
-    out += claims_to_markdown(report.capability)
-    out.append("## Suites")
-    out.append("")
-    for key, s in {**report.bounds, **report.structure,
-                   "kunneth": report.kunneth,
-                   "exterior_consequences": report.exterior,
-                   "subalgebra_series_law": report.series_law}.items():
-        flag = "pass" if s.passed else "FAIL: " + "; ".join(s.violations)
-        out.append(f"- {key}: {s.checked} checks, {flag}")
-    out.append("")
-    out.append("## Fixtures")
-    out.append("")
-    for f in report.fixtures:
-        flag = "ok" if f.match else "differs"
-        note = f" ({f.note})" if f.note else ""
-        out.append(f"- {f.name}: computed {f.computed}, recorded {f.expected} [{flag}]{note}")
-    out.append("")
-    out.append("## Documented discrepancies")
-    out.append("")
-    for d in report.discrepancies:
-        out.append(f"- {d['id']}: recorded {d['recorded']}, computed {d['computed']}. {d['note']}")
-    out.append("")
-    if report.collisions:
-        out.append("## Fingerprint collisions (necessary invariants only; reported, not resolved)")
-        out.append("")
-        for group in report.collisions:
-            out.append("- " + ", ".join(group))
-        out.append("")
-    return "\n".join(out)
+    out = ["# Verification report", "",
+           f"Closure: dimension cap {report.dim_cap}, {report.closure_size} members.",
+           f"Overall: **{'PASS' if report.passed else 'FAIL'}**", ""]
+    return "\n".join(out + [line for s in report.sections for line in s.markdown])

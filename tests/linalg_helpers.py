@@ -1,0 +1,39 @@
+"""Dense views and products of `liemult.linalg.Matrix` that only the tests use.
+
+The package reads matrices through their sparse rows; these helpers give
+the tests dense vectors and columns, transposes and kernels to check the
+package against.
+"""
+
+from fractions import Fraction
+
+from liemult.linalg import _ONE, _ZERO, Matrix, Vector
+
+
+def unit_vector(n: int, i: int) -> Vector:
+    return tuple(_ONE if j == i else _ZERO for j in range(n))
+
+
+def column(m: Matrix, j: int) -> Vector:
+    return tuple(r.get(j, _ZERO) for r in m.sparse_rows)
+
+
+def transpose(m: Matrix) -> Matrix:
+    columns: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
+    for i, r in enumerate(m.sparse_rows):
+        for j, x in r.items():
+            columns[j][i] = x
+    return Matrix.from_sparse(columns, m.rows)
+
+
+def mul_vec(m: Matrix, v) -> Vector:
+    """m @ v over the nonzero entries of v and of each row."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch in matrix-vector product")
+    nonzero = [(j, b) for j, b in enumerate(v) if b]
+    return tuple(sum((r[j] * b for j, b in nonzero if j in r), _ZERO) for r in m.sparse_rows)
+
+
+def nullspace_basis(m: Matrix) -> list[Vector]:
+    """`m.sparse_nullspace_basis()` as dense vectors, in the same order."""
+    return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in m.sparse_nullspace_basis()]

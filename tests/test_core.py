@@ -43,8 +43,10 @@ from liemult.core import (
     format_rational,
     rational_expr,
 )
-from liemult.linalg import Matrix, unit_vector
+from liemult.linalg import Matrix
 from liemult.verify import build_closure
+
+from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
 def mk(dim, spec, name=None):
@@ -257,9 +259,9 @@ def quotient_upper_central_series(L):
             continue
         # v in the preimage iff pi(v) is annihilated by every functional
         # vanishing on Z(L/Z_i); pi's matrix has the images as its columns
-        perp = Matrix(z.basis.nullspace_basis(), cols=q.dim) if z.dim else Matrix.identity(q.dim)
-        projection = Matrix.from_sparse(images, q.dim).transpose()
-        series.append(L.subspace((perp * projection).nullspace_basis()))
+        perp = Matrix(nullspace_basis(z.basis), cols=q.dim) if z.dim else Matrix.identity(q.dim)
+        projection = transpose(Matrix.from_sparse(images, q.dim))
+        series.append(L.subspace(nullspace_basis(perp * projection)))
     return series
 
 
@@ -277,10 +279,10 @@ def stacked_intersection(u, v):
     L = u.ambient
     if u.dim == 0 or v.dim == 0:
         return L.zero_subspace()
-    stacked = Matrix([list(u.basis.column(j)) + list(v.basis.column(j)) for j in range(L.dim)],
+    stacked = Matrix([list(column(u.basis, j)) + list(column(v.basis, j)) for j in range(L.dim)],
                      cols=u.dim + v.dim)
     vectors = []
-    for sol in stacked.nullspace_basis():
+    for sol in nullspace_basis(stacked):
         x = [Q(0)] * L.dim
         for c, row in zip(sol[:u.dim], u.basis.data):
             for idx, val in enumerate(row):
@@ -320,7 +322,7 @@ def residue_intersection(u, v):
     residues mod V, and U ^ V is the span of their combinations."""
     L = u.ambient
     residues = Matrix([dense_residue(v, r) for r in u.basis.data], cols=L.dim)
-    coeffs = Matrix(residues.transpose().nullspace_basis(), cols=u.dim)
+    coeffs = Matrix(nullspace_basis(transpose(residues)), cols=u.dim)
     return L.subspace((coeffs * u.basis).data)
 
 

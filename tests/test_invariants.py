@@ -25,8 +25,9 @@ from liemult import (
 )
 from liemult import multiplier
 from liemult.invariants import bound_checks, central_basis_vectors
-from liemult.linalg import unit_vector
 from liemult.multiplier import cochain_slice
+
+from linalg_helpers import unit_vector
 
 
 def test_s_values():

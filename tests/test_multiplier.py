@@ -31,7 +31,7 @@ import liemult.catalog as cat
 from liemult import linalg, multiplier
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors
-from liemult.linalg import Matrix, unit_vector
+from liemult.linalg import Matrix
 from liemult.multiplier import (
     boundary2,
     boundary3,
@@ -39,6 +39,8 @@ from liemult.multiplier import (
     cocycle_representatives,
 )
 from liemult.verify import build_closure, verify_samples, witness_extensions
+
+from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
 # -- dimension values ---------------------------------------------------------
@@ -164,7 +166,7 @@ def reference_d2(alg):
 
 def reference_boundary3(alg):
     # d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x, columns indexed by triples
-    return _reference_wedge_rows(alg, (1, -1, 1)).transpose()
+    return transpose(_reference_wedge_rows(alg, (1, -1, 1)))
 
 
 def _shear(alg, a, b, t, reverse):
@@ -251,8 +253,8 @@ def test_cochains_are_negated_chain_boundaries():
     for alg in algebras:
         slice_ = cochain_slice(alg)
         b2, b3 = boundary2(alg), boundary3(alg)
-        assert slice_.d1 == _negated(b2.transpose()), alg.name
-        assert slice_.d2 == _negated(b3.transpose()), alg.name
+        assert slice_.d1 == _negated(transpose(b2)), alg.name
+        assert slice_.d2 == _negated(transpose(b3)), alg.name
         assert slice_.d2 == reference_d2(alg), alg.name
         assert b3 == reference_boundary3(alg), alg.name
         # the kernel reads Fraction's slots directly, so entries must be exact Fractions
@@ -314,8 +316,8 @@ def reference_cocycle_representatives(alg):
     slice_ = cochain_slice(alg)
     tracker = ReferenceSpanTracker()
     for j in range(slice_.d1.cols):
-        tracker.add(slice_.d1.column(j))
-    return tuple(v for v in slice_.d2.nullspace_basis() if tracker.add(v))
+        tracker.add(column(slice_.d1, j))
+    return tuple(v for v in nullspace_basis(slice_.d2) if tracker.add(v))
 
 
 def test_cocycle_representatives_match_dense_reference():
@@ -443,7 +445,7 @@ def check_projection(source, target, images, kernel):
                 for a, y in images[c].items():
                     lhs[a] += x * y
             assert tuple(lhs) == target.bracket(dense[i], dense[j]), (i + 1, j + 1)
-    assert source.sparse_subspace(rows.transpose().sparse_nullspace_basis()) == kernel
+    assert source.sparse_subspace(transpose(rows).sparse_nullspace_basis()) == kernel
 
 
 def trusted_constructions(alg):

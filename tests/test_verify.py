@@ -1,6 +1,8 @@
 """Verification harness: tables, sweeps, suites, reports."""
 
+import csv
 import hashlib
+import io
 from dataclasses import replace
 
 import liemult.catalog as cat
@@ -12,6 +14,7 @@ from liemult.verify import (
     build_closure,
     classify_by_s,
     report_to_csv,
+    report_to_dict,
     report_to_json,
     report_to_markdown,
     run_all,
@@ -55,7 +58,7 @@ def test_table7_passes():
 
 
 def test_table_row_counts(full_report):
-    counts = {t.table_id: len(t.rows) for t in full_report.tables}
+    counts = {t.table_id: len(t.rows) for t in full_report["tables"]}
     assert counts == {7: 15, 8: 40, 9: 6, 10: 4}
 
 
@@ -66,7 +69,7 @@ def test_classify_s1():
 
 
 def test_classify_s6(full_report):
-    rep = full_report.classifications[6]
+    rep = full_report["classification"][6]
     assert rep.passed
     # sixteen names, three of them eps-families instantiated over 3 samples
     assert len(rep.expected_names) == 13 + 3 * 3
@@ -74,7 +77,7 @@ def test_classify_s6(full_report):
 
 
 def test_classify_s7(full_report):
-    rep = full_report.classifications[7]
+    rep = full_report["classification"][7]
     assert rep.passed
     for name in ("S1", "H(1)⊕H(2)", "L_{6,10}∔H(1)", "L_{6,13}",
                  "257A", "257C", "257F", "27B"):
@@ -83,13 +86,13 @@ def test_classify_s7(full_report):
 
 
 def test_sweeps_all_pass(full_report):
-    for rep in full_report.classifications:
+    for rep in full_report["classification"]:
         assert rep.passed, (rep.s_value, rep.missing, rep.extra)
 
 
 def test_aliases_are_reported(full_report):
     # printed synonyms are matched by fingerprint, not asserted by name
-    rep = full_report.classifications[3]
+    rep = full_report["classification"][3]
     assert any(alias.startswith("L_{5,3}") for alias in rep.aliases)
 
 
@@ -127,7 +130,7 @@ def test_run_all_passes(full_report):
 def test_bound_suites_are_nonempty(full_report):
     for key in ("derived_bound", "central_ideal_bound", "non_capable_bound",
                 "third_term_bound", "gamma3_defect"):
-        suite = full_report.bounds[key]
+        suite = full_report["bounds"][key]
         assert suite.checked > 0
         assert suite.violations == []
 
@@ -145,7 +148,7 @@ SUITE_CHECK_IDS = {
 def test_bound_suites_count_bound_checks(full_report):
     ids = [c.check_id for m in build_closure(9) if not m.algebra.is_abelian
            for c in bound_checks(m.algebra)]
-    assert {key: suite.checked for key, suite in full_report.bounds.items()} == {
+    assert {key: suite.checked for key, suite in full_report["bounds"].items()} == {
         key: sum(i == prefix or i.startswith(prefix) for i in ids)
         for key, prefix in SUITE_CHECK_IDS.items()
     }
@@ -217,10 +220,10 @@ def test_method_disagreement_is_a_suite_violation(monkeypatch, tmp_path, capsys)
 def test_structure_suites(full_report):
     for key in ("method_agreement", "cover_stem", "epicenter_containment",
                 "derived_dim_one_form"):
-        suite = full_report.structure[key]
+        suite = full_report["structure"][key]
         assert suite.checked > 0
         assert suite.violations == []
-    assert full_report.structure["method_agreement"].checked == full_report.closure_size
+    assert full_report["structure"]["method_agreement"].checked == full_report.closure_size
 
 
 def test_series_suite_runs_on_the_catalog_central_product(monkeypatch):
@@ -242,52 +245,99 @@ def test_series_suite_runs_on_the_catalog_central_product(monkeypatch):
 
 
 def test_kunneth_suite(full_report):
-    assert full_report.kunneth.checked >= 50
-    assert full_report.kunneth.passed
+    assert full_report["kunneth"].checked >= 50
+    assert full_report["kunneth"].passed
 
 
 def test_exterior_consequences(full_report):
-    assert full_report.exterior.passed
+    assert full_report["exterior_consequences"].passed
 
 
 def test_documented_discrepancies(full_report):
-    ids = [d["id"] for d in full_report.discrepancies]
+    ids = [d["id"] for d in full_report["documented_discrepancies"]]
     assert ids == ["multiplier-L_{5,8}", "stem-witness-s-values",
                    "multiplier-147E-special-orbit"]
-    l58 = full_report.discrepancies[0]
+    l58 = full_report["documented_discrepancies"][0]
     assert l58["recorded"] == 9 and l58["computed"] == 6
 
 
 def test_fixtures_in_report(full_report):
-    rows = {f.name: f for f in full_report.fixtures}
+    rows = {f.name: f for f in full_report["fixtures"]}
     assert rows["357A"].computed == 8
     assert rows["247N"].computed == 7
     assert rows["147E(2)"].computed == 8 and not rows["147E(2)"].match
     assert "documented discrepancy" in rows["147E(2)"].note
 
 
-def test_fixture_mismatch_allowed_only_by_discrepancy_id(full_report):
-    (allowed,) = [f for f in full_report.fixtures if not f.match]
+def test_fixture_mismatch_allowed_only_by_discrepancy_id(full_report, monkeypatch):
+    fixtures, notes = full_report["fixtures"], full_report["documented_discrepancies"]
+    (allowed,) = [f for f in fixtures if not f.match]
     assert allowed.allowed_by == "multiplier-147E-special-orbit"
 
-    def passed_with(row, discrepancies=full_report.discrepancies):
-        fixtures = [row if f is allowed else f for f in full_report.fixtures]
-        return replace(full_report, fixtures=fixtures, discrepancies=discrepancies).passed
+    def passed_with(row, discrepancies=notes):
+        rows = [row if f is allowed else f for f in fixtures]
+        monkeypatch.setattr(verify, "fixtures_suite", lambda: rows)
+        monkeypatch.setattr(verify, "discrepancy_notes", lambda: discrepancies)
+        return verify.fixtures_section().passed
 
     assert passed_with(replace(allowed, note="reworded"))
     assert not passed_with(replace(allowed, allowed_by=None))
     assert not passed_with(replace(allowed, allowed_by="no-such-id"))
-    assert not passed_with(allowed, [d for d in full_report.discrepancies
-                                     if d["id"] != allowed.allowed_by])
+    assert not passed_with(allowed, [d for d in notes if d["id"] != allowed.allowed_by])
+
+
+def test_report_is_its_sections(full_report):
+    # each top-level key of the JSON report comes from one section (or the
+    # header), and the report passes iff every section does
+    keys = [key for s in full_report.sections for key in s.json]
+    assert len(keys) == len(set(keys))
+    assert set(report_to_dict(full_report)) == {"format", "closure", "summary", *keys}
+    assert [s.name for s in full_report.sections] == [
+        "tables", "classification", "capability", "suites", "fixtures",
+        "fingerprint_collisions", "uncovered_entries"]
+    failing = replace(full_report.sections[2], passed=False)
+    assert not replace(full_report, sections=[*full_report.sections[:2], failing,
+                                              *full_report.sections[3:]]).passed
+
+
+def test_every_suite_violation_is_named_in_csv_and_markdown(monkeypatch):
+    monkeypatch.setattr(verify, "kunneth_suite",
+                        lambda pairs: verify.SuiteResult(pairs, ["A + B: 3 != 4"]))
+    monkeypatch.setattr(verify, "subalgebra_series_suite",
+                        lambda: verify.SuiteResult(1, ["L_{6,10} .+ H(1)"]))
+    report = run_all(4, kunneth_pairs=5)
+    assert not report.passed
+    rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+    assert ["suite", "kunneth", "5 pairs", "1", "0", "fail", "A + B: 3 != 4"] in rows
+    assert ["suite", "subalgebra_series_law", "1 checks", "1", "0", "fail",
+            "L_{6,10} .+ H(1)"] in rows
+    markdown = report_to_markdown(report)
+    assert "- kunneth: 5 checks, FAIL: A + B: 3 != 4\n" in markdown
+    assert "- subalgebra_series_law: 1 checks, FAIL: L_{6,10} .+ H(1)\n" in markdown
+
+
+def test_uncovered_entries_are_named_in_csv_and_markdown(full_report):
+    # with no table rows and no sweeps, the entries only those cover are left
+    coverage = verify.coverage_section(build_closure(4), 4, [], [])
+    assert not coverage.passed
+    assert "L_{4,3}" in coverage.results["uncovered_entries"]
+    report = replace(full_report, sections=[*full_report.sections[:-1], coverage])
+    assert not report.passed
+    rows = list(csv.reader(io.StringIO(report_to_csv(report))))
+    assert ["coverage", "covered", "L_{4,3}", "False", "True", "fail", ""] in rows
+    assert report_to_markdown(report).endswith(
+        "## Uncovered catalog entries\n\n"
+        + "".join(f"- {name}\n" for name in coverage.results["uncovered_entries"]))
+    assert report_to_dict(report)["uncovered_entries"] == coverage.results["uncovered_entries"]
 
 
 def test_collisions_reported(full_report):
-    flattened = [set(group) for group in full_report.collisions]
+    flattened = [set(group) for group in full_report["fingerprint_collisions"]]
     assert {"L_{5,6}", "L_{5,7}"} <= set().union(*flattened)
 
 
 def test_every_entry_covered(full_report):
-    assert full_report.uncovered_entries == []
+    assert full_report["uncovered_entries"] == []
 
 
 def test_reports_deterministic(full_report):
@@ -316,11 +366,11 @@ def test_csv_and_markdown_report_bytes_pinned(full_report):
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
     report = run_all(5, kunneth_pairs=5)
-    by_s = {c.s_value: c for c in report.classifications}
+    by_s = {c.s_value: c for c in report["classification"]}
     assert by_s[6].out_of_closure  # fixed names above the cap are notes
     assert by_s[6].missing == []
     assert by_s[7].out_of_closure
-    for rep in report.classifications:
+    for rep in report["classification"]:
         assert rep.passed, (rep.s_value, rep.missing, rep.extra)
 
 
