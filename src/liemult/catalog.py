@@ -35,7 +35,7 @@ from .core import (
     format_rational,
     rational_expr,
 )
-from .linalg import Q
+from .linalg import Q, qf
 
 DSUM = "⊕"   # direct sum
 CPROD = "∔"  # central product
@@ -459,16 +459,15 @@ _ATOM_RE = re.compile(r"^(?P<base>.+?)\((?P<arg>-?\d+(/\d+)?)\)$")
 def _build_atom(atom: str, params: dict[str, Fraction]) -> LieAlgebra:
     m = _ATOM_RE.match(atom)
     base, arg = (m.group("base"), m.group("arg")) if m else (atom, None)
-    if base == "A" and arg is not None and "/" not in arg:
-        return abelian(int(arg))
-    if base == "H" and arg is not None and "/" not in arg:
-        return heisenberg(int(arg))
+    # the package's parser: no ZeroDivisionError, and no int/str digit limit
+    value = rational_expr(arg) if arg is not None else None
+    if base in ("A", "H") and arg is not None and "/" not in arg:
+        return (abelian if base == "A" else heisenberg)(value.numerator)
     entry = _INDEX.get(_canonical(atom if arg is None else base))
     if entry is None and arg is None:
         raise UnknownName(f"no catalog entry named {atom!r}")
     if entry is None:
         raise UnknownName(f"no catalog entry named {base!r}")
-    value: Fraction | None = Fraction(arg) if arg is not None else None
     if entry.param is not None and value is None:
         value = params.get(entry.param.name)
     return entry.build(value)
@@ -497,12 +496,14 @@ def _build_expression(name: str, params: dict[str, Fraction]) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def get(name: str, eps=None, lam=None) -> LieAlgebra:
-    """Build a catalog algebra (or a sum/product expression over them)."""
+    """Build a catalog algebra (or a sum/product expression over them).
+    eps and lam are coerced through `qf`: a float is refused, not read as
+    its binary fraction."""
     params: dict[str, Fraction] = {}
     if eps is not None:
-        params["eps"] = Fraction(eps)
+        params["eps"] = qf(eps)
     if lam is not None:
-        params["lam"] = Fraction(lam)
+        params["lam"] = qf(lam)
     norm = _canonical(name)
     entry = _INDEX.get(norm)
     if entry is not None:

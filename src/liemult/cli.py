@@ -182,6 +182,15 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _dim_cap(text: str) -> int:
+    """--dim-cap: at least 3, the dimension of H(1), the smallest closure
+    member; a smaller cap would verify an empty closure."""
+    cap = int(text)
+    if cap < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, not {cap}")
+    return cap
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, with its usage errors tagged like every other error:
     the ``error=UsageError`` line, then argparse's own text and exit 2."""
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scope", nargs="?", default="all",
                           choices=["tables", "theorems", "capability", "all"])
     p_verify.add_argument("--s", type=int, choices=range(8))
-    p_verify.add_argument("--dim-cap", type=int, default=9, dest="dim_cap")
+    p_verify.add_argument("--dim-cap", type=_dim_cap, default=9, dest="dim_cap")
     p_verify.add_argument("--format", choices=["json", "csv", "md"], default="json")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)

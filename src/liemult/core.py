@@ -2,20 +2,25 @@
 
 An algebra is a dimension n plus a table of basis brackets
 [x_i, x_j] = sum_k c_{ij}^k x_k for i < j (0-based internally; the JSON
-presentation format and all human-facing output are 1-based).  Presentations
-and direct sums are validated: the Jacobi identity on every basis triple and
-nilpotency of the lower central series; non-nilpotent input is an error, not
-a supported case.  Quotients are built trusted, by theorem: L/I is a
-nilpotent Lie algebra whenever I is an ideal of a nilpotent L, and the
-projection is a homomorphism of full rank, so only `is_ideal` is checked.
-`quotient` returns L/I with the images pi(x_c) of L's basis vectors as
-sparse rows, and builds no map object.  The stem covers of `multiplier` are
-plain algebras, built trusted by the theorems stated there; their
-projection is coordinate truncation.
+presentation format and all human-facing output are 1-based).  Outside
+input is validated: a table given to `LieAlgebra` (a presentation, a
+catalog table) is checked for the Jacobi identity on every basis triple and
+for nilpotency of the lower central series; non-nilpotent input is an
+error, not a supported case.  Algebras derived from validated ones are
+built trusted, by theorem: a direct sum of nilpotent Lie algebras is one,
+and L/I is a nilpotent Lie algebra whenever I is an ideal of a nilpotent L,
+with a projection that is a homomorphism of full rank, so only `is_ideal`
+is checked.  `quotient` returns L/I with the images pi(x_c) of L's basis
+vectors as sparse rows, and builds no map object.  The stem covers of
+`multiplier` are plain algebras, built trusted by the theorems stated
+there; their projection is coordinate truncation.  The tests re-validate
+every kind of trusted algebra.
 
-The Jacobi check is one sweep over the stored brackets: each [x_a, x_b]
-meets every third index c once, as one term of J(sorted(a, b, c))
-(`_check_jacobi`).
+The brackets meet the basis triples in one place, `wedge_rows`: one sweep
+in which each stored [x_a, x_b] meets every third index c once, as one
+term of the d2 row of sorted(a, b, c).  The Jacobi identity is d2 . d1 = 0,
+and `check_jacobi` reads it off those rows; validation and
+`multiplier.cochain_slice` both call it.
 
 Subspaces stay on {column: Fraction} rows from the stored brackets to
 their canonical bases: `sparse_subspace` hands the rows to one
@@ -47,6 +52,7 @@ import ast
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -131,7 +137,7 @@ def check_dim(dim: int) -> None:
     if dim < 0:
         raise PresentationError("dimension must be >= 0")
     if dim > MAX_DIM:
-        raise DimensionTooLarge(f"dimension {dim} exceeds the limit of {MAX_DIM}")
+        raise DimensionTooLarge(f"dimension {_decimal(dim)} exceeds the limit of {MAX_DIM}")
 
 
 def _is_int(x) -> bool:
@@ -251,6 +257,11 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
 
+def pair_index(n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j < n, in the order of the pair coordinates."""
+    return list(combinations(range(n), 2))
+
+
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
@@ -286,7 +297,7 @@ class LieAlgebra:
         self._center: Subspace | None = None
         self._key: tuple | None = None
         if validate:
-            self._check_jacobi()
+            self.check_jacobi(self.wedge_rows())
             self.lower_central_series()
 
     # -- bracket --------------------------------------------------------------
@@ -334,7 +345,7 @@ class LieAlgebra:
 
     def _jacobi_defect(self, i: int, j: int, k: int) -> Vector:
         """J(x_i, x_j, x_k) of one triple, term by term: the reference the
-        tests hold `_check_jacobi`'s sweep to."""
+        tests hold `check_jacobi` to."""
         out = [Q(0)] * self.dim
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             for l, cl in self.bracket_basis(a, b).items():
@@ -342,55 +353,68 @@ class LieAlgebra:
                     out[m] += cl * cm
         return tuple(out)
 
-    def _check_jacobi(self) -> None:
-        """Jacobi on every basis triple, in one sweep over the stored brackets.
+    def wedge_rows(self) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+        """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
+        i < j < k, in one sweep over the stored brackets:
 
-        J(p,q,r) = [[p,q],r] + [[q,r],p] + [[r,p],q] for p < q < r.  A stored
-        [x_a,x_b], a < b, meets each c outside {a, b} once, as the term
-        [[x_a,x_b],x_c] of J(sorted(a, b, c)): with sign -1 when a < c < b,
-        where that term is [[x_b,x_a],x_c], and +1 otherwise.  A triple none
-        of whose pairs is stored has zero defect.  Triples are kept in the
-        order first met (bracket order, then c ascending), and the first
-        with a nonzero sum is reported.
-        """
-        table = self.brackets
-        # None until a nonzero term arrives; the key keeps its first-met place
-        sums: dict[tuple[int, int, int], dict[int, Fraction] | None] = {}
-        for (a, b), terms in table.items():
-            for c in range(self.dim):
+            (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi).
+
+        A bracket [xa,xb], a < b, meets each c outside {a, b} once, as the
+        first (c > b), second (a < c < b) or third (c < a) term of the triple
+        sorted(a, b, c), with sign -1, +1, -1; l^c with l > c folds into
+        -(c^l).  Triples that no bracket reaches are absent, and entries whose
+        terms cancel are dropped, so rows hold no zero values but may be empty.
+        Rows are kept in the order first met (bracket order, then c
+        ascending).  The chain boundary of xi^xj^xk is the negated row."""
+        n = self.dim
+        pos = {p: a for a, p in enumerate(pair_index(n))}
+        rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for (a, b), terms in self.brackets.items():
+            for c in range(n):
                 if c == a or c == b:
                     continue
                 if c > b:
-                    triple, negate = (a, b, c), False
+                    triple, negate = (a, b, c), True
                 elif c > a:
-                    triple, negate = (a, c, b), True
+                    triple, negate = (a, c, b), False
                 else:
-                    triple, negate = (c, a, b), False
-                acc = sums.setdefault(triple, None)
+                    triple, negate = (c, a, b), True
+                row = rows.setdefault(triple, {})
                 for l, cl in terms.items():
-                    # [x_l, x_c] from the stored pair, antisymmetry folded in
-                    if l < c:
-                        inner, f = table.get((l, c)), -cl if negate else cl
-                    elif l > c:
-                        inner, f = table.get((c, l)), cl if negate else -cl
-                    else:
+                    if l == c:
                         continue
-                    if inner:
-                        if acc is None:
-                            acc = sums[triple] = {}
-                        for m, cm in inner.items():
-                            x = acc[m] + f * cm if m in acc else f * cm
-                            if x:
-                                acc[m] = x
-                            else:
-                                del acc[m]
-        for triple, acc in sums.items():
-            if acc:
+                    if l < c:
+                        idx, v = pos[(l, c)], -cl if negate else cl
+                    else:
+                        idx, v = pos[(c, l)], cl if negate else -cl
+                    x = row[idx] + v if idx in row else v
+                    if x:
+                        row[idx] = x
+                    else:
+                        del row[idx]
+        return rows
+
+    def check_jacobi(self, rows: Mapping[tuple[int, int, int], Mapping[int, Fraction]]) -> None:
+        """The Jacobi identity on every basis triple, read off this
+        algebra's `wedge_rows()`; raises JacobiViolation.
+
+        d1 sends g to (x,y) -> -g([x,y]), so (d2 d1 g)(t) = g(J(t)) with
+        J(t) = [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] = -sum_p row_t[p] [x_p]
+        over the pairs p: Jacobi is d2 . d1 = 0.  A triple absent from the
+        rows has J = 0.  The first triple in row order with J != 0 is
+        reported.
+        """
+        pairs = pair_index(self.dim)
+        for (i, j, k), row in rows.items():
+            acc: dict[int, Fraction] = {}
+            for p, x in row.items():
+                for m, c in self.brackets.get(pairs[p], {}).items():
+                    acc[m] = acc[m] - x * c if m in acc else -x * c
+            if any(acc.values()):
                 defect = [Q(0)] * self.dim
-                for m, x in acc.items():
-                    defect[m] = x
-                raise JacobiViolation(
-                    (triple[0] + 1, triple[1] + 1, triple[2] + 1), tuple(defect))
+                for m, y in acc.items():
+                    defect[m] = y
+                raise JacobiViolation((i + 1, j + 1, k + 1), tuple(defect))
 
     # -- identity -------------------------------------------------------------
 
@@ -657,14 +681,15 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    """Block direct sum; B's basis is appended after A's."""
+    """Block direct sum; B's basis is appended after A's.  Built without
+    validation: a direct sum of nilpotent Lie algebras is one."""
     brackets: BracketTable = {k: dict(v) for k, v in a.brackets.items()}
     shift = a.dim
     for (i, j), terms in b.brackets.items():
         brackets[(i + shift, j + shift)] = {k + shift: c for k, c in terms.items()}
     if name is None and a.name and b.name:
         name = f"{a.name}⊕{b.name}"
-    return LieAlgebra(a.dim + b.dim, brackets, name=name)
+    return LieAlgebra(a.dim + b.dim, brackets, name=name, validate=False)
 
 
 def central_product(

@@ -13,18 +13,21 @@ Two independent routes compute dim M(L):
 
 Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
-columns) come from one sweep over the stored brackets, `_wedge_rows`, in
-which each bracket [xa,xb] meets every third index c once; it runs once
-per matrix and is not memoized.  The agreement checks the ranks but not
-that assembly; the tests check it against a dense per-entry reference on
-brackets with several terms and on the shapes of the benchmark.
+columns) come from one sweep over the stored brackets,
+`LieAlgebra.wedge_rows` in `core`, in which each bracket [xa,xb] meets
+every third index c once; it runs once per matrix and is not memoized.
+The agreement checks the ranks but not that assembly; the tests check it
+against a dense per-entry reference on brackets with several terms and on
+the shapes of the benchmark.  L's Jacobi identity is d2 . d1 = 0; the slice
+checks it on its d2 rows (`LieAlgebra.check_jacobi`), so both routes, which
+read the cocycle basis, refuse a table that breaks it.
 
 The stem cover is the algebra E = L + Q^m built from the canonical cocycle
 representatives, with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ...,
 f_m(x,y)); `cover` returns E itself.  Its first n coordinates are L's basis,
 its last m span the kernel K, and the covering projection is truncation to
 the first n coordinates.  E is a Lie algebra by construction (L's Jacobi
-identity is d2 . d1 = 0, checked in `cochain_slice`, and each f_t lies in
+identity, d2 . d1 = 0, is checked by `cochain_slice`, and each f_t lies in
 ker d2), so its Jacobi identity is not re-checked.  K is central because no
 bracket of E has an adjoined index as an argument; K lies in E^2, which is
 checked at runtime by one product space (dim E^2 = dim L^2 + m).  The
@@ -57,6 +60,7 @@ from .core import (
     LieError,
     NotAnIdeal,
     Subspace,
+    pair_index,
 )
 from .linalg import (
     Matrix,
@@ -66,53 +70,8 @@ from .linalg import (
 )
 
 
-def pair_index(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 def triple_index(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(n), 3))
-
-
-def _wedge_rows(L: LieAlgebra) -> dict[tuple[int, int, int], dict[int, Fraction]]:
-    """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
-    i < j < k, in one sweep over the stored brackets:
-
-        (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi).
-
-    A bracket [xa,xb], a < b, meets each c outside {a, b} once, as the
-    first (c > b), second (a < c < b) or third (c < a) term of the triple
-    sorted(a, b, c), with sign -1, +1, -1; l^c with l > c folds into
-    -(c^l).  Triples that no bracket reaches are absent, and entries whose
-    terms cancel are dropped, so rows hold no zero values but may be empty.
-    The chain boundary of xi^xj^xk is the negated row."""
-    n = L.dim
-    pos = {p: a for a, p in enumerate(pair_index(n))}
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for (a, b), terms in L.brackets.items():
-        for c in range(n):
-            if c == a or c == b:
-                continue
-            if c > b:
-                triple, negate = (a, b, c), True
-            elif c > a:
-                triple, negate = (a, c, b), False
-            else:
-                triple, negate = (c, a, b), True
-            row = rows.setdefault(triple, {})
-            for l, cl in terms.items():
-                if l == c:
-                    continue
-                if l < c:
-                    idx, v = pos[(l, c)], -cl if negate else cl
-                else:
-                    idx, v = pos[(c, l)], cl if negate else -cl
-                x = row[idx] + v if idx in row else v
-                if x:
-                    row[idx] = x
-                else:
-                    del row[idx]
-    return rows
 
 
 @dataclass(frozen=True)
@@ -126,10 +85,11 @@ class CochainComplexSlice:
 
 
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
-    """Build the degree-(1,2) cochain slice and check d2 . d1 = 0 exactly.
+    """Build the degree-(1,2) cochain slice; d2 . d1 = 0, the Jacobi
+    identity, is checked by `L.check_jacobi` on the rows d2 is built from.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
-    d2 = -b3^T); d1 is read off the sparse brackets, d2 off `_wedge_rows`.
+    d2 = -b3^T); d1 is read off the sparse brackets, d2 off `L.wedge_rows()`.
     rank d1 = dim L^2 holds by construction (d1's nonzero rows are the
     negated stored brackets, whose span is L^2), so it is not re-checked.
     """
@@ -138,23 +98,10 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     triples = triple_index(n)
     d1 = Matrix.from_sparse(
         ({k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs), n)
-    swept = _wedge_rows(L)
+    swept = L.wedge_rows()
+    L.check_jacobi(swept)
     d2 = Matrix.from_sparse([swept.get(t, {}) for t in triples], len(pairs))
-
-    if not (d2 * d1).is_zero():
-        raise LieError("cochain differentials do not compose to zero")
     return CochainComplexSlice(d1, d2, tuple(pairs), tuple(triples))
-
-
-def boundary2(L: LieAlgebra) -> Matrix:
-    """Lambda^2 L -> L, x^y -> [x,y]; columns indexed by pairs."""
-    n = L.dim
-    pairs = pair_index(n)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for a, (i, j) in enumerate(pairs):
-        for k, c in L.bracket_basis(i, j).items():
-            rows[k][a] = c
-    return Matrix.from_sparse(rows, len(pairs))
 
 
 def boundary3(L: LieAlgebra) -> Matrix:
@@ -164,7 +111,7 @@ def boundary3(L: LieAlgebra) -> Matrix:
     """
     pairs = pair_index(L.dim)
     triples = triple_index(L.dim)
-    swept = _wedge_rows(L)
+    swept = L.wedge_rows()
     rows: list[dict[int, Fraction]] = [{} for _ in pairs]
     for t, triple in enumerate(triples):
         if triple in swept:
@@ -250,15 +197,11 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
 
     Adjoining central generators to every bracket, imposing the Jacobi
     relations, and absorbing generators into a basis change on L^2 kills
-    exactly rank(boundary_3) + dim L^2 of the C(n,2) candidates.
+    exactly rank(boundary_3) + dim L^2 of the C(n,2) candidates.  L's own
+    Jacobi identity is checked on the way, by `cocycle_representatives`.
     """
-    n_pairs = len(pair_index(L.dim))
-    b3 = boundary3(L)
-    b2 = boundary2(L)
-    if b2.cols and not (b2 * b3).is_zero():
-        raise LieError("chain boundaries do not compose to zero")
-    m = n_pairs - L.derived_subalgebra().dim - b3.rank()
     reps = cocycle_representatives(L)
+    m = len(pair_index(L.dim)) - L.derived_subalgebra().dim - boundary3(L).rank()
     if len(reps) != m:
         raise LieError("cover and cohomology multiplier dimensions disagree")
     return MultiplierResult(dim_M=m, cocycle_basis=tuple(reps), method="cover")
@@ -269,7 +212,7 @@ def _d2_rows(L: LieAlgebra) -> tuple[dict[int, int], ...]:
     """The nonzero rows of L's d2 as {pair index: int}, each scaled to
     integers, in sweep order (only their span is used); built without a
     slice."""
-    return tuple(sparse_integer_row(r) for r in _wedge_rows(L).values() if r)
+    return tuple(sparse_integer_row(r) for r in L.wedge_rows().values() if r)
 
 
 def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
@@ -356,7 +299,7 @@ def cover(L: LieAlgebra) -> LieAlgebra:
         if terms:
             brackets[(i, j)] = terms
     label = f"cover({L.name})" if L.name else "cover"
-    # Jacobi for E is L's (d2 . d1 = 0, checked in cochain_slice) plus each
+    # Jacobi for E is L's (d2 . d1 = 0, checked by cochain_slice) plus each
     # cocycle lying in ker d2, and a central extension of a nilpotent
     # algebra is nilpotent, so E is built without validation
     total = LieAlgebra(n + m, brackets, name=label, validate=False)

@@ -16,6 +16,7 @@ from liemult import (
     s_invariant,
 )
 from liemult.catalog import DSUM
+from liemult.core import MAX_DIGITS, DimensionTooLarge, PresentationError, rational_expr
 
 
 def test_get_L55_brackets():
@@ -150,6 +151,28 @@ def test_display_names():
     assert get("L_{6,22}", eps=Q(1, 2)).name == "L_{6,22}(1/2)"
     assert get("147E", lam=3).name == "147E(3)"
     assert get("L_{6,19}(eps)" + DSUM + "A(1)", eps=2).name == "L_{6,19}(2)" + DSUM + "A(1)"
+
+
+def test_parameters_go_through_the_rational_parser():
+    # keywords are coerced through qf: a float is refused, not read as its
+    # binary fraction
+    with pytest.raises(TypeError):
+        get("L_{6,22}", eps=0.1)
+    with pytest.raises(TypeError):
+        get("147E", lam=2.0)
+    assert get("L_{6,22}", eps="1/2") == get("L_{6,22}(1/2)")
+    # an inline value is read by rational_expr: no ZeroDivisionError, and no
+    # int/str digit limit below MAX_DIGITS
+    with pytest.raises(PresentationError, match="division by zero"):
+        get("L_{6,22}(1/0)")
+    big = "7" + "0" * 4998 + "3"
+    alg = get(f"L_{{6,22}}({big})")
+    assert alg == get("L_{6,22}", eps=rational_expr(big))
+    assert alg.name == f"L_{{6,22}}({big})"
+    with pytest.raises(PresentationError):
+        get("L_{6,22}(1" + "0" * MAX_DIGITS + ")")
+    with pytest.raises(DimensionTooLarge):
+        get(f"H({big})")
 
 
 def test_repaired_entries_are_marked():

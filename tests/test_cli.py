@@ -326,6 +326,8 @@ def test_compute_accepts_5000_digit_coefficient(tmp_path):
     ("L6_22", "--eps", "abc"),
     ("147E", "--lambda", "1/0"),
     ("L6_22", "--eps", "1" + "0" * MAX_DIGITS),
+    ("L_{6,22}(1/0)",),
+    ("L_{6,22}(1" + "0" * MAX_DIGITS + ")",),
 ])
 def test_info_bad_parameter_value_exits_2(argv):
     proc = run_subprocess("info", *argv)
@@ -358,6 +360,9 @@ def test_info_heisenberg_above_cap(capsys):
     ("bogus",),
     ("info",),
     ("info", "L_{4,3}", "extra"),
+    # below 3, the dim of H(1), the closure is empty and would pass
+    ("verify", "--dim-cap", "-3"),
+    ("verify", "theorems", "--dim-cap", "2"),
 ])
 def test_usage_errors_are_tagged(argv):
     """argparse's usage errors print the error=UsageError line first, then

@@ -87,7 +87,7 @@ def test_index_out_of_range():
 
 
 def first_jacobi_violation(alg):
-    """Reference for the sweep in `_check_jacobi`: each triple's defect
+    """Reference for `check_jacobi` on the swept rows: each triple's defect
     term by term (`_jacobi_defect`), triples taken in bracket order, then
     third index ascending; the first nonzero one, 1-based, or None."""
     seen = set()
@@ -135,7 +135,7 @@ def test_jacobi_sweep_reports_the_reference_triple(case):
     alg = LieAlgebra(n, table, validate=False)
     expected = first_jacobi_violation(alg)
     if expected is None:
-        alg._check_jacobi()
+        alg.check_jacobi(alg.wedge_rows())
         return
     with pytest.raises(JacobiViolation) as err:
         LieAlgebra(n, table)

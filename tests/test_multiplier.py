@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from liemult import (
+    JacobiViolation,
     LieAlgebra,
     NotAnIdeal,
     abelian,
@@ -28,12 +29,11 @@ from liemult import (
     s_invariant,
 )
 import liemult.catalog as cat
-from liemult import linalg, multiplier
+from liemult import linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors
 from liemult.linalg import Matrix
 from liemult.multiplier import (
-    boundary2,
     boundary3,
     cochain_slice,
     cocycle_representatives,
@@ -124,6 +124,30 @@ def test_d1_rank_is_derived_dim():
         assert cochain_slice(alg).d1.rank() == alg.derived_subalgebra().dim
 
 
+# tables that break Jacobi: several violating triples with multi-term
+# brackets, the first in sweep order on a middle index; one violation
+JACOBI_BREAKING = [
+    (5, {(0, 3): {1: Q(1), 4: Q(2)}, (1, 2): {0: Q(1, 2), 4: Q(-1)},
+         (0, 1): {2: Q(1), 3: Q(-2)}, (2, 4): {3: Q(3)}}),
+    (4, {(0, 1): {2: Q(1)}, (0, 2): {3: Q(1)}, (1, 3): {2: Q(1)}}),
+]
+
+
+@pytest.mark.parametrize("case", JACOBI_BREAKING)
+def test_unvalidated_jacobi_violation_stops_both_routes(case):
+    """An unvalidated table reaches the slice's Jacobi check through
+    either route, which names the triple and defect validation names."""
+    n, table = case
+    with pytest.raises(JacobiViolation) as validated:
+        LieAlgebra(n, table)
+    multiplier.clear_caches()
+    for route in (cochain_slice, dim_multiplier, dim_multiplier_cover):
+        with pytest.raises(JacobiViolation) as err:
+            route(LieAlgebra(n, table, validate=False))
+        assert (err.value.triple, err.value.defect) == (
+            validated.value.triple, validated.value.defect), route.__name__
+
+
 def test_boundaries_compose_to_zero():
     for name in ("L_{6,10}", "1357A"):
         alg = get(name)
@@ -139,7 +163,7 @@ def _reference_wedge_rows(alg, signs):
     for xi^xj^xk, add signs[t] * [xa,xb]^xc over the three terms
     (xa,xb,xc) = (xi,xj,xk), (xi,xk,xj), (xj,xk,xi), folding l^c with l > c
     into -(c^l).  It visits every triple and looks up its three brackets, the
-    reverse of the one sweep over the stored brackets (`_wedge_rows`) that
+    reverse of the one sweep over the stored brackets (`wedge_rows`) that
     builds d2 and boundary_3 and must agree with it."""
     n = alg.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -167,6 +191,16 @@ def reference_d2(alg):
 def reference_boundary3(alg):
     # d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x, columns indexed by triples
     return transpose(_reference_wedge_rows(alg, (1, -1, 1)))
+
+
+def boundary2(alg):
+    """Lambda^2 L -> L, x^y -> [x,y]; columns indexed by pairs."""
+    pairs = multiplier.pair_index(alg.dim)
+    rows = [{} for _ in range(alg.dim)]
+    for a, (i, j) in enumerate(pairs):
+        for k, c in alg.bracket_basis(i, j).items():
+            rows[k][a] = c
+    return Matrix.from_sparse(rows, len(pairs))
 
 
 def _shear(alg, a, b, t, reverse):
@@ -222,11 +256,11 @@ def test_wedge_sweep_drops_cancelled_terms():
     """Terms cancel in these presentations (the "H(1) skew" rows come out
     empty); no swept row, and no row of d2 or boundary_3, holds a zero."""
     for alg, _ in _multi_term_algebras():
-        assert all(all(row.values()) for row in multiplier._wedge_rows(alg).values()), alg.name
+        assert all(all(row.values()) for row in alg.wedge_rows().values()), alg.name
         for m in (cochain_slice(alg).d2, boundary3(alg)):
             assert all(all(row.values()) for row in m.sparse_rows), alg.name
     h1_skew = _multi_term_algebras()[1][0]
-    assert multiplier._wedge_rows(h1_skew) == {(0, 1, 2): {}}
+    assert h1_skew.wedge_rows() == {(0, 1, 2): {}}
 
 
 def benchmark_shaped_sums(seed=13):
@@ -463,8 +497,24 @@ def trusted_constructions(alg):
     return out
 
 
-def test_trusted_quotients_and_covers_pass_full_validation():
-    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+def test_trusted_quotients_and_covers_pass_full_validation(monkeypatch):
+    # direct sums are built trusted too: record the closure's (paddings and
+    # catalog recipes) and the Kunneth suite's, and re-validate each
+    sums = []
+
+    def recorded(a, b, name=None):
+        sums.append(direct_sum(a, b, name))
+        return sums[-1]
+
+    monkeypatch.setattr(verify, "direct_sum", recorded)
+    monkeypatch.setattr(cat, "_direct_sum", recorded)
+    closure = build_closure(9)
+    paddings = sum(m.origin == "padding" for m in closure)
+    assert verify.kunneth_suite().passed
+    assert len(sums) > paddings + 50
+    for total in sums:
+        LieAlgebra(total.dim, total.brackets)
+    algebras = [m.algebra for m in closure] + [heisenberg(m) for m in range(4, 8)]
     algebras += [cover(get(name)) for name in ("L_{6,10}", "27A")]
     built = [c for alg in algebras for c in trusted_constructions(alg)]
     assert len(built) > 2 * len(algebras)
