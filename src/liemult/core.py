@@ -59,6 +59,7 @@ from .linalg import (
     Matrix,
     Q,
     Vector,
+    add_scaled,
     qf,
     rref_basis,
     span_rref,
@@ -329,29 +330,15 @@ class LieAlgebra:
 
     def ad_images(self, u: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
         """[u, x_j] for every basis index j, in one sweep over the table; u
-        is a {column: Fraction} row, and the images may hold zero values."""
+        is a {column: Fraction} row, and the images hold no zero values."""
         outs: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
         for (i, j), terms in self.brackets.items():
             ui, uj = u.get(i), u.get(j)
             if ui:
-                d = outs[j]
-                for k, c in terms.items():
-                    d[k] = d.get(k, Q(0)) + ui * c
+                add_scaled(outs[j], ui, terms)
             if uj:
-                d = outs[i]
-                for k, c in terms.items():
-                    d[k] = d.get(k, Q(0)) - uj * c
+                add_scaled(outs[i], -uj, terms)
         return outs
-
-    def _jacobi_defect(self, i: int, j: int, k: int) -> Vector:
-        """J(x_i, x_j, x_k) of one triple, term by term: the reference the
-        tests hold `check_jacobi` to."""
-        out = [Q(0)] * self.dim
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, cl in self.bracket_basis(a, b).items():
-                for m, cm in self.bracket_basis(l, c).items():
-                    out[m] += cl * cm
-        return tuple(out)
 
     def wedge_rows(self) -> dict[tuple[int, int, int], dict[int, Fraction]]:
         """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
@@ -408,9 +395,8 @@ class LieAlgebra:
         for (i, j, k), row in rows.items():
             acc: dict[int, Fraction] = {}
             for p, x in row.items():
-                for m, c in self.brackets.get(pairs[p], {}).items():
-                    acc[m] = acc[m] - x * c if m in acc else -x * c
-            if any(acc.values()):
+                add_scaled(acc, -x, self.brackets.get(pairs[p], {}))
+            if acc:
                 defect = [Q(0)] * self.dim
                 for m, y in acc.items():
                     defect[m] = y
@@ -507,13 +493,14 @@ class LieAlgebra:
     def _centralizer_mod(self, s: "Subspace") -> "Subspace":
         """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
         with each bracket reduced modulo S; S = 0 gives the centre."""
+        # row (j, k) is the x -> [x, x_j]_k coordinate; its entry i comes
+        # from the one bracket of the pair {i, j} alone, so it is assigned
+        # once and never accumulates
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), terms in self.brackets.items():
             for k, c in s.residue(terms).items():
-                row = rows.setdefault((j, k), {})
-                row[i] = row[i] + c if i in row else c
-                row = rows.setdefault((i, k), {})
-                row[j] = row[j] - c if j in row else -c
+                rows.setdefault((j, k), {})[i] = c
+                rows.setdefault((i, k), {})[j] = -c
         if not rows:
             return self.full_space()
         stacked = Matrix.from_sparse([rows[key] for key in sorted(rows)], self.dim)
@@ -616,17 +603,13 @@ class Subspace:
 
         It is v - sum_p v[p] * row_p over the pivots p where v is nonzero.
         This equals reducing by one row after another, because an rref row
-        is zero at every other pivot column, so no step changes v there."""
+        is zero at every other pivot column, so no step changes v there:
+        w[p] is still v[p] when pivot p is reached."""
         w = {j: x for j, x in v.items() if x}
         for p, row in zip(self.basis.pivot_columns(), self.basis.sparse_rows):
-            f = v.get(p)
+            f = w.get(p)
             if f:
-                for j, y in row.items():
-                    x = w[j] - f * y if j in w else -f * y
-                    if x:
-                        w[j] = x
-                    else:
-                        del w[j]
+                add_scaled(w, -f, row)
         return w
 
     def contains(self, v: Sequence) -> bool:
@@ -799,7 +782,7 @@ def load_presentation(text_or_path: str, params: Mapping[str, Fraction] | None =
                 raise PresentationError(f"presentation file is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past CPython's digit limit
         raise PresentationError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise PresentationError("JSON nested too deeply") from exc

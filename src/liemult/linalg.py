@@ -8,6 +8,11 @@ Every method reads only those rows: elimination, products, `is_zero`,
 `Matrix.data`, the dense rows, is built from them on each read for
 callers that index positions, and is not kept.
 
+Every sparse {column: value} row the package builds holds no zero values
+from where it is made: sums of rows go through one accumulate, `add_scaled`,
+which deletes an entry that cancels.  So no row is filtered afterwards, and
+`Matrix.from_sparse` keeps the rows it is handed without a copy.
+
 Elimination is fraction-free (after Bareiss): each row is cleared of
 denominators into a {column: int} dict, reduced with integer combinations,
 and only the final division by the pivots creates Fractions.  The reduced
@@ -53,21 +58,32 @@ def qf(x) -> Fraction:
     return Fraction(x)
 
 
+def add_scaled(row: dict, a, terms: Mapping) -> None:
+    """row += a * terms, in place, deleting every entry that cancels: the one
+    sparse accumulate of the package, for Fraction and int rows alike.
+
+    terms must hold no zero values; then a row with no zero values keeps
+    none.  A zero a leaves row as it is."""
+    if a:
+        for j, y in terms.items():
+            x = row[j] + a * y if j in row else a * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
 def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
-    """The nonzero entries of a {column: Fraction} row as {column: int},
-    scaled by the lcm of their denominators; zero values are dropped."""
+    """A {column: Fraction} row with no zero values as {column: int},
+    scaled by the lcm of its denominators."""
     # Fraction keeps its lowest-terms value in the _numerator and _denominator
     # slots; reading them directly skips a Python-level call per entry.  This
     # needs every value to be an exact fractions.Fraction: Matrix.__init__
     # coerces through qf, and the trusted constructor is only given
     # Fractions, so the rows of every Matrix hold only Fractions
     # (tests/test_linalg.py checks this).
-    return _integer_terms([(j, x) for j, x in terms.items() if x._numerator])
-
-
-def _integer_terms(nonzero: list[tuple[int, Fraction]]) -> dict[int, int]:
-    den = lcm(*[x._denominator for _, x in nonzero])
-    return {j: x._numerator * (den // x._denominator) for j, x in nonzero}
+    den = lcm(*[x._denominator for x in terms.values()])
+    return {j: x._numerator * (den // x._denominator) for j, x in terms.items()}
 
 
 def _primitive(w: dict[int, int]) -> dict[int, int]:
@@ -98,12 +114,7 @@ def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     g = gcd(w[c], p[c])
     a, b = p[c] // g, w[c] // g
     out = dict(w) if a == 1 else {j: a * v for j, v in w.items()}
-    for j, v in p.items():
-        x = out.get(j, 0) - b * v
-        if x:
-            out[j] = x
-        else:
-            del out[j]
+    add_scaled(out, -b, p)
     return _primitive(out)
 
 
@@ -152,12 +163,11 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, rows: Iterable[Mapping[int, Fraction]], cols: int) -> "Matrix":
-        """Trusted constructor from {column: Fraction} rows; the values must
-        be Fractions.  Zero values are dropped from nonempty rows, and an
-        empty row is taken as a fresh {}."""
+        """Trusted constructor from {column: Fraction} rows with no zero
+        values.  The rows are kept as given, not copied, so the caller hands
+        them over and never changes them again."""
         m = cls.__new__(cls)
-        m.sparse_rows = tuple({j: x for j, x in r.items() if x._numerator} if r else {}
-                              for r in rows)
+        m.sparse_rows = tuple(rows)
         m.rows = len(m.sparse_rows)
         m.cols = cols
         m._rref = None
@@ -211,8 +221,7 @@ class Matrix:
         for r in self.sparse_rows:
             acc: dict[int, Fraction] = {}
             for k, a in r.items():
-                for j, b in right[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
+                add_scaled(acc, a, right[k])
             out.append(acc)
         return Matrix.from_sparse(out, other.cols)
 

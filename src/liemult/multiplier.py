@@ -65,6 +65,7 @@ from .core import (
 from .linalg import (
     Matrix,
     Vector,
+    add_scaled,
     extend_integer_echelon,
     sparse_integer_row,
 )
@@ -243,16 +244,17 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
     image: dict[int, dict[int, int]] = {c: {pos[c]: den} for c in free}
     for row, p in zip(rows, pivots):
         image[p] = {pos[c]: -int(x * den) for c, x in row.items() if c != p}
-    qpair = {p: a for a, p in enumerate(pair_index(q))}
+    # e_a ^ e_b as the single-entry row {pair column: +-1} of L/K, a != b
+    unit_wedge: dict[tuple[int, int], dict[int, int]] = {}
+    for col, (a, b) in enumerate(pair_index(q)):
+        unit_wedge[(a, b)], unit_wedge[(b, a)] = {col: 1}, {col: -1}
     inflate: dict[int, dict[int, int]] = {}
     for idx, (i, j) in enumerate(pair_index(L.dim)):
         wedge: dict[int, int] = {}
         for a, u in image[i].items():
             for b, v in image[j].items():
                 if a != b:
-                    col, x = (qpair[(a, b)], u * v) if a < b else (qpair[(b, a)], -u * v)
-                    wedge[col] = wedge.get(col, 0) + x
-        wedge = {col: x for col, x in wedge.items() if x}
+                    add_scaled(wedge, u * v, unit_wedge[(a, b)])
         if wedge:
             inflate[idx] = wedge
     echelon: dict[int, dict[int, int]] = {}
@@ -260,9 +262,8 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
         out: dict[int, int] = {}
         for idx, x in w.items():
             if idx in inflate:
-                for col, y in inflate[idx].items():
-                    out[col] = out.get(col, 0) + x * y
-        extend_integer_echelon(echelon, {col: x for col, x in out.items() if x})
+                add_scaled(out, x, inflate[idx])
+        extend_integer_echelon(echelon, out)
     # rank d1(L/K) = dim (L/K)^2 = dim(L^2 + K) - dim K, the rank of L^2 mod K
     projected: dict[int, dict[int, int]] = {}
     rank_d1 = sum(extend_integer_echelon(projected, sparse_integer_row(K.residue(row)))
@@ -334,8 +335,7 @@ def _epicenter_basis(L: LieAlgebra) -> tuple[dict[int, Fraction], ...]:
     for a, z in enumerate(center.sparse_rows):
         for j, img in enumerate(total.ad_images(z)):
             for k, c in img.items():
-                if c:
-                    rows.setdefault((j, k), {})[a] = c
+                rows.setdefault((j, k), {})[a] = c
     coeffs = Matrix.from_sparse(rows.values(), center.rows).sparse_nullspace_basis()
     image = L.sparse_subspace((Matrix.from_sparse(coeffs, center.rows) * center).sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):

@@ -27,6 +27,7 @@ from liemult import (
 from liemult.multiplier import cochain_slice
 from liemult.verify import discrepancy_notes, report_to_json, run_all, witness_extensions
 
+from core_helpers import jacobi_defect
 from linalg_helpers import nullspace_basis
 
 
@@ -154,7 +155,7 @@ def test_criterion_8_property_suites(full_report):
     for entry in cat.entries():
         alg = entry.build()
         for triple in combinations(range(alg.dim), 3):
-            if any(c != 0 for c in alg._jacobi_defect(*triple)):
+            if any(c != 0 for c in jacobi_defect(alg, *triple)):
                 ok = False
     ok &= report_to_json(full_report) == report_to_json(run_all(9))
     assert _line("8 property suites + deterministic reports", ok)

@@ -287,6 +287,9 @@ MALFORMED = {
     # raw file contents rather than documents
     "not_utf8": b'\xff\xfe{"dim": 3, "brackets": []}',
     "json_nested_too_deeply": b"[" * 100_000 + b"]" * 100_000,
+    # json.loads refuses an integer above CPython's 4300-digit int/str limit
+    # with a plain ValueError
+    "json_integer_above_int_digit_limit": b'{"dim": ' + b"1" * 5000 + b', "brackets": []}',
 }
 
 

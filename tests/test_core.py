@@ -46,6 +46,7 @@ from liemult.core import (
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
+from core_helpers import jacobi_defect
 from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
@@ -88,7 +89,7 @@ def test_index_out_of_range():
 
 def first_jacobi_violation(alg):
     """Reference for `check_jacobi` on the swept rows: each triple's defect
-    term by term (`_jacobi_defect`), triples taken in bracket order, then
+    term by term (`jacobi_defect`), triples taken in bracket order, then
     third index ascending; the first nonzero one, 1-based, or None."""
     seen = set()
     for (i, j) in alg.brackets:
@@ -97,14 +98,14 @@ def first_jacobi_violation(alg):
             if k in (i, j) or triple in seen:
                 continue
             seen.add(triple)
-            defect = alg._jacobi_defect(*triple)
+            defect = jacobi_defect(alg, *triple)
             if any(defect):
                 return tuple(t + 1 for t in triple), defect
     return None
 
 
 def violating_triples(alg):
-    return [t for t in combinations(range(alg.dim), 3) if any(alg._jacobi_defect(*t))]
+    return [t for t in combinations(range(alg.dim), 3) if any(jacobi_defect(alg, *t))]
 
 
 COEFFICIENT = st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3)])
@@ -305,6 +306,13 @@ def test_intersect_matches_stacked_reference():
     assert u.intersect(v) == stacked_intersection(u, v) == L.subspace([(1, 1, 1, 1)])
 
 
+def test_ad_images_drop_cancelled_entries():
+    # [x1 + x2, x3] = x4 - x4 = 0
+    L = LieAlgebra(4, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(-1)}})
+    assert L.ad_images({0: Q(1), 1: Q(1)}) == [{}, {}, {}, {}]
+    assert L.ad_images({0: Q(1), 1: Q(2)}) == [{}, {}, {3: Q(-1)}, {}]
+
+
 def dense_residue(s, v):
     """Reference for `Subspace.residue`: the dense vector v reduced by one
     rref row after another."""
@@ -340,6 +348,9 @@ def test_sparse_subspace_layer_matches_dense_references():
         spaces = L.lower_central_series() + L.upper_central_series() + [meet] + units
         for s in spaces:
             images = [L.bracket(b, unit_vector(n, j)) for b in s.basis.data for j in range(n)]
+            # the sparse sweep gives the same brackets, with no zero values
+            assert [img for b in s.basis.sparse_rows for img in L.ad_images(b)] == [
+                {k: x for k, x in enumerate(w) if x} for w in images]
             assert L.is_ideal(s) == all(not any(dense_residue(s, w)) for w in images)
             for w in images:
                 sparse = s.residue({k: x for k, x in enumerate(w) if x})

@@ -193,15 +193,9 @@ shaped = st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(
 
 
 def sparse_twin(rows, cols):
-    """`Matrix.from_sparse` of dense rows, with explicit zero values (Q(0, 3))
-    at the odd zero columns and the even all-zero rows as empty dicts."""
-    sparse = []
-    for i, r in enumerate(rows):
-        if i % 2 == 0 and not any(r):
-            sparse.append({})
-        else:
-            sparse.append({j: Q(x) if x else Q(0, 3) for j, x in enumerate(r) if x or j % 2})
-    return Matrix.from_sparse(sparse, cols)
+    """`Matrix.from_sparse` of dense rows with their zero values left out, as
+    its precondition asks; an all-zero row becomes an empty dict."""
+    return Matrix.from_sparse([{j: Q(x) for j, x in enumerate(r) if x} for r in rows], cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,6 +289,7 @@ product_cases = st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4
 @example(([[], []], [], (2, 0, 3)))
 @example(([[1, 2]], [[], []], (1, 2, 0)))
 @example(([[Q(0, 3), -(10**35)], [1, Q(-1, 2)]], [[Q(2, 7), 0], [10**31, Q(0, 5)]], (2, 2, 2)))
+@example(([[1, 1], [2, Q(1, 2)]], [[1, 3], [-1, -12]], (2, 2, 2)))
 def test_product_matches_naive_reference(case):
     a_rows, b_rows, (nrows, inner, ncols) = case
     want = naive_product(a_rows, b_rows, inner, ncols)
@@ -305,3 +300,38 @@ def test_product_matches_naive_reference(case):
             assert p.is_zero() == (not any(any(r) for r in want))
             assert p.data == want
             assert all(type(x) is Q for r in p.data for x in r)
+            # a product's rows hold no zero values, as `from_sparse` asks
+            assert all(all(r.values()) for r in p.sparse_rows)
+
+
+# -- the one sparse accumulate against a dense sum -----------------------------
+
+# values that cancel often: few columns and small numerators
+small_fraction = st.builds(Q, st.integers(-3, 3), st.integers(1, 2))
+fraction_row = st.dictionaries(st.integers(0, 5), small_fraction.filter(bool), max_size=6)
+int_row = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=6)
+accumulate_cases = st.one_of(
+    st.tuples(fraction_row, small_fraction, fraction_row),
+    st.tuples(int_row, st.integers(-3, 3), int_row),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(accumulate_cases)
+@example(({0: Q(1), 2: Q(-1, 2)}, Q(1, 2), {0: Q(-2), 2: Q(1), 3: Q(5)}))
+@example(({1: 4}, 0, {1: -4}))
+@example(({1: 4}, 2, {1: -2}))
+def test_add_scaled_matches_a_dense_sum(case):
+    row, a, terms = case
+    before, dense = dict(row), [0] * 6
+    for j, x in row.items():
+        dense[j] += x
+    for j, y in terms.items():
+        dense[j] += a * y
+    linalg.add_scaled(row, a, terms)
+    assert row == {j: x for j, x in enumerate(dense) if x}
+    assert all(row.values())
+    if not a:
+        assert row == before
+    # the scalar type of the row is kept
+    assert all(type(x) is type(a) for x in row.values())

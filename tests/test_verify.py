@@ -4,12 +4,14 @@ import csv
 import hashlib
 import io
 from dataclasses import replace
+from fractions import Fraction
 
 import liemult.catalog as cat
 from liemult import invariants, multiplier, verify
 from liemult.cli import main
 from liemult.core import LieAlgebra, direct_sum
-from liemult.invariants import BoundCheck, bound_checks
+from liemult.invariants import BoundCheck, bound_checks, invariant_report
+from liemult.linalg import Matrix
 from liemult.verify import (
     build_closure,
     classify_by_s,
@@ -362,6 +364,30 @@ def test_csv_and_markdown_report_bytes_pinned(full_report):
     assert hashlib.sha256(report_to_csv(full_report).encode()).hexdigest() == REPORT_CSV_SHA256
     assert (hashlib.sha256(report_to_markdown(full_report).encode()).hexdigest()
             == REPORT_MARKDOWN_SHA256)
+
+
+def test_rows_reach_from_sparse_without_zeros(monkeypatch):
+    """`Matrix.from_sparse` keeps its rows as given, so every row the package
+    builds must already hold only nonzero Fractions: checked on every call
+    during a small verification run and an invariant report per closure
+    member.  A zero value fails at once: the elimination would not survive
+    it."""
+    given = Matrix.from_sparse
+    seen = [0]
+
+    def guarded(cls, rows, cols):
+        rows = tuple(rows)
+        for r in rows:
+            assert all(type(x) is Fraction and x for x in r.values()), r
+        seen[0] += len(rows)
+        return given(rows, cols)
+
+    monkeypatch.setattr(Matrix, "from_sparse", classmethod(guarded))
+    multiplier.clear_caches()
+    assert run_all(6).passed
+    for member in build_closure(7):
+        invariant_report(member.algebra, member.name)
+    assert seen[0] > 0
 
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
