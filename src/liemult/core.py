@@ -263,6 +263,22 @@ def pair_index(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+class CanonicalKey(tuple):
+    """A tuple that hashes its entries once, when it is made.
+
+    A tuple does not keep its hash, so each lookup of a plain key would
+    hash every Fraction of the table again; this one keeps the value.  It
+    equals, and hashes like, the plain tuple of the same entries."""
+
+    def __new__(cls, entries: tuple) -> "CanonicalKey":
+        key = super().__new__(cls, entries)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
@@ -296,7 +312,7 @@ class LieAlgebra:
         self._lcs: list[Subspace] | None = None
         self._ucs: list[Subspace] | None = None
         self._center: Subspace | None = None
-        self._key: tuple | None = None
+        self._key: CanonicalKey | None = None
         if validate:
             self.check_jacobi(self.wedge_rows())
             self.lower_central_series()
@@ -404,14 +420,15 @@ class LieAlgebra:
 
     # -- identity -------------------------------------------------------------
 
-    def canonical_key(self) -> tuple:
-        """Hashable key identifying the structure-constant table exactly."""
+    def canonical_key(self) -> "CanonicalKey":
+        """Hashable key identifying the structure-constant table exactly;
+        built and hashed once per instance."""
         if self._key is None:
             items = tuple(
                 (i, j, tuple(sorted(terms.items())))
                 for (i, j), terms in sorted(self.brackets.items())
             )
-            self._key = (self.dim, items)
+            self._key = CanonicalKey((self.dim, items))
         return self._key
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import LieAlgebra, LieError, Subspace
-from .multiplier import _memoized, dim_multiplier, dim_multiplier_quotient, is_capable
+from .multiplier import (
+    _memoized,
+    dim_multiplier,
+    dim_multiplier_quotient,
+    dim_quotient_derived,
+    is_capable,
+)
 
 
 class AbelianInput(LieError):
@@ -67,21 +73,21 @@ def check_central_ideal_bound(L: LieAlgebra, K: Subspace) -> BoundCheck:
 
     K must be a central ideal; being central it is abelian, so
     dim M(K) = C(dim K, 2).  dim M(L/K) is read off L's d2
-    (`dim_multiplier_quotient`), and dim (L/K)^ab = n - k - dim L^2 +
-    dim(L^2 ^ K), so L/K is never built.
+    (`dim_multiplier_quotient`).  With d = dim (L/K)^2 = dim(L^2 + K) - k
+    (`dim_quotient_derived`), dim (L/K)^ab = n - k - d and
+    dim(L^2 ^ K) = dim L^2 - d, so neither L/K nor an intersection is built.
     """
     if K.ambient is not L:
         raise NotCentralIdeal("K is not a subspace of L")
     if not L.center().contains_subspace(K):
         raise NotCentralIdeal("K is not central")
     k = K.dim
-    derived = L.derived_subalgebra()
-    meet = derived.intersect(K).dim
-    lhs = dim_multiplier(L) + meet
+    quotient_derived = dim_quotient_derived(L, K)
+    lhs = dim_multiplier(L) + L.derived_subalgebra().dim - quotient_derived
     rhs = (
         dim_multiplier_quotient(L, K)
         + k * (k - 1) // 2
-        + (L.dim - k - derived.dim + meet) * k
+        + (L.dim - k - quotient_derived) * k
     )
     return BoundCheck("central-ideal-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
 

@@ -40,10 +40,18 @@ dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
 without building L/K or a second slice.  By inflation (Hochschild-Serre),
 the cochains of L/K are the forms on L that vanish when an argument lies
 in K, so d2(L/K) is d2(L) restricted to them; the bound checks and
-`quotient_exterior_check` use it.  Its rank is an elimination of its own:
-the Ganea sequence would give dim M(L/K) for central K from L's cocycles,
-but it would make the central-ideal bound hold by construction, so it is
-used only in the tests, as a third route.
+`quotient_exterior_check` use it.  The memo keeps one echelon basis of
+d2's rows per algebra (`_d2_rows`), and each quotient maps it to L/K's
+pair coordinates: a column selection when K is spanned by basis vectors
+(every <x_i> of the bound checks, and gamma3 in an adapted basis), the
+general inflation product otherwise.  Its rank is an elimination of its
+own: the Ganea sequence would give dim M(L/K) for central K from L's
+cocycles, but it would make the central-ideal bound hold by construction,
+so it is used only in the tests, as a third route.
+
+Results are memoized per algebra in one dict keyed by the canonical
+brackets (`_memoized`); the key keeps its hash, so a lookup hashes no
+Fraction of the table, and `clear_caches()` empties the dict.
 """
 
 from __future__ import annotations
@@ -127,26 +135,33 @@ def boundary3(L: LieAlgebra) -> Matrix:
 
 _MEMO: dict[tuple[str, tuple], object] = {}
 _CACHE_LOCK = threading.Lock()
+_MISSING = object()
 
 
 def _memoized(fn):
-    """Memoize fn(L) in _MEMO under (fn's name, L.canonical_key())."""
+    """Memoize fn(L) in _MEMO under (fn's name, L.canonical_key()).
+
+    The key is hashed once per algebra instance (`CanonicalKey` keeps its
+    hash), so a lookup hashes no Fraction of the table; equal algebras
+    share one entry."""
     @functools.wraps(fn)
     def memo(L: LieAlgebra):
         key = (fn.__name__, L.canonical_key())
         with _CACHE_LOCK:
-            if key in _MEMO:
-                return _MEMO[key]
-        value = fn(L)
-        with _CACHE_LOCK:
-            _MEMO[key] = value
+            value = _MEMO.get(key, _MISSING)
+        if value is _MISSING:
+            value = fn(L)
+            with _CACHE_LOCK:
+                _MEMO[key] = value
         return value
     return memo
 
 
 def clear_caches() -> None:
-    """Drop memoized cocycle bases, d2 rows, covers, epicenter bases and
-    dim M(L/gamma3) (the `_memoized` helper in `invariants`)."""
+    """Drop every memoized result: cocycle bases, d2 echelons, covers,
+    epicenter bases and dim M(L/gamma3) (the `_memoized` helper in
+    `invariants`).  An algebra instance holds no result of its own, only
+    its hashed key, so one held across the call computes afresh."""
     with _CACHE_LOCK:
         _MEMO.clear()
 
@@ -210,32 +225,66 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
 
 @_memoized
 def _d2_rows(L: LieAlgebra) -> tuple[dict[int, int], ...]:
-    """The nonzero rows of L's d2 as {pair index: int}, each scaled to
-    integers, in sweep order (only their span is used); built without a
-    slice."""
-    return tuple(sparse_integer_row(r) for r in L.wedge_rows().values() if r)
+    """An echelon basis of the row space of L's d2: rank d2 primitive
+    {pair index: int} rows with distinct leading columns, in the order of
+    those columns, reduced once per algebra from `L.wedge_rows()` without a
+    slice.  rowspace(d2 P_K) = rowspace(d2) P_K, so a quotient read reduces
+    these rows instead of d2's nonzero ones and finds the same rank."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in L.wedge_rows().values():
+        if row:
+            extend_integer_echelon(echelon, sparse_integer_row(row))
+    return tuple(echelon[c] for c in sorted(echelon))
 
 
 def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
     """dim M(L/K) for an ideal K of L, without building L/K.
 
     L/K has the basis `L.quotient` gives it, the x_c at the free columns c
-    of K's rref, with dual forms phi_c = e^c - sum_p K[p][c] e^p (p over
-    K's pivot rows).  Inflation phi_a ^ phi_b -> its 2-form on L is
-    injective and commutes with d2, so rank d2(L/K) = rank(d2(L) P_K), and
+    of K's rref.  Inflation of the 2-forms of L/K to L is injective and
+    commutes with d2, so rank d2(L/K) = rank(d2(L) P_K), and
 
         dim M(L/K) = C(q,2) - rank(d2(L) P_K) - (dim(L^2 + K) - dim K)
 
-    for q = dim L - dim K.  Column (i,j) of d2(L) goes to pi(x_i) ^ pi(x_j)
-    in L/K's pair coordinates; when K is spanned by basis vectors this is
-    a column selection.  Raises NotAnIdeal where `L.quotient` does.
+    for q = dim L - dim K.  P_K sends column (i,j) of d2(L) to
+    pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to the
+    echelon basis of d2's rows (`_d2_rows`).  When every rref row of K has
+    one entry, K is spanned by basis vectors and P_K is a column selection
+    (`_select_pairs`); any other K takes the general product
+    (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
     """
     if not L.is_ideal(K):
         raise NotAnIdeal("subspace is not an ideal")
+    q = L.dim - K.dim
+    if all(len(row) == 1 for row in K.basis.sparse_rows):
+        restricted = _select_pairs(L, K)
+    else:
+        restricted = _inflate_pairs(L, K)
+    echelon: dict[int, dict[int, int]] = {}
+    for w in restricted:
+        extend_integer_echelon(echelon, w)
+    return q * (q - 1) // 2 - len(echelon) - dim_quotient_derived(L, K)
+
+
+def _select_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
+    """d2(L) P_K for K spanned by the basis vectors at its pivots: pi sends
+    those to 0 and the other x_c, in order, to L/K's basis, so P_K keeps
+    the pairs that avoid the pivots, which, in order, are L/K's pairs."""
+    pivots = set(K.basis.pivot_columns())
+    kept = (idx for idx, (i, j) in enumerate(pair_index(L.dim))
+            if i not in pivots and j not in pivots)
+    select = {idx: col for col, idx in enumerate(kept)}
+    return [{select[idx]: x for idx, x in w.items() if idx in select} for w in _d2_rows(L)]
+
+
+def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
+    """d2(L) P_K for any ideal K: L/K's dual forms are
+    phi_c = e^c - sum_p K[p][c] e^p (p over K's pivot rows), and column
+    (i,j) goes to the wedge of pi(x_i) and pi(x_j), both in L/K's
+    coordinates."""
     pivots = K.basis.pivot_columns()
     pivot_set = set(pivots)
     free = [c for c in range(L.dim) if c not in pivot_set]
-    q = len(free)
     pos = {c: a for a, c in enumerate(free)}
     # pi(x_c) in L/K's coordinates, all scaled by one common denominator; an
     # rref row of K is zero at every other pivot, so off p it is all free
@@ -246,7 +295,7 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
         image[p] = {pos[c]: -int(x * den) for c, x in row.items() if c != p}
     # e_a ^ e_b as the single-entry row {pair column: +-1} of L/K, a != b
     unit_wedge: dict[tuple[int, int], dict[int, int]] = {}
-    for col, (a, b) in enumerate(pair_index(q)):
+    for col, (a, b) in enumerate(pair_index(len(free))):
         unit_wedge[(a, b)], unit_wedge[(b, a)] = {col: 1}, {col: -1}
     inflate: dict[int, dict[int, int]] = {}
     for idx, (i, j) in enumerate(pair_index(L.dim)):
@@ -257,18 +306,23 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
                     add_scaled(wedge, u * v, unit_wedge[(a, b)])
         if wedge:
             inflate[idx] = wedge
-    echelon: dict[int, dict[int, int]] = {}
+    out = []
     for w in _d2_rows(L):
-        out: dict[int, int] = {}
+        row: dict[int, int] = {}
         for idx, x in w.items():
             if idx in inflate:
-                add_scaled(out, x, inflate[idx])
-        extend_integer_echelon(echelon, out)
-    # rank d1(L/K) = dim (L/K)^2 = dim(L^2 + K) - dim K, the rank of L^2 mod K
+                add_scaled(row, x, inflate[idx])
+        out.append(row)
+    return out
+
+
+def dim_quotient_derived(L: LieAlgebra, K: Subspace) -> int:
+    """dim (L/K)^2 = dim(L^2 + K) - dim K, for a subspace K of L: the rank
+    of L^2's basis rows reduced modulo K (rank d1 of L/K), with no sum or
+    intersection built."""
     projected: dict[int, dict[int, int]] = {}
-    rank_d1 = sum(extend_integer_echelon(projected, sparse_integer_row(K.residue(row)))
-                  for row in L.derived_subalgebra().basis.sparse_rows)
-    return q * (q - 1) // 2 - len(echelon) - rank_d1
+    return sum(extend_integer_echelon(projected, sparse_integer_row(K.residue(row)))
+               for row in L.derived_subalgebra().basis.sparse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +423,13 @@ def dim_tensor_square(L: LieAlgebra) -> int:
 def quotient_exterior_check(L: LieAlgebra) -> bool:
     """dim(L^L) equals dim of the exterior square of L/Z*(L).
 
-    dim (L/Z*)^2 = dim(L^2 + Z*) - dim Z*, and dim M(L/Z*) is read off L's
-    d2 (`dim_multiplier_quotient`), so L/Z*(L) is never built.
+    dim (L/Z*)^2 = dim(L^2 + Z*) - dim Z* (`dim_quotient_derived`), and
+    dim M(L/Z*) is read off L's d2 (`dim_multiplier_quotient`), so
+    L/Z*(L) is never built.
     """
     if L.is_abelian:
         raise LieError("quotient_exterior_check needs non-abelian input")
     z = epicenter(L)
     if z.dim == 0:
         return True
-    quotient_derived = L.derived_subalgebra().sum(z).dim - z.dim
-    return dim_exterior_square(L) == quotient_derived + dim_multiplier_quotient(L, z)
+    return dim_exterior_square(L) == dim_quotient_derived(L, z) + dim_multiplier_quotient(L, z)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import hypothesis.strategies as st
@@ -31,7 +32,7 @@ from liemult import (
 import liemult.catalog as cat
 from liemult import linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
-from liemult.invariants import central_basis_vectors
+from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
 from liemult.linalg import Matrix
 from liemult.multiplier import (
     boundary3,
@@ -71,6 +72,32 @@ def test_parameterized_values():
     assert dim_multiplier(get("L_{6,21}", eps=1)) == 4
     assert dim_multiplier(get("L_{6,21}", eps=-1)) == 4
     assert dim_multiplier(get("L_{6,22}", eps=0)) == 8
+
+
+def test_memo_hashes_each_algebra_once_and_shares_equal_ones(monkeypatch):
+    """The memo contract: a repeated lookup on one instance hashes no
+    Fraction (its key keeps its hash), two equal instances share one
+    computation, and an instance held across clear_caches() computes
+    afresh."""
+    table = get("L_{6,10}").brackets
+    slices = []
+    real_slice = multiplier.cochain_slice
+    monkeypatch.setattr(multiplier, "cochain_slice",
+                        lambda alg: slices.append(alg) or real_slice(alg))
+    multiplier.clear_caches()
+    held = LieAlgebra(6, table)
+    expected = dim_multiplier(held)
+    hashes = []
+    real_hash = Q.__hash__
+    with monkeypatch.context() as m:
+        m.setattr(Q, "__hash__", lambda x: hashes.append(x) or real_hash(x))
+        assert dim_multiplier(held) == expected
+    assert hashes == []
+    assert dim_multiplier(LieAlgebra(6, table)) == expected
+    assert len(slices) == 1
+    multiplier.clear_caches()
+    assert dim_multiplier(held) == expected
+    assert len(slices) == 2
 
 
 def test_S1_value_consistent_with_listing():
@@ -586,7 +613,22 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
             assert dim_multiplier_quotient(sheared, image) == expected, (alg.name, image.basis)
             checked += 2
             non_coordinate += (not is_coordinate(ideal)) + (not is_coordinate(image))
-    assert checked > 3600 and non_coordinate > 1000
+    # both ways of restricting d2 are reached: a column selection for the
+    # ideals spanned by basis vectors, the general inflation for the rest
+    assert checked > 3600 and non_coordinate > 1000 and checked - non_coordinate > 1000
+
+
+def test_d2_echelon_has_rank_d2_rows_spanning_d2():
+    """The memoized `_d2_rows` is an echelon basis of d2's row space: rank
+    d2 rows with distinct leading columns, which add nothing to d2's rows."""
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    for alg in algebras:
+        d2 = cochain_slice(alg).d2
+        rows = multiplier._d2_rows(alg)
+        assert len(rows) == d2.rank(), alg.name
+        assert len({min(r) for r in rows}) == len(rows), alg.name
+        stacked = [{j: Q(x) for j, x in r.items()} for r in rows] + list(d2.sparse_rows)
+        assert Matrix.from_sparse(stacked, d2.cols).rank() == d2.rank(), alg.name
 
 
 def test_dim_multiplier_quotient_edge_cases():
@@ -652,6 +694,67 @@ def ganea_dim_multiplier_quotient(alg, i):
     rank = Matrix([[value(f, j) for j in range(alg.dim)] for f in reps], cols=alg.dim).rank()
     in_derived = alg.derived_subalgebra().contains(unit_vector(alg.dim, i))
     return len(reps) + in_derived - rank
+
+
+def test_central_ideal_bound_meet_matches_intersection():
+    """check_central_ideal_bound reads dim(L^2 ^ K) as dim L^2 - dim(L^2 + K)
+    + dim K; `Subspace.intersect` is the reference, on every central line
+    <x_i> of the closure."""
+    checked = 0
+    for member in build_closure(9):
+        alg = member.algebra
+        derived = alg.derived_subalgebra()
+        for i in central_basis_vectors(alg):
+            ideal = alg.sparse_subspace([{i: Q(1)}])
+            meet = derived.intersect(ideal).dim
+            chk = check_central_ideal_bound(alg, ideal)
+            assert chk.lhs == dim_multiplier(alg) + meet, (alg.name, i)
+            assert chk.rhs == (dim_multiplier_quotient(alg, ideal)
+                               + (alg.dim - 1 - derived.dim + meet)), (alg.name, i)
+            checked += 1
+    assert checked == 758
+
+
+def _sheared_coordinates(v, a, b, t):
+    """x-coordinates of v to the y-coordinates of `_shear(alg, a, b, t, ...)`."""
+    return v[:a] + (v[a] - t * v[b],) + v[a + 1:]
+
+
+BASIS_FREE_FIELDS = ("n", "dim_derived", "nilpotency_class", "dim_M", "s", "t", "capable",
+                     "gamma_dims", "z_dims", "dim_exterior", "dim_tensor")
+
+
+def test_invariant_report_survives_a_change_of_basis():
+    """Metamorphic: each closure member, in a basis changed by a seeded pair
+    of shears, has the same basis-free report fields and the same bound
+    checks whose id names no basis vector; the central-ideal check of each
+    <x_i>, read in the new basis, is the same check.  There gamma3 and those
+    lines are often not spanned by basis vectors, so the general inflation
+    of `dim_multiplier_quotient` must give what the column selection gave."""
+    rng = random.Random(19)
+    non_coordinate = 0
+    for member in build_closure(9):
+        alg = member.algebra
+        a, b = rng.sample(range(alg.dim), 2)
+        t1, t2 = (Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))) for _ in range(2))
+        sheared = _shear(_shear(alg, a, b, t1, reverse=False), b, a, t2, reverse=True)
+        before, after = invariant_report(alg), invariant_report(sheared)
+        for field in BASIS_FREE_FIELDS:
+            assert getattr(before, field) == getattr(after, field), (member.name, field)
+        assert ([c for c in before.bound_checks if "[" not in c.check_id]
+                == [c for c in after.bound_checks if "[" not in c.check_id]), member.name
+        lines = {c.check_id: c for c in before.bound_checks if "[" in c.check_id}
+        for i in central_basis_vectors(alg):
+            v = _sheared_coordinates(unit_vector(alg.dim, i), a, b, t1)
+            image = sheared.subspace([_sheared_coordinates(v, b, a, t2)])
+            chk = check_central_ideal_bound(sheared, image)
+            assert replace(chk, check_id=f"{chk.check_id}[x{i + 1}]") == lines.pop(
+                f"{chk.check_id}[x{i + 1}]"), (member.name, i)
+            non_coordinate += not is_coordinate(image)
+        assert not lines, member.name
+        if alg.nilpotency_class >= 3:
+            non_coordinate += not is_coordinate(sheared.lower_central_series()[2])
+    assert non_coordinate > 200
 
 
 def test_ganea_identity_on_central_basis_vectors():
