@@ -19,8 +19,8 @@ from .core import LieAlgebra, LieError, Subspace
 from .multiplier import (
     _memoized,
     dim_multiplier,
-    dim_multiplier_quotient,
     dim_quotient_derived,
+    dim_quotient_exterior_square,
     is_capable,
 )
 
@@ -72,10 +72,10 @@ def check_central_ideal_bound(L: LieAlgebra, K: Subspace) -> BoundCheck:
     """dim M(L) + dim(L^2 ^ K) <= dim M(L/K) + dim M(K) + dim((L/K)^ab x K).
 
     K must be a central ideal; being central it is abelian, so
-    dim M(K) = C(dim K, 2).  dim M(L/K) is read off L's d2
-    (`dim_multiplier_quotient`).  With d = dim (L/K)^2 = dim(L^2 + K) - k
-    (`dim_quotient_derived`), dim (L/K)^ab = n - k - d and
-    dim(L^2 ^ K) = dim L^2 - d, so neither L/K nor an intersection is built.
+    dim M(K) = C(dim K, 2).  With d = dim (L/K)^2 = dim(L^2 + K) - k, found
+    once (`dim_quotient_derived`), dim M(L/K) = dim (L/K)^(L/K) - d (read
+    off L's d2), dim (L/K)^ab = n - k - d and dim(L^2 ^ K) = dim L^2 - d,
+    so neither L/K nor an intersection is built.
     """
     if K.ambient is not L:
         raise NotCentralIdeal("K is not a subspace of L")
@@ -85,7 +85,7 @@ def check_central_ideal_bound(L: LieAlgebra, K: Subspace) -> BoundCheck:
     quotient_derived = dim_quotient_derived(L, K)
     lhs = dim_multiplier(L) + L.derived_subalgebra().dim - quotient_derived
     rhs = (
-        dim_multiplier_quotient(L, K)
+        dim_quotient_exterior_square(L, K) - quotient_derived
         + k * (k - 1) // 2
         + (L.dim - k - quotient_derived) * k
     )
@@ -105,9 +105,10 @@ def check_noncapable_bound(L: LieAlgebra) -> BoundCheck:
 
 @_memoized
 def _dim_multiplier_mod_gamma3(L: LieAlgebra) -> int:
-    """dim M(L/g3), read off L's d2 (`dim_multiplier_quotient`) once per
+    """dim M(L/g3) = dim (L/g3)^(L/g3) - dim (L/g3)^2, read off L once per
     algebra for both checks that use it."""
-    return dim_multiplier_quotient(L, L.lower_central_series()[2])
+    g3 = L.lower_central_series()[2]
+    return dim_quotient_exterior_square(L, g3) - dim_quotient_derived(L, g3)
 
 
 def gamma3_defect(L: LieAlgebra) -> BoundCheck:

@@ -4,8 +4,8 @@ Two independent routes compute dim M(L):
 
 * cohomology: the Chevalley-Eilenberg slice L* -> Lambda^2 L* -> Lambda^3 L*
   with trivial coefficients; dim M = dim ker(d2) - rank(d1), the size of
-  the canonical cocycle basis (`cocycle_representatives`), which is the
-  only place the slice is built and d2 eliminated.
+  the canonical cocycle basis, read with d2's rref rows from the only
+  place the slice is built and d2 eliminated (`_cohomology`).
 * cover (the generators-and-relations elimination count): the homological
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
@@ -39,15 +39,16 @@ vanishes.
 dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
 without building L/K or a second slice.  By inflation (Hochschild-Serre),
 the cochains of L/K are the forms on L that vanish when an argument lies
-in K, so d2(L/K) is d2(L) restricted to them; the bound checks and
-`quotient_exterior_check` use it.  The memo keeps one echelon basis of
-d2's rows per algebra (`_d2_rows`), and each quotient maps it to L/K's
-pair coordinates: a column selection when K is spanned by basis vectors
-(every <x_i> of the bound checks, and gamma3 in an adapted basis), the
-general inflation product otherwise.  Its rank is an elimination of its
-own: the Ganea sequence would give dim M(L/K) for central K from L's
-cocycles, but it would make the central-ideal bound hold by construction,
-so it is used only in the tests, as a third route.
+in K, so d2(L/K) is d2(L) restricted to them.  dim M(L/K) is
+dim (L/K)^(L/K) = C(q,2) - rank d2(L/K) (`dim_quotient_exterior_square`,
+which the bound checks and `quotient_exterior_check` read) less
+dim (L/K)^2 (`dim_quotient_derived`).  The first maps d2's rref rows to
+L/K's pair coordinates: a column selection when K is spanned by basis
+vectors (every <x_i> of the bound checks, and gamma3 in an adapted
+basis), the general inflation product otherwise.  Its rank is an
+elimination of its own: the Ganea sequence would give dim M(L/K) for
+central K from L's cocycles, but it would make the central-ideal bound
+hold by construction, so it is used only in the tests, as a third route.
 
 Results are memoized per algebra in one dict keyed by the canonical
 brackets (`_memoized`); the key keeps its hash, so a lookup hashes no
@@ -75,6 +76,7 @@ from .linalg import (
     Vector,
     add_scaled,
     extend_integer_echelon,
+    rref_basis,
     sparse_integer_row,
 )
 
@@ -158,8 +160,8 @@ def _memoized(fn):
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: cocycle bases, d2 echelons, covers,
-    epicenter bases and dim M(L/gamma3) (the `_memoized` helper in
+    """Drop every memoized result: cocycle bases with d2's rref rows,
+    covers, epicenter bases and dim M(L/gamma3) (the `_memoized` helper in
     `invariants`).  An algebra instance holds no result of its own, only
     its hashed key, so one held across the call computes afresh."""
     with _CACHE_LOCK:
@@ -178,16 +180,12 @@ class MultiplierResult:
 
 
 @_memoized
-def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
-    """Canonical basis of a complement of im(d1) inside ker(d2).
-
-    Vectors live in pair coordinates (the value of the 2-form on
-    x_i^x_j, pairs ordered lexicographically). Deterministic: the
-    coboundary span is extended by nullspace vectors in rref order,
-    keeping those that enlarge it (which does not depend on the basis the
-    span is reduced in).
-    """
+def _cohomology(L: LieAlgebra) -> tuple[tuple[Vector, ...], tuple[dict[int, int], ...]]:
+    """L's d2, swept (`cochain_slice`) and eliminated once: the canonical
+    cocycle basis and d2's rref rows as primitive {pair index: int} rows,
+    which the quotient reads restrict."""
     slice_ = cochain_slice(L)
+    d2 = rref_basis(slice_.d2)
     # the coboundaries are d1's columns, gathered from its sparse rows
     coboundaries: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
@@ -197,14 +195,28 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
     for coboundary in coboundaries:
         extend_integer_echelon(echelon, sparse_integer_row(coboundary))
     # the nullspace stays sparse; only the kept vectors are densified
-    kept = [v for v in slice_.d2.sparse_nullspace_basis()
+    kept = [v for v in d2.sparse_nullspace_basis()
             if extend_integer_echelon(echelon, sparse_integer_row(v))]
-    return Matrix.from_sparse(kept, slice_.d2.cols).data
+    return (Matrix.from_sparse(kept, d2.cols).data,
+            tuple(sparse_integer_row(row) for row in d2.sparse_rows))
+
+
+def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
+    """Canonical basis of a complement of im(d1) inside ker(d2), memoized
+    with d2's rref rows (`_cohomology`).
+
+    Vectors live in pair coordinates (the value of the 2-form on
+    x_i^x_j, pairs ordered lexicographically). Deterministic: the
+    coboundary span is extended by nullspace vectors in rref order,
+    keeping those that enlarge it (which does not depend on the basis the
+    span is reduced in).
+    """
+    return _cohomology(L)[0]
 
 
 def dim_multiplier(L: LieAlgebra) -> int:
     """dim M(L) = dim H^2(L; Q) = dim ker(d2) - rank(d1): the size of the
-    cocycle basis, so each algebra's slice is built and eliminated once."""
+    cocycle basis, so each algebra's slice is built and d2 eliminated once."""
     return len(cocycle_representatives(L))
 
 
@@ -223,35 +235,21 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
     return MultiplierResult(dim_M=m, cocycle_basis=tuple(reps), method="cover")
 
 
-@_memoized
-def _d2_rows(L: LieAlgebra) -> tuple[dict[int, int], ...]:
-    """An echelon basis of the row space of L's d2: rank d2 primitive
-    {pair index: int} rows with distinct leading columns, in the order of
-    those columns, reduced once per algebra from `L.wedge_rows()` without a
-    slice.  rowspace(d2 P_K) = rowspace(d2) P_K, so a quotient read reduces
-    these rows instead of d2's nonzero ones and finds the same rank."""
-    echelon: dict[int, dict[int, int]] = {}
-    for row in L.wedge_rows().values():
-        if row:
-            extend_integer_echelon(echelon, sparse_integer_row(row))
-    return tuple(echelon[c] for c in sorted(echelon))
-
-
-def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
-    """dim M(L/K) for an ideal K of L, without building L/K.
+def dim_quotient_exterior_square(L: LieAlgebra, K: Subspace) -> int:
+    """dim (L/K)^(L/K) for an ideal K of L, without building L/K.
 
     L/K has the basis `L.quotient` gives it, the x_c at the free columns c
     of K's rref.  Inflation of the 2-forms of L/K to L is injective and
     commutes with d2, so rank d2(L/K) = rank(d2(L) P_K), and
 
-        dim M(L/K) = C(q,2) - rank(d2(L) P_K) - (dim(L^2 + K) - dim K)
+        dim (L/K)^(L/K) = dim ker d2(L/K) = C(q,2) - rank(d2(L) P_K)
 
     for q = dim L - dim K.  P_K sends column (i,j) of d2(L) to
-    pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to the
-    echelon basis of d2's rows (`_d2_rows`).  When every rref row of K has
-    one entry, K is spanned by basis vectors and P_K is a column selection
-    (`_select_pairs`); any other K takes the general product
-    (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
+    pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to d2's
+    rref rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When every rref
+    row of K has one entry, K is spanned by basis vectors and P_K is a
+    column selection (`_select_pairs`); any other K takes the general
+    product (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
     """
     if not L.is_ideal(K):
         raise NotAnIdeal("subspace is not an ideal")
@@ -263,7 +261,13 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
     echelon: dict[int, dict[int, int]] = {}
     for w in restricted:
         extend_integer_echelon(echelon, w)
-    return q * (q - 1) // 2 - len(echelon) - dim_quotient_derived(L, K)
+    return q * (q - 1) // 2 - len(echelon)
+
+
+def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
+    """dim M(L/K) = dim (L/K)^(L/K) - dim (L/K)^2 for an ideal K of L, both
+    read off L; raises NotAnIdeal where `L.quotient` does."""
+    return dim_quotient_exterior_square(L, K) - dim_quotient_derived(L, K)
 
 
 def _select_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
@@ -274,7 +278,7 @@ def _select_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
     kept = (idx for idx, (i, j) in enumerate(pair_index(L.dim))
             if i not in pivots and j not in pivots)
     select = {idx: col for col, idx in enumerate(kept)}
-    return [{select[idx]: x for idx, x in w.items() if idx in select} for w in _d2_rows(L)]
+    return [{select[idx]: x for idx, x in w.items() if idx in select} for w in _cohomology(L)[1]]
 
 
 def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
@@ -307,7 +311,7 @@ def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
         if wedge:
             inflate[idx] = wedge
     out = []
-    for w in _d2_rows(L):
+    for w in _cohomology(L)[1]:
         row: dict[int, int] = {}
         for idx, x in w.items():
             if idx in inflate:
@@ -421,15 +425,9 @@ def dim_tensor_square(L: LieAlgebra) -> int:
 
 
 def quotient_exterior_check(L: LieAlgebra) -> bool:
-    """dim(L^L) equals dim of the exterior square of L/Z*(L).
-
-    dim (L/Z*)^2 = dim(L^2 + Z*) - dim Z* (`dim_quotient_derived`), and
-    dim M(L/Z*) is read off L's d2 (`dim_multiplier_quotient`), so
-    L/Z*(L) is never built.
-    """
+    """dim(L^L) equals dim of the exterior square of L/Z*(L), which is
+    read off L's d2 (`dim_quotient_exterior_square`), so L/Z*(L) is never
+    built."""
     if L.is_abelian:
         raise LieError("quotient_exterior_check needs non-abelian input")
-    z = epicenter(L)
-    if z.dim == 0:
-        return True
-    return dim_exterior_square(L) == dim_quotient_derived(L, z) + dim_multiplier_quotient(L, z)
+    return dim_exterior_square(L) == dim_quotient_exterior_square(L, epicenter(L))

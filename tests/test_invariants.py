@@ -26,6 +26,7 @@ from liemult import (
 from liemult import multiplier
 from liemult.invariants import bound_checks, central_basis_vectors
 from liemult.multiplier import cochain_slice
+from liemult.verify import build_closure
 
 from linalg_helpers import unit_vector
 
@@ -185,16 +186,17 @@ def test_invariant_report_builds_no_quotient_and_one_slice(monkeypatch):
 def test_gamma3_quotient_multiplier_read_once_per_algebra(monkeypatch):
     """gamma3_defect and check_third_term_bound share one dim M(L/g3); the
     other quotient reads are the central-ideal bounds, one per central x_i.
-    L_{5,9} has dim g3 = 2, so g3 is none of those lines."""
+    Every bound check reads a quotient through its exterior square off L's
+    d2.  L_{5,9} has dim g3 = 2, so g3 is none of those lines."""
     import liemult.invariants as invariants
 
     ideals = []
 
     def counted(alg, K):
         ideals.append(K)
-        return multiplier.dim_multiplier_quotient(alg, K)
+        return multiplier.dim_quotient_exterior_square(alg, K)
 
-    monkeypatch.setattr(invariants, "dim_multiplier_quotient", counted)
+    monkeypatch.setattr(invariants, "dim_quotient_exterior_square", counted)
     multiplier.clear_caches()
     L = get("L_{5,9}")
     g3 = L.lower_central_series()[2]
@@ -209,6 +211,77 @@ def test_gamma3_quotient_multiplier_read_once_per_algebra(monkeypatch):
     multiplier.clear_caches()
     bound_checks(L)
     assert sum(K == g3 for K in ideals) == 1
+
+
+def test_invariant_report_sweeps_the_brackets_once(monkeypatch):
+    """One bracket sweep per algebra: the cocycle basis and every quotient
+    read share one d2.  The copies are unvalidated, so validation adds no
+    sweep of its own."""
+    swept = []
+    sweep = LieAlgebra.wedge_rows
+
+    def counted(alg):
+        swept.append(alg)
+        return sweep(alg)
+
+    monkeypatch.setattr(LieAlgebra, "wedge_rows", counted)
+    for member in build_closure(9):
+        alg = member.algebra
+        copy = LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
+        multiplier.clear_caches()
+        swept.clear()
+        invariant_report(copy)
+        assert swept == [copy], member.name
+    multiplier.clear_caches()
+
+
+def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
+    """dim (L/K)^2 is found once per central line <x_i> and once for
+    gamma3 (which may be one of those lines), though the central-ideal
+    bound uses it three times."""
+    import liemult.invariants as invariants
+
+    ideals = []
+    derived = multiplier.dim_quotient_derived
+
+    def counted(alg, K):
+        ideals.append(K)
+        return derived(alg, K)
+
+    monkeypatch.setattr(invariants, "dim_quotient_derived", counted)
+    monkeypatch.setattr(multiplier, "dim_quotient_derived", counted)
+    lines = 0
+    for member in build_closure(9):
+        alg = member.algebra
+        multiplier.clear_caches()
+        ideals.clear()
+        bound_checks(alg)
+        central = central_basis_vectors(alg)
+        expected = [alg.subspace([unit_vector(alg.dim, i)]) for i in central]
+        if alg.nilpotency_class >= 3:
+            expected.append(alg.lower_central_series()[2])
+        assert len(ideals) == len(expected), member.name
+        for K in expected:
+            assert ideals.count(K) == expected.count(K), (member.name, K.basis)
+        lines += len(central)
+    assert lines == 758
+    multiplier.clear_caches()
+
+
+def test_quotient_exterior_check_reads_no_quotient_derived(monkeypatch):
+    """dim L^L is compared with dim (L/Z*)^(L/Z*) read off L's d2 as a
+    whole: (L/Z*)^2 is not found on its own."""
+    def refused(alg, K):
+        raise AssertionError("dim_quotient_derived called")
+
+    monkeypatch.setattr(multiplier, "dim_quotient_derived", refused)
+    non_capable = 0
+    for member in build_closure(9):
+        alg = member.algebra
+        if not alg.is_abelian:
+            assert quotient_exterior_check(alg), member.name
+            non_capable += not multiplier.is_capable(alg)
+    assert non_capable > 50
 
 
 def test_invariant_report_abelian():

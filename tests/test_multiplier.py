@@ -619,12 +619,13 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
 
 
 def test_d2_echelon_has_rank_d2_rows_spanning_d2():
-    """The memoized `_d2_rows` is an echelon basis of d2's row space: rank
-    d2 rows with distinct leading columns, which add nothing to d2's rows."""
+    """The d2 rows memoized with the cocycle basis (`_cohomology`) are an
+    echelon basis of d2's row space: rank d2 rows with distinct leading
+    columns, which add nothing to d2's rows."""
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
     for alg in algebras:
         d2 = cochain_slice(alg).d2
-        rows = multiplier._d2_rows(alg)
+        rows = multiplier._cohomology(alg)[1]
         assert len(rows) == d2.rank(), alg.name
         assert len({min(r) for r in rows}) == len(rows), alg.name
         stacked = [{j: Q(x) for j, x in r.items()} for r in rows] + list(d2.sparse_rows)
