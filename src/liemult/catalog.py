@@ -483,10 +483,15 @@ def _central_glue(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 
 def _build_expression(name: str, params: dict[str, Fraction]) -> LieAlgebra:
+    """Build a name expression left to right.  Each step is capped like a
+    declared dimension: both kinds of step build the direct sum of the two
+    factors (a central product then glues it), so its dimension is checked
+    before it is built."""
     atoms, ops = _split_top(_canonical(name))
     result = _build_atom(atoms[0], params)
     for op, atom in zip(ops, atoms[1:]):
         nxt = _build_atom(atom, params)
+        check_dim(result.dim + nxt.dim)
         result = _direct_sum(result, nxt) if op == "sum" else _central_glue(result, nxt)
     return result
 

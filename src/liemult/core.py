@@ -124,9 +124,10 @@ class DependentIdentification(LieError):
     pass
 
 
-# The largest dimension a caller may declare: a presentation's "dim", A(k)
-# and H(m).  Dense n x n work (full_space, quotients) stays cheap well past
-# it: an abelian dim-200 algebra loads in about 0.1 s.  The cap turns a huge
+# The largest dimension a caller may declare: a presentation's "dim", A(k),
+# H(m) and each step of a name expression such as A(k)⊕H(m).  Dense n x n
+# work (full_space, quotients) stays cheap well past it: an abelian dim-200
+# algebra loads in about 0.1 s.  The cap turns a huge
 # declared dimension into an input error before anything of that size is
 # allocated.  Algebras the program builds for itself (covers, direct sums,
 # central products) are not capped: the cover of A(20) has dim 210.

@@ -106,9 +106,11 @@ def check_noncapable_bound(L: LieAlgebra) -> BoundCheck:
 @_memoized
 def _dim_multiplier_mod_gamma3(L: LieAlgebra) -> int:
     """dim M(L/g3) = dim (L/g3)^(L/g3) - dim (L/g3)^2, read off L once per
-    algebra for both checks that use it."""
+    algebra for both checks that use it.  g3 lies in L^2, so
+    dim (L/g3)^2 = dim (L^2 + g3) - dim g3 = dim L^2 - dim g3, with no
+    reduction."""
     g3 = L.lower_central_series()[2]
-    return dim_quotient_exterior_square(L, g3) - dim_quotient_derived(L, g3)
+    return dim_quotient_exterior_square(L, g3) - (L.derived_subalgebra().dim - g3.dim)
 
 
 def gamma3_defect(L: LieAlgebra) -> BoundCheck:

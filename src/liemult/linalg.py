@@ -14,14 +14,27 @@ which deletes an entry that cancels.  So no row is filtered afterwards, and
 `Matrix.from_sparse` keeps the rows it is handed without a copy.
 
 Elimination is fraction-free (after Bareiss): each row is cleared of
-denominators into a {column: int} dict, reduced with integer combinations,
-and only the final division by the pivots creates Fractions.  The reduced
-row echelon form of a matrix is unique, so `rref`, `pivot_columns`,
-`rank` and `sparse_nullspace_basis` (and everything derived from them,
-e.g. canonical subspace bases) are canonical, whatever order the kernel
-eliminates in.
-`extend_integer_echelon` exposes the same reduction step for growing a
-span one {column: int} row at a time.
+denominators into a {column: int} dict and reduced with integer
+combinations.  Its products are built lazily, each from the one before and
+only when something reads it:
+
+* the forward echelon, primitive integer rows keyed by leading column,
+  gives `pivot_columns` and `rank`, with no back substitution and no
+  Fraction;
+* the reduced integer echelon (`integer_rref_rows`), one primitive row per
+  pivot and zero at every other pivot column, is back substituted from it
+  and gives `sparse_nullspace_basis`, one Fraction -x/pv per entry;
+* the Fraction `rref`, each reduced row divided by its pivot value, is
+  built from that for the callers that read it, such as subspace bases.
+
+A matrix that is its own rref (`Matrix.identity`, `rref_basis` outputs)
+has no echelon: its products read its rows.  The reduced row echelon form
+of a matrix is unique, so `rref`, `pivot_columns`, `rank` and
+`sparse_nullspace_basis` (and everything derived from them, e.g.
+canonical subspace bases) are canonical, whatever order the kernel
+eliminates in; the reduced integer rows are the rref rows up to a nonzero
+integer factor each.  `extend_integer_echelon` exposes the forward
+reduction step for growing a span one {column: int} row at a time.
 
 `rref_basis` turns a matrix into the canonical basis of its row space,
 held as sparse rows: its rref without the zero rows.  Subspaces are built
@@ -47,6 +60,11 @@ _ZERO = Q(0)
 _ONE = Q(1)
 
 Vector = tuple[Fraction, ...]
+
+# `Matrix._rref` of a matrix that is its own rref.  A reference to the
+# matrix itself would make it a reference cycle, freed only by the cyclic
+# garbage collector instead of when its last user lets it go.
+_OWN = object()
 
 
 def qf(x) -> Fraction:
@@ -139,7 +157,7 @@ class Matrix:
     index positions.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_rref", "_pivots")
+    __slots__ = ("rows", "cols", "sparse_rows", "_pivots", "_echelon", "_reduced", "_rref")
 
     def __init__(self, data: Iterable[Iterable], cols: int | None = None):
         rows = [[qf(x) for x in row] for row in data]
@@ -156,8 +174,10 @@ class Matrix:
         self.cols = cols
         self.sparse_rows: tuple[dict[int, Fraction], ...] = tuple(
             {j: x for j, x in enumerate(r) if x._numerator} for r in rows)
-        self._rref: Matrix | None = None
         self._pivots: tuple[int, ...] | None = None
+        self._echelon: dict[int, dict[int, int]] | None = None
+        self._reduced: tuple[dict[int, int], ...] | None = None
+        self._rref: Matrix | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -170,8 +190,10 @@ class Matrix:
         m.sparse_rows = tuple(rows)
         m.rows = len(m.sparse_rows)
         m.cols = cols
-        m._rref = None
         m._pivots = None
+        m._echelon = None
+        m._reduced = None
+        m._rref = None
         return m
 
     @classmethod
@@ -185,7 +207,7 @@ class Matrix:
     def _own_rref(self, pivots: tuple[int, ...]) -> "Matrix":
         """Mark this matrix, known to be in rref with these pivots, as its own
         rref, so that it is never eliminated."""
-        self._rref = self
+        self._rref = _OWN
         self._pivots = pivots
         return self
 
@@ -231,34 +253,14 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def _eliminate(self) -> None:
-        """Gauss-Jordan on primitive integer rows, keyed by leading column."""
+        """Forward elimination: primitive integer rows keyed by leading
+        column, not yet reduced above their pivots."""
         echelon: dict[int, dict[int, int]] = {}
         for row in self.sparse_rows:
             if row:
                 extend_integer_echelon(echelon, sparse_integer_row(row))
-        pivots = sorted(echelon)
-        # Back substitution, last pivot first: each pivot row is already free
-        # of every later pivot column when it is used.
-        for k in range(len(pivots) - 1, 0, -1):
-            c = pivots[k]
-            p = echelon[c]
-            for lead in pivots[:k]:
-                w = echelon[lead]
-                if c in w:
-                    echelon[lead] = _cancel(w, p, c)
-        reduced = []
-        for c in pivots:
-            p = echelon[c]
-            pv = p[c]
-            reduced.append({j: Q(v, pv) for j, v in p.items()})
-        reduced.extend({} for _ in range(self.rows - len(pivots)))
-        self._pivots = tuple(pivots)
-        self._rref = Matrix.from_sparse(reduced, self.cols)._own_rref(self._pivots)
-
-    def rref(self) -> "Matrix":
-        if self._rref is None:
-            self._eliminate()
-        return self._rref
+        self._echelon = echelon
+        self._pivots = tuple(sorted(echelon))
 
     def pivot_columns(self) -> tuple[int, ...]:
         if self._pivots is None:
@@ -268,19 +270,66 @@ class Matrix:
     def rank(self) -> int:
         return len(self.pivot_columns())
 
+    def integer_rref_rows(self) -> tuple[dict[int, int], ...]:
+        """The reduced integer echelon: one primitive {column: int} row per
+        pivot, in pivot order, zero at every other pivot column.  Divided by
+        its value at its pivot, which may be negative, a row is the rref
+        row."""
+        if self._reduced is None:
+            pivots = self.pivot_columns()
+            if self._rref is _OWN:
+                # its own rref, never eliminated: no forward echelon
+                self._reduced = tuple(
+                    sparse_integer_row(r) for r in self.sparse_rows[: len(pivots)])
+            else:
+                echelon = self._echelon
+                # Back substitution, last pivot first: each pivot row is
+                # already free of every later pivot column when it is used.
+                for k in range(len(pivots) - 1, 0, -1):
+                    c = pivots[k]
+                    p = echelon[c]
+                    for lead in pivots[:k]:
+                        w = echelon[lead]
+                        if c in w:
+                            echelon[lead] = _cancel(w, p, c)
+                self._reduced = tuple(echelon[c] for c in pivots)
+                self._echelon = None
+        return self._reduced
+
+    def rref(self) -> "Matrix":
+        if self._rref is None:
+            pivots = self.pivot_columns()
+            reduced = []
+            for c, p in zip(pivots, self.integer_rref_rows()):
+                pv = p[c]
+                reduced.append({j: Q(v, pv) for j, v in p.items()})
+            reduced.extend({} for _ in range(self.rows - len(pivots)))
+            self._rref = Matrix.from_sparse(reduced, self.cols)._own_rref(pivots)
+        return self if self._rref is _OWN else self._rref
+
     def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
         """Basis of {v : self @ v = 0}, one {column: Fraction} vector with no
         zero values per free column, in column order."""
         pivots = self.pivot_columns()
-        # a free column's vector is 1 there and -x at the pivot column of each
-        # rref row with x in that free column; an rref row is zero at every
-        # other pivot column, so its off-pivot entries all sit in free columns
+        # a free column's vector is 1 there and -x/pv at the pivot column of
+        # each reduced row with x in that free column and pv at its pivot; a
+        # reduced row is zero at every other pivot column, so its off-pivot
+        # entries all sit in free columns
         vectors = {c: {c: _ONE} for c in range(self.cols)}
-        for pcol, row in zip(pivots, self.rref().sparse_rows):
+        for pcol in pivots:
             del vectors[pcol]
-            for j, x in row.items():
-                if j != pcol:
-                    vectors[j][pcol] = -x
+        if self._rref is None:
+            for pcol, row in zip(pivots, self.integer_rref_rows()):
+                pv = row[pcol]
+                for j, x in row.items():
+                    if j != pcol:
+                        vectors[j][pcol] = Q(-x, pv)
+        else:
+            # the rref is built (or the matrix is its own rref): pv is 1
+            for pcol, row in zip(pivots, self.rref().sparse_rows):
+                for j, x in row.items():
+                    if j != pcol:
+                        vectors[j][pcol] = -x
         return list(vectors.values())
 
 

@@ -4,12 +4,14 @@ Two independent routes compute dim M(L):
 
 * cohomology: the Chevalley-Eilenberg slice L* -> Lambda^2 L* -> Lambda^3 L*
   with trivial coefficients; dim M = dim ker(d2) - rank(d1), the size of
-  the canonical cocycle basis, read with d2's rref rows from the only
-  place the slice is built and d2 eliminated (`_cohomology`).
+  the canonical cocycle basis, read in integers with d2's reduced
+  integer echelon rows from the only place the slice is built and d2
+  eliminated (`_cohomology`).
 * cover (the generators-and-relations elimination count): the homological
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
-  C(n,2) - dim L^2 - rank(boundary_3) survivors.
+  C(n,2) - dim L^2 - rank(boundary_3) survivors; the rank is read off
+  boundary_3's forward echelon alone.
 
 Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
@@ -30,7 +32,7 @@ the first n coordinates.  E is a Lie algebra by construction (L's Jacobi
 identity, d2 . d1 = 0, is checked by `cochain_slice`, and each f_t lies in
 ker d2), so its Jacobi identity is not re-checked.  K is central because no
 bracket of E has an adjoined index as an argument; K lies in E^2, which is
-checked at runtime by one product space (dim E^2 = dim L^2 + m).  The
+checked at runtime by one rank (dim E^2 = dim L^2 + m).  The
 epicenter is the image of Z(E) under the projection, computed without
 building Z(E): it is the set of z in Z(L) whose lift (z, 0) is central in
 E, one nullspace in dim Z(L) unknowns.  L is capable iff that image
@@ -42,7 +44,7 @@ the cochains of L/K are the forms on L that vanish when an argument lies
 in K, so d2(L/K) is d2(L) restricted to them.  dim M(L/K) is
 dim (L/K)^(L/K) = C(q,2) - rank d2(L/K) (`dim_quotient_exterior_square`,
 which the bound checks and `quotient_exterior_check` read) less
-dim (L/K)^2 (`dim_quotient_derived`).  The first maps d2's rref rows to
+dim (L/K)^2 (`dim_quotient_derived`).  The first maps d2's reduced rows to
 L/K's pair coordinates: a column selection when K is spanned by basis
 vectors (every <x_i> of the bound checks, and gamma3 in an adapted
 basis), the general inflation product otherwise.  Its rank is an
@@ -73,10 +75,8 @@ from .core import (
 )
 from .linalg import (
     Matrix,
-    Vector,
     add_scaled,
     extend_integer_echelon,
-    rref_basis,
     sparse_integer_row,
 )
 
@@ -160,10 +160,11 @@ def _memoized(fn):
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: cocycle bases with d2's rref rows,
-    covers, epicenter bases and dim M(L/gamma3) (the `_memoized` helper in
-    `invariants`).  An algebra instance holds no result of its own, only
-    its hashed key, so one held across the call computes afresh."""
+    """Drop every memoized result: sparse cocycle bases with d2's reduced
+    integer echelon rows, covers, epicenter bases and dim M(L/gamma3) (the
+    `_memoized` helper in `invariants`).  An algebra instance holds no
+    result of its own, only its hashed key, so one held across the call
+    computes afresh."""
     with _CACHE_LOCK:
         _MEMO.clear()
 
@@ -172,20 +173,32 @@ def clear_caches() -> None:
 # multiplier dimension, both methods
 # ---------------------------------------------------------------------------
 
+Cochain = dict[int, Fraction]
+
+
 @dataclass(frozen=True)
 class MultiplierResult:
     dim_M: int
-    cocycle_basis: tuple[Vector, ...]
+    cocycle_basis: tuple[Cochain, ...]
     method: str
 
 
 @_memoized
-def _cohomology(L: LieAlgebra) -> tuple[tuple[Vector, ...], tuple[dict[int, int], ...]]:
+def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int], ...]]:
     """L's d2, swept (`cochain_slice`) and eliminated once: the canonical
-    cocycle basis and d2's rref rows as primitive {pair index: int} rows,
-    which the quotient reads restrict."""
+    cocycle basis as sparse {pair index: Fraction} rows, and d2's reduced
+    integer echelon rows (`Matrix.integer_rref_rows`), which the quotient
+    reads restrict.
+
+    The nullspace is read in integers.  The kernel vector of free column c
+    is 1 at c and -x/pv at the pivot column of each reduced row with x at
+    c and pv at its pivot; scaled by the lcm of those pv, it is an integer
+    row, and it extends the coboundary echelon.  Only the dim M vectors
+    kept there become Fractions."""
     slice_ = cochain_slice(L)
-    d2 = rref_basis(slice_.d2)
+    d2 = slice_.d2
+    pivots = d2.pivot_columns()
+    rows = d2.integer_rref_rows()
     # the coboundaries are d1's columns, gathered from its sparse rows
     coboundaries: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
@@ -194,22 +207,38 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Vector, ...], tuple[dict[int, int]
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in coboundaries:
         extend_integer_echelon(echelon, sparse_integer_row(coboundary))
-    # the nullspace stays sparse; only the kept vectors are densified
-    kept = [v for v in d2.sparse_nullspace_basis()
-            if extend_integer_echelon(echelon, sparse_integer_row(v))]
-    return (Matrix.from_sparse(kept, d2.cols).data,
-            tuple(sparse_integer_row(row) for row in d2.sparse_rows))
+    # (pivot column, x, pv) of each reduced row meeting a free column
+    pivot_set = set(pivots)
+    meets: dict[int, list[tuple[int, int, int]]] = {
+        c: [] for c in range(d2.cols) if c not in pivot_set}
+    for pcol, row in zip(pivots, rows):
+        pv = row[pcol]
+        for j, x in row.items():
+            if j != pcol:
+                meets[j].append((pcol, x, pv))
+    kept = []
+    for c, entries in meets.items():
+        den = lcm(1, *[pv for _, _, pv in entries])
+        w = {c: den}
+        for pcol, x, pv in entries:
+            w[pcol] = -x * (den // pv)
+        if extend_integer_echelon(echelon, w):
+            cocycle = {c: Fraction(1)}
+            for pcol, x, pv in entries:
+                cocycle[pcol] = Fraction(-x, pv)
+            kept.append(cocycle)
+    return tuple(kept), rows
 
 
-def cocycle_representatives(L: LieAlgebra) -> tuple[Vector, ...]:
+def cocycle_representatives(L: LieAlgebra) -> tuple[Cochain, ...]:
     """Canonical basis of a complement of im(d1) inside ker(d2), memoized
-    with d2's rref rows (`_cohomology`).
+    with d2's reduced integer rows (`_cohomology`).
 
-    Vectors live in pair coordinates (the value of the 2-form on
-    x_i^x_j, pairs ordered lexicographically). Deterministic: the
-    coboundary span is extended by nullspace vectors in rref order,
-    keeping those that enlarge it (which does not depend on the basis the
-    span is reduced in).
+    Each cocycle is a sparse {pair index: Fraction} row with no zero
+    values: the value of the 2-form on x_i^x_j, pairs ordered
+    lexicographically. Deterministic: the coboundary span is extended by
+    nullspace vectors in rref order, keeping those that enlarge it (which
+    does not depend on the basis the span is reduced in).
     """
     return _cohomology(L)[0]
 
@@ -246,10 +275,10 @@ def dim_quotient_exterior_square(L: LieAlgebra, K: Subspace) -> int:
 
     for q = dim L - dim K.  P_K sends column (i,j) of d2(L) to
     pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to d2's
-    rref rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When every rref
-    row of K has one entry, K is spanned by basis vectors and P_K is a
-    column selection (`_select_pairs`); any other K takes the general
-    product (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
+    reduced integer rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When
+    every rref row of K has one entry, K is spanned by basis vectors and
+    P_K is a column selection (`_select_pairs`); any other K takes the
+    general product (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
     """
     if not L.is_ideal(K):
         raise NotAnIdeal("subspace is not an ideal")
@@ -343,7 +372,9 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     is truncation to the first n coordinates.  K is central by
     construction: no key of E's bracket table names an adjoined index.
     K inside E^2 is asserted, not assumed: truncation maps E^2 onto L^2
-    with kernel E^2 ^ K, so it holds iff dim E^2 = dim L^2 + m.  E holds
+    with kernel E^2 ^ K, so it holds iff dim E^2 = dim L^2 + m.  E's
+    stored brackets span E^2, so dim E^2 is their rank, read off the
+    forward echelon: no subspace of E is built or cached on it.  E holds
     no reference to L, so equal algebras share one memoized cover.
     """
     n = L.dim
@@ -353,8 +384,9 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     for idx, (i, j) in enumerate(pair_index(n)):
         terms: dict[int, Fraction] = dict(L.bracket_basis(i, j))
         for t, f in enumerate(reps):
-            if f[idx]:
-                terms[n + t] = f[idx]
+            x = f.get(idx)
+            if x is not None:
+                terms[n + t] = x
         if terms:
             brackets[(i, j)] = terms
     label = f"cover({L.name})" if L.name else "cover"
@@ -362,8 +394,7 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     # cocycle lying in ker d2, and a central extension of a nilpotent
     # algebra is nilpotent, so E is built without validation
     total = LieAlgebra(n + m, brackets, name=label, validate=False)
-    full = total.full_space()
-    if total.product_space(full, full).dim != L.derived_subalgebra().dim + m:
+    if Matrix.from_sparse(total.brackets.values(), n + m).rank() != L.derived_subalgebra().dim + m:
         raise LieError("cover kernel escaped E^2: stem property failed")
     return total
 

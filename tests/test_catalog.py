@@ -177,6 +177,15 @@ def test_parameters_go_through_the_rational_parser():
         get(f"H({big})")
 
 
+def test_name_expressions_are_dimension_capped():
+    """Each sum or central product step of a name is capped like a declared
+    dimension, before the algebra of that size is built."""
+    assert get(f"A(100){DSUM}A(100)").dim == 200
+    for name in (f"A(150){DSUM}A(150)", f"H(1){DSUM}A(99){DSUM}A(99)", "H(60).+H(60)"):
+        with pytest.raises(DimensionTooLarge):
+            get(name)
+
+
 def test_repaired_entries_are_marked():
     repaired = {e.name for e in cat.entries() if e.provenance == "repaired"}
     assert repaired == {

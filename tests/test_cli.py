@@ -358,6 +358,12 @@ def test_info_heisenberg_above_cap(capsys):
     assert err.splitlines()[0] == "error=DimensionTooLarge"
 
 
+def test_info_name_expression_above_cap(capsys):
+    code, out, err = run_cli(capsys, "info", "A(120)⊕A(120)")
+    assert code == 2 and out == ""
+    assert err.splitlines()[0] == "error=DimensionTooLarge"
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("bogus",),

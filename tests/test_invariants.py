@@ -213,6 +213,23 @@ def test_gamma3_quotient_multiplier_read_once_per_algebra(monkeypatch):
     assert sum(K == g3 for K in ideals) == 1
 
 
+def test_gamma3_quotient_multiplier_matches_the_general_quotient_read():
+    """dim M(L/g3) reads dim (L/g3)^2 as dim L^2 - dim g3; the general
+    quotient read, which reduces L^2's rows modulo g3, agrees on every
+    closure member of class >= 3."""
+    import liemult.invariants as invariants
+
+    checked = 0
+    for member in build_closure(9):
+        alg = member.algebra
+        if alg.nilpotency_class >= 3:
+            g3 = alg.lower_central_series()[2]
+            assert (invariants._dim_multiplier_mod_gamma3(alg)
+                    == multiplier.dim_multiplier_quotient(alg, g3)), member.name
+            checked += 1
+    assert checked == 205
+
+
 def test_invariant_report_sweeps_the_brackets_once(monkeypatch):
     """One bracket sweep per algebra: the cocycle basis and every quotient
     read share one d2.  The copies are unvalidated, so validation adds no
@@ -236,9 +253,9 @@ def test_invariant_report_sweeps_the_brackets_once(monkeypatch):
 
 
 def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
-    """dim (L/K)^2 is found once per central line <x_i> and once for
-    gamma3 (which may be one of those lines), though the central-ideal
-    bound uses it three times."""
+    """dim (L/K)^2 is found once per central line <x_i>, though the
+    central-ideal bound uses it three times; for gamma3, which lies in
+    L^2, it is dim L^2 - dim gamma3 and takes no reduction."""
     import liemult.invariants as invariants
 
     ideals = []
@@ -258,8 +275,6 @@ def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
         bound_checks(alg)
         central = central_basis_vectors(alg)
         expected = [alg.subspace([unit_vector(alg.dim, i)]) for i in central]
-        if alg.nilpotency_class >= 3:
-            expected.append(alg.lower_central_series()[2])
         assert len(ideals) == len(expected), member.name
         for K in expected:
             assert ideals.count(K) == expected.count(K), (member.name, K.basis)

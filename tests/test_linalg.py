@@ -1,6 +1,7 @@
 """Exact linear algebra kernel: examples and algebraic properties."""
 
 from fractions import Fraction as Q
+from math import gcd
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -247,6 +248,56 @@ def test_kernel_matches_dense_reference(case):
     assert span.pivot_columns() == pivots
     assert span.rref() is span
     assert all(type(x) is Q for r in span.data for x in r)
+
+
+def divided_by_pivots(pivots, reduced):
+    """Reduced integer rows divided by their values at their pivots."""
+    return [{j: Q(x, row[c]) for j, x in row.items()} for c, row in zip(pivots, reduced)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped)
+@example(([[-2, 4], [0, 0]], 2))
+@example(([[0, -3, 6, 1], [5, 1, 0, -2], [5, -2, 6, -1]], 4))
+@example(([[-2, 4, Q(-1, 3)], [10**31, -(10**32), 7], [1, -2, Q(1, 6)]], 3))
+def test_elimination_builds_only_what_is_read(case):
+    """Rank and pivots come from the forward integer echelon with no
+    reduction and no Fraction rref; the nullspace reads the reduced integer
+    rows and still builds no rref; those rows, divided by their pivot
+    values (which may be negative), are the rref rows."""
+    rows, cols = case
+    red, pivots = reference_rref(rows, cols)
+    m = sparse_twin(rows, cols)
+    assert m.rank() == len(pivots) and m.pivot_columns() == pivots
+    assert m._reduced is None and m._rref is None
+    assert nullspace_basis(m) == reference_nullspace(red, pivots, cols)
+    assert m._rref is None
+    reduced = m.integer_rref_rows()
+    assert len(reduced) == len(pivots)
+    assert all(type(x) is int for row in reduced for x in row.values())
+    assert all(gcd(*row.values()) == 1 and min(row) == c for c, row in zip(pivots, reduced))
+    assert Matrix.from_sparse(divided_by_pivots(pivots, reduced), cols).data == red[: len(pivots)]
+    assert m.rref().data == red
+    # once the rref is built, the nullspace reads it
+    assert nullspace_basis(m) == reference_nullspace(red, pivots, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped)
+@example(([[1, 0, 2, 0], [0, 1, 0, 0]], 4))
+def test_own_rref_matrices_are_never_eliminated(case):
+    """`span_rref` outputs and identities are their own rref and have no
+    integer echelon: their nullspace and integer rows read their rows."""
+    rows, cols = case
+    red, pivots = reference_rref(rows, cols)
+    span = span_rref(rows, cols)
+    identity = Matrix.identity(cols)
+    with mock.patch.object(Matrix, "_eliminate", side_effect=AssertionError("eliminated")):
+        assert nullspace_basis(span) == reference_nullspace(red, pivots, cols)
+        assert nullspace_basis(identity) == []
+        assert divided_by_pivots(pivots, span.integer_rref_rows()) == list(span.sparse_rows)
+        assert identity.integer_rref_rows() == tuple({c: 1} for c in range(cols))
+        assert span.rank() == len(pivots) and span.rref() is span
 
 
 @settings(max_examples=100, deadline=None)

@@ -33,7 +33,7 @@ import liemult.catalog as cat
 from liemult import linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
-from liemult.linalg import Matrix
+from liemult.linalg import Matrix, rref_basis, sparse_integer_row
 from liemult.multiplier import (
     boundary3,
     cochain_slice,
@@ -324,12 +324,11 @@ def test_cochains_are_negated_chain_boundaries():
 
 
 def _eval_form(form, pairs, u, v):
-    """Evaluate a pair-coordinate 2-form on two coordinate vectors."""
+    """Evaluate a sparse pair-coordinate 2-form on two coordinate vectors."""
     total = Q(0)
-    for idx, (i, j) in enumerate(pairs):
-        c = form[idx]
-        if c:
-            total += c * (u[i] * v[j] - u[j] * v[i])
+    for idx, c in form.items():
+        i, j = pairs[idx]
+        total += c * (u[i] * v[j] - u[j] * v[i])
     return total
 
 
@@ -382,10 +381,16 @@ def reference_cocycle_representatives(alg):
 
 
 def test_cocycle_representatives_match_dense_reference():
+    """The sparse cocycles hold no zero values and, densified, are the
+    reference's vectors."""
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
     assert len(algebras) == 263 + 4
     for alg in algebras:
-        assert cocycle_representatives(alg) == reference_cocycle_representatives(alg), alg.name
+        reps = cocycle_representatives(alg)
+        pairs = alg.dim * (alg.dim - 1) // 2
+        assert all(type(x) is Q and x for f in reps for x in f.values()), alg.name
+        dense = Matrix.from_sparse(reps, pairs).data
+        assert dense == reference_cocycle_representatives(alg), alg.name
 
 
 def reference_dim_multiplier(alg):
@@ -559,7 +564,9 @@ def test_trusted_quotients_and_covers_pass_full_validation(monkeypatch):
         assert E.derived_subalgebra().contains_subspace(kernel), alg.name
 
 
-def test_cover_builds_one_product_space_and_no_series_on_E(monkeypatch):
+def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
+    """The stem check reads dim E^2 as the rank of E's stored brackets, so E
+    comes back with no subspace built or cached on it."""
     calls = []
     series, product = LieAlgebra.lower_central_series, LieAlgebra.product_space
 
@@ -577,7 +584,8 @@ def test_cover_builds_one_product_space_and_no_series_on_E(monkeypatch):
     L = get("L_{6,10}")
     E = cover(L)
     assert E.dim == 12
-    assert [kind for kind, alg in calls if alg is E] == ["product"]
+    assert [kind for kind, alg in calls if alg is E] == []
+    assert E._full is None and E._derived is None
 
 
 # -- dim M of a quotient, read off L's d2 ---------------------------------------
@@ -621,7 +629,9 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
 def test_d2_echelon_has_rank_d2_rows_spanning_d2():
     """The d2 rows memoized with the cocycle basis (`_cohomology`) are an
     echelon basis of d2's row space: rank d2 rows with distinct leading
-    columns, which add nothing to d2's rows."""
+    columns, which add nothing to d2's rows.  They are d2's rref rows as
+    primitive integer rows (`sparse_integer_row`), up to the sign of each
+    row."""
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
     for alg in algebras:
         d2 = cochain_slice(alg).d2
@@ -630,6 +640,9 @@ def test_d2_echelon_has_rank_d2_rows_spanning_d2():
         assert len({min(r) for r in rows}) == len(rows), alg.name
         stacked = [{j: Q(x) for j, x in r.items()} for r in rows] + list(d2.sparse_rows)
         assert Matrix.from_sparse(stacked, d2.cols).rank() == d2.rank(), alg.name
+        for row, ref in zip(rows, rref_basis(d2).sparse_rows):
+            ref = sparse_integer_row(ref)
+            assert row in (ref, {j: -x for j, x in ref.items()}), alg.name
 
 
 def test_dim_multiplier_quotient_edge_cases():
@@ -689,7 +702,7 @@ def ganea_dim_multiplier_quotient(alg, i):
     def value(f, j):
         if j == i:
             return Q(0)
-        return f[pos[(j, i)]] if j < i else -f[pos[(i, j)]]
+        return f.get(pos[(j, i)], Q(0)) if j < i else -f.get(pos[(i, j)], Q(0))
 
     reps = cocycle_representatives(alg)
     rank = Matrix([[value(f, j) for j in range(alg.dim)] for f in reps], cols=alg.dim).rank()
@@ -787,8 +800,7 @@ def test_cover_stem_check_rejects_kernel_outside_derived(monkeypatch):
     # a zero cochain adjoins an abelian direct factor: the kernel is central
     # but it is not inside E^2
     L = heisenberg(1)
-    monkeypatch.setattr(multiplier, "cocycle_representatives",
-                        lambda alg: ((Q(0),) * len(multiplier.pair_index(alg.dim)),))
+    monkeypatch.setattr(multiplier, "cocycle_representatives", lambda alg: ({},))
     multiplier.clear_caches()
     try:
         with pytest.raises(LieError, match="stem property"):
