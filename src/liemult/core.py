@@ -27,8 +27,11 @@ their canonical bases: `sparse_subspace` hands the rows to one
 elimination (`linalg.rref_basis`).  `subspace` and `Subspace.contains`
 take dense vectors from outside, coerce them through `qf` and check
 their length; `subspace` ends in the same rref tail.  `Subspace.residue`
-reduces a sparse row at the pivots where it is nonzero.  `full_space()`
-is built once per algebra.
+reduces a sparse row at the pivots where it is nonzero.  An algebra caches
+the bases of its full space, L^2, centre and central series as matrices
+and wraps them in a new Subspace on each read, so it holds no object that
+refers back to it: an algebra is no reference cycle and is freed as soon
+as its last user lets it go.
 
 Both central series are built inside L, without quotient algebras.
 Validation computes and caches the lower series.  The upper series steps
@@ -202,6 +205,33 @@ def format_rational(x: Fraction) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
+def _eval_rational(n: ast.AST, params: Mapping[str, Fraction], text: str) -> Fraction:
+    """The value of one node of a parsed `rational_expr`.  A module-level
+    function rather than a closure: a recursive closure refers to itself,
+    a reference cycle per call."""
+    if isinstance(n, ast.Constant) and _is_int(n.value):
+        return Q(n.value)
+    if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
+        v = _eval_rational(n.operand, params, text)
+        return -v if isinstance(n.op, ast.USub) else v
+    if isinstance(n, ast.BinOp) and isinstance(n.op, _ALLOWED_BINOPS):
+        a, b = _eval_rational(n.left, params, text), _eval_rational(n.right, params, text)
+        if isinstance(n.op, ast.Add):
+            return a + b
+        if isinstance(n.op, ast.Sub):
+            return a - b
+        if isinstance(n.op, ast.Mult):
+            return a * b
+        if b == 0:
+            raise PresentationError(f"division by zero in {text!r}")
+        return a / b
+    if isinstance(n, ast.Name):
+        if n.id not in params:
+            raise PresentationError(f"unknown parameter {n.id!r} in {text!r}")
+        return params[n.id]
+    raise PresentationError(f"bad rational expression {text!r}")
+
+
 def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fraction:
     """Evaluate a rational expression with optional named parameters.
 
@@ -215,31 +245,9 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
         raise PresentationError(f"rational expression must be a string, not {text!r}")
     params = params or {}
 
-    def ev(n) -> Fraction:
-        if isinstance(n, ast.Constant) and _is_int(n.value):
-            return Q(n.value)
-        if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
-            v = ev(n.operand)
-            return -v if isinstance(n.op, ast.USub) else v
-        if isinstance(n, ast.BinOp) and isinstance(n.op, _ALLOWED_BINOPS):
-            a, b = ev(n.left), ev(n.right)
-            if isinstance(n.op, ast.Add):
-                return a + b
-            if isinstance(n.op, ast.Sub):
-                return a - b
-            if isinstance(n.op, ast.Mult):
-                return a * b
-            if b == 0:
-                raise PresentationError(f"division by zero in {text!r}")
-            return a / b
-        if isinstance(n, ast.Name):
-            if n.id not in params:
-                raise PresentationError(f"unknown parameter {n.id!r} in {text!r}")
-            return params[n.id]
-        raise PresentationError(f"bad rational expression {text!r}")
-
     try:
-        value = ev(ast.parse(_LONG_LITERAL.sub(_split_literal, text.strip()), mode="eval").body)
+        tree = ast.parse(_LONG_LITERAL.sub(_split_literal, text.strip()), mode="eval")
+        value = _eval_rational(tree.body, params, text)
     except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, older Pythons
         raise PresentationError(f"bad rational expression {text!r}") from exc
     except RecursionError as exc:
@@ -308,11 +316,14 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.brackets = table
-        self._full: Subspace | None = None
-        self._derived: Subspace | None = None
-        self._lcs: list[Subspace] | None = None
-        self._ucs: list[Subspace] | None = None
-        self._center: Subspace | None = None
+        # The caches hold basis matrices, not Subspaces: a Subspace refers
+        # to its algebra, so caching one would make the algebra a reference
+        # cycle, freed only by the cyclic garbage collector.
+        self._full: Matrix | None = None
+        self._derived: Matrix | None = None
+        self._lcs: tuple[Matrix, ...] | None = None
+        self._ucs: tuple[Matrix, ...] | None = None
+        self._center: Matrix | None = None
         self._key: CanonicalKey | None = None
         if validate:
             self.check_jacobi(self.wedge_rows())
@@ -425,10 +436,11 @@ class LieAlgebra:
         """Hashable key identifying the structure-constant table exactly;
         built and hashed once per instance."""
         if self._key is None:
-            items = tuple(
+            # from a list, not a generator (see `linalg` on free lists)
+            items = tuple([
                 (i, j, tuple(sorted(terms.items())))
                 for (i, j), terms in sorted(self.brackets.items())
-            )
+            ])
             self._key = CanonicalKey((self.dim, items))
         return self._key
 
@@ -453,10 +465,10 @@ class LieAlgebra:
         return Subspace(self, rref_basis(Matrix.from_sparse(rows, self.dim)))
 
     def full_space(self) -> "Subspace":
-        """L itself, built once per algebra."""
+        """L itself; its identity basis is built once per algebra."""
         if self._full is None:
-            self._full = Subspace(self, Matrix.identity(self.dim))
-        return self._full
+            self._full = Matrix.identity(self.dim)
+        return Subspace.canonical(self, self._full)
 
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, Matrix.zero(0, self.dim)._own_rref(()))
@@ -482,14 +494,17 @@ class LieAlgebra:
         """L^2 = [L, L], one product space, cached; no nilpotency check."""
         if self._derived is None:
             full = self.full_space()
-            self._derived = self.product_space(full, full)
-        return self._derived
+            self._derived = self.product_space(full, full).basis
+        return Subspace.canonical(self, self._derived)
 
     # -- series ---------------------------------------------------------------
 
     def lower_central_series(self) -> list["Subspace"]:
         """gamma_1 = L, gamma_{i+1} = [gamma_i, L], down to and including 0;
         gamma_2 is the cached `derived_subalgebra`."""
+        return [Subspace.canonical(self, b) for b in self._lower_bases()]
+
+    def _lower_bases(self) -> tuple[Matrix, ...]:
         if self._lcs is None:
             series = [self.full_space()]
             while series[-1].dim > 0:
@@ -498,15 +513,15 @@ class LieAlgebra:
                 if nxt.dim == series[-1].dim:
                     raise NotNilpotent(nxt.dim)
                 series.append(nxt)
-            self._lcs = series
+            self._lcs = tuple([s.basis for s in series])
         return self._lcs
 
     @property
     def nilpotency_class(self) -> int:
-        return len(self.lower_central_series()) - 1
+        return len(self._lower_bases()) - 1
 
     def lower_central_dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.lower_central_series())
+        return tuple([b.rows for b in self._lower_bases()])
 
     def _centralizer_mod(self, s: "Subspace") -> "Subspace":
         """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
@@ -527,11 +542,14 @@ class LieAlgebra:
     def center(self) -> "Subspace":
         """Z(L) via the nullspace of the stacked adjoint matrices."""
         if self._center is None:
-            self._center = self._centralizer_mod(self.zero_subspace())
-        return self._center
+            self._center = self._centralizer_mod(self.zero_subspace()).basis
+        return Subspace.canonical(self, self._center)
 
     def upper_central_series(self) -> list["Subspace"]:
         """[Z_1, Z_2, ...] strictly increasing up to and including L."""
+        return [Subspace.canonical(self, b) for b in self._upper_bases()]
+
+    def _upper_bases(self) -> tuple[Matrix, ...]:
         if self._ucs is None:
             series = [self.center()]
             while series[-1].dim < self.dim:
@@ -539,11 +557,11 @@ class LieAlgebra:
                 if nxt.dim == series[-1].dim:
                     raise NotNilpotent(nxt.dim)
                 series.append(nxt)
-            self._ucs = series
+            self._ucs = tuple([s.basis for s in series])
         return self._ucs
 
     def upper_central_dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.upper_central_series())
+        return tuple([b.rows for b in self._upper_bases()])
 
     @property
     def is_abelian(self) -> bool:
@@ -606,6 +624,16 @@ class Subspace:
             basis = rref_basis(basis)
         self.ambient = ambient
         self.basis = basis
+
+    @classmethod
+    def canonical(cls, ambient: LieAlgebra, basis: Matrix) -> "Subspace":
+        """Trusted constructor from a basis known to be canonical (its own
+        rref, no zero rows) and of the ambient width, such as one an algebra
+        has cached: nothing is checked."""
+        s = cls.__new__(cls)
+        s.ambient = ambient
+        s.basis = basis
+        return s
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,11 @@ Every sparse {column: value} row the package builds holds no zero values
 from where it is made: sums of rows go through one accumulate, `add_scaled`,
 which deletes an entry that cancels.  So no row is filtered afterwards, and
 `Matrix.from_sparse` keeps the rows it is handed without a copy.
+The tuples built on every elimination (and by `core` on every algebra's
+key and series) are made from lists, not from generators:
+`tuple(generator)` grows and then shrinks its tuple, and CPython's tuple
+free lists keep such a tuple, once freed, until the next full garbage
+collection.
 
 Elimination is fraction-free (after Bareiss): each row is cleared of
 denominators into a {column: int} dict and reduced with integer
@@ -23,7 +28,9 @@ only when something reads it:
   Fraction;
 * the reduced integer echelon (`integer_rref_rows`), one primitive row per
   pivot and zero at every other pivot column, is back substituted from it
-  and gives `sparse_nullspace_basis`, one Fraction -x/pv per entry;
+  and gives the nullspace in integers (`integer_nullspace`), each kernel
+  vector scaled by the lcm of the pivot values it meets; divided by its
+  entry at its free column it is a `sparse_nullspace_basis` vector;
 * the Fraction `rref`, each reduced row divided by its pivot value, is
   built from that for the callers that read it, such as subspace bases.
 
@@ -274,27 +281,41 @@ class Matrix:
         """The reduced integer echelon: one primitive {column: int} row per
         pivot, in pivot order, zero at every other pivot column.  Divided by
         its value at its pivot, which may be negative, a row is the rref
-        row."""
-        if self._reduced is None:
+        row.
+
+        Threads may share a matrix: each back substitutes into its own copy
+        of the forward echelon, and the forward echelon is dropped only
+        after the reduced rows are published."""
+        reduced = self._reduced
+        if reduced is None:
             pivots = self.pivot_columns()
             if self._rref is _OWN:
                 # its own rref, never eliminated: no forward echelon
-                self._reduced = tuple(
-                    sparse_integer_row(r) for r in self.sparse_rows[: len(pivots)])
+                reduced = tuple([sparse_integer_row(r) for r in self.sparse_rows[: len(pivots)]])
             else:
-                echelon = self._echelon
+                forward = self._echelon
+                if forward is None:
+                    # another thread has reduced it since the check above
+                    return self._reduced
+                echelon = dict(forward)
                 # Back substitution, last pivot first: each pivot row is
                 # already free of every later pivot column when it is used.
+                # The earlier pivots are indexed, not sliced: CPython 3.11
+                # keeps a freed 20-item tuple on a free list that no
+                # allocation takes from, so a slice per pivot piles up
+                # until the next full garbage collection.
                 for k in range(len(pivots) - 1, 0, -1):
                     c = pivots[k]
                     p = echelon[c]
-                    for lead in pivots[:k]:
+                    for i in range(k):
+                        lead = pivots[i]
                         w = echelon[lead]
                         if c in w:
                             echelon[lead] = _cancel(w, p, c)
-                self._reduced = tuple(echelon[c] for c in pivots)
-                self._echelon = None
-        return self._reduced
+                reduced = tuple([echelon[c] for c in pivots])
+            self._reduced = reduced
+            self._echelon = None
+        return reduced
 
     def rref(self) -> "Matrix":
         if self._rref is None:
@@ -307,30 +328,38 @@ class Matrix:
             self._rref = Matrix.from_sparse(reduced, self.cols)._own_rref(pivots)
         return self if self._rref is _OWN else self._rref
 
-    def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
-        """Basis of {v : self @ v = 0}, one {column: Fraction} vector with no
-        zero values per free column, in column order."""
+    def integer_nullspace(self) -> list[tuple[int, dict[int, int]]]:
+        """The nullspace in integers: per free column c, in column order,
+        (c, w), w the kernel vector of c as a {column: int} row with no zero
+        values and w[c] > 0.  Divided by w[c], w is the rref kernel vector:
+        1 at c and -x/pv at the pivot column of each reduced row with x at c
+        and pv at its pivot; w[c] is the lcm of those pv."""
         pivots = self.pivot_columns()
-        # a free column's vector is 1 there and -x/pv at the pivot column of
-        # each reduced row with x in that free column and pv at its pivot; a
+        # (pivot column, x, pv) of each reduced row meeting a free column; a
         # reduced row is zero at every other pivot column, so its off-pivot
         # entries all sit in free columns
-        vectors = {c: {c: _ONE} for c in range(self.cols)}
+        meets: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(self.cols)}
         for pcol in pivots:
-            del vectors[pcol]
-        if self._rref is None:
-            for pcol, row in zip(pivots, self.integer_rref_rows()):
-                pv = row[pcol]
-                for j, x in row.items():
-                    if j != pcol:
-                        vectors[j][pcol] = Q(-x, pv)
-        else:
-            # the rref is built (or the matrix is its own rref): pv is 1
-            for pcol, row in zip(pivots, self.rref().sparse_rows):
-                for j, x in row.items():
-                    if j != pcol:
-                        vectors[j][pcol] = -x
-        return list(vectors.values())
+            del meets[pcol]
+        for pcol, row in zip(pivots, self.integer_rref_rows()):
+            pv = row[pcol]
+            for j, x in row.items():
+                if j != pcol:
+                    meets[j].append((pcol, x, pv))
+        kernel = []
+        for c, entries in meets.items():
+            den = lcm(1, *[pv for _, _, pv in entries])
+            w = {c: den}
+            for pcol, x, pv in entries:
+                w[pcol] = -x * (den // pv)
+            kernel.append((c, w))
+        return kernel
+
+    def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
+        """Basis of {v : self @ v = 0}, one {column: Fraction} vector with no
+        zero values per free column, in column order: `integer_nullspace`
+        divided by each vector's entry at its free column."""
+        return [{j: Q(v, w[c]) for j, v in w.items()} for c, w in self.integer_nullspace()]
 
 
 def rref_basis(m: Matrix) -> Matrix:

@@ -108,7 +108,7 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     pairs = pair_index(n)
     triples = triple_index(n)
     d1 = Matrix.from_sparse(
-        ({k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs), n)
+        [{k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs], n)
     swept = L.wedge_rows()
     L.check_jacobi(swept)
     d2 = Matrix.from_sparse([swept.get(t, {}) for t in triples], len(pairs))
@@ -190,15 +190,11 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     integer echelon rows (`Matrix.integer_rref_rows`), which the quotient
     reads restrict.
 
-    The nullspace is read in integers.  The kernel vector of free column c
-    is 1 at c and -x/pv at the pivot column of each reduced row with x at
-    c and pv at its pivot; scaled by the lcm of those pv, it is an integer
-    row, and it extends the coboundary echelon.  Only the dim M vectors
-    kept there become Fractions."""
+    The nullspace is read in integers (`Matrix.integer_nullspace`): each
+    kernel vector extends the coboundary echelon as it is, and only the
+    dim M vectors kept there become Fractions."""
     slice_ = cochain_slice(L)
     d2 = slice_.d2
-    pivots = d2.pivot_columns()
-    rows = d2.integer_rref_rows()
     # the coboundaries are d1's columns, gathered from its sparse rows
     coboundaries: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
@@ -207,27 +203,12 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in coboundaries:
         extend_integer_echelon(echelon, sparse_integer_row(coboundary))
-    # (pivot column, x, pv) of each reduced row meeting a free column
-    pivot_set = set(pivots)
-    meets: dict[int, list[tuple[int, int, int]]] = {
-        c: [] for c in range(d2.cols) if c not in pivot_set}
-    for pcol, row in zip(pivots, rows):
-        pv = row[pcol]
-        for j, x in row.items():
-            if j != pcol:
-                meets[j].append((pcol, x, pv))
     kept = []
-    for c, entries in meets.items():
-        den = lcm(1, *[pv for _, _, pv in entries])
-        w = {c: den}
-        for pcol, x, pv in entries:
-            w[pcol] = -x * (den // pv)
+    for c, w in d2.integer_nullspace():
         if extend_integer_echelon(echelon, w):
-            cocycle = {c: Fraction(1)}
-            for pcol, x, pv in entries:
-                cocycle[pcol] = Fraction(-x, pv)
-            kept.append(cocycle)
-    return tuple(kept), rows
+            den = w[c]
+            kept.append({j: Fraction(v, den) for j, v in w.items()})
+    return tuple(kept), d2.integer_rref_rows()
 
 
 def cocycle_representatives(L: LieAlgebra) -> tuple[Cochain, ...]:

@@ -1,5 +1,6 @@
 """Structure-constant algebras: loading, validation, subspaces, constructions."""
 
+import gc
 import io
 import json
 import sys
@@ -32,6 +33,7 @@ from liemult import (
     fingerprint,
     get,
     heisenberg,
+    invariant_report,
     load_presentation,
     presentation_from_dict,
     presentation_to_dict,
@@ -43,6 +45,7 @@ from liemult.core import (
     format_rational,
     rational_expr,
 )
+from liemult import multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
@@ -720,6 +723,27 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from liemult import *", namespace)
     assert [name for name in liemult.__all__ if name not in namespace] == []
+
+
+def test_algebras_leave_no_reference_cycle():
+    """An algebra caches the bases of its subspaces, not Subspaces that
+    refer back to it, and reading a presentation builds no closure that
+    refers to itself: a full invariant report of every closure member,
+    parsed afresh, leaves nothing for the cyclic garbage collector."""
+    docs = [presentation_to_dict(m.algebra) for m in build_closure(9)]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in docs:
+            multiplier.clear_caches()
+            L = presentation_from_dict(doc)
+            invariant_report(L)
+            assert L.upper_central_series()[-1] == L.full_space()
+        del L
+        multiplier.clear_caches()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dimension_cap_spares_built_algebras():

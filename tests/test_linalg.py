@@ -278,8 +278,44 @@ def test_elimination_builds_only_what_is_read(case):
     assert all(gcd(*row.values()) == 1 and min(row) == c for c, row in zip(pivots, reduced))
     assert Matrix.from_sparse(divided_by_pivots(pivots, reduced), cols).data == red[: len(pivots)]
     assert m.rref().data == red
-    # once the rref is built, the nullspace reads it
     assert nullspace_basis(m) == reference_nullspace(red, pivots, cols)
+    # the integer kernel vectors are the Fraction ones scaled by their entry
+    # at their free column
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = m.integer_nullspace()
+    assert [c for c, _ in kernel] == free
+    assert all(w[c] > 0 and all(type(x) is int and x for x in w.values()) for c, w in kernel)
+    assert [{j: Q(x, w[c]) for j, x in w.items()} for c, w in kernel] == m.sparse_nullspace_basis()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped)
+@example(([[0, -3, 6, 1], [5, 1, 0, -2], [5, -2, 6, -1]], 4))
+def test_reduction_leaves_the_forward_echelon_to_other_readers(case):
+    """A matrix may be shared between threads: back substitution changes
+    no row of the forward echelon another reader may hold, and a reader who
+    finds the echelon already reduced and dropped returns the published
+    rows."""
+    rows, cols = case
+    m = sparse_twin(rows, cols)
+    m.pivot_columns()
+    forward = m._echelon
+    before = {c: dict(row) for c, row in forward.items()}
+    reduced = m.integer_rref_rows()
+    assert forward == before and m._echelon is None
+
+    late = sparse_twin(rows, cols)
+    pivot_columns = Matrix.pivot_columns
+    first = {}
+
+    def other_reader_finishes_first(self):
+        if "started" not in first:
+            first["started"] = True
+            first["rows"] = Matrix.integer_rref_rows(self)
+        return pivot_columns(self)
+
+    with mock.patch.object(Matrix, "pivot_columns", other_reader_finishes_first):
+        assert late.integer_rref_rows() == first["rows"] == reduced
 
 
 @settings(max_examples=100, deadline=None)
