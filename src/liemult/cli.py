@@ -4,8 +4,8 @@ Subcommands: list (catalog export), info (catalog algebra report),
 compute (report for a presentation file), verify (tables / theorems /
 capability / all), export (write the presentation JSON of a catalog
 algebra).  Exit codes: 0 success, 1 verification mismatch, 2 input
-error.  Every error path prints a machine-readable ``error=<Tag>`` line
-before the human-readable text.
+error or ``error=OutOfMemory``.  Every error path prints a machine-readable
+``error=<Tag>`` line before the human-readable text.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import catalog, verify
-from .core import LieError, load_presentation, presentation_to_dict, rational_expr
+from .core import MAX_DIM, LieError, load_presentation, presentation_to_dict, rational_expr
 from .invariants import InvariantReport, invariant_report
 
 
@@ -265,11 +265,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except LieError as exc:
-        sys.stderr.write(f"error={type(exc).__name__}\n{exc}\n")
-        return 2
+        tag, text = type(exc).__name__, exc
     except OSError as exc:
-        sys.stderr.write(f"error=IOError\n{exc}\n")
-        return 2
+        tag, text = "IOError", exc
+    except MemoryError:
+        tag, text = "OutOfMemory", f"ran out of memory; see the README on MAX_DIM = {MAX_DIM}"
+    sys.stderr.write(f"error={tag}\n{text}\n")
+    return 2
 
 
 if __name__ == "__main__":

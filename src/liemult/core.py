@@ -27,33 +27,39 @@ their canonical bases: `sparse_subspace` hands the rows to one
 elimination (`linalg.rref_basis`).  `subspace` and `Subspace.contains`
 take dense vectors from outside, coerce them through `qf` and check
 their length; `subspace` ends in the same rref tail.  `Subspace.residue`
-reduces a sparse row at the pivots where it is nonzero.  An algebra caches
-the bases of its full space, L^2, centre and central series as matrices
-and wraps them in a new Subspace on each read, so it holds no object that
-refers back to it: an algebra is no reference cycle and is freed as soon
-as its last user lets it go.
+reduces a sparse row at the pivots where it is nonzero.  Every derived
+fact of an algebra is kept in one memo (`_memoized`, keyed by the function
+and the canonical brackets), which `multiplier` and `invariants` share and
+`clear_caches()` empties; an algebra holds only its brackets and key.  The
+bases of its full space, L^2, centre and central series are kept as
+matrices, not as Subspaces, which name their ambient instance, and are
+wrapped in a new Subspace on each read: an algebra is no reference cycle
+and is freed as soon as its last user lets it go.
 
 Both central series are built inside L, without quotient algebras.
-Validation computes and caches the lower series.  The upper series steps
+Validation computes the lower series.  The upper series steps
 Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
 `Subspace.residue`) from Z_0 = 0, whose step is the centre.  Either series
 raises NotNilpotent when a term stops changing, also without validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
-brackets (one product space), and caches it; the lower series starts
-from that cached term.  It checks no nilpotency, which the multiplier
+brackets (one elimination); the lower series starts
+from that term.  It checks no nilpotency, which the multiplier
 needs none of: dim L^2 = rank d1 and dim H^2(L) are defined for every
 Lie algebra, so an unvalidated algebra (a quotient, a cover, a benchmark
 copy) pays for the rest of the series only if it asks for it.
 
 Everything here is immutable after construction and all operations are
-pure, so concurrent use needs no coordination.
+pure, and the memo locks each access, so concurrent use needs no other
+coordination.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
+import threading
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -288,11 +294,80 @@ class CanonicalKey(tuple):
         return self._hash
 
 
+# ---------------------------------------------------------------------------
+# the memo: every derived fact, keyed by (function, canonical brackets)
+# ---------------------------------------------------------------------------
+
+_MEMO: dict[tuple[object, CanonicalKey], object] = {}
+_MEMO_LOCK = threading.Lock()
+_MISSING = object()
+
+
+def _memoized(fn):
+    """Memoize fn(L) in _MEMO under (fn, L.canonical_key()), a key that keeps its
+    hash; equal algebras share one entry, so a value must not refer to L."""
+    @functools.wraps(fn)
+    def memo(L: "LieAlgebra"):
+        key = (fn, L.canonical_key())
+        with _MEMO_LOCK:
+            value = _MEMO.get(key, _MISSING)
+        if value is _MISSING:
+            value = fn(L)
+            with _MEMO_LOCK:
+                _MEMO[key] = value
+        return value
+    return memo
+
+
+def clear_caches() -> None:
+    """Drop every memoized fact, here and in `multiplier` and `invariants`.
+    An algebra instance holds no result of its own, only its hashed key,
+    so one held across the call computes afresh."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+
+
+@_memoized
+def _full_basis(L: "LieAlgebra") -> Matrix:
+    return Matrix.identity(L.dim)
+
+
+@_memoized
+def _derived_basis(L: "LieAlgebra") -> Matrix:
+    return L.sparse_subspace(L.brackets.values()).basis
+
+
+@_memoized
+def _lower_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
+    series = [L.full_space()]
+    while series[-1].dim > 0:
+        nxt = L.product_space(series[-1], series[0])
+        if nxt.dim == series[-1].dim:
+            raise NotNilpotent(nxt.dim)
+        series.append(nxt)
+    return tuple([s.basis for s in series])
+
+
+@_memoized
+def _center_basis(L: "LieAlgebra") -> Matrix:
+    return L._centralizer_mod(L.zero_subspace()).basis
+
+
+@_memoized
+def _upper_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
+    series = [L.center()]
+    while series[-1].dim < L.dim:
+        nxt = L._centralizer_mod(series[-1])
+        if nxt.dim == series[-1].dim:
+            raise NotNilpotent(nxt.dim)
+        series.append(nxt)
+    return tuple([s.basis for s in series])
+
+
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
-    __slots__ = ("dim", "name", "brackets", "_full", "_derived", "_lcs", "_ucs", "_center",
-                 "_key")
+    __slots__ = ("dim", "name", "brackets", "_key")
 
     def __init__(
         self,
@@ -316,14 +391,6 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.brackets = table
-        # The caches hold basis matrices, not Subspaces: a Subspace refers
-        # to its algebra, so caching one would make the algebra a reference
-        # cycle, freed only by the cyclic garbage collector.
-        self._full: Matrix | None = None
-        self._derived: Matrix | None = None
-        self._lcs: tuple[Matrix, ...] | None = None
-        self._ucs: tuple[Matrix, ...] | None = None
-        self._center: Matrix | None = None
         self._key: CanonicalKey | None = None
         if validate:
             self.check_jacobi(self.wedge_rows())
@@ -465,10 +532,8 @@ class LieAlgebra:
         return Subspace(self, rref_basis(Matrix.from_sparse(rows, self.dim)))
 
     def full_space(self) -> "Subspace":
-        """L itself; its identity basis is built once per algebra."""
-        if self._full is None:
-            self._full = Matrix.identity(self.dim)
-        return Subspace.canonical(self, self._full)
+        """L itself; its identity basis is memoized."""
+        return Subspace.canonical(self, _full_basis(self))
 
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, Matrix.zero(0, self.dim)._own_rref(()))
@@ -479,7 +544,7 @@ class LieAlgebra:
             if s.ambient is not self:
                 raise AmbientMismatch("subspace belongs to a different algebra")
         if u.dim == self.dim and v.dim == self.dim:
-            return self.sparse_subspace(self.brackets.values())
+            return self.derived_subalgebra()
         rows: list[dict[int, Fraction]] = []
         for a in u.basis.sparse_rows:
             images = self.ad_images(a)
@@ -491,37 +556,22 @@ class LieAlgebra:
         return self.sparse_subspace(rows)
 
     def derived_subalgebra(self) -> "Subspace":
-        """L^2 = [L, L], one product space, cached; no nilpotency check."""
-        if self._derived is None:
-            full = self.full_space()
-            self._derived = self.product_space(full, full).basis
-        return Subspace.canonical(self, self._derived)
+        """L^2 = [L, L], the span of the stored brackets; memoized, no nilpotency check."""
+        return Subspace.canonical(self, _derived_basis(self))
 
     # -- series ---------------------------------------------------------------
 
     def lower_central_series(self) -> list["Subspace"]:
         """gamma_1 = L, gamma_{i+1} = [gamma_i, L], down to and including 0;
-        gamma_2 is the cached `derived_subalgebra`."""
-        return [Subspace.canonical(self, b) for b in self._lower_bases()]
-
-    def _lower_bases(self) -> tuple[Matrix, ...]:
-        if self._lcs is None:
-            series = [self.full_space()]
-            while series[-1].dim > 0:
-                nxt = (self.derived_subalgebra() if len(series) == 1
-                       else self.product_space(series[-1], series[0]))
-                if nxt.dim == series[-1].dim:
-                    raise NotNilpotent(nxt.dim)
-                series.append(nxt)
-            self._lcs = tuple([s.basis for s in series])
-        return self._lcs
+        gamma_2 is the memoized `derived_subalgebra`."""
+        return [Subspace.canonical(self, b) for b in _lower_bases(self)]
 
     @property
     def nilpotency_class(self) -> int:
-        return len(self._lower_bases()) - 1
+        return len(_lower_bases(self)) - 1
 
     def lower_central_dims(self) -> tuple[int, ...]:
-        return tuple([b.rows for b in self._lower_bases()])
+        return tuple([b.rows for b in _lower_bases(self)])
 
     def _centralizer_mod(self, s: "Subspace") -> "Subspace":
         """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
@@ -540,28 +590,15 @@ class LieAlgebra:
         return self.sparse_subspace(stacked.sparse_nullspace_basis())
 
     def center(self) -> "Subspace":
-        """Z(L) via the nullspace of the stacked adjoint matrices."""
-        if self._center is None:
-            self._center = self._centralizer_mod(self.zero_subspace()).basis
-        return Subspace.canonical(self, self._center)
+        """Z(L) via the nullspace of the stacked adjoint matrices; memoized."""
+        return Subspace.canonical(self, _center_basis(self))
 
     def upper_central_series(self) -> list["Subspace"]:
         """[Z_1, Z_2, ...] strictly increasing up to and including L."""
-        return [Subspace.canonical(self, b) for b in self._upper_bases()]
-
-    def _upper_bases(self) -> tuple[Matrix, ...]:
-        if self._ucs is None:
-            series = [self.center()]
-            while series[-1].dim < self.dim:
-                nxt = self._centralizer_mod(series[-1])
-                if nxt.dim == series[-1].dim:
-                    raise NotNilpotent(nxt.dim)
-                series.append(nxt)
-            self._ucs = tuple([s.basis for s in series])
-        return self._ucs
+        return [Subspace.canonical(self, b) for b in _upper_bases(self)]
 
     def upper_central_dims(self) -> tuple[int, ...]:
-        return tuple([b.rows for b in self._upper_bases()])
+        return tuple([b.rows for b in _upper_bases(self)])
 
     @property
     def is_abelian(self) -> bool:
@@ -628,8 +665,8 @@ class Subspace:
     @classmethod
     def canonical(cls, ambient: LieAlgebra, basis: Matrix) -> "Subspace":
         """Trusted constructor from a basis known to be canonical (its own
-        rref, no zero rows) and of the ambient width, such as one an algebra
-        has cached: nothing is checked."""
+        rref, no zero rows) and of the ambient width, such as a memoized
+        one: nothing is checked."""
         s = cls.__new__(cls)
         s.ambient = ambient
         s.basis = basis

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import LieAlgebra, LieError, Subspace
+from .core import LieAlgebra, LieError, Subspace, _memoized
 from .multiplier import (
-    _memoized,
     dim_multiplier,
     dim_quotient_derived,
     dim_quotient_exterior_square,

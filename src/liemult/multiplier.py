@@ -52,15 +52,13 @@ elimination of its own: the Ganea sequence would give dim M(L/K) for
 central K from L's cocycles, but it would make the central-ideal bound
 hold by construction, so it is used only in the tests, as a third route.
 
-Results are memoized per algebra in one dict keyed by the canonical
-brackets (`_memoized`); the key keeps its hash, so a lookup hashes no
-Fraction of the table, and `clear_caches()` empties the dict.
+The d2 elimination, covers and epicenter bases are memoized per algebra
+in `core`'s one memo (`_memoized`), with L^2, the centre and the central
+series; `clear_caches()`, re-exported here, empties it.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,6 +69,8 @@ from .core import (
     LieError,
     NotAnIdeal,
     Subspace,
+    _memoized,
+    clear_caches,  # noqa: F401 (re-exported)
     pair_index,
 )
 from .linalg import (
@@ -129,44 +129,6 @@ def boundary3(L: LieAlgebra) -> Matrix:
             for a, x in swept[triple].items():
                 rows[a][t] = -x
     return Matrix.from_sparse(rows, len(triples))
-
-
-# ---------------------------------------------------------------------------
-# the memo: one dict of results keyed by (function, canonical brackets)
-# ---------------------------------------------------------------------------
-
-_MEMO: dict[tuple[str, tuple], object] = {}
-_CACHE_LOCK = threading.Lock()
-_MISSING = object()
-
-
-def _memoized(fn):
-    """Memoize fn(L) in _MEMO under (fn's name, L.canonical_key()).
-
-    The key is hashed once per algebra instance (`CanonicalKey` keeps its
-    hash), so a lookup hashes no Fraction of the table; equal algebras
-    share one entry."""
-    @functools.wraps(fn)
-    def memo(L: LieAlgebra):
-        key = (fn.__name__, L.canonical_key())
-        with _CACHE_LOCK:
-            value = _MEMO.get(key, _MISSING)
-        if value is _MISSING:
-            value = fn(L)
-            with _CACHE_LOCK:
-                _MEMO[key] = value
-        return value
-    return memo
-
-
-def clear_caches() -> None:
-    """Drop every memoized result: sparse cocycle bases with d2's reduced
-    integer echelon rows, covers, epicenter bases and dim M(L/gamma3) (the
-    `_memoized` helper in `invariants`).  An algebra instance holds no
-    result of its own, only its hashed key, so one held across the call
-    computes afresh."""
-    with _CACHE_LOCK:
-        _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +317,7 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     K inside E^2 is asserted, not assumed: truncation maps E^2 onto L^2
     with kernel E^2 ^ K, so it holds iff dim E^2 = dim L^2 + m.  E's
     stored brackets span E^2, so dim E^2 is their rank, read off the
-    forward echelon: no subspace of E is built or cached on it.  E holds
+    forward echelon: no subspace of E is built or memoized.  E holds
     no reference to L, so equal algebras share one memoized cover.
     """
     n = L.dim
@@ -391,12 +353,12 @@ def epicenter(L: LieAlgebra) -> Subspace:
     Z(L) ^ L^2; it is a combination of Z(L)'s basis by construction, so
     only the L^2 part is asserted.
     """
-    return L.sparse_subspace(_epicenter_basis(L))
+    return Subspace.canonical(L, _epicenter_basis(L))
 
 
 @_memoized
-def _epicenter_basis(L: LieAlgebra) -> tuple[dict[int, Fraction], ...]:
-    """The rref basis of Z*(L) as {column: Fraction} rows."""
+def _epicenter_basis(L: LieAlgebra) -> Matrix:
+    """The rref basis of Z*(L)."""
     total = cover(L)
     center = L.center().basis
     # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a;
@@ -410,7 +372,7 @@ def _epicenter_basis(L: LieAlgebra) -> tuple[dict[int, Fraction], ...]:
     image = L.sparse_subspace((Matrix.from_sparse(coeffs, center.rows) * center).sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")
-    return image.basis.sparse_rows
+    return image.basis
 
 
 def is_capable(L: LieAlgebra) -> bool:

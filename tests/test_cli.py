@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import liemult
-from liemult import catalog, verify
+from liemult import catalog, cli, verify
 from liemult.cli import main
 from liemult.core import MAX_DIGITS
 
@@ -362,6 +362,24 @@ def test_info_name_expression_above_cap(capsys):
     code, out, err = run_cli(capsys, "info", "A(120)⊕A(120)")
     assert code == 2 and out == ""
     assert err.splitlines()[0] == "error=DimensionTooLarge"
+
+
+@pytest.mark.parametrize("command", ["info", "compute"])
+def test_out_of_memory_is_a_tagged_input_error(capsys, monkeypatch, tmp_path, command):
+    """An accepted input that runs out of memory exits 2 with a tag and a
+    line naming MAX_DIM, not a traceback; the report raises here instead
+    of exhausting memory."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    doc = tmp_path / "a3.json"
+    doc.write_text(json.dumps({"dim": 3, "brackets": []}), encoding="utf-8")
+    monkeypatch.setattr(cli, "invariant_report", exhausted)
+    code, out, err = run_cli(capsys, command, "A(3)" if command == "info" else str(doc))
+    assert code == 2 and out == ""
+    tag, text = err.splitlines()
+    assert tag == "error=OutOfMemory"
+    assert f"MAX_DIM = {liemult.MAX_DIM}" in text
 
 
 @pytest.mark.parametrize("argv", [

@@ -726,8 +726,8 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_algebras_leave_no_reference_cycle():
-    """An algebra caches the bases of its subspaces, not Subspaces that
-    refer back to it, and reading a presentation builds no closure that
+    """The memo holds the bases of an algebra's subspaces, not Subspaces
+    that refer back to it, and reading a presentation builds no closure that
     refers to itself: a full invariant report of every closure member,
     parsed afresh, leaves nothing for the cyclic garbage collector."""
     docs = [presentation_to_dict(m.algebra) for m in build_closure(9)]

@@ -1,5 +1,8 @@
 """s/t invariants and the inequality checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from liemult import (
@@ -19,6 +22,8 @@ from liemult import (
     get,
     heisenberg,
     invariant_report,
+    presentation_from_dict,
+    presentation_to_dict,
     quotient_exterior_check,
     s_invariant,
     t_invariant,
@@ -297,6 +302,25 @@ def test_quotient_exterior_check_reads_no_quotient_derived(monkeypatch):
             assert quotient_exterior_check(alg), member.name
             non_capable += not multiplier.is_capable(alg)
     assert non_capable > 50
+
+
+def test_invariant_reports_agree_across_threads():
+    """The memo shares basis matrices between equal instances: reports of
+    freshly parsed closure members from four threads, on an empty memo,
+    equal the sequential ones."""
+    docs = [presentation_to_dict(m.algebra) for m in build_closure(6)]
+    multiplier.clear_caches()
+    expected = [invariant_report(presentation_from_dict(doc)) for doc in docs]
+    multiplier.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the memo's reads
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda doc: invariant_report(presentation_from_dict(doc)),
+                                docs + docs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected + expected
 
 
 def test_invariant_report_abelian():

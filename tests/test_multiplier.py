@@ -30,7 +30,7 @@ from liemult import (
     s_invariant,
 )
 import liemult.catalog as cat
-from liemult import linalg, multiplier, verify
+from liemult import core, linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
 from liemult.linalg import Matrix, rref_basis, sparse_integer_row
@@ -77,27 +77,45 @@ def test_parameterized_values():
 def test_memo_hashes_each_algebra_once_and_shares_equal_ones(monkeypatch):
     """The memo contract: a repeated lookup on one instance hashes no
     Fraction (its key keeps its hash), two equal instances share one
-    computation, and an instance held across clear_caches() computes
-    afresh."""
+    computation of dim M, L^2, the centre and both central series, and an
+    instance held across clear_caches() computes afresh."""
     table = get("L_{6,10}").brackets
-    slices = []
+    calls = []
     real_slice = multiplier.cochain_slice
     monkeypatch.setattr(multiplier, "cochain_slice",
-                        lambda alg: slices.append(alg) or real_slice(alg))
+                        lambda alg: calls.append("cochain_slice") or real_slice(alg))
+
+    def counted(name, real):
+        def method(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return method
+
+    for name in ("product_space", "_centralizer_mod"):
+        monkeypatch.setattr(LieAlgebra, name, counted(name, getattr(LieAlgebra, name)))
+
+    def facts(alg):
+        return (dim_multiplier(alg), alg.derived_subalgebra().basis, alg.center().basis,
+                alg.lower_central_series()[-2].basis, alg.upper_central_series()[0].basis,
+                alg.lower_central_dims(), alg.upper_central_dims())
+
     multiplier.clear_caches()
     held = LieAlgebra(6, table)
-    expected = dim_multiplier(held)
+    expected = facts(held)
+    first = sorted(calls)
+    assert set(first) == {"cochain_slice", "product_space", "_centralizer_mod"}
+    calls.clear()
     hashes = []
     real_hash = Q.__hash__
     with monkeypatch.context() as m:
         m.setattr(Q, "__hash__", lambda x: hashes.append(x) or real_hash(x))
-        assert dim_multiplier(held) == expected
-    assert hashes == []
-    assert dim_multiplier(LieAlgebra(6, table)) == expected
-    assert len(slices) == 1
+        again = facts(held)
+    assert again == expected and hashes == []
+    assert facts(LieAlgebra(6, table)) == expected
+    assert calls == []
     multiplier.clear_caches()
-    assert dim_multiplier(held) == expected
-    assert len(slices) == 2
+    assert facts(held) == expected
+    assert sorted(calls) == first
 
 
 def test_S1_value_consistent_with_listing():
@@ -566,7 +584,8 @@ def test_trusted_quotients_and_covers_pass_full_validation(monkeypatch):
 
 def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
     """The stem check reads dim E^2 as the rank of E's stored brackets, so E
-    comes back with no subspace built or cached on it."""
+    comes back with no subspace built on it and no fact memoized under its
+    key."""
     calls = []
     series, product = LieAlgebra.lower_central_series, LieAlgebra.product_space
 
@@ -585,7 +604,7 @@ def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
     E = cover(L)
     assert E.dim == 12
     assert [kind for kind, alg in calls if alg is E] == []
-    assert E._full is None and E._derived is None
+    assert [fn for fn, key in core._MEMO if key == E.canonical_key()] == []
 
 
 # -- dim M of a quotient, read off L's d2 ---------------------------------------
