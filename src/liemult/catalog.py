@@ -79,8 +79,7 @@ class ParamSpec:
     name: str                  # "eps" or "lam"
     domain: str                # "any" | "nonzero" | "not01"
     default: Fraction
-    samples: tuple[Fraction, ...]       # catalog default sample set
-    full_samples: tuple[Fraction, ...]  # exercised in tests
+    samples: tuple[Fraction, ...]  # catalog default sample set
 
     def contains(self, value: Fraction) -> bool:
         if self.domain == "nonzero":
@@ -93,16 +92,16 @@ class ParamSpec:
         return {"any": "any rational", "nonzero": "nonzero", "not01": "excluding 0 and 1"}[self.domain]
 
 
-EPS_STAR = ParamSpec("eps", "nonzero", Q(1), (Q(1),), (Q(-1), Q(1), Q(2)))
-EPS_ANY = ParamSpec("eps", "any", Q(1), (Q(0), Q(1)), (Q(-1), Q(0), Q(1), Q(2)))
-LAM_NOT01 = ParamSpec("lam", "not01", Q(3), (Q(-1), Q(2)), (Q(-1), Q(2)))
+EPS_STAR = ParamSpec("eps", "nonzero", Q(1), (Q(1),))
+EPS_ANY = ParamSpec("eps", "any", Q(1), (Q(0), Q(1)))
+LAM_NOT01 = ParamSpec("lam", "not01", Q(3), (Q(-1), Q(2)))
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
     dim: int
-    source: str                    # table1..table6 | extra | composite
+    source: str                    # table1..table6 | extra | composite | witness
     brackets: str | None = None    # compact bracket notation
     recipe: str | None = None      # composite name expression
     param: ParamSpec | None = None
@@ -133,10 +132,10 @@ class CatalogEntry:
         table = _parse_bracket_spec(self.brackets, self.dim, params)
         return LieAlgebra(self.dim, table, name=label)
 
-    def sample_values(self, which: str = "default") -> tuple[Fraction | None, ...]:
+    def sample_values(self) -> tuple[Fraction | None, ...]:
         if self.param is None:
             return (None,)
-        return self.param.samples if which == "default" else self.param.full_samples
+        return self.param.samples
 
 
 def param_label(base: str, value: Fraction) -> str:

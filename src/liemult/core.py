@@ -5,12 +5,13 @@ An algebra is a dimension n plus a table of basis brackets
 presentation format and all human-facing output are 1-based).  Outside
 input is validated: a table given to `LieAlgebra` (a presentation, a
 catalog table) is checked for the Jacobi identity on every basis triple and
-for nilpotency of the lower central series; non-nilpotent input is an
-error, not a supported case.  Algebras derived from validated ones are
-built trusted, by theorem: a direct sum of nilpotent Lie algebras is one,
-and L/I is a nilpotent Lie algebra whenever I is an ideal of a nilpotent L,
-with a projection that is a homomorphism of full rank, so only `is_ideal`
-is checked.  `quotient` returns L/I with the images pi(x_c) of L's basis
+for nilpotency of the lower central series, once per distinct table (a
+fact in the memo below; a failing table raises each time).  Non-nilpotent
+input is an error, not a supported case.  Algebras derived from validated ones are built trusted,
+by theorem: a direct sum of nilpotent Lie algebras is one, and L/I is a
+nilpotent Lie algebra whenever I is an ideal of a nilpotent L, with a
+projection that is a homomorphism of full rank, so only `is_ideal` is
+checked.  `quotient` returns L/I with the images pi(x_c) of L's basis
 vectors as sparse rows, and builds no map object.  The stem covers of
 `multiplier` are plain algebras, built trusted by the theorems stated
 there; their projection is coordinate truncation.  The tests re-validate
@@ -320,11 +321,19 @@ def _memoized(fn):
 
 
 def clear_caches() -> None:
-    """Drop every memoized fact, here and in `multiplier` and `invariants`.
-    An algebra instance holds no result of its own, only its hashed key,
-    so one held across the call computes afresh."""
+    """Drop every memoized fact, validations included, here and in
+    `multiplier` and `invariants`.  An algebra instance holds no result of
+    its own, only its hashed key, so one held across the call computes afresh."""
     with _MEMO_LOCK:
         _MEMO.clear()
+
+
+@_memoized
+def _validated(L: "LieAlgebra") -> None:
+    """Jacobi on every basis triple and a lower series reaching 0; a failing
+    table raises and stores nothing, so it raises again when rebuilt."""
+    L.check_jacobi(L.wedge_rows())
+    L.lower_central_series()
 
 
 @_memoized
@@ -393,8 +402,7 @@ class LieAlgebra:
         self.brackets = table
         self._key: CanonicalKey | None = None
         if validate:
-            self.check_jacobi(self.wedge_rows())
-            self.lower_central_series()
+            _validated(self)
 
     # -- bracket --------------------------------------------------------------
 

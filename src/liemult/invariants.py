@@ -211,13 +211,13 @@ class InvariantReport:
     bound_checks: list[BoundCheck] = field(default_factory=list)
 
 
-def invariant_report(L: LieAlgebra, name: str | None = None) -> InvariantReport:
-    """Everything the CLI prints for one algebra."""
+def invariant_report(L: LieAlgebra) -> InvariantReport:
+    """Everything the CLI prints for one algebra, under `L.name`."""
     from .multiplier import dim_exterior_square, dim_tensor_square
 
     checks = bound_checks(L)
     return InvariantReport(
-        name=name or L.name or "(unnamed)",
+        name=L.name or "(unnamed)",
         n=L.dim,
         dim_derived=L.derived_subalgebra().dim,
         nilpotency_class=L.nilpotency_class,

@@ -11,7 +11,7 @@ Two independent routes compute dim M(L):
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
   C(n,2) - dim L^2 - rank(boundary_3) survivors; the rank is read off
-  boundary_3's forward echelon alone.
+  the forward echelon of `boundary3`, built as -boundary_3 = d2^T.
 
 Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
@@ -87,12 +87,11 @@ def triple_index(n: int) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class CochainComplexSlice:
-    """d1: L* -> Lambda^2 L*, d2: Lambda^2 L* -> Lambda^3 L* (trivial coeffs)."""
+    """d1: L* -> Lambda^2 L*, d2: Lambda^2 L* -> Lambda^3 L* (trivial coeffs),
+    rows and columns in the order of `pair_index` and `triple_index`."""
 
     d1: Matrix
     d2: Matrix
-    pairs: tuple[tuple[int, int], ...]
-    triples: tuple[tuple[int, int, int], ...]
 
 
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
@@ -106,19 +105,19 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """
     n = L.dim
     pairs = pair_index(n)
-    triples = triple_index(n)
     d1 = Matrix.from_sparse(
         [{k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs], n)
     swept = L.wedge_rows()
     L.check_jacobi(swept)
-    d2 = Matrix.from_sparse([swept.get(t, {}) for t in triples], len(pairs))
-    return CochainComplexSlice(d1, d2, tuple(pairs), tuple(triples))
+    d2 = Matrix.from_sparse([swept.get(t, {}) for t in triple_index(n)], len(pairs))
+    return CochainComplexSlice(d1, d2)
 
 
 def boundary3(L: LieAlgebra) -> Matrix:
-    """Lambda^3 L -> Lambda^2 L, the standard boundary.
+    """Lambda^3 L -> Lambda^2 L, the negated standard boundary, d2^T.
 
-    d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x, the negated transpose of d2.
+    d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
+    only the rank, so the swept entries are used without a sign copy.
     """
     pairs = pair_index(L.dim)
     triples = triple_index(L.dim)
@@ -127,7 +126,7 @@ def boundary3(L: LieAlgebra) -> Matrix:
     for t, triple in enumerate(triples):
         if triple in swept:
             for a, x in swept[triple].items():
-                rows[a][t] = -x
+                rows[a][t] = x
     return Matrix.from_sparse(rows, len(triples))
 
 
@@ -141,8 +140,6 @@ Cochain = dict[int, Fraction]
 @dataclass(frozen=True)
 class MultiplierResult:
     dim_M: int
-    cocycle_basis: tuple[Cochain, ...]
-    method: str
 
 
 @_memoized
@@ -204,7 +201,7 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
     m = len(pair_index(L.dim)) - L.derived_subalgebra().dim - boundary3(L).rank()
     if len(reps) != m:
         raise LieError("cover and cohomology multiplier dimensions disagree")
-    return MultiplierResult(dim_M=m, cocycle_basis=tuple(reps), method="cover")
+    return MultiplierResult(dim_M=m)
 
 
 def dim_quotient_exterior_square(L: LieAlgebra, K: Subspace) -> int:

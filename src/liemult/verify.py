@@ -52,6 +52,7 @@ from .multiplier import (
 )
 
 KUNNETH_SEED = 0x5138
+KUNNETH_PAIRS = 50
 VERIFY_EPS = (Q(1), Q(-1), Q(2))
 HEISENBERG_MAX = 3
 
@@ -322,29 +323,19 @@ def verify_capability_claims() -> list[ClaimResult]:
 # fixtures (generators-and-relations method) and discrepancy allowlist
 # ---------------------------------------------------------------------------
 
-def _mk(dim: int, spec: dict, name: str) -> LieAlgebra:
-    table = {(i - 1, j - 1): {k - 1: Q(c) for k, c in t.items()} for (i, j), t in spec.items()}
-    return LieAlgebra(dim, table, name=name)
-
-
-def witness_extensions() -> list[tuple[str, LieAlgebra, int]]:
-    """The four 8-dim one-generator extensions used as non-existence
-    witnesses, with their recorded multiplier dimensions."""
-    return [
-        ("ext(37A; [x1,x7]=x8)",
-         _mk(8, {(1, 2): {5: 1}, (2, 3): {6: 1}, (2, 4): {8: 1}, (1, 7): {8: 1}},
-             "ext(37A; [x1,x7]=x8)"), 14),
-        ("stem(37A; [x1,x3]=x8)",
-         _mk(8, {(1, 2): {5: 1}, (2, 3): {6: 1}, (2, 4): {7: 1}, (1, 3): {8: 1}},
-             "stem(37A; [x1,x3]=x8)"), 14),
-        ("ext(147A; [x6,x8]=x7)",
-         _mk(8, {(1, 2): {4: 1}, (1, 3): {5: 1}, (1, 6): {7: 1}, (2, 5): {7: 1},
-                 (3, 4): {7: 1}, (6, 8): {7: 1}},
-             "ext(147A; [x6,x8]=x7)"), 12),
-        ("ext(L_{5,8}+A(2); [x6,x8]=x7)",
-         _mk(8, {(1, 2): {4: 1}, (1, 3): {5: 1}, (6, 8): {7: 1}},
-             "ext(L_{5,8}+A(2); [x6,x8]=x7)"), 14),
-    ]
+# The four 8-dim one-generator extensions used as non-existence witnesses,
+# with their recorded dim M; not registered in the catalog, so no name
+# lookup, closure, Kunneth pool or collision list meets them.
+WITNESS_EXTENSIONS = (
+    CatalogEntry("ext(37A; [x1,x7]=x8)", 8, "witness",
+                 "[1,2]=5 [2,3]=6 [2,4]=8 [1,7]=8", expected_dim_M=14),
+    CatalogEntry("stem(37A; [x1,x3]=x8)", 8, "witness",
+                 "[1,2]=5 [2,3]=6 [2,4]=7 [1,3]=8", expected_dim_M=14),
+    CatalogEntry("ext(147A; [x6,x8]=x7)", 8, "witness",
+                 "[1,2]=4 [1,3]=5 [1,6]=7 [2,5]=7 [3,4]=7 [6,8]=7", expected_dim_M=12),
+    CatalogEntry("ext(L_{5,8}+A(2); [x6,x8]=x7)", 8, "witness",
+                 "[1,2]=4 [1,3]=5 [6,8]=7", expected_dim_M=14),
+)
 
 
 # The stem witnesses of the s = 6, 7 lemmas, each built at its catalog
@@ -374,8 +365,8 @@ def fixtures_suite() -> list[FixtureRow]:
         rows.append(FixtureRow(alg.name, got, expected, got == expected, note, allowed_by))
 
     check(heisenberg(1), 2)
-    for _, alg, expected in witness_extensions():
-        check(alg, expected)
+    for entry in WITNESS_EXTENSIONS:
+        check(entry.build(), entry.expected_dim_M)
     for name in LEMMA_ENTRIES:
         entry = catalog.lookup(name)
         note = ("presentation repaired; see catalog note" if entry.provenance == "repaired"
@@ -446,8 +437,10 @@ BOUND_SUITES = {
 }
 
 
+@functools.cache
 def _heisenberg_sum_fingerprint(n: int, m: int) -> Fingerprint:
-    """fingerprint of H(m) + A(n - 2m - 1), the dim-n algebras with dim L^2 = 1."""
+    """fingerprint of H(m) + A(n - 2m - 1), the dim-n algebras with dim L^2 = 1;
+    both suites read one cache of these int tuples, which hold no algebra."""
     return fingerprint(direct_sum(heisenberg(m), abelian(n - 2 * m - 1)))
 
 
@@ -455,7 +448,6 @@ def bound_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
     """The bound_checks of every non-abelian member, grouped by suite, plus
     the m = 1 case of the derived bound: equality iff L = H(1)+A(n-3)."""
     suites = {key: SuiteResult(0) for key in BOUND_SUITES.values()}
-    reference = functools.cache(_heisenberg_sum_fingerprint)
     for member in closure:
         L = member.algebra
         if L.is_abelian:
@@ -466,7 +458,7 @@ def bound_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
             if not chk.holds:
                 suite.violations.append(f"{member.name}: {chk.check_id}: {chk.lhs} vs {chk.rhs}")
             if chk.check_id == "derived-bound" and L.derived_subalgebra().dim == 1:
-                should_be_tight = fingerprint(L) == reference(L.dim, 1)
+                should_be_tight = fingerprint(L) == _heisenberg_sum_fingerprint(L.dim, 1)
                 if chk.tight != should_be_tight:
                     suite.violations.append(
                         f"{member.name}: m=1 equality holds iff H(1)+A(n-3); "
@@ -480,7 +472,6 @@ def structure_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
     stem = SuiteResult(0)
     epi = SuiteResult(0)
     derived_one = SuiteResult(0)
-    reference = functools.cache(_heisenberg_sum_fingerprint)
     for member in closure:
         L = member.algebra
         agreement.checked += 1
@@ -507,16 +498,18 @@ def structure_suites(closure: list[ClosureMember]) -> dict[str, SuiteResult]:
         if L.derived_subalgebra().dim == 1:
             derived_one.checked += 1
             n = L.dim
-            ok = any(fingerprint(L) == reference(n, m) for m in range(1, (n - 1) // 2 + 1))
+            ok = any(fingerprint(L) == _heisenberg_sum_fingerprint(n, m)
+                     for m in range(1, (n - 1) // 2 + 1))
             if not ok:
                 derived_one.violations.append(member.name)
     return {"method_agreement": agreement, "cover_stem": stem,
             "epicenter_containment": epi, "derived_dim_one_form": derived_one}
 
 
-def kunneth_suite(pairs: int = 50, seed: int = KUNNETH_SEED) -> SuiteResult:
-    """dim M(A+B) = dim M(A) + dim M(B) + dim A^ab * dim B^ab on random pairs."""
-    rng = random.Random(seed)
+def kunneth_suite() -> SuiteResult:
+    """dim M(A+B) = dim M(A) + dim M(B) + dim A^ab * dim B^ab on KUNNETH_PAIRS
+    pairs drawn from KUNNETH_SEED."""
+    rng = random.Random(KUNNETH_SEED)
     pool: list[LieAlgebra] = []
     for entry in catalog.entries():
         if entry.dim > 7:
@@ -524,7 +517,7 @@ def kunneth_suite(pairs: int = 50, seed: int = KUNNETH_SEED) -> SuiteResult:
         for v in verify_samples(entry):
             pool.append(entry.build(v))
     result = SuiteResult(0)
-    while result.checked < pairs:
+    while result.checked < KUNNETH_PAIRS:
         a, b = rng.choice(pool), rng.choice(pool)
         if a.dim + b.dim > 11:
             continue
@@ -720,13 +713,13 @@ def capability_section() -> Section:
                    {"capability": doc}, rows, lines + [""])
 
 
-def suites_section(closure: list[ClosureMember], kunneth_pairs: int) -> Section:
+def suites_section(closure: list[ClosureMember]) -> Section:
     """Every SuiteResult, each rendered the same way: the bound and structure
     suites over the closure, Kunneth, the exterior consequences and the
     subalgebra series law."""
     bounds, structure = bound_suites(closure), structure_suites(closure)
     single = {
-        "kunneth": kunneth_suite(kunneth_pairs),
+        "kunneth": kunneth_suite(),
         "exterior_consequences": exterior_consequence_suite(),
         "subalgebra_series_law": subalgebra_series_suite(),
     }
@@ -829,7 +822,7 @@ class FullReport:
         raise KeyError(key)
 
 
-def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
+def run_all(dim_cap: int = 9) -> FullReport:
     """Build every section over build_closure(dim_cap).
 
     A new section is one builder returning a Section and one entry in
@@ -842,7 +835,7 @@ def run_all(dim_cap: int = 9, kunneth_pairs: int = 50) -> FullReport:
         tables,
         sweeps,
         capability_section(),
-        suites_section(closure, kunneth_pairs),
+        suites_section(closure),
         fixtures_section(),
         collisions_section(),
         coverage_section(closure, dim_cap, tables.results["tables"],

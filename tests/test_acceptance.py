@@ -25,7 +25,7 @@ from liemult import (
     heisenberg,
 )
 from liemult.multiplier import cochain_slice
-from liemult.verify import discrepancy_notes, report_to_json, run_all, witness_extensions
+from liemult.verify import WITNESS_EXTENSIONS, discrepancy_notes, report_to_json, run_all
 
 from core_helpers import jacobi_defect
 from linalg_helpers import nullspace_basis
@@ -59,7 +59,7 @@ def test_criterion_2_classification_sweeps(full_report):
 
 
 def test_criterion_3_stem_extension_fixtures():
-    values = {name: dim_multiplier_cover(alg).dim_M for name, alg, _ in witness_extensions()}
+    values = {e.name: dim_multiplier_cover(e.build()).dim_M for e in WITNESS_EXTENSIONS}
     ok = values["ext(37A; [x1,x7]=x8)"] == 14
     ok &= values["stem(37A; [x1,x3]=x8)"] == 14
     ok &= values["ext(147A; [x6,x8]=x7)"] == 12

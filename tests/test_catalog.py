@@ -18,6 +18,7 @@ from liemult import (
 from liemult.catalog import DSUM
 from liemult.core import MAX_DIGITS, DimensionTooLarge, PresentationError, rational_expr
 
+from catalog_helpers import full_samples
 from core_helpers import jacobi_defect
 
 
@@ -82,9 +83,22 @@ def test_full_catalog_size():
     assert len(cat.entries()) >= 60
 
 
+def test_full_samples_are_the_harness_and_catalog_samples():
+    """The sample sets the tests exercise, derived from `verify_samples` and
+    `sample_values`, are the sets each parameter family used to record."""
+    recorded = {
+        cat.EPS_STAR: (Q(-1), Q(1), Q(2)),
+        cat.EPS_ANY: (Q(-1), Q(0), Q(1), Q(2)),
+        cat.LAM_NOT01: (Q(-1), Q(2)),
+    }
+    assert {e.param for e in cat.entries()} == {None, *recorded}
+    for entry in cat.entries():
+        assert full_samples(entry) == recorded.get(entry.param, (None,)), entry.name
+
+
 def test_every_entry_loads_at_all_samples():
     for entry in cat.entries():
-        for v in entry.sample_values("full"):
+        for v in full_samples(entry):
             alg = entry.build(v)
             assert alg.dim == entry.dim
 
@@ -117,7 +131,7 @@ def test_expected_values_match_computation():
     for entry in cat.entries():
         if entry.expected_dim_M is None or entry.known_discrepancy:
             continue
-        for v in entry.sample_values("full"):
+        for v in full_samples(entry):
             alg = entry.build(v)
             assert dim_multiplier(alg) == entry.expected_dim_M, (entry.name, v)
             if entry.expected_s is not None:

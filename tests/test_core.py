@@ -157,6 +157,39 @@ def test_jacobi_example_has_several_violations():
     assert first_jacobi_violation(alg)[0] == (1, 3, 4)
 
 
+def test_equal_tables_share_one_validation(monkeypatch):
+    """Validation is a fact in the memo: a table constructed twice is swept
+    for the Jacobi identity once, and again after clear_caches()."""
+    swept = []
+    sweep = LieAlgebra.wedge_rows
+
+    def counted(alg):
+        swept.append(alg)
+        return sweep(alg)
+
+    monkeypatch.setattr(LieAlgebra, "wedge_rows", counted)
+    spec = {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}}
+    multiplier.clear_caches()
+    first, second = mk(6, spec, "first"), mk(6, spec, "second")
+    assert first is not second and swept == [first]
+    multiplier.clear_caches()
+    third = mk(6, spec)
+    assert swept == [first, third]
+
+
+def test_a_failing_table_raises_on_every_construction():
+    """A failed validation stores nothing, so an equal table raises again."""
+    multiplier.clear_caches()
+    n, table = SEVERAL_VIOLATIONS
+    for _ in range(2):
+        with pytest.raises(JacobiViolation) as err:
+            LieAlgebra(n, table)
+        assert err.value.triple == (1, 3, 4)
+    for _ in range(2):
+        with pytest.raises(NotNilpotent):
+            LieAlgebra(2, {(0, 1): {0: Q(1)}})
+
+
 # -- bracket ------------------------------------------------------------------
 
 def test_bracket_basis_pair():

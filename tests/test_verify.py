@@ -177,7 +177,8 @@ def test_failed_bound_check_is_a_suite_violation(monkeypatch):
 
 def test_dim_one_references_built_once_per_dimension(monkeypatch):
     # the dim L^2 = 1 members span n = 3..9; the reference H(m) + A(n - 2m - 1)
-    # is built once per n (bound suites, m = 1) or per (n, m) tried
+    # is built once per n (bound suites, m = 1) or per (n, m) tried, in one
+    # cache that both suites share
     closure = build_closure(9)
     calls = []
 
@@ -186,9 +187,9 @@ def test_dim_one_references_built_once_per_dimension(monkeypatch):
         return direct_sum(a, b, name)
 
     monkeypatch.setattr(verify, "direct_sum", counted)
+    verify._heisenberg_sum_fingerprint.cache_clear()
     verify.bound_suites(closure)
     assert sorted(calls) == [(n, 1) for n in range(3, 10)]
-    calls.clear()
     verify.structure_suites(closure)
     assert len(calls) == len(set(calls)) == 15
     assert set(calls) <= {(n, m) for n in range(3, 10) for m in range(1, (n - 1) // 2 + 1)}
@@ -304,10 +305,10 @@ def test_report_is_its_sections(full_report):
 
 def test_every_suite_violation_is_named_in_csv_and_markdown(monkeypatch):
     monkeypatch.setattr(verify, "kunneth_suite",
-                        lambda pairs: verify.SuiteResult(pairs, ["A + B: 3 != 4"]))
+                        lambda: verify.SuiteResult(5, ["A + B: 3 != 4"]))
     monkeypatch.setattr(verify, "subalgebra_series_suite",
                         lambda: verify.SuiteResult(1, ["L_{6,10} .+ H(1)"]))
-    report = run_all(4, kunneth_pairs=5)
+    report = run_all(4)
     assert not report.passed
     rows = list(csv.reader(io.StringIO(report_to_csv(report))))
     assert ["suite", "kunneth", "5 pairs", "1", "0", "fail", "A + B: 3 != 4"] in rows
@@ -386,12 +387,12 @@ def test_rows_reach_from_sparse_without_zeros(monkeypatch):
     multiplier.clear_caches()
     assert run_all(6).passed
     for member in build_closure(7):
-        invariant_report(member.algebra, member.name)
+        invariant_report(member.algebra)
     assert seen[0] > 0
 
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
-    report = run_all(5, kunneth_pairs=5)
+    report = run_all(5)
     by_s = {c.s_value: c for c in report["classification"]}
     assert by_s[6].out_of_closure  # fixed names above the cap are notes
     assert by_s[6].missing == []
