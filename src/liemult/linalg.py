@@ -1,8 +1,13 @@
 """Exact rational matrices, held as sparse rows: rank, rref, nullspace.
 
-Scalars are `fractions.Fraction`, so every result is exact; there is no
-rounding anywhere in the package.  A `Matrix` holds one row form: one
-{column: Fraction} dict per row, zeros dropped (`Matrix.sparse_rows`).
+Scalars are exact, Python ints or `fractions.Fraction`s, so every result
+is exact; there is no rounding anywhere in the package.  A `Matrix` holds
+one row form: one {column: value} dict per row, zeros dropped
+(`Matrix.sparse_rows`), and one value type: all of a matrix is int or all
+of it is Fraction.  The cochain matrices of an algebra whose structure
+constants are all integral are int matrices; subspace bases, rrefs and
+kernels are Fraction ones.  Equal values compare and hash equal across
+the two types (Fraction(3) == 3), so `==` and `hash` do not see the type.
 Every method reads only those rows: elimination, products, `is_zero`,
 `sparse_nullspace_basis`, `==` and `hash`.
 `Matrix.data`, the dense rows, is built from them on each read for
@@ -18,10 +23,11 @@ key and series) are made from lists, not from generators:
 free lists keep such a tuple, once freed, until the next full garbage
 collection.
 
-Elimination is fraction-free (after Bareiss): each row is cleared of
-denominators into a {column: int} dict and reduced with integer
-combinations.  Its products are built lazily, each from the one before and
-only when something reads it:
+Elimination is fraction-free (after Bareiss): each row is reduced as a
+{column: int} dict with integer combinations, an int row as it is and a
+Fraction row once cleared of its denominators (`sparse_integer_row`).
+Its products are built lazily, each from the one before and only when
+something reads it:
 
 * the forward echelon, primitive integer rows keyed by leading column,
   gives `pivot_columns` and `rank`, with no back substitution and no
@@ -49,11 +55,12 @@ by it; `span_rref` is `rref_basis` of `Matrix(vectors, cols)`, the one
 path for dense vectors from outside.
 
 `Matrix(...)` is the entry point for outside values: it coerces every entry
-through `qf`, rejects floats and ragged rows, and keeps the nonzero entries.
-Code here that already holds Fractions builds matrices through the trusted
-`Matrix.from_sparse` ({column: Fraction} rows) instead, and products touch
-only the nonzero entries of both factors, so sparse matrices cost in
-proportion to their nonzeros.
+through `qf` to a Fraction, rejects floats and ragged rows, and keeps the
+nonzero entries.  Code here that already holds exact values builds
+matrices through the trusted `Matrix.from_sparse` ({column: value} rows of
+one type) instead, and products touch only the nonzero entries of both
+factors, so sparse matrices cost in proportion to their nonzeros; the
+product of two int matrices is an int matrix, any other a Fraction one.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ _ZERO = Q(0)
 _ONE = Q(1)
 
 Vector = tuple[Fraction, ...]
+# The value type of a matrix built by `Matrix.from_sparse`: all of one matrix
+# is int or all of it is Fraction.
+Scalar = Fraction | int
 
 # `Matrix._rref` of a matrix that is its own rref.  A reference to the
 # matrix itself would make it a reference cycle, freed only by the cyclic
@@ -98,15 +108,19 @@ def add_scaled(row: dict, a, terms: Mapping) -> None:
                 del row[j]
 
 
-def sparse_integer_row(terms: Mapping[int, Fraction]) -> dict[int, int]:
-    """A {column: Fraction} row with no zero values as {column: int},
-    scaled by the lcm of its denominators."""
-    # Fraction keeps its lowest-terms value in the _numerator and _denominator
-    # slots; reading them directly skips a Python-level call per entry.  This
-    # needs every value to be an exact fractions.Fraction: Matrix.__init__
-    # coerces through qf, and the trusted constructor is only given
-    # Fractions, so the rows of every Matrix hold only Fractions
-    # (tests/test_linalg.py checks this).
+def sparse_integer_row(terms: Mapping[int, Scalar]) -> dict[int, int]:
+    """A row with no zero values as {column: int}: an int row as it is, a
+    Fraction row scaled by the lcm of its denominators."""
+    # A matrix holds one value type (see `Matrix.from_sparse`), so the first
+    # value tells the row's.  Fraction keeps its lowest-terms value in the
+    # _numerator and _denominator slots; reading them directly skips a
+    # Python-level call per entry.  A row that mixes the two types fails
+    # here or in the elimination (gcd takes ints only), never silently;
+    # tests/test_verify.py checks the contract on every row the package builds.
+    for x in terms.values():
+        if type(x) is int:
+            return terms
+        break
     den = lcm(*[x._denominator for x in terms.values()])
     return {j: x._numerator * (den // x._denominator) for j, x in terms.items()}
 
@@ -143,9 +157,9 @@ def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(out)
 
 
-def _dense_rows(rows: Iterable[Mapping[int, Fraction]], cols: int) -> tuple[Vector, ...]:
-    """{column: Fraction} rows as `cols`-long tuples; zeros are the shared
-    _ZERO."""
+def _dense_rows(rows: Iterable[Mapping[int, Scalar]], cols: int) -> tuple[Vector, ...]:
+    """{column: value} rows as `cols`-long tuples; zeros are the shared
+    Fraction _ZERO."""
     dense = []
     for r in rows:
         row = [_ZERO] * cols
@@ -158,8 +172,9 @@ def _dense_rows(rows: Iterable[Mapping[int, Fraction]], cols: int) -> tuple[Vect
 class Matrix:
     """Immutable matrix over the rationals, held as sparse rows.
 
-    `sparse_rows` holds one {column: Fraction} dict per row, zeros dropped,
-    and is the only row form: every method reads it.  `data`, a tuple of
+    `sparse_rows` holds one {column: value} dict per row, zeros dropped,
+    every value of one type, int or Fraction, and is the only row form:
+    every method reads it.  `data`, a tuple of
     `cols`-long tuples, is built from it on each read for callers that
     index positions.
     """
@@ -179,7 +194,7 @@ class Matrix:
             raise ValueError("empty matrix needs an explicit column count")
         self.rows = len(rows)
         self.cols = cols
-        self.sparse_rows: tuple[dict[int, Fraction], ...] = tuple(
+        self.sparse_rows: tuple[dict[int, Scalar], ...] = tuple(
             {j: x for j, x in enumerate(r) if x._numerator} for r in rows)
         self._pivots: tuple[int, ...] | None = None
         self._echelon: dict[int, dict[int, int]] | None = None
@@ -189,10 +204,11 @@ class Matrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_sparse(cls, rows: Iterable[Mapping[int, Fraction]], cols: int) -> "Matrix":
-        """Trusted constructor from {column: Fraction} rows with no zero
-        values.  The rows are kept as given, not copied, so the caller hands
-        them over and never changes them again."""
+    def from_sparse(cls, rows: Iterable[Mapping[int, Scalar]], cols: int) -> "Matrix":
+        """Trusted constructor from {column: value} rows with no zero values,
+        all of one type: every value an int, or every value a Fraction.
+        The rows are kept as given, not copied, so the caller hands them
+        over and never changes them again."""
         m = cls.__new__(cls)
         m.sparse_rows = tuple(rows)
         m.rows = len(m.sparse_rows)
@@ -248,7 +264,7 @@ class Matrix:
         right = other.sparse_rows
         out = []
         for r in self.sparse_rows:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for k, a in r.items():
                 add_scaled(acc, a, right[k])
             out.append(acc)

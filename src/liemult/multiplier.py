@@ -24,6 +24,17 @@ the shapes of the benchmark.  L's Jacobi identity is d2 . d1 = 0; the slice
 checks it on its d2 rows (`LieAlgebra.check_jacobi`), so both routes, which
 read the cocycle basis, refuse a table that breaks it.
 
+The sweep, the Jacobi check, d1, d2 and boundary_3 all read the table
+through `LieAlgebra.bracket_table()`, and the coboundaries are d1's
+columns.  When every structure constant of L is integral (every table the
+catalog builds), they hold Python ints, and the complex is built and
+eliminated with no Fraction from the sweep to the echelon: only the dim M
+kept cocycles become Fractions.
+A table with a non-integral constant keeps its Fractions, and the
+elimination clears each row of denominators as it meets it.  No table is
+rescaled to integers: a common denominator of constants with thousands
+of digits could be far larger than any one row's.
+
 The stem cover is the algebra E = L + Q^m built from the canonical cocycle
 representatives, with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ...,
 f_m(x,y)); `cover` returns E itself.  Its first n coordinates are L's basis,
@@ -62,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .core import (
     LieAlgebra,
@@ -75,20 +86,18 @@ from .core import (
 )
 from .linalg import (
     Matrix,
+    Scalar,
     add_scaled,
     extend_integer_echelon,
     sparse_integer_row,
 )
 
 
-def triple_index(n: int) -> list[tuple[int, int, int]]:
-    return list(combinations(range(n), 3))
-
-
 @dataclass(frozen=True)
 class CochainComplexSlice:
     """d1: L* -> Lambda^2 L*, d2: Lambda^2 L* -> Lambda^3 L* (trivial coeffs),
-    rows and columns in the order of `pair_index` and `triple_index`."""
+    rows and columns in the order of `pair_index` and of
+    `combinations(range(n), 3)`."""
 
     d1: Matrix
     d2: Matrix
@@ -99,17 +108,23 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     identity, is checked by `L.check_jacobi` on the rows d2 is built from.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
-    d2 = -b3^T); d1 is read off the sparse brackets, d2 off `L.wedge_rows()`.
+    d2 = -b3^T); d1 is read off `L.bracket_table()`, d2 off `L.wedge_rows()`,
+    so both hold ints when the table has an integral form.
     rank d1 = dim L^2 holds by construction (d1's nonzero rows are the
     negated stored brackets, whose span is L^2), so it is not re-checked.
     """
     n = L.dim
     pairs = pair_index(n)
-    d1 = Matrix.from_sparse(
-        [{k: -c for k, c in L.bracket_basis(i, j).items()} for (i, j) in pairs], n)
+    table = L.bracket_table()
+    d1 = Matrix.from_sparse([{k: -c for k, c in table.get(p, {}).items()} for p in pairs], n)
     swept = L.wedge_rows()
     L.check_jacobi(swept)
-    d2 = Matrix.from_sparse([swept.get(t, {}) for t in triple_index(n)], len(pairs))
+    # the triples are enumerated, not listed, and those no bracket reaches
+    # share one empty row: at n = 200 a list of the C(n,3) = 1,313,400
+    # triples and a dict per row would take about 180 MB
+    unreached: dict[int, Scalar] = {}
+    d2 = Matrix.from_sparse(
+        [swept.get(t, unreached) for t in combinations(range(n), 3)], len(pairs))
     return CochainComplexSlice(d1, d2)
 
 
@@ -117,17 +132,17 @@ def boundary3(L: LieAlgebra) -> Matrix:
     """Lambda^3 L -> Lambda^2 L, the negated standard boundary, d2^T.
 
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
-    only the rank, so the swept entries are used without a sign copy.
+    only the rank, so the swept entries (ints when the table has an
+    integral form) are used without a sign copy.
     """
-    pairs = pair_index(L.dim)
-    triples = triple_index(L.dim)
+    n = L.dim
     swept = L.wedge_rows()
-    rows: list[dict[int, Fraction]] = [{} for _ in pairs]
-    for t, triple in enumerate(triples):
+    rows: list[dict[int, Scalar]] = [{} for _ in pair_index(n)]
+    for t, triple in enumerate(combinations(range(n), 3)):
         if triple in swept:
             for a, x in swept[triple].items():
                 rows[a][t] = x
-    return Matrix.from_sparse(rows, len(triples))
+    return Matrix.from_sparse(rows, comb(n, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +169,9 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     dim M vectors kept there become Fractions."""
     slice_ = cochain_slice(L)
     d2 = slice_.d2
-    # the coboundaries are d1's columns, gathered from its sparse rows
-    coboundaries: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
+    # the coboundaries are d1's columns, gathered from its sparse rows: ints
+    # when L's table has an integral form, like d1 itself
+    coboundaries: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
         for k, c in row.items():
             coboundaries[k][a] = c

@@ -37,3 +37,14 @@ def mul_vec(m: Matrix, v) -> Vector:
 def nullspace_basis(m: Matrix) -> list[Vector]:
     """`m.sparse_nullspace_basis()` as dense vectors, in the same order."""
     return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in m.sparse_nullspace_basis()]
+
+
+def value_type(m: Matrix):
+    """The one value type of m's rows, int or Fraction, or None when m has no
+    nonzero entry: every value is nonzero and exact, and all of one type, as
+    `Matrix.from_sparse` asks."""
+    values = [x for r in m.sparse_rows for x in r.values()]
+    assert all(values), m
+    types = {type(x) for x in values}
+    assert types <= {int, Fraction} and len(types) <= 1, types
+    return types.pop() if types else None

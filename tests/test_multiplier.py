@@ -42,7 +42,7 @@ from liemult.multiplier import (
 from liemult.verify import WITNESS_EXTENSIONS, build_closure, verify_samples
 
 from catalog_helpers import full_samples
-from linalg_helpers import column, nullspace_basis, transpose, unit_vector
+from linalg_helpers import column, nullspace_basis, transpose, unit_vector, value_type
 
 
 # -- dimension values ---------------------------------------------------------
@@ -322,14 +322,29 @@ def benchmark_shaped_sums(seed=13):
     return sums
 
 
+def scaled(alg, c):
+    """cL: every structure constant of alg times c, validated.  It is
+    isomorphic to alg (x -> x/c), and a non-integral c takes the Fraction
+    path of the sweep and the kernel."""
+    table = {p: {k: c * x for k, x in terms.items()} for p, terms in alg.brackets.items()}
+    return LieAlgebra(alg.dim, table, name=f"{c}*{alg.name}")
+
+
+def is_integral(alg):
+    return all(x.denominator == 1 for terms in alg.brackets.values() for x in terms.values())
+
+
 def test_cochains_are_negated_chain_boundaries():
     """d1 = -b2^T and d2 = -b3^T exactly, and d2 and b3 equal the dense
     reference assembly, where `boundary3` builds -b3 = d2^T (the cover
     route reads only its rank), on every catalog sample, H(4..7) and sums of
-    total dim 10-14 (up to 455 x 105)."""
+    total dim 10-14 (up to 455 x 105), and on a non-integral multiple of
+    some.  Every value is nonzero and exact, each matrix is all-int or
+    all-Fraction, and d1, d2 and b3 of an integral table are all-int."""
     algebras = [entry.build(v) for entry in cat.entries() for v in full_samples(entry)]
     algebras += [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums()
     assert [alg.dim for alg in algebras[-9:]] == [9, 11, 13, 15, 10, 11, 12, 13, 14]
+    algebras += [scaled(alg, Q(-2, 3)) for alg in algebras[-9::4]]
     for alg in algebras:
         slice_ = cochain_slice(alg)
         b2, b3 = boundary2(alg), boundary3(alg)
@@ -337,9 +352,75 @@ def test_cochains_are_negated_chain_boundaries():
         assert slice_.d2 == transpose(b3), alg.name
         assert slice_.d2 == reference_d2(alg), alg.name
         assert b3 == _negated(reference_boundary3(alg)), alg.name
-        # the kernel reads Fraction's slots directly, so entries must be exact Fractions
-        for m in (slice_.d1, slice_.d2, b2, b3):
-            assert all(type(x) is Q for r in m.data for x in r), alg.name
+        # the kernel clears a Fraction row of denominators and takes an int
+        # row as it is, reading the first value's type for the row's
+        kinds = {value_type(m) for m in (slice_.d1, slice_.d2, b3)} - {None}
+        assert kinds == ({int} if is_integral(alg) else {Q}), alg.name
+        assert value_type(b2) in (Q, None), alg.name
+
+
+def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
+    """For H(7) and a benchmark-shaped sum, every row of d2 and b3 reaches
+    `sparse_integer_row` in the elimination as an int row, and so does each
+    coboundary (a column of d1) in `_cohomology`: no Fraction is built from
+    an integral table only to be cleared of denominators again."""
+    reached, coboundaries, built = [], [], {}
+
+    def kernel_row(terms):
+        reached.append(terms)
+        return sparse_integer_row(terms)
+
+    def coboundary_row(terms):
+        coboundaries.append(terms)
+        return sparse_integer_row(terms)
+
+    def spy(name, fn):
+        def wrapped(alg):
+            built[name] = fn(alg)
+            return built[name]
+        monkeypatch.setattr(multiplier, name, wrapped)
+
+    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
+    monkeypatch.setattr(multiplier, "sparse_integer_row", coboundary_row)
+    spy("cochain_slice", cochain_slice)
+    spy("boundary3", boundary3)
+    for alg in (heisenberg(7), benchmark_shaped_sums()[-1]):
+        multiplier.clear_caches()
+        reached.clear()
+        coboundaries.clear()
+        fresh = LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
+        assert dim_multiplier_cover(fresh).dim_M == dim_multiplier(alg)
+        d1, d2 = built["cochain_slice"].d1, built["cochain_slice"].d2
+        rows = [r for r in d2.sparse_rows + built["boundary3"].sparse_rows if r]
+        ids = {id(r) for r in reached}
+        assert rows and all(id(r) in ids for r in rows), alg.name
+        assert coboundaries == list(transpose(d1).sparse_rows), alg.name
+        for r in rows + coboundaries:
+            assert all(type(x) is int for x in r.values()), alg.name
+
+
+@pytest.mark.parametrize("c", [Q(1, 3), Q(7, 5), Q(-5, 7)])
+def test_scaled_tables_take_the_fraction_path_to_the_same_results(c):
+    """cL is isomorphic to L and its d2 is c times L's, so the Fraction path
+    (cL) and the int path (L) must agree: the same cocycle basis, the same
+    reduced d2 rows (for c < 0 up to the sign of each row), the same dim M
+    by both routes, and d2(cL) = c d2(L) entry by entry.  On every closure
+    member and H(4..7)."""
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    for alg in algebras:
+        assert is_integral(alg), alg.name
+        c_alg = scaled(alg, c)
+        assert cocycle_representatives(c_alg) == cocycle_representatives(alg), alg.name
+        rows, c_rows = multiplier._cohomology(alg)[1], multiplier._cohomology(c_alg)[1]
+        assert len(rows) == len(c_rows), alg.name
+        for r, s in zip(rows, c_rows):
+            assert s == r or (c < 0 and s == {j: -v for j, v in r.items()}), alg.name
+        dim_m = dim_multiplier(alg)
+        assert dim_multiplier(c_alg) == dim_multiplier_cover(c_alg).dim_M == dim_m, alg.name
+        d2, c_d2 = cochain_slice(alg).d2, cochain_slice(c_alg).d2
+        assert value_type(d2) in (int, None) and value_type(c_d2) in (Q, None), alg.name
+        assert c_d2.sparse_rows == tuple(
+            [{j: c * v for j, v in r.items()} for r in d2.sparse_rows]), alg.name
 
 
 def _eval_form(form, pairs, u, v):
@@ -384,7 +465,7 @@ class ReferenceSpanTracker:
         piv = next((idx for idx, x in enumerate(w) if x), None)
         if piv is None:
             return False
-        inv = 1 / w[piv]
+        inv = 1 / Q(w[piv])
         if inv != 1:
             w = [x * inv for x in w]
         self.rows.append((piv, w))

@@ -25,6 +25,8 @@ from liemult.verify import (
     verify_table,
 )
 
+from linalg_helpers import value_type
+
 
 def test_table9_rows_match():
     rep = verify_table(9)
@@ -369,18 +371,21 @@ def test_csv_and_markdown_report_bytes_pinned(full_report):
 
 def test_rows_reach_from_sparse_without_zeros(monkeypatch):
     """`Matrix.from_sparse` keeps its rows as given, so every row the package
-    builds must already hold only nonzero Fractions: checked on every call
-    during a small verification run and an invariant report per closure
-    member.  A zero value fails at once: the elimination would not survive
-    it."""
+    builds must already hold only nonzero exact values, all of one type per
+    matrix, int or Fraction: checked on every call during a small
+    verification run and an invariant report per closure member.  A zero
+    value fails at once: the elimination would not survive it; nor would a
+    matrix that mixes the types, since the kernel reads a row's type off its
+    first value.  The integral tables send int matrices, the subspace layer
+    Fraction ones, and both kinds are seen."""
     given = Matrix.from_sparse
-    seen = [0]
+    seen = {int: 0, Fraction: 0}
 
     def guarded(cls, rows, cols):
         rows = tuple(rows)
-        for r in rows:
-            assert all(type(x) is Fraction and x for x in r.values()), r
-        seen[0] += len(rows)
+        kind = value_type(given(rows, cols))
+        if kind is not None:
+            seen[kind] += len(rows)
         return given(rows, cols)
 
     monkeypatch.setattr(Matrix, "from_sparse", classmethod(guarded))
@@ -388,7 +393,7 @@ def test_rows_reach_from_sparse_without_zeros(monkeypatch):
     assert run_all(6).passed
     for member in build_closure(7):
         invariant_report(member.algebra)
-    assert seen[0] > 0
+    assert seen[int] > 0 and seen[Fraction] > 0
 
 
 def test_small_dim_cap_reports_out_of_closure_not_failure():
