@@ -45,8 +45,9 @@ Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
 `Subspace.residue`) from Z_0 = 0, whose step is the centre.  Either series
 raises NotNilpotent when a term stops changing, also without validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
-brackets (one elimination); the lower series starts
-from that term.  It checks no nilpotency, which the multiplier
+brackets read through `bracket_table` (one elimination, in ints for an
+integral table); the lower series starts from that term.  It checks no
+nilpotency, which the multiplier
 needs none of: dim L^2 = rank d1 and dim H^2(L) are defined for every
 Lie algebra, so an unvalidated algebra (a quotient, a cover, a benchmark
 copy) pays for the rest of the series only if it asks for it.
@@ -346,7 +347,9 @@ def _full_basis(L: "LieAlgebra") -> Matrix:
 
 @_memoized
 def _derived_basis(L: "LieAlgebra") -> Matrix:
-    return L.sparse_subspace(L.brackets.values()).basis
+    """The rref basis of the span of `L.bracket_table()`: an integral table
+    is eliminated as it is, with no Fraction cleared of its denominators."""
+    return rref_basis(Matrix.from_sparse(list(L.bracket_table().values()), L.dim))
 
 
 @_memoized

@@ -35,8 +35,9 @@ something reads it:
 * the reduced integer echelon (`integer_rref_rows`), one primitive row per
   pivot and zero at every other pivot column, is back substituted from it
   and gives the nullspace in integers (`integer_nullspace`), each kernel
-  vector scaled by the lcm of the pivot values it meets; divided by its
-  entry at its free column it is a `sparse_nullspace_basis` vector;
+  vector scaled by the lcm of the pivot values it meets, built only for the
+  free columns its caller does not skip; divided by its entry at its free
+  column it is a `sparse_nullspace_basis` vector;
 * the Fraction `rref`, each reduced row divided by its pivot value, is
   built from that for the callers that read it, such as subspace bases.
 
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Q = Fraction
 _ZERO = Q(0)
@@ -314,20 +315,22 @@ class Matrix:
                     # another thread has reduced it since the check above
                     return self._reduced
                 echelon = dict(forward)
-                # Back substitution, last pivot first: each pivot row is
-                # already free of every later pivot column when it is used.
-                # The earlier pivots are indexed, not sliced: CPython 3.11
-                # keeps a freed 20-item tuple on a free list that no
-                # allocation takes from, so a slice per pivot piles up
-                # until the next full garbage collection.
-                for k in range(len(pivots) - 1, 0, -1):
-                    c = pivots[k]
-                    p = echelon[c]
-                    for i in range(k):
-                        lead = pivots[i]
-                        w = echelon[lead]
-                        if c in w:
-                            echelon[lead] = _cancel(w, p, c)
+                # Back substitution, last pivot row first: each row cancels
+                # the later pivot columns it holds (the echelon's keys),
+                # largest first, with rows already reduced.  A reduced row
+                # is zero at every other pivot column, so a cancellation
+                # brings in none, and only the row's own entries are
+                # scanned, not every later pivot.
+                for k in range(len(pivots) - 2, -1, -1):
+                    lead = pivots[k]
+                    w = echelon[lead]
+                    later = [c for c in w if c in echelon]
+                    if len(later) > 1:
+                        later.sort(reverse=True)
+                        later.pop()  # lead, the row's smallest column
+                        for c in later:
+                            w = _cancel(w, echelon[c], c)
+                        echelon[lead] = w
                 reduced = tuple([echelon[c] for c in pivots])
             self._reduced = reduced
             self._echelon = None
@@ -344,24 +347,27 @@ class Matrix:
             self._rref = Matrix.from_sparse(reduced, self.cols)._own_rref(pivots)
         return self if self._rref is _OWN else self._rref
 
-    def integer_nullspace(self) -> list[tuple[int, dict[int, int]]]:
-        """The nullspace in integers: per free column c, in column order,
-        (c, w), w the kernel vector of c as a {column: int} row with no zero
-        values and w[c] > 0.  Divided by w[c], w is the rref kernel vector:
-        1 at c and -x/pv at the pivot column of each reduced row with x at c
-        and pv at its pivot; w[c] is the lcm of those pv."""
+    def integer_nullspace(self, skip: Container[int] = ()) -> list[tuple[int, dict[int, int]]]:
+        """The nullspace in integers: per free column c not in `skip`, in
+        column order, (c, w), w the kernel vector of c as a {column: int} row
+        with no zero values and w[c] > 0.  Divided by w[c], w is the rref
+        kernel vector: 1 at c and -x/pv at the pivot column of each reduced
+        row with x at c and pv at its pivot; w[c] is the lcm of those pv.
+        A skipped column's vector is not built."""
         pivots = self.pivot_columns()
-        # (pivot column, x, pv) of each reduced row meeting a free column; a
-        # reduced row is zero at every other pivot column, so its off-pivot
-        # entries all sit in free columns
-        meets: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(self.cols)}
+        # (pivot column, x, pv) of each reduced row meeting a free column not
+        # skipped; a reduced row is zero at every other pivot column, so its
+        # off-pivot entries all sit in free columns
+        meets: dict[int, list[tuple[int, int, int]]] = {
+            c: [] for c in range(self.cols) if c not in skip}
         for pcol in pivots:
-            del meets[pcol]
+            meets.pop(pcol, None)
         for pcol, row in zip(pivots, self.integer_rref_rows()):
             pv = row[pcol]
             for j, x in row.items():
-                if j != pcol:
-                    meets[j].append((pcol, x, pv))
+                entries = meets.get(j)
+                if entries is not None:
+                    entries.append((pcol, x, pv))
         kernel = []
         for c, entries in meets.items():
             den = lcm(1, *[pv for _, _, pv in entries])

@@ -6,7 +6,9 @@ Two independent routes compute dim M(L):
   with trivial coefficients; dim M = dim ker(d2) - rank(d1), the size of
   the canonical cocycle basis, read in integers with d2's reduced
   integer echelon rows from the only place the slice is built and d2
-  eliminated (`_cohomology`).
+  eliminated (`_cohomology`).  The cocycles are picked in kernel
+  coordinates: the coboundaries, restricted to d2's free columns, are
+  eliminated, and only the kernel vectors kept are built.
 * cover (the generators-and-relations elimination count): the homological
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
@@ -18,11 +20,14 @@ is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
 columns) come from one sweep over the stored brackets,
 `LieAlgebra.wedge_rows` in `core`, in which each bracket [xa,xb] meets
 every third index c once; it runs once per matrix and is not memoized.
-The agreement checks the ranks but not that assembly; the tests check it
-against a dense per-entry reference on brackets with several terms and on
-the shapes of the benchmark.  L's Jacobi identity is d2 . d1 = 0; the slice
-checks it on its d2 rows (`LieAlgebra.check_jacobi`), so both routes, which
-read the cocycle basis, refuse a table that breaks it.
+Each swept row goes to its triple's index in `combinations(range(n), 3)`
+by a closed form (`triple_positions`), so no matrix enumerates the C(n,3)
+triples.  The agreement checks the ranks but not that assembly; the tests
+check it against a dense per-entry reference on brackets with several
+terms and on the shapes of the benchmark.  L's Jacobi identity is
+d2 . d1 = 0; the slice checks it on its d2 rows (`LieAlgebra.check_jacobi`),
+so both routes, which read the cocycle basis, refuse a table that breaks
+it.
 
 The sweep, the Jacobi check, d1, d2 and boundary_3 all read the table
 through `LieAlgebra.bracket_table()`, and the coboundaries are d1's
@@ -39,9 +44,11 @@ The stem cover is the algebra E = L + Q^m built from the canonical cocycle
 representatives, with bracket [(x,a),(y,b)] = ([x,y], f_1(x,y), ...,
 f_m(x,y)); `cover` returns E itself.  Its first n coordinates are L's basis,
 its last m span the kernel K, and the covering projection is truncation to
-the first n coordinates.  E is a Lie algebra by construction (L's Jacobi
-identity, d2 . d1 = 0, is checked by `cochain_slice`, and each f_t lies in
-ker d2), so its Jacobi identity is not re-checked.  K is central because no
+the first n coordinates; its table is built by scattering each cocycle's
+entries to their pairs, one step per nonzero.  E is a Lie algebra by
+construction (L's Jacobi identity, d2 . d1 = 0, is checked by
+`cochain_slice`, and each f_t lies in ker d2), so its Jacobi identity is
+not re-checked.  K is central because no
 bracket of E has an adjoined index as an argument; K lies in E^2, which is
 checked at runtime by one rank (dim E^2 = dim L^2 + m).  The
 epicenter is the image of Z(E) under the projection, computed without
@@ -72,8 +79,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
+from typing import Iterable
 
 from .core import (
     LieAlgebra,
@@ -103,29 +110,44 @@ class CochainComplexSlice:
     d2: Matrix
 
 
+def triple_positions(n: int, triples: Iterable[tuple[int, int, int]]) -> list[int]:
+    """The index of each triple i < j < k in `combinations(range(n), 3)`, by
+    the closed form C(n,3) - C(n-i,3) + C(n-i-1,2) - C(n-j,2) + (k-j-1):
+    the triples before i, then those (i, b, c) with i < b < j, then k's
+    place after j."""
+    lead = [comb(n, 3) - comb(n - i, 3) + comb(n - i - 1, 2) for i in range(n)]
+    mid = [comb(n - j, 2) + j + 1 for j in range(n)]
+    return [lead[i] - mid[j] + k for i, j, k in triples]
+
+
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """Build the degree-(1,2) cochain slice; d2 . d1 = 0, the Jacobi
     identity, is checked by `L.check_jacobi` on the rows d2 is built from.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
     d2 = -b3^T); d1 is read off `L.bracket_table()`, d2 off `L.wedge_rows()`,
-    so both hold ints when the table has an integral form.
+    so both hold ints when the table has an integral form.  Each swept row
+    of d2 goes to its triple's index (`triple_positions`); no triple is
+    enumerated.  The rows of d1 for pairs with no bracket, and those of d2
+    for triples no bracket reaches, share one empty row each: at n = 200 a
+    dict for each of the C(n,3) = 1,313,400 rows of d2 would take about
+    180 MB.
     rank d1 = dim L^2 holds by construction (d1's nonzero rows are the
     negated stored brackets, whose span is L^2), so it is not re-checked.
     """
     n = L.dim
     pairs = pair_index(n)
     table = L.bracket_table()
-    d1 = Matrix.from_sparse([{k: -c for k, c in table.get(p, {}).items()} for p in pairs], n)
+    unbracketed: dict[int, Scalar] = {}
+    d1 = Matrix.from_sparse(
+        [{k: -c for k, c in table[p].items()} if p in table else unbracketed for p in pairs], n)
     swept = L.wedge_rows()
     L.check_jacobi(swept)
-    # the triples are enumerated, not listed, and those no bracket reaches
-    # share one empty row: at n = 200 a list of the C(n,3) = 1,313,400
-    # triples and a dict per row would take about 180 MB
     unreached: dict[int, Scalar] = {}
-    d2 = Matrix.from_sparse(
-        [swept.get(t, unreached) for t in combinations(range(n), 3)], len(pairs))
-    return CochainComplexSlice(d1, d2)
+    rows = [unreached] * comb(n, 3)
+    for t, row in zip(triple_positions(n, swept), swept.values()):
+        rows[t] = row
+    return CochainComplexSlice(d1, Matrix.from_sparse(rows, len(pairs)))
 
 
 def boundary3(L: LieAlgebra) -> Matrix:
@@ -133,15 +155,15 @@ def boundary3(L: LieAlgebra) -> Matrix:
 
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
     only the rank, so the swept entries (ints when the table has an
-    integral form) are used without a sign copy.
+    integral form) are used without a sign copy, each placed in the column
+    of its triple's index (`triple_positions`).
     """
     n = L.dim
     swept = L.wedge_rows()
     rows: list[dict[int, Scalar]] = [{} for _ in pair_index(n)]
-    for t, triple in enumerate(combinations(range(n), 3)):
-        if triple in swept:
-            for a, x in swept[triple].items():
-                rows[a][t] = x
+    for t, row in zip(triple_positions(n, swept), swept.values()):
+        for a, x in row.items():
+            rows[a][t] = x
     return Matrix.from_sparse(rows, comb(n, 3))
 
 
@@ -164,25 +186,34 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     integer echelon rows (`Matrix.integer_rref_rows`), which the quotient
     reads restrict.
 
-    The nullspace is read in integers (`Matrix.integer_nullspace`): each
-    kernel vector extends the coboundary echelon as it is, and only the
-    dim M vectors kept there become Fractions."""
+    The cocycles are picked in kernel coordinates.  The kernel vector v_c
+    of d2 (`Matrix.integer_nullspace`) is 1 at its free column c and 0 at
+    the other free columns, so a vector of ker d2 has its restriction to
+    the free columns as its coordinates in that basis.  The coboundaries
+    (d1's columns) lie in ker d2, as d2 . d1 = 0 was checked.  v_c extends
+    the span of the coboundaries and of the v_c' with c' < c exactly when
+    no restricted coboundary combination has its last nonzero at c, that
+    is when c leads no row of their echelon with the largest column
+    leading.  Only the dim M vectors kept are built, and they become
+    Fractions."""
     slice_ = cochain_slice(L)
     d2 = slice_.d2
-    # the coboundaries are d1's columns, gathered from its sparse rows: ints
-    # when L's table has an integral form, like d1 itself
+    pivots = set(d2.pivot_columns())
+    # the coboundaries restricted to the free columns, gathered from d1's
+    # sparse rows: ints when L's table has an integral form, like d1 itself
     coboundaries: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
-        for k, c in row.items():
-            coboundaries[k][a] = c
+        if a not in pivots:
+            for k, c in row.items():
+                coboundaries[k][a] = c
+    # negated columns: `extend_integer_echelon` leads with the smallest
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in coboundaries:
-        extend_integer_echelon(echelon, sparse_integer_row(coboundary))
+        extend_integer_echelon(echelon, {-a: v for a, v in sparse_integer_row(coboundary).items()})
     kept = []
-    for c, w in d2.integer_nullspace():
-        if extend_integer_echelon(echelon, w):
-            den = w[c]
-            kept.append({j: Fraction(v, den) for j, v in w.items()})
+    for c, w in d2.integer_nullspace(skip={-a for a in echelon}):
+        den = w[c]
+        kept.append({j: Fraction(v, den) for j, v in w.items()})
     return tuple(kept), d2.integer_rref_rows()
 
 
@@ -194,7 +225,8 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Cochain, ...]:
     values: the value of the 2-form on x_i^x_j, pairs ordered
     lexicographically. Deterministic: the coboundary span is extended by
     nullspace vectors in rref order, keeping those that enlarge it (which
-    does not depend on the basis the span is reduced in).
+    does not depend on the basis the span is reduced in); `_cohomology`
+    finds them in kernel coordinates, without extending any span.
     """
     return _cohomology(L)[0]
 
@@ -336,13 +368,20 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     n = L.dim
     reps = cocycle_representatives(L)
     m = len(reps)
+    # each cocycle's entries scattered to their pairs in one pass, so each
+    # pair holds its adjoined terms n + t with t ascending
+    adjoined: dict[int, dict[int, Fraction]] = {}
+    for col, f in enumerate(reps, n):
+        for idx, x in f.items():
+            adjoined.setdefault(idx, {})[col] = x
+    # L's terms first; E's constructor copies every row, so L's stored rows
+    # and the scattered ones are handed over as they are
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for idx, (i, j) in enumerate(pair_index(n)):
-        terms: dict[int, Fraction] = dict(L.bracket_basis(i, j))
-        for t, f in enumerate(reps):
-            x = f.get(idx)
-            if x is not None:
-                terms[n + t] = x
+        terms = L.bracket_basis(i, j)
+        extra = adjoined.pop(idx, None)
+        if extra is not None:
+            terms = {**terms, **extra} if terms else extra
         if terms:
             brackets[(i, j)] = terms
     label = f"cover({L.name})" if L.name else "cover"

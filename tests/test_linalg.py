@@ -288,6 +288,20 @@ def test_elimination_builds_only_what_is_read(case):
     assert [{j: Q(x, w[c]) for j, x in w.items()} for c, w in kernel] == m.sparse_nullspace_basis()
 
 
+@settings(max_examples=200, deadline=None)
+@given(shaped, st.data())
+@example(([[0, -3, 6, 1], [5, 1, 0, -2], [5, -2, 6, -1]], 4), None)
+def test_integer_nullspace_skip_filters_the_full_nullspace(case, data):
+    """`integer_nullspace(skip=...)` is the full integer nullspace without
+    the vectors of the skipped free columns; a skipped pivot column, or one
+    out of range, changes nothing."""
+    rows, cols = case
+    full = sparse_twin(rows, cols).integer_nullspace()
+    skip = {3} if data is None else data.draw(st.sets(st.integers(-1, cols)))
+    assert sparse_twin(rows, cols).integer_nullspace(skip=skip) == [
+        (c, w) for c, w in full if c not in skip]
+
+
 @settings(max_examples=100, deadline=None)
 @given(shaped)
 @example(([[0, -3, 6, 1], [5, 1, 0, -2], [5, -2, 6, -1]], 4))

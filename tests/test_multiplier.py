@@ -4,6 +4,8 @@ import functools
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
+from itertools import combinations
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -360,10 +362,11 @@ def test_cochains_are_negated_chain_boundaries():
 
 
 def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
-    """For H(7) and a benchmark-shaped sum, every row of d2 and b3 reaches
-    `sparse_integer_row` in the elimination as an int row, and so does each
-    coboundary (a column of d1) in `_cohomology`: no Fraction is built from
-    an integral table only to be cleared of denominators again."""
+    """For H(7) and two benchmark-shaped sums, every row of d2 and b3
+    reaches `sparse_integer_row` in the elimination as an int row, and so
+    does each coboundary in `_cohomology`, restricted to d2's free columns
+    (a column of d1 with d2's pivot columns dropped): no Fraction is built
+    from an integral table only to be cleared of denominators again."""
     reached, coboundaries, built = [], [], {}
 
     def kernel_row(terms):
@@ -384,7 +387,8 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
     monkeypatch.setattr(multiplier, "sparse_integer_row", coboundary_row)
     spy("cochain_slice", cochain_slice)
     spy("boundary3", boundary3)
-    for alg in (heisenberg(7), benchmark_shaped_sums()[-1]):
+    dropped = 0
+    for alg in (heisenberg(7), benchmark_shaped_sums()[3], benchmark_shaped_sums()[-1]):
         multiplier.clear_caches()
         reached.clear()
         coboundaries.clear()
@@ -394,9 +398,15 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
         rows = [r for r in d2.sparse_rows + built["boundary3"].sparse_rows if r]
         ids = {id(r) for r in reached}
         assert rows and all(id(r) in ids for r in rows), alg.name
-        assert coboundaries == list(transpose(d1).sparse_rows), alg.name
+        pivots = set(d2.pivot_columns())
+        columns = transpose(d1).sparse_rows
+        assert coboundaries == [{a: x for a, x in col.items() if a not in pivots}
+                                for col in columns], alg.name
+        dropped += sum(len(col) for col in columns) - sum(len(r) for r in coboundaries)
         for r in rows + coboundaries:
             assert all(type(x) is int for x in r.values()), alg.name
+    # L_{6,17}+147E(-1) has a bracket at a pivot column of d2
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("c", [Q(1, 3), Q(7, 5), Q(-5, 7)])
@@ -421,6 +431,72 @@ def test_scaled_tables_take_the_fraction_path_to_the_same_results(c):
         assert value_type(d2) in (int, None) and value_type(c_d2) in (Q, None), alg.name
         assert c_d2.sparse_rows == tuple(
             [{j: c * v for j, v in r.items()} for r in d2.sparse_rows]), alg.name
+
+
+def enumerated_d2(alg):
+    """d2 with a row per triple in `combinations` order, read off the sweep by
+    enumerating every triple: the build `cochain_slice` places by index."""
+    swept = alg.wedge_rows()
+    return Matrix.from_sparse([swept.get(t, {}) for t in combinations(range(alg.dim), 3)],
+                              comb(alg.dim, 2))
+
+
+def enumerated_boundary3(alg):
+    """d2^T with a column per triple, filled by enumerating every triple."""
+    swept = alg.wedge_rows()
+    rows = [{} for _ in range(comb(alg.dim, 2))]
+    for t, triple in enumerate(combinations(range(alg.dim), 3)):
+        for a, x in swept.get(triple, {}).items():
+            rows[a][t] = x
+    return Matrix.from_sparse(rows, comb(alg.dim, 3))
+
+
+def test_triple_positions_are_the_combinations_order():
+    for n in range(21):
+        triples = list(combinations(range(n), 3))
+        assert multiplier.triple_positions(n, triples) == list(range(len(triples))), n
+        assert multiplier.triple_positions(n, reversed(triples)) == list(range(len(triples)))[::-1]
+
+
+def test_rows_placed_by_triple_index_match_the_enumerated_builds():
+    """d2 and b3 place each swept row at its triple's index; they equal the
+    builds that enumerate all C(n,3) triples, on the closure, H(4..7) and the
+    benchmark-shaped sums.  d1's rows for pairs with no bracket, and d2's
+    for triples no bracket reaches, are one shared empty row each."""
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    algebras += benchmark_shaped_sums()
+    for alg in algebras:
+        slice_ = cochain_slice(alg)
+        assert slice_.d2 == enumerated_d2(alg), alg.name
+        assert boundary3(alg) == enumerated_boundary3(alg), alg.name
+        assert len({id(r) for r in slice_.d1.sparse_rows if not r}) <= 1, alg.name
+        swept = alg.wedge_rows()
+        unreached = {id(slice_.d2.sparse_rows[t])
+                     for t, triple in enumerate(combinations(range(alg.dim), 3))
+                     if triple not in swept}
+        assert len(unreached) <= 1, alg.name
+
+
+def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
+    """L^2's basis is the rref of `bracket_table()`: equal to the basis of the
+    stored Fraction rows, and an integral table's rows reach the kernel as
+    ints, on the closure and on scaled Fraction tables."""
+    reached = []
+
+    def kernel_row(terms):
+        reached.append(terms)
+        return sparse_integer_row(terms)
+
+    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
+    closure = [m.algebra for m in build_closure(9)]
+    for alg in closure + [scaled(alg, Q(-2, 3)) for alg in closure[::17]]:
+        multiplier.clear_caches()
+        reached.clear()
+        basis = core._derived_basis(alg)
+        kinds = {type(x) for r in reached for x in r.values()}
+        assert kinds == ({int} if is_integral(alg) else {Q}) or not alg.brackets, alg.name
+        expected = rref_basis(Matrix.from_sparse(list(alg.brackets.values()), alg.dim))
+        assert basis == expected and value_type(basis) in (Q, None), alg.name
 
 
 def _eval_form(form, pairs, u, v):
@@ -482,9 +558,17 @@ def reference_cocycle_representatives(alg):
 
 def test_cocycle_representatives_match_dense_reference():
     """The sparse cocycles hold no zero values and, densified, are the
-    reference's vectors."""
-    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
-    assert len(algebras) == 263 + 4
+    reference's vectors, which it keeps by extending the coboundary span
+    with every kernel vector: on the closure, H(4..7), the benchmark-shaped
+    sums, A(1..8), and tables scaled by non-integral constants (the
+    Fraction path)."""
+    closure = [m.algebra for m in build_closure(9)]
+    sums = benchmark_shaped_sums()
+    algebras = closure + [heisenberg(m) for m in range(4, 8)] + sums
+    algebras += [abelian(k) for k in range(1, 9)]
+    algebras += [scaled(alg, c) for alg in closure[::13] + sums[:2] + [heisenberg(4)]
+                 for c in (Q(1, 3), Q(-7, 5))]
+    assert len(algebras) == 263 + 4 + 5 + 8 + 2 * 24
     for alg in algebras:
         reps = cocycle_representatives(alg)
         pairs = alg.dim * (alg.dim - 1) // 2
@@ -883,6 +967,32 @@ def test_ganea_identity_on_central_basis_vectors():
             assert ganea_dim_multiplier_quotient(alg, i) == dim_multiplier_quotient(alg, ideal)
             checked += 1
     assert checked == 758
+
+
+def per_pair_cover_brackets(alg):
+    """E's bracket table built pair by pair, looking up every cocycle for
+    every pair: L's terms first, then n + t for t ascending."""
+    n = alg.dim
+    reps = cocycle_representatives(alg)
+    brackets = {}
+    for idx, (i, j) in enumerate(multiplier.pair_index(n)):
+        terms = dict(alg.bracket_basis(i, j))
+        for t, f in enumerate(reps):
+            if idx in f:
+                terms[n + t] = f[idx]
+        if terms:
+            brackets[(i, j)] = terms
+    return brackets
+
+
+def test_cover_brackets_match_the_per_pair_build():
+    """`cover` scatters each cocycle's entries to their pairs; the table,
+    pair order and term order included, is the per-pair build."""
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
+    for alg in algebras + benchmark_shaped_sums() + [abelian(6)]:
+        got = [(p, list(terms.items())) for p, terms in cover(alg).brackets.items()]
+        want = [(p, list(terms.items())) for p, terms in per_pair_cover_brackets(alg).items()]
+        assert got == want, alg.name
 
 
 def test_cover_of_A1_is_trivial():
