@@ -283,12 +283,21 @@ def pair_index(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+def pair_starts(n: int) -> list[int]:
+    """start[i] for i < n: the pair (i, j), i < j < n, is pair coordinate
+    start[i] + j, the closed form of its place in `pair_index(n)`."""
+    return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+
+
 class CanonicalKey(tuple):
     """A tuple that hashes its entries once, when it is made.
 
     A tuple does not keep its hash, so each lookup of a plain key would
-    hash every Fraction of the table again; this one keeps the value.  It
-    equals, and hashes like, the plain tuple of the same entries."""
+    hash the whole table again; this one keeps the value.  It equals, and
+    hashes like, the plain tuple of the same entries.  The entries are
+    ints and tuples of ints (`LieAlgebra.canonical_key`), so a memo hit on
+    an equal table built separately compares them in C, with no
+    Python-level `Fraction.__eq__` per constant."""
 
     def __new__(cls, entries: tuple) -> "CanonicalKey":
         key = super().__new__(cls, entries)
@@ -481,7 +490,7 @@ class LieAlgebra:
         ascending).  The chain boundary of xi^xj^xk is the negated row."""
         n = self.dim
         # the pair (l, c), l < c, is pair coordinate start[l] + c
-        start = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+        start = pair_starts(n)
         rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
         for (a, b), terms in self.bracket_table().items():
             signed = [(l, x, -x) for l, x in terms.items()]
@@ -537,11 +546,13 @@ class LieAlgebra:
 
     def canonical_key(self) -> "CanonicalKey":
         """Hashable key identifying the structure-constant table exactly;
-        built and hashed once per instance."""
+        built and hashed once per instance.  Each constant c_ij^k is held
+        as the ints (k, numerator, denominator) of its lowest terms, which
+        Fraction keeps, so equal tables give equal keys."""
         if self._key is None:
             # from a list, not a generator (see `linalg` on free lists)
             items = tuple([
-                (i, j, tuple(sorted(terms.items())))
+                (i, j, tuple([(k, x._numerator, x._denominator) for k, x in sorted(terms.items())]))
                 for (i, j), terms in sorted(self.brackets.items())
             ])
             self._key = CanonicalKey((self.dim, items))

@@ -12,11 +12,12 @@ tight) so reports can show tightness patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import LieAlgebra, LieError, Subspace, _memoized
 from .multiplier import (
+    dim_coordinate_quotient_exterior_square,
     dim_multiplier,
     dim_quotient_derived,
     dim_quotient_exterior_square,
@@ -74,21 +75,47 @@ def check_central_ideal_bound(L: LieAlgebra, K: Subspace) -> BoundCheck:
     dim M(K) = C(dim K, 2).  With d = dim (L/K)^2 = dim(L^2 + K) - k, found
     once (`dim_quotient_derived`), dim M(L/K) = dim (L/K)^(L/K) - d (read
     off L's d2), dim (L/K)^ab = n - k - d and dim(L^2 ^ K) = dim L^2 - d,
-    so neither L/K nor an intersection is built.
+    so neither L/K nor an intersection is built (`_central_ideal_check`).
     """
     if K.ambient is not L:
         raise NotCentralIdeal("K is not a subspace of L")
     if not L.center().contains_subspace(K):
         raise NotCentralIdeal("K is not central")
-    k = K.dim
-    quotient_derived = dim_quotient_derived(L, K)
-    lhs = dim_multiplier(L) + L.derived_subalgebra().dim - quotient_derived
+    return _central_ideal_check(
+        "central-ideal-bound", L.dim, L.derived_subalgebra().dim, dim_multiplier(L), K.dim,
+        dim_quotient_derived(L, K), dim_quotient_exterior_square(L, K))
+
+
+def _central_ideal_check(check_id: str, n: int, m: int, dim_M: int, k: int,
+                         quotient_derived: int, quotient_exterior: int) -> BoundCheck:
+    """The central-ideal bound for a central ideal K of dim k in L, with
+    n = dim L, m = dim L^2 and dim_M = dim M(L), from d = dim (L/K)^2 and
+    dim (L/K)^(L/K): lhs dim M(L) + m - d, rhs dim (L/K)^(L/K) - d + C(k,2)
+    + (n - k - d) k."""
+    lhs = dim_M + m - quotient_derived
     rhs = (
-        dim_quotient_exterior_square(L, K) - quotient_derived
+        quotient_exterior - quotient_derived
         + k * (k - 1) // 2
-        + (L.dim - k - quotient_derived) * k
+        + (n - k - quotient_derived) * k
     )
-    return BoundCheck("central-ideal-bound", lhs, rhs, lhs <= rhs, lhs == rhs)
+    return BoundCheck(check_id, lhs, rhs, lhs <= rhs, lhs == rhs)
+
+
+def _central_line_checks(L: LieAlgebra) -> list[BoundCheck]:
+    """The central-ideal bound for K = <x_i> at each central basis vector
+    x_i, with id central-ideal-bound[x_i], in one pass: it is
+    `check_central_ideal_bound(L, <x_i>)` with no Subspace, ideal test or
+    reduction modulo K per line.  dim (L/<x_i>)^2 = dim L^2 - [x_i in L^2],
+    one residue against L^2, and dim (L/<x_i>)^(L/<x_i>) is read off d2's
+    pivots (`dim_coordinate_quotient_exterior_square`)."""
+    n, derived, dim_M = L.dim, L.derived_subalgebra(), dim_multiplier(L)
+    return [
+        _central_ideal_check(
+            f"central-ideal-bound[x{i + 1}]", n, derived.dim, dim_M, 1,
+            derived.dim - (not derived.residue({i: Fraction(1)})),
+            dim_coordinate_quotient_exterior_square(L, (i,)))
+        for i in central_basis_vectors(L)
+    ]
 
 
 def check_noncapable_bound(L: LieAlgebra) -> BoundCheck:
@@ -145,16 +172,29 @@ def check_third_term_bound(L: LieAlgebra) -> BoundCheck:
 
 
 def central_basis_vectors(L: LieAlgebra) -> list[int]:
-    """Indices i with x_i central (each spans a 1-dim central ideal)."""
-    center = L.center()
-    return [i for i in range(L.dim) if not center.residue({i: Fraction(1)})]
+    """Indices i with x_i central (each spans a 1-dim central ideal), read
+    off the table: [x_i, x_j] = 0 for every j exactly when no stored
+    bracket names i, as a stored bracket is nonzero.
+
+    Checked against Z(L): x_i lies in Z(L) exactly when Z(L)'s rref basis
+    has the row x_i (a vector in the span is the sum of the rows at its
+    pivots, weighted by its entries there), so the indices must be the
+    pivots of Z(L)'s one-entry rows; raises LieError if they are not."""
+    named = {i for pair in L.brackets for i in pair}
+    central = [i for i in range(L.dim) if i not in named]
+    center = L.center().basis
+    units = [p for p, row in zip(center.pivot_columns(), center.sparse_rows) if len(row) == 1]
+    if units != central:
+        raise LieError("central basis vectors read off the table disagree with Z(L)")
+    return central
 
 
 def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
     """Every bound check that applies to L, in report order: derived,
     gamma3, third-term, non-capable, then the central-ideal bound for
     K = <x_i> at each central basis vector x_i, with id
-    central-ideal-bound[x_i].  The one place that decides applicability."""
+    central-ideal-bound[x_i], all lines in one pass
+    (`_central_line_checks`).  The one place that decides applicability."""
     m = L.derived_subalgebra().dim
     checks: list[BoundCheck] = []
     if m >= 1:
@@ -164,9 +204,7 @@ def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
         checks.append(check_third_term_bound(L))
     if m >= 2 and not is_capable(L):
         checks.append(check_noncapable_bound(L))
-    for i in central_basis_vectors(L):
-        chk = check_central_ideal_bound(L, L.sparse_subspace([{i: Fraction(1)}]))
-        checks.append(replace(chk, check_id=f"{chk.check_id}[x{i + 1}]"))
+    checks += _central_line_checks(L)
     return checks
 
 

@@ -62,13 +62,15 @@ the cochains of L/K are the forms on L that vanish when an argument lies
 in K, so d2(L/K) is d2(L) restricted to them.  dim M(L/K) is
 dim (L/K)^(L/K) = C(q,2) - rank d2(L/K) (`dim_quotient_exterior_square`,
 which the bound checks and `quotient_exterior_check` read) less
-dim (L/K)^2 (`dim_quotient_derived`).  The first maps d2's reduced rows to
-L/K's pair coordinates: a column selection when K is spanned by basis
-vectors (every <x_i> of the bound checks, and gamma3 in an adapted
-basis), the general inflation product otherwise.  Its rank is an
-elimination of its own: the Ganea sequence would give dim M(L/K) for
-central K from L's cocycles, but it would make the central-ideal bound
-hold by construction, so it is used only in the tests, as a third route.
+dim (L/K)^2 (`dim_quotient_derived`).  When K is spanned by basis vectors
+(every <x_i> of the bound checks, and gamma3 in an adapted basis), the
+rank is read off d2's reduced rows by their pivots
+(`dim_coordinate_quotient_exterior_square`): only the rows whose pivot
+pair meets K's indices are restricted and eliminated, and no pair map is
+built.  Any other K takes the general inflation product, eliminated as a
+whole.  The Ganea sequence would give dim M(L/K) for central K from L's
+cocycles, but it would make the central-ideal bound hold by
+construction, so it is used only in the tests, as a third route.
 
 The d2 elimination, covers and epicenter bases are memoized per algebra
 in `core`'s one memo (`_memoized`), with L^2, the centre and the central
@@ -80,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import (
     LieAlgebra,
@@ -90,6 +92,7 @@ from .core import (
     _memoized,
     clear_caches,  # noqa: F401 (re-exported)
     pair_index,
+    pair_starts,
 )
 from .linalg import (
     Matrix,
@@ -264,38 +267,61 @@ def dim_quotient_exterior_square(L: LieAlgebra, K: Subspace) -> int:
     for q = dim L - dim K.  P_K sends column (i,j) of d2(L) to
     pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to d2's
     reduced integer rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When
-    every rref row of K has one entry, K is spanned by basis vectors and
-    P_K is a column selection (`_select_pairs`); any other K takes the
-    general product (`_inflate_pairs`).  Raises NotAnIdeal where `L.quotient` does.
+    every rref row of K has one entry, K is spanned by the basis vectors at
+    its pivots and the rank is read by pivots
+    (`dim_coordinate_quotient_exterior_square`); any other K takes the
+    general product (`_inflate_pairs`).  Raises NotAnIdeal where
+    `L.quotient` does.
     """
     if not L.is_ideal(K):
         raise NotAnIdeal("subspace is not an ideal")
-    q = L.dim - K.dim
     if all(len(row) == 1 for row in K.basis.sparse_rows):
-        restricted = _select_pairs(L, K)
-    else:
-        restricted = _inflate_pairs(L, K)
+        return dim_coordinate_quotient_exterior_square(L, K.basis.pivot_columns())
+    q = L.dim - K.dim
     echelon: dict[int, dict[int, int]] = {}
-    for w in restricted:
+    for w in _inflate_pairs(L, K):
         extend_integer_echelon(echelon, w)
     return q * (q - 1) // 2 - len(echelon)
+
+
+def dim_coordinate_quotient_exterior_square(L: LieAlgebra, indices: Collection[int]) -> int:
+    """dim (L/K)^(L/K) for the ideal K spanned by the distinct basis vectors
+    x_s, s in `indices`; the caller vouches that K is an ideal.
+
+    P_K keeps the pairs that avoid the indices, so d2(L/K) is d2's reduced
+    rows restricted to those pairs.  A reduced row is zero at every other
+    row's pivot (its smallest column), so a row whose pivot pair avoids the
+    indices keeps a pivot that no other restricted row touches.  With T the
+    t rows whose pivot pair meets the indices,
+
+        rank d2(L/K) = rank d2(L) - t + rank(T restricted),
+
+    and only T is restricted and eliminated.  Without rows (every A(n))
+    nothing is built; otherwise the pairs met are found by the closed form
+    of their pair coordinates, |indices| * (n - 1) of them, not by a map
+    over all C(n,2) pairs.
+    """
+    n = L.dim
+    q = n - len(indices)
+    rows = _cohomology(L)[1]
+    rank = len(rows)
+    if rows:
+        start = pair_starts(n)
+        met = {start[a] + b if a < b else start[b] + a
+               for a in indices for b in range(n) if b != a}
+        echelon: dict[int, dict[int, int]] = {}
+        for w in rows:
+            if min(w) in met:
+                rank -= 1
+                extend_integer_echelon(echelon, {c: x for c, x in w.items() if c not in met})
+        rank += len(echelon)
+    return q * (q - 1) // 2 - rank
 
 
 def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
     """dim M(L/K) = dim (L/K)^(L/K) - dim (L/K)^2 for an ideal K of L, both
     read off L; raises NotAnIdeal where `L.quotient` does."""
     return dim_quotient_exterior_square(L, K) - dim_quotient_derived(L, K)
-
-
-def _select_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
-    """d2(L) P_K for K spanned by the basis vectors at its pivots: pi sends
-    those to 0 and the other x_c, in order, to L/K's basis, so P_K keeps
-    the pairs that avoid the pivots, which, in order, are L/K's pairs."""
-    pivots = set(K.basis.pivot_columns())
-    kept = (idx for idx, (i, j) in enumerate(pair_index(L.dim))
-            if i not in pivots and j not in pivots)
-    select = {idx: col for col, idx in enumerate(kept)}
-    return [{select[idx]: x for idx, x in w.items() if idx in select} for w in _cohomology(L)[1]]
 
 
 def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:

@@ -177,6 +177,44 @@ def test_equal_tables_share_one_validation(monkeypatch):
     assert swept == [first, third]
 
 
+def test_canonical_keys_compare_tables_exactly():
+    """A key holds each constant as the ints (k, numerator, denominator):
+    equal tables, built separately from ints, Fractions or a presentation,
+    give equal keys and hashes; a table that differs in one constant, one
+    index or the dimension gives another key."""
+    spec = {(1, 2): {3: 1}, (1, 3): {4: Q(-7, 5)}, (2, 3): {5: Q(1, 3)}}
+    base = mk(5, spec)
+    key = base.canonical_key()
+    assert all(type(x) is int for _, _, terms in key[1] for entry in terms for x in entry)
+    equal = [
+        mk(5, spec),
+        mk(5, {(1, 2): {3: Q(1)}, (1, 3): {4: Q(14, -10)}, (2, 3): {5: Q(2, 6)}}),
+        LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: Q(-7, 5)}, (1, 2): {4: Q(1, 3)}},
+                   validate=False),
+        presentation_from_dict(presentation_to_dict(base)),
+    ]
+    for alg in equal:
+        assert alg is not base
+        assert alg.canonical_key() == key and hash(alg.canonical_key()) == hash(key)
+        assert alg == base and hash(alg) == hash(base)
+    integral = get("L_{5,6}")
+    rebuilt = presentation_from_dict(presentation_to_dict(integral))
+    assert rebuilt.canonical_key() == integral.canonical_key()
+    assert hash(rebuilt.canonical_key()) == hash(integral.canonical_key())
+    unequal = [
+        mk(5, {**spec, (1, 2): {3: 2}}),
+        mk(5, {**spec, (1, 3): {4: Q(7, 5)}}),
+        mk(5, {**spec, (2, 3): {5: 3}}),
+        mk(5, {**spec, (2, 3): {5: Q(1, 2)}}),
+        mk(5, {**spec, (2, 3): {4: Q(1, 3)}}),
+        mk(6, spec),
+        integral,
+    ]
+    keys = [key] + [alg.canonical_key() for alg in unequal]
+    assert len(set(keys)) == len(keys)
+    assert all(alg != base for alg in unequal)
+
+
 def test_a_failing_table_raises_on_every_construction():
     """A failed validation stores nothing, so an equal table raises again."""
     multiplier.clear_caches()

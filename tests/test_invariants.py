@@ -1,6 +1,7 @@
 """s/t invariants and the inequality checks."""
 
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -29,6 +30,7 @@ from liemult import (
     t_invariant,
 )
 from liemult import multiplier
+from liemult.core import Subspace
 from liemult.invariants import bound_checks, central_basis_vectors
 from liemult.multiplier import cochain_slice
 from liemult.verify import build_closure
@@ -189,33 +191,57 @@ def test_invariant_report_builds_no_quotient_and_one_slice(monkeypatch):
 
 
 def test_gamma3_quotient_multiplier_read_once_per_algebra(monkeypatch):
-    """gamma3_defect and check_third_term_bound share one dim M(L/g3); the
-    other quotient reads are the central-ideal bounds, one per central x_i.
-    Every bound check reads a quotient through its exterior square off L's
-    d2.  L_{5,9} has dim g3 = 2, so g3 is none of those lines."""
+    """gamma3_defect and check_third_term_bound share one dim M(L/g3), read
+    once per algebra through the exterior square off L's d2.  The central
+    lines are read in one pass that makes no Subspace, ideal test or
+    reduction modulo K per line: L_{5,9} and L_{5,9}+A(3), which has three
+    more central lines, make the same number of each, cold and warm.
+    L_{5,9} has dim g3 = 2, so g3 is none of those lines."""
     import liemult.invariants as invariants
 
     ideals = []
+    calls = Counter()
+    read = multiplier.dim_quotient_exterior_square
 
     def counted(alg, K):
         ideals.append(K)
-        return multiplier.dim_quotient_exterior_square(alg, K)
+        return read(alg, K)
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
 
     monkeypatch.setattr(invariants, "dim_quotient_exterior_square", counted)
-    multiplier.clear_caches()
-    L = get("L_{5,9}")
-    g3 = L.lower_central_series()[2]
-    assert L.nilpotency_class == 3 and g3.dim == 2
-    ids = [c.check_id for c in bound_checks(L)]
-    assert "gamma3-defect" in ids and "third-term-bound" in ids
-    assert sum(K == g3 for K in ideals) == 1
-    assert len(ideals) == 1 + len(central_basis_vectors(L))
-    ideals.clear()
-    bound_checks(L)
-    assert sum(K == g3 for K in ideals) == 0
-    multiplier.clear_caches()
-    bound_checks(L)
-    assert sum(K == g3 for K in ideals) == 1
+    for owner, name in ((Subspace, "__init__"), (Subspace, "canonical"),
+                        (LieAlgebra, "is_ideal"), (invariants, "dim_quotient_derived"),
+                        (multiplier, "dim_quotient_derived")):
+        count(owner, name)
+    runs = []
+    for L in (get("L_{5,9}"), direct_sum(get("L_{5,9}"), abelian(3))):
+        multiplier.clear_caches()
+        g3 = L.lower_central_series()[2]
+        assert L.nilpotency_class == 3 and g3.dim == 2
+        ideals.clear()
+        calls.clear()
+        ids = [c.check_id for c in bound_checks(L)]
+        assert "gamma3-defect" in ids and "third-term-bound" in ids
+        assert ideals == [g3]
+        cold = dict(calls)
+        ideals.clear()
+        calls.clear()
+        bound_checks(L)
+        assert ideals == []
+        runs.append((sum(i.startswith("central-ideal-bound[") for i in ids), cold, dict(calls)))
+    (lines, cold, warm), (padded_lines, padded_cold, padded_warm) = runs
+    assert (lines, padded_lines) == (2, 5)
+    assert cold == padded_cold and warm == padded_warm
+    assert cold["is_ideal"] == 1 and "is_ideal" not in warm
+    assert "dim_quotient_derived" not in cold
 
 
 def test_gamma3_quotient_multiplier_matches_the_general_quotient_read():
@@ -259,30 +285,40 @@ def test_invariant_report_sweeps_the_brackets_once(monkeypatch):
 
 def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
     """dim (L/K)^2 is found once per central line <x_i>, though the
-    central-ideal bound uses it three times; for gamma3, which lies in
-    L^2, it is dim L^2 - dim gamma3 and takes no reduction."""
+    central-ideal bound uses it three times: one residue of x_i against
+    L^2, and no reduction of L^2 modulo K (`dim_quotient_derived`); for
+    gamma3, which lies in L^2, it is dim L^2 - dim gamma3 and takes no
+    reduction either.  With every fact of the algebra memoized, those
+    residues are the only ones bound_checks takes."""
     import liemult.invariants as invariants
 
-    ideals = []
-    derived = multiplier.dim_quotient_derived
+    def refused(alg, K):
+        raise AssertionError("dim_quotient_derived called")
 
-    def counted(alg, K):
-        ideals.append(K)
-        return derived(alg, K)
+    residues = []
+    residue = Subspace.residue
+    recording = []
 
-    monkeypatch.setattr(invariants, "dim_quotient_derived", counted)
-    monkeypatch.setattr(multiplier, "dim_quotient_derived", counted)
+    def recorded(self, v):
+        if recording:
+            residues.append((self.basis, v))
+        return residue(self, v)
+
+    monkeypatch.setattr(invariants, "dim_quotient_derived", refused)
+    monkeypatch.setattr(multiplier, "dim_quotient_derived", refused)
+    monkeypatch.setattr(Subspace, "residue", recorded)
     lines = 0
     for member in build_closure(9):
         alg = member.algebra
         multiplier.clear_caches()
-        ideals.clear()
         bound_checks(alg)
+        residues.clear()
+        recording.append(True)
+        bound_checks(alg)
+        recording.clear()
         central = central_basis_vectors(alg)
-        expected = [alg.subspace([unit_vector(alg.dim, i)]) for i in central]
-        assert len(ideals) == len(expected), member.name
-        for K in expected:
-            assert ideals.count(K) == expected.count(K), (member.name, K.basis)
+        derived = alg.derived_subalgebra().basis
+        assert residues == [(derived, {i: 1}) for i in central], member.name
         lines += len(central)
     assert lines == 758
     multiplier.clear_caches()

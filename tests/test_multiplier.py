@@ -2,6 +2,7 @@
 
 import functools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
@@ -32,7 +33,7 @@ from liemult import (
     s_invariant,
 )
 import liemult.catalog as cat
-from liemult import core, linalg, multiplier, verify
+from liemult import core, invariants, linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
 from liemult.linalg import Matrix, rref_basis, sparse_integer_row
@@ -806,7 +807,7 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
             assert dim_multiplier_quotient(sheared, image) == expected, (alg.name, image.basis)
             checked += 2
             non_coordinate += (not is_coordinate(ideal)) + (not is_coordinate(image))
-    # both ways of restricting d2 are reached: a column selection for the
+    # both ways of restricting d2 are reached: the pivot read for the
     # ideals spanned by basis vectors, the general inflation for the rest
     assert checked > 3600 and non_coordinate > 1000 and checked - non_coordinate > 1000
 
@@ -929,7 +930,7 @@ def test_invariant_report_survives_a_change_of_basis():
     checks whose id names no basis vector; the central-ideal check of each
     <x_i>, read in the new basis, is the same check.  There gamma3 and those
     lines are often not spanned by basis vectors, so the general inflation
-    of `dim_multiplier_quotient` must give what the column selection gave."""
+    of `dim_multiplier_quotient` must give what the pivot read gave."""
     rng = random.Random(19)
     non_coordinate = 0
     for member in build_closure(9):
@@ -967,6 +968,91 @@ def test_ganea_identity_on_central_basis_vectors():
             assert ganea_dim_multiplier_quotient(alg, i) == dim_multiplier_quotient(alg, ideal)
             checked += 1
     assert checked == 758
+
+
+def central_line_algebras():
+    """The closure, H(1..7), the benchmark-shaped sums, and tables scaled
+    by non-integral constants (the Fraction path)."""
+    closure = [m.algebra for m in build_closure(9)]
+    sums = benchmark_shaped_sums()
+    algebras = closure + [heisenberg(m) for m in range(1, 8)] + sums
+    return algebras + [scaled(alg, c) for alg in closure[::13] + sums[:2] + [heisenberg(4)]
+                       for c in (Q(1, 3), Q(-7, 5))]
+
+
+def test_central_basis_vectors_match_the_centre():
+    """The central indices read off the table are those whose x_i reduces
+    to nothing against Z(L)."""
+    for alg in central_line_algebras():
+        center = alg.center()
+        assert central_basis_vectors(alg) == [
+            i for i in range(alg.dim) if not center.residue({i: Q(1)})], alg.name
+
+
+def test_central_basis_vectors_disagreeing_with_the_centre_raise(monkeypatch):
+    alg = direct_sum(get("L_{5,9}"), abelian(1))
+    assert central_basis_vectors(alg) == [3, 4, 5]
+    monkeypatch.setattr(LieAlgebra, "center", lambda self: self.sparse_subspace([{3: Q(1)}]))
+    with pytest.raises(LieError, match="disagree with Z"):
+        central_basis_vectors(alg)
+
+
+def test_central_line_checks_match_check_central_ideal_bound():
+    """The one-pass central-line checks of `bound_checks` are
+    `check_central_ideal_bound(L, <x_i>)` for every central x_i."""
+    lines = 0
+    for alg in central_line_algebras():
+        want = []
+        for i in central_basis_vectors(alg):
+            chk = check_central_ideal_bound(alg, alg.sparse_subspace([{i: Q(1)}]))
+            want.append(replace(chk, check_id=f"{chk.check_id}[x{i + 1}]"))
+        assert invariants._central_line_checks(alg) == want, alg.name
+        lines += len(want)
+    assert lines == 924
+
+
+def column_selection_pairs(alg, K):
+    """d2(L) P_K for K spanned by the basis vectors at its pivots, by column
+    selection: pi sends those to 0 and the other x_c, in order, to L/K's
+    basis, so P_K keeps the pairs that avoid the pivots, which, in order,
+    are L/K's pairs.  The reference the pivot read is held to."""
+    pivots = set(K.basis.pivot_columns())
+    kept = (idx for idx, (i, j) in enumerate(multiplier.pair_index(alg.dim))
+            if i not in pivots and j not in pivots)
+    select = {idx: col for col, idx in enumerate(kept)}
+    return [{select[idx]: x for idx, x in w.items() if idx in select}
+            for w in multiplier._cohomology(alg)[1]]
+
+
+def test_pivot_restriction_rank_matches_column_selection():
+    """dim (L/K)^(L/K) read by d2's pivots equals C(q,2) less the rank of
+    the selected columns, for every ideal K spanned by basis vectors that
+    the bound checks or L/Z*(L) read: the central lines, gamma3 and Z*(L)
+    when they are spanned by basis vectors, and every <x_i, x_j> of two
+    central basis vectors."""
+    counted = Counter()
+    for alg in central_line_algebras():
+        central = central_basis_vectors(alg)
+        ideals = [("line", alg.sparse_subspace([{i: Q(1)}])) for i in central]
+        ideals += [("plane", alg.sparse_subspace([{i: Q(1)}, {j: Q(1)}]))
+                   for i, j in combinations(central, 2)]
+        if alg.nilpotency_class >= 3:
+            ideals.append(("gamma3", alg.lower_central_series()[2]))
+        if not alg.is_abelian:
+            ideals.append(("epicenter", epicenter(alg)))
+        for kind, K in ideals:
+            if not K.dim or not is_coordinate(K):
+                continue
+            q = alg.dim - K.dim
+            echelon = {}
+            for w in column_selection_pairs(alg, K):
+                linalg.extend_integer_echelon(echelon, w)
+            want = q * (q - 1) // 2 - len(echelon)
+            assert multiplier.dim_coordinate_quotient_exterior_square(
+                alg, K.basis.pivot_columns()) == want, (alg.name, kind, K.basis)
+            assert multiplier.dim_quotient_exterior_square(alg, K) == want, (alg.name, kind)
+            counted[kind] += 1
+    assert counted == {"line": 924, "plane": 1135, "gamma3": 243, "epicenter": 114}, counted
 
 
 def per_pair_cover_brackets(alg):

@@ -165,8 +165,13 @@ def test_failed_bound_check_is_a_suite_violation(monkeypatch):
     def no_report(*args, **kwargs):
         raise AssertionError("bound_suites must not build invariant reports")
 
+    lines = invariants._central_line_checks
+
+    def failed_lines(L):
+        return [replace(chk, lhs=9, rhs=1, holds=False, tight=False) for chk in lines(L)]
+
     monkeypatch.setattr(invariants, "check_third_term_bound", fails("third-term-bound"))
-    monkeypatch.setattr(invariants, "check_central_ideal_bound", fails("central-ideal-bound"))
+    monkeypatch.setattr(invariants, "_central_line_checks", failed_lines)
     monkeypatch.setattr(invariants, "invariant_report", no_report)
     member = verify.ClosureMember("L_{5,6}", cat.get("L_{5,6}"), "catalog", "L_{5,6}")
     suites = verify.bound_suites([member])
