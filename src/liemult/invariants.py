@@ -18,9 +18,11 @@ from fractions import Fraction
 from .core import LieAlgebra, LieError, Subspace, _memoized
 from .multiplier import (
     dim_coordinate_quotient_exterior_square,
+    dim_exterior_square,
     dim_multiplier,
     dim_quotient_derived,
     dim_quotient_exterior_square,
+    dim_tensor_square,
     is_capable,
 )
 
@@ -215,8 +217,9 @@ def bound_checks(L: LieAlgebra) -> list[BoundCheck]:
 Fingerprint = tuple
 
 
+@_memoized
 def fingerprint(L: LieAlgebra) -> Fingerprint:
-    """(n, gamma dims, Z dims, dim M, dim(Z ^ L^2)).
+    """(n, gamma dims, Z dims, dim M, dim(Z ^ L^2)), a fact in the one memo.
 
     Equal fingerprints are necessary, never sufficient, for isomorphism;
     collisions between distinct catalog names are reported by the
@@ -251,8 +254,6 @@ class InvariantReport:
 
 def invariant_report(L: LieAlgebra) -> InvariantReport:
     """Everything the CLI prints for one algebra, under `L.name`."""
-    from .multiplier import dim_exterior_square, dim_tensor_square
-
     checks = bound_checks(L)
     return InvariantReport(
         name=L.name or "(unnamed)",

@@ -6,6 +6,9 @@ their abelian paddings, and the Heisenberg family, up to a dimension cap):
 * tables 7-10: computed (dim M, s) against the recorded values;
 * classification sweeps: for each s in 0..7 the closure members with that
   s must match the classification list, compared by structural fingerprint;
+  the lists are a table over the padding law s(L + A(k)) = s(L) +
+  k (dim L^2 - 1) whose s and dim L^2 are typed as the paper states them,
+  never computed, so a sweep holds the computation to the paper;
 * capability claims; cover stem properties; epicenter containment;
 * method agreement (cohomology vs cover count) and the direct-sum law;
 * every inequality suite (derived bound, central-ideal bound, non-capable
@@ -30,7 +33,6 @@ report content, never a failure; anything else fails the run (exit code 1).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import random
@@ -38,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import catalog
-from .catalog import CPROD, DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
+from .catalog import DSUM, LAM_NOT01, TABLE_ORDER, CatalogEntry, abelian, heisenberg
 from .core import LieAlgebra, LieError, direct_sum, format_rational
 from .invariants import Fingerprint, bound_checks, fingerprint, s_invariant
 from .linalg import Q
@@ -173,53 +175,50 @@ def verify_table(table_id: int) -> TableReport:
 # classification sweeps
 # ---------------------------------------------------------------------------
 
-def _eps(stem: str, tail: str = "") -> list[str]:
-    return [f"{stem}({format_rational(v)}){tail}" for v in VERIFY_EPS]
+def _over_eps(name: str) -> list[str]:
+    return [catalog.param_label(name, v) for v in VERIFY_EPS] if "(eps)" in name else [name]
+
+
+# (core, s(core), dim core^2), typed as the lists state them.  By the
+# Kunneth formula dim M(L + A(k)) = dim M(L) + k dim L/L^2 + C(k, 2), a core
+# with dim L^2 = 2 has the one tail k = s - s(core) in each list from its
+# own s on; one with dim L^2 = 1 has every tail up to the cap at its s.
+PADDING_FAMILIES = (
+    ("L_{5,8}", 1, 2), ("L_{4,3}", 2, 2), ("L_{5,5}", 3, 2), ("L_{6,22}(eps)", 3, 2),
+    ("H(1)", 0, 1), *((f"H({m})", 2, 1) for m in range(2, HEISENBERG_MAX + 1)),
+)
+
+# Per s, the names the law does not place, in print order.  L_{6,k} for
+# k = 6, 7, 9 is L_{5,k}+A(1) (de Graaf), listed under its own name.
+LISTED_NAMES = {
+    3: ("L_{6,26}",),
+    4: ("L_{5,6}", "L_{5,7}", "L_{5,9}", "37A"),
+    5: ("L_{6,26}⊕A(1)", "L_{6,10}", "L_{6,23}", "L_{6,25}", "37B", "37C", "37D"),
+    6: ("L_{6,10}⊕A(1)", "27A", "157", "37A⊕A(1)", "L_{6,6}", "L_{6,7}", "L_{6,9}",
+        "L_{6,11}", "L_{6,12}", "L_{6,19}(eps)", "L_{6,20}", "L_{6,24}(eps)"),
+    7: ("27B", "L_{6,10}⊕A(2)", "27A⊕A(1)", "157⊕A(1)", "L_{6,10}∔H(1)", "H(1)⊕H(2)",
+        "S1", "L_{6,23}⊕A(1)", "L_{6,25}⊕A(1)", "37B⊕A(1)", "37C⊕A(1)", "37D⊕A(1)",
+        "L_{6,26}⊕A(2)", "L_{6,13}", "257A", "257C", "257F", "L_{6,21}(eps)"),
+}
 
 
 def classification_list(s_value: int, dim_cap: int) -> list[str]:
-    """The classification list for one s value, instantiated by name.
-
-    A(k)-tail families are instantiated up to dim_cap; fixed names are
-    always returned (callers report those beyond dim_cap as out of
-    closure rather than missing).
-    """
-    a1, a2 = DSUM + "A(1)", DSUM + "A(2)"
-    if s_value == 0:
-        return [f"H(1){DSUM}A({k})" if k else "H(1)" for k in range(0, max(dim_cap - 2, 1))]
-    if s_value == 1:
-        return ["L_{5,8}"]
-    if s_value == 2:
-        names = ["L_{5,8}" + a1, "L_{4,3}"]
-        for m in range(2, HEISENBERG_MAX + 1):
-            for k in range(0, dim_cap - 2 * m):
-                names.append(f"H({m}){DSUM}A({k})" if k else f"H({m})")
-        return names
-    if s_value == 3:
-        return ["L_{5,8}" + a2, "L_{4,3}" + a1, "L_{5,5}"] + _eps("L_{6,22}") + ["L_{6,26}"]
-    if s_value == 4:
-        return (["L_{5,8}" + DSUM + "A(3)", "L_{4,3}" + a2, "L_{5,5}" + a1]
-                + _eps("L_{6,22}", a1) + ["L_{5,6}", "L_{5,7}", "L_{5,9}", "37A"])
-    if s_value == 5:
-        return (["L_{5,8}" + DSUM + "A(4)", "L_{4,3}" + DSUM + "A(3)", "L_{5,5}" + a2]
-                + _eps("L_{6,22}", a2)
-                + ["L_{6,26}" + a1, "L_{6,10}", "L_{6,23}", "L_{6,25}", "37B", "37C", "37D"])
-    if s_value == 6:
-        return (["L_{5,8}" + DSUM + "A(5)", "L_{4,3}" + DSUM + "A(4)", "L_{5,5}" + DSUM + "A(3)"]
-                + _eps("L_{6,22}", DSUM + "A(3)")
-                + ["L_{6,10}" + a1, "27A", "157", "37A" + a1,
-                   "L_{6,6}", "L_{6,7}", "L_{6,9}", "L_{6,11}", "L_{6,12}"]
-                + _eps("L_{6,19}") + ["L_{6,20}"] + _eps("L_{6,24}"))
-    if s_value == 7:
-        return (["L_{5,8}" + DSUM + "A(6)", "L_{4,3}" + DSUM + "A(5)", "L_{5,5}" + DSUM + "A(4)"]
-                + _eps("L_{6,22}", DSUM + "A(4)")
-                + ["27B", "L_{6,10}" + a2, "27A" + a1, "157" + a1,
-                   "L_{6,10}" + CPROD + "H(1)", "H(1)" + DSUM + "H(2)", "S1",
-                   "L_{6,23}" + a1, "L_{6,25}" + a1,
-                   "37B" + a1, "37C" + a1, "37D" + a1,
-                   "L_{6,26}" + a2, "L_{6,13}", "257A", "257C", "257F"]
-                + _eps("L_{6,21}"))
-    raise ValueError("classification lists cover s in 0..7 only")
+    """The list for one s value by name: the tails of PADDING_FAMILIES in
+    table order, then LISTED_NAMES[s], each "(eps)" name over VERIFY_EPS.
+    Only the dim L^2 = 1 tails stop at dim_cap; callers report a listed
+    name beyond it as out of closure rather than missing."""
+    if s_value not in range(8):
+        raise ValueError("classification lists cover s in 0..7 only")
+    names = []
+    for core, s_core, derived in PADDING_FAMILIES:
+        if derived == 1:
+            tails = range(dim_cap - catalog.get(core).dim + 1) if s_core == s_value else ()
+        else:
+            k, rest = divmod(s_value - s_core, derived - 1)
+            tails = (k,) if k >= 0 and not rest else ()
+        names += [f"{core}{DSUM}A({k})" if k else core for k in tails]
+    names += LISTED_NAMES.get(s_value, ())
+    return [sample for name in names for sample in _over_eps(name)]
 
 
 @dataclass
@@ -437,10 +436,9 @@ BOUND_SUITES = {
 }
 
 
-@functools.cache
 def _heisenberg_sum_fingerprint(n: int, m: int) -> Fingerprint:
     """fingerprint of H(m) + A(n - 2m - 1), the dim-n algebras with dim L^2 = 1;
-    both suites read one cache of these int tuples, which hold no algebra."""
+    both suites read it from the one memo of derived facts."""
     return fingerprint(direct_sum(heisenberg(m), abelian(n - 2 * m - 1)))
 
 

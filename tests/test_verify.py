@@ -3,14 +3,17 @@
 import csv
 import hashlib
 import io
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 import liemult.catalog as cat
-from liemult import invariants, multiplier, verify
+from liemult import core, invariants, multiplier, verify
 from liemult.cli import main
-from liemult.core import LieAlgebra, direct_sum
-from liemult.invariants import BoundCheck, bound_checks, invariant_report
+from liemult.core import LieAlgebra, direct_sum, format_rational
+from liemult.invariants import BoundCheck, bound_checks, invariant_report, s_invariant
 from liemult.linalg import Matrix
 from liemult.verify import (
     build_closure,
@@ -126,6 +129,115 @@ def test_classification_list_instantiation():
     assert "L_{5,8}⊕A(5)" in classification_list(6, 9)
 
 
+def _eps(stem: str, tail: str = "") -> list[str]:
+    return [f"{stem}({format_rational(v)}){tail}" for v in verify.VERIFY_EPS]
+
+
+def printed_lists(s_value: int, dim_cap: int) -> list[str]:
+    """The lists spelled out one by one, as `classification_list` once did:
+    the reference the table and its generator must reproduce."""
+    a1, a2 = "⊕A(1)", "⊕A(2)"
+    if s_value == 0:
+        return [f"H(1)⊕A({k})" if k else "H(1)" for k in range(0, max(dim_cap - 2, 1))]
+    if s_value == 1:
+        return ["L_{5,8}"]
+    if s_value == 2:
+        names = ["L_{5,8}" + a1, "L_{4,3}"]
+        for m in range(2, verify.HEISENBERG_MAX + 1):
+            for k in range(0, dim_cap - 2 * m):
+                names.append(f"H({m})⊕A({k})" if k else f"H({m})")
+        return names
+    if s_value == 3:
+        return ["L_{5,8}" + a2, "L_{4,3}" + a1, "L_{5,5}"] + _eps("L_{6,22}") + ["L_{6,26}"]
+    if s_value == 4:
+        return (["L_{5,8}⊕A(3)", "L_{4,3}" + a2, "L_{5,5}" + a1]
+                + _eps("L_{6,22}", a1) + ["L_{5,6}", "L_{5,7}", "L_{5,9}", "37A"])
+    if s_value == 5:
+        return (["L_{5,8}⊕A(4)", "L_{4,3}⊕A(3)", "L_{5,5}" + a2]
+                + _eps("L_{6,22}", a2)
+                + ["L_{6,26}" + a1, "L_{6,10}", "L_{6,23}", "L_{6,25}", "37B", "37C", "37D"])
+    if s_value == 6:
+        return (["L_{5,8}⊕A(5)", "L_{4,3}⊕A(4)", "L_{5,5}⊕A(3)"]
+                + _eps("L_{6,22}", "⊕A(3)")
+                + ["L_{6,10}" + a1, "27A", "157", "37A" + a1,
+                   "L_{6,6}", "L_{6,7}", "L_{6,9}", "L_{6,11}", "L_{6,12}"]
+                + _eps("L_{6,19}") + ["L_{6,20}"] + _eps("L_{6,24}"))
+    if s_value == 7:
+        return (["L_{5,8}⊕A(6)", "L_{4,3}⊕A(5)", "L_{5,5}⊕A(4)"]
+                + _eps("L_{6,22}", "⊕A(4)")
+                + ["27B", "L_{6,10}" + a2, "27A" + a1, "157" + a1,
+                   "L_{6,10}∔H(1)", "H(1)⊕H(2)", "S1",
+                   "L_{6,23}" + a1, "L_{6,25}" + a1,
+                   "37B" + a1, "37C" + a1, "37D" + a1,
+                   "L_{6,26}" + a2, "L_{6,13}", "257A", "257C", "257F"]
+                + _eps("L_{6,21}"))
+    raise ValueError("classification lists cover s in 0..7 only")
+
+
+def test_classification_table_reproduces_the_printed_lists():
+    for dim_cap in range(3, 14):
+        for s in range(8):
+            assert classification_list(s, dim_cap) == printed_lists(s, dim_cap), (s, dim_cap)
+    for s in (-1, 8):
+        with pytest.raises(ValueError):
+            classification_list(s, 9)
+
+
+def test_listed_tails_follow_the_padding_law():
+    # s(X + A(k)) = s(X) + k (dim X^2 - 1), from the Kunneth formula
+    # dim M(X + A(k)) = dim M(X) + k dim X/X^2 + C(k, 2)
+    tails = 0
+    for s in range(8):
+        for name in classification_list(s, 11):
+            tail = re.fullmatch(r"(.+)⊕A\((\d+)\)", name)
+            if tail is None:
+                continue
+            core, k = cat.get(tail[1]), int(tail[2])
+            assert s_invariant(core) + k * (core.derived_subalgebra().dim - 1) == s, name
+            tails += 1
+    assert tails > 40
+
+
+def test_padding_families_are_typed_as_computed():
+    for core, s, derived in verify.PADDING_FAMILIES:
+        for v in verify.VERIFY_EPS if "(eps)" in core else (None,):
+            alg = cat.get(core, eps=v)
+            assert (s_invariant(alg), alg.derived_subalgebra().dim) == (s, derived), alg.name
+
+
+def test_recorded_s_and_the_lists_agree_both_ways():
+    listed = {name: s for s in range(8) for name in classification_list(s, 13)}
+    recorded = 0
+    for entry in cat.entries():
+        if entry.expected_s is None:
+            continue
+        for v in verify.verify_samples(entry):
+            name = entry.build(v).name
+            if entry.expected_s <= 7:
+                assert listed.get(name) == entry.expected_s, name
+                recorded += 1
+            else:
+                assert name not in listed, name
+    assert recorded > 20
+
+
+def test_listed_l6k_tails_are_l5k_plus_a1():
+    # de Graaf: L_{6,k} = L_{5,k} + A(1) for k <= 9, so the s = 6 list names
+    # these three tails of the s = 4 list by their L_{6,k} names
+    for k in (6, 7, 9):
+        assert (cat.get(f"L_{{6,{k}}}").canonical_key()
+                == cat.get(f"L_{{5,{k}}}⊕A(1)").canonical_key())
+
+
+def test_sweeps_at_dim_cap_11_reach_every_listed_name():
+    # at the report's cap of 9, five law tails lie beyond the closure; at 11
+    # every listed name is swept against a computed s
+    section = verify.classification_section(build_closure(11), 11)
+    assert section.passed
+    for rep in section.results["classification"]:
+        assert (rep.missing, rep.extra, rep.out_of_closure) == ([], [], []), rep.s_value
+
+
 def test_run_all_passes(full_report):
     assert full_report.passed
     assert full_report.exit_code == 0
@@ -184,22 +296,41 @@ def test_failed_bound_check_is_a_suite_violation(monkeypatch):
 
 def test_dim_one_references_built_once_per_dimension(monkeypatch):
     # the dim L^2 = 1 members span n = 3..9; the reference H(m) + A(n - 2m - 1)
-    # is built once per n (bound suites, m = 1) or per (n, m) tried, in one
-    # cache that both suites share
+    # is tried per n (bound suites, m = 1) or per (n, m) (structure suites),
+    # and its fingerprint is computed once per cold run, in the one memo
+    # that clear_caches() empties
     closure = build_closure(9)
-    calls = []
+    built, stored = [], []
 
     def counted(a, b, name=None):
-        calls.append((a.dim + b.dim, (a.dim - 1) // 2))
+        built.append((a.dim + b.dim, (a.dim - 1) // 2))
         return direct_sum(a, b, name)
 
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
     monkeypatch.setattr(verify, "direct_sum", counted)
-    verify._heisenberg_sum_fingerprint.cache_clear()
-    verify.bound_suites(closure)
-    assert sorted(calls) == [(n, 1) for n in range(3, 10)]
-    verify.structure_suites(closure)
-    assert len(calls) == len(set(calls)) == 15
-    assert set(calls) <= {(n, m) for n in range(3, 10) for m in range(1, (n - 1) // 2 + 1)}
+    monkeypatch.setattr(core, "_MEMO", Memo())
+    computed_fingerprint = invariants.fingerprint.__wrapped__
+    references = {(n, m): direct_sum(cat.heisenberg(m), cat.abelian(n - 2 * m - 1)).canonical_key()
+                  for n in range(3, 10) for m in range(1, (n - 1) // 2 + 1)}
+
+    def computed(pairs):
+        keys = {references[pair] for pair in pairs}
+        return [key for fn, key in stored if fn is computed_fingerprint and key in keys]
+
+    for _ in range(2):
+        multiplier.clear_caches()
+        assert not core._MEMO
+        stored.clear()
+        built.clear()
+        verify.bound_suites(closure)
+        assert set(built) == {(n, 1) for n in range(3, 10)}
+        verify.structure_suites(closure)
+        assert len(set(built)) == 15 and set(built) <= set(references)
+        assert sorted(computed(built)) == sorted(references[pair] for pair in set(built))
 
 
 def test_method_disagreement_is_a_suite_violation(monkeypatch, tmp_path, capsys):
