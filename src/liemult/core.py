@@ -25,12 +25,17 @@ and `check_jacobi` reads it off those rows; validation and
 `bracket_table`, the stored table with int constants when all of them are
 integral, so the sweep of an integral table builds no Fraction.
 
-Subspaces stay on {column: Fraction} rows from the stored brackets to
-their canonical bases: `sparse_subspace` hands the rows to one
-elimination (`linalg.rref_basis`).  `subspace` and `Subspace.contains`
-take dense vectors from outside, coerce them through `qf` and check
-their length; `subspace` ends in the same rref tail.  `Subspace.residue`
-reduces a sparse row at the pivots where it is nonzero.  Every derived
+Subspaces are held as canonical {column: Fraction} rref bases, and are
+built from sparse rows: `sparse_subspace` hands them to one elimination
+(`linalg.rref_basis`).  The centre, both central series and the
+epicenter of `multiplier` build their systems from `bracket_table()` and
+the basis rows scaled to ints (`sparse_integer_row`; scaling a spanning
+row keeps its span), so for an integral table the rows reach the
+elimination as ints and the only Fractions are the canonical basis
+returned.  `subspace` and `Subspace.contains` take dense vectors from
+outside, coerce them through `qf` and check their length; `subspace`
+ends in the same rref tail.  `Subspace.residue` reduces a sparse row at
+the pivots where it is nonzero.  Every derived
 fact of an algebra is kept in one memo (`_memoized`, keyed by the function
 and the canonical brackets), which `multiplier` and `invariants` share and
 `clear_caches()` empties; an algebra holds only its brackets and key.  The
@@ -39,11 +44,16 @@ matrices, not as Subspaces, which name their ambient instance, and are
 wrapped in a new Subspace on each read: an algebra is no reference cycle
 and is freed as soon as its last user lets it go.
 
-Both central series are built inside L, without quotient algebras.
-Validation computes the lower series.  The upper series steps
-Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`, brackets reduced by
-`Subspace.residue`) from Z_0 = 0, whose step is the centre.  Either series
-raises NotNilpotent when a term stops changing, also without validation.
+Both central series are built inside L, without quotient algebras, and
+each reads `bracket_table()` once.  Validation computes the lower series,
+whose steps [gamma_i, L] (`product_space`) read each [a, x_j] only at
+the brackets that name an index of a's support (`_ad_terms`).  The
+upper series steps Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`:
+the kernel of x -> phi([x, x_j]) over the integer functionals phi that
+vanish on Z_i, `_annihilator`, read off one elimination by
+`linalg.kernel_basis`) from Z_0 = 0, whose step is the centre.  Either
+series raises NotNilpotent when a term stops changing, also without
+validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
 brackets read through `bracket_table` (one elimination, in ints for an
 integral table); the lower series starts from that term.  It checks no
@@ -66,7 +76,8 @@ import re
 import threading
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -74,9 +85,11 @@ from .linalg import (
     Scalar,
     Vector,
     add_scaled,
+    kernel_basis,
     qf,
     rref_basis,
     span_rref,
+    sparse_integer_row,
 )
 
 
@@ -178,6 +191,13 @@ _DIGITS_BOUND = 10**MAX_DIGITS
 _PIECE = 600
 _PIECE_BASE = 10**_PIECE
 _LONG_LITERAL = re.compile(r"(?<![\w.])[1-9][0-9]{%d,}(?![\w.])" % _PIECE)
+# A plain constant "p" or "p/q", which takes no parse: an optional minus,
+# ASCII digits with no leading zero (or the single digit 0), a nonzero
+# denominator, at most _PLAIN_DIGITS digits each.  Every other string,
+# surrounding spaces or a plus sign included, takes the parser.
+_PLAIN_DIGITS = 18
+_PLAIN = re.compile(r"(-?(?:0|[1-9][0-9]{0,%d}))(?:/([1-9][0-9]{0,%d}))?"
+                    % (_PLAIN_DIGITS - 1, _PLAIN_DIGITS - 1))
 
 
 def _split_literal(match: re.Match) -> str:
@@ -254,6 +274,10 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
     """
     if not isinstance(text, str):
         raise PresentationError(f"rational expression must be a string, not {text!r}")
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        num, den = plain.groups()
+        return Q(int(num), int(den) if den else 1)
     params = params or {}
 
     try:
@@ -363,9 +387,10 @@ def _derived_basis(L: "LieAlgebra") -> Matrix:
 
 @_memoized
 def _lower_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
+    table = L.bracket_table()
     series = [L.full_space()]
     while series[-1].dim > 0:
-        nxt = L.product_space(series[-1], series[0])
+        nxt = L.product_space(series[-1], series[0], table)
         if nxt.dim == series[-1].dim:
             raise NotNilpotent(nxt.dim)
         series.append(nxt)
@@ -374,14 +399,15 @@ def _lower_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
 
 @_memoized
 def _center_basis(L: "LieAlgebra") -> Matrix:
-    return L._centralizer_mod(L.zero_subspace()).basis
+    return L._centralizer_mod(L.zero_subspace(), L.bracket_table()).basis
 
 
 @_memoized
 def _upper_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
+    table = L.bracket_table()
     series = [L.center()]
     while series[-1].dim < L.dim:
-        nxt = L._centralizer_mod(series[-1])
+        nxt = L._centralizer_mod(series[-1], table)
         if nxt.dim == series[-1].dim:
             raise NotNilpotent(nxt.dim)
         series.append(nxt)
@@ -447,16 +473,11 @@ class LieAlgebra:
         return tuple(out)
 
     def ad_images(self, u: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
-        """[u, x_j] for every basis index j, in one sweep over the table; u
-        is a {column: Fraction} row, and the images hold no zero values."""
-        outs: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
-        for (i, j), terms in self.brackets.items():
-            ui, uj = u.get(i), u.get(j)
-            if ui:
-                add_scaled(outs[j], ui, terms)
-            if uj:
-                add_scaled(outs[i], -uj, terms)
-        return outs
+        """[u, x_j] for every basis index j, read off the stored brackets
+        that name an index of u's support (`_ad_terms`); u is a
+        {column: Fraction} row, and the images hold no zero values."""
+        images = _ad_images(self.brackets, [u])
+        return [images.get((0, j), {}) for j in range(self.dim)]
 
     def bracket_table(self) -> Mapping[tuple[int, int], Mapping[int, Scalar]]:
         """The stored brackets in the cheapest exact scalars: each constant
@@ -574,8 +595,9 @@ class LieAlgebra:
         """The span of dense vectors from outside (coerced through `qf`)."""
         return Subspace(self, span_rref(vectors, self.dim))
 
-    def sparse_subspace(self, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-        """The span of {column: Fraction} rows; the values must be Fractions."""
+    def sparse_subspace(self, rows: Iterable[Mapping[int, Scalar]]) -> "Subspace":
+        """The span of {column: value} rows with no zero values, every value
+        an int or every value a Fraction (see `Matrix.from_sparse`)."""
         return Subspace(self, rref_basis(Matrix.from_sparse(rows, self.dim)))
 
     def full_space(self) -> "Subspace":
@@ -585,21 +607,36 @@ class LieAlgebra:
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, Matrix.zero(0, self.dim)._own_rref(()))
 
-    def product_space(self, u: "Subspace", v: "Subspace") -> "Subspace":
-        """Span of [a, b] over basis pairs of U x V, in canonical form."""
+    def product_space(self, u: "Subspace", v: "Subspace",
+                      table: Mapping[tuple[int, int], Mapping[int, Scalar]] | None = None,
+                      ) -> "Subspace":
+        """Span of [a, b] over basis pairs of U x V, in canonical form.
+
+        The brackets are read off `table`, this algebra's `bracket_table()`
+        (read here when not given), at the pairs that name a basis row's
+        support; the rows of U and V are scaled to ints, which keeps their
+        spans.  So for an integral table the rows reach the one elimination
+        as ints."""
         for s in (u, v):
             if s.ambient is not self:
                 raise AmbientMismatch("subspace belongs to a different algebra")
         if u.dim == self.dim and v.dim == self.dim:
             return self.derived_subalgebra()
-        rows: list[dict[int, Fraction]] = []
-        for a in u.basis.sparse_rows:
-            images = self.ad_images(a)
-            if v.dim == self.dim:
-                rows += images
-            else:
-                # [a, b] = sum_j b_j [a, x_j] over the rows b of V
-                rows += (v.basis * Matrix.from_sparse(images, self.dim)).sparse_rows
+        images = _ad_images(self.bracket_table() if table is None else table,
+                            [sparse_integer_row(a) for a in u.basis.sparse_rows])
+        if v.dim == self.dim:
+            return self.sparse_subspace(images.values())
+        # [a, b] = sum_j b_j [a, x_j] over the rows a of U and b of V
+        right = [sparse_integer_row(b) for b in v.basis.sparse_rows]
+        rows: list[dict[int, Scalar]] = []
+        for a in range(u.dim):
+            for b in right:
+                acc: dict[int, Scalar] = {}
+                for j, y in b.items():
+                    image = images.get((a, j))
+                    if image:
+                        add_scaled(acc, y, image)
+                rows.append(acc)
         return self.sparse_subspace(rows)
 
     def derived_subalgebra(self) -> "Subspace":
@@ -620,21 +657,27 @@ class LieAlgebra:
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple([b.rows for b in _lower_bases(self)])
 
-    def _centralizer_mod(self, s: "Subspace") -> "Subspace":
-        """{x : [x, L] in S}, the nullspace of the stacked adjoint matrices
-        with each bracket reduced modulo S; S = 0 gives the centre."""
-        # row (j, k) is the x -> [x, x_j]_k coordinate; its entry i comes
-        # from the one bracket of the pair {i, j} alone, so it is assigned
-        # once and never accumulates
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), terms in self.brackets.items():
-            for k, c in s.residue(terms).items():
+    def _centralizer_mod(self, s: "Subspace",
+                         table: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> "Subspace":
+        """{x : [x, L] in S}, read off `table`, this algebra's
+        `bracket_table()`; S = 0 gives the centre.
+
+        [x, x_j] lies in S iff phi([x, x_j]) = 0 for each integer functional
+        phi_k vanishing on S (`_annihilator`), so {x : [x, L] in S} is the
+        kernel of the rows (j, k): x -> phi_k([x, x_j]).  For an integral
+        table they are ints, and `kernel_basis` returns the canonical basis
+        from one elimination."""
+        meets = _annihilator(s.basis)
+        # row (j, k); its entry i comes from the one bracket of the pair
+        # {i, j} alone, so it is assigned once and never accumulates
+        rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (i, j), terms in table.items():
+            for k, c in _apply_functionals(meets, terms).items():
                 rows.setdefault((j, k), {})[i] = c
                 rows.setdefault((i, k), {})[j] = -c
         if not rows:
             return self.full_space()
-        stacked = Matrix.from_sparse([rows[key] for key in sorted(rows)], self.dim)
-        return self.sparse_subspace(stacked.sparse_nullspace_basis())
+        return Subspace.canonical(self, kernel_basis(rows.values(), self.dim))
 
     def center(self) -> "Subspace":
         """Z(L) via the nullspace of the stacked adjoint matrices; memoized."""
@@ -659,9 +702,8 @@ class LieAlgebra:
     def is_ideal(self, s: "Subspace") -> bool:
         if s.ambient is not self:
             raise AmbientMismatch("subspace belongs to a different algebra")
-        return not any(
-            s.residue(img) for b in s.basis.sparse_rows for img in self.ad_images(b)
-        )
+        return not any(s.residue(img)
+                       for img in _ad_images(self.brackets, s.basis.sparse_rows).values())
 
     def quotient(self, ideal: "Subspace") -> tuple["LieAlgebra", list[dict[int, Fraction]]]:
         """(L/I, images) on the complement of I's pivot coordinates.
@@ -694,6 +736,77 @@ class LieAlgebra:
                     new_brackets[(a, b)] = terms
         label = f"{self.name}/I" if self.name else None
         return LieAlgebra(qdim, new_brackets, name=label, validate=False), images
+
+
+def _ad_terms(table: Mapping[tuple[int, int], Mapping[int, Scalar]],
+              rows: Sequence[Mapping[int, Scalar]],
+              ) -> Iterator[tuple[int, int, Scalar, Mapping[int, Scalar]]]:
+    """(a, t, x, terms) for each bracket of `table` that names an index of
+    the support of u_a, one of the {column: value} `rows`: [u_a, x_t] is the
+    sum of x * terms over them.  One pass over the table, whatever the
+    number of rows, and nothing is kept per bracket."""
+    at: dict[int, list[tuple[int, Scalar]]] = {}
+    for a, u in enumerate(rows):
+        for l, x in u.items():
+            at.setdefault(l, []).append((a, x))
+    for (i, j), terms in table.items():
+        for a, x in at.get(i, ()):
+            yield a, j, x, terms
+        for a, x in at.get(j, ()):
+            yield a, i, -x, terms
+
+
+def _ad_images(table: Mapping[tuple[int, int], Mapping[int, Scalar]],
+               rows: Sequence[Mapping[int, Scalar]]) -> dict[tuple[int, int], dict[int, Scalar]]:
+    """{(a, t): [u_a, x_t]} over `_ad_terms`: an image missing is zero, one
+    present may be empty where its terms cancelled, and none holds a zero
+    value."""
+    images: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for a, t, x, terms in _ad_terms(table, rows):
+        add_scaled(images.setdefault((a, t), {}), x, terms)
+    return images
+
+
+def _annihilator(basis: Matrix) -> dict[int, list[tuple[int, int]]]:
+    """The integer functionals vanishing on the row space of an rref basis,
+    by column: {l: [(k, phi_k[l])]} over the free columns k.
+
+    phi_k = e_k - sum_p row_p[k] e_p (p over the pivots) reads a vector's
+    residue at k, and is zero on every basis row; it is scaled by the lcm of
+    its denominators, which keeps its kernel, so its entries are ints."""
+    pivots = basis.pivot_columns()
+    # free column k -> the (pivot, row_p[k]) of the rows nonzero at k
+    entries: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in zip(pivots, basis.sparse_rows):
+        for k, x in row.items():
+            if k != p:
+                entries.setdefault(k, []).append((p, x))
+    pivot_set = set(pivots)
+    meets: dict[int, list[tuple[int, int]]] = {}
+    for k in range(basis.cols):
+        if k in pivot_set:
+            continue
+        at_k = entries.get(k, ())
+        den = lcm(1, *[x._denominator for _, x in at_k])
+        meets.setdefault(k, []).append((k, den))
+        for p, x in at_k:
+            meets.setdefault(p, []).append((k, -x._numerator * (den // x._denominator)))
+    return meets
+
+
+def _apply_functionals(meets: Mapping[int, list[tuple[int, int]]],
+                       terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
+    """{k: phi_k(terms)} over the functionals of `_annihilator`, zero
+    values dropped."""
+    out: dict[int, Scalar] = {}
+    for l, x in terms.items():
+        for k, f in meets.get(l, ()):
+            y = out[k] + x * f if k in out else x * f
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+    return out
 
 
 class Subspace:
@@ -767,8 +880,7 @@ class Subspace:
         for a, u in enumerate(self.basis.sparse_rows):
             for k, x in other.residue(u).items():
                 columns[k][a] = x
-        coeffs = Matrix.from_sparse(
-            Matrix.from_sparse(columns, self.dim).sparse_nullspace_basis(), self.dim)
+        coeffs = kernel_basis(columns, self.dim)
         return self.ambient.sparse_subspace((coeffs * self.basis).sparse_rows)
 
     def _same_ambient(self, other: "Subspace") -> None:

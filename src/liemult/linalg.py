@@ -9,7 +9,7 @@ constants are all integral are int matrices; subspace bases, rrefs and
 kernels are Fraction ones.  Equal values compare and hash equal across
 the two types (Fraction(3) == 3), so `==` and `hash` do not see the type.
 Every method reads only those rows: elimination, products, `is_zero`,
-`sparse_nullspace_basis`, `==` and `hash`.
+the nullspace, `==` and `hash`.
 `Matrix.data`, the dense rows, is built from them on each read for
 callers that index positions, and is not kept.
 
@@ -37,14 +37,19 @@ something reads it:
   and gives the nullspace in integers (`integer_nullspace`), each kernel
   vector scaled by the lcm of the pivot values it meets, built only for the
   free columns its caller does not skip; divided by its entry at its free
-  column it is a `sparse_nullspace_basis` vector;
+  column it is a vector of the rref kernel basis;
 * the Fraction `rref`, each reduced row divided by its pivot value, is
   built from that for the callers that read it, such as subspace bases.
 
+A kernel's canonical basis, as the centre and the central series read
+it, comes from `kernel_basis`: one elimination of a stack of rows with
+the largest column leading, whose kernel vectors are already the rref
+rows of the kernel, so no second elimination runs.
+
 A matrix that is its own rref (`Matrix.identity`, `rref_basis` outputs)
 has no echelon: its products read its rows.  The reduced row echelon form
-of a matrix is unique, so `rref`, `pivot_columns`, `rank` and
-`sparse_nullspace_basis` (and everything derived from them, e.g.
+of a matrix is unique, so `rref`, `pivot_columns`, `rank`, `kernel_basis`
+and the rref kernel vectors (and everything derived from them, e.g.
 canonical subspace bases) are canonical, whatever order the kernel
 eliminates in; the reduced integer rows are the rref rows up to a nonzero
 integer factor each.  `extend_integer_echelon` exposes the forward
@@ -156,6 +161,29 @@ def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
     out = dict(w) if a == 1 else {j: a * v for j, v in w.items()}
     add_scaled(out, -b, p)
     return _primitive(out)
+
+
+def _back_substitute(forward: dict[int, dict[int, int]], keys: Sequence[int]) -> tuple[dict[int, int], ...]:
+    """The reduced integer echelon of a forward echelon whose keys, sorted,
+    are `keys`: one primitive row per key, in key order, zero at every other
+    key.  `forward` is not changed.
+
+    Last pivot row first, each row cancels the later keys it holds, largest
+    first, with rows already reduced.  A reduced row is zero at every other
+    key, so a cancellation brings in none, and only the row's own entries
+    are scanned, not every later key."""
+    echelon = dict(forward)
+    for k in range(len(keys) - 2, -1, -1):
+        lead = keys[k]
+        w = echelon[lead]
+        later = [c for c in w if c in echelon]
+        if len(later) > 1:
+            later.sort(reverse=True)
+            later.pop()  # lead, the row's smallest key
+            for c in later:
+                w = _cancel(w, echelon[c], c)
+            echelon[lead] = w
+    return tuple([echelon[c] for c in keys])
 
 
 def _dense_rows(rows: Iterable[Mapping[int, Scalar]], cols: int) -> tuple[Vector, ...]:
@@ -314,24 +342,7 @@ class Matrix:
                 if forward is None:
                     # another thread has reduced it since the check above
                     return self._reduced
-                echelon = dict(forward)
-                # Back substitution, last pivot row first: each row cancels
-                # the later pivot columns it holds (the echelon's keys),
-                # largest first, with rows already reduced.  A reduced row
-                # is zero at every other pivot column, so a cancellation
-                # brings in none, and only the row's own entries are
-                # scanned, not every later pivot.
-                for k in range(len(pivots) - 2, -1, -1):
-                    lead = pivots[k]
-                    w = echelon[lead]
-                    later = [c for c in w if c in echelon]
-                    if len(later) > 1:
-                        later.sort(reverse=True)
-                        later.pop()  # lead, the row's smallest column
-                        for c in later:
-                            w = _cancel(w, echelon[c], c)
-                        echelon[lead] = w
-                reduced = tuple([echelon[c] for c in pivots])
+                reduced = _back_substitute(forward, pivots)
             self._reduced = reduced
             self._echelon = None
         return reduced
@@ -377,11 +388,38 @@ class Matrix:
             kernel.append((c, w))
         return kernel
 
-    def sparse_nullspace_basis(self) -> list[dict[int, Fraction]]:
-        """Basis of {v : self @ v = 0}, one {column: Fraction} vector with no
-        zero values per free column, in column order: `integer_nullspace`
-        divided by each vector's entry at its free column."""
-        return [{j: Q(v, w[c]) for j, v in w.items()} for c, w in self.integer_nullspace()]
+
+def kernel_basis(rows: Iterable[Mapping[int, Scalar]], cols: int) -> Matrix:
+    """The canonical (rref) basis of {v : r . v = 0 for every row r}, the
+    kernel of the matrix of the {column: value} rows (no zero values, all of
+    one type) in `cols` columns, read off one elimination with no Fraction
+    until the basis is built.
+
+    The rows are eliminated with the largest column leading (negated column
+    keys, as `extend_integer_echelon` leads with the smallest) and back
+    substituted.  A reduced row is then zero at every column greater than
+    its pivot and at every other pivot, so the kernel vector v_c of a free
+    column c is 1 at c, 0 at the other free columns, and nonzero only at
+    pivots greater than c: v_c is already the rref row of the kernel with
+    pivot c, and no second elimination is needed.  The result is its own
+    rref, with those free columns as its pivots."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if row:
+            extend_integer_echelon(echelon, {-j: x for j, x in sparse_integer_row(row).items()})
+    keys = sorted(echelon)
+    reduced = _back_substitute(echelon, keys)
+    # each free column's v_c, its entries in column order: c, then the
+    # pivots from the smallest
+    free: dict[int, dict[int, Fraction]] = {c: {c: _ONE} for c in range(cols)}
+    for key in keys:
+        del free[-key]
+    for key, row in zip(reversed(keys), reversed(reduced)):
+        pv = row[key]
+        for j, x in row.items():
+            if j != key:
+                free[-j][-key] = Q(-x, pv)
+    return Matrix.from_sparse(free.values(), cols)._own_rref(tuple(free))
 
 
 def rref_basis(m: Matrix) -> Matrix:

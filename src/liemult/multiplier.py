@@ -53,8 +53,9 @@ bracket of E has an adjoined index as an argument; K lies in E^2, which is
 checked at runtime by one rank (dim E^2 = dim L^2 + m).  The
 epicenter is the image of Z(E) under the projection, computed without
 building Z(E): it is the set of z in Z(L) whose lift (z, 0) is central in
-E, one nullspace in dim Z(L) unknowns.  L is capable iff that image
-vanishes.
+E, one kernel in dim Z(L) unknowns (`kernel_basis`), whose rows read E's
+brackets only at the pairs that name a centre row's support.  L is
+capable iff that image vanishes.
 
 dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
 without building L/K or a second slice.  By inflation (Hochschild-Serre),
@@ -89,6 +90,7 @@ from .core import (
     LieError,
     NotAnIdeal,
     Subspace,
+    _ad_terms,
     _memoized,
     clear_caches,  # noqa: F401 (re-exported)
     pair_index,
@@ -99,6 +101,7 @@ from .linalg import (
     Scalar,
     add_scaled,
     extend_integer_echelon,
+    kernel_basis,
     sparse_integer_row,
 )
 
@@ -436,18 +439,30 @@ def epicenter(L: LieAlgebra) -> Subspace:
 
 @_memoized
 def _epicenter_basis(L: LieAlgebra) -> Matrix:
-    """The rref basis of Z*(L)."""
+    """The rref basis of Z*(L).
+
+    Z(L)'s basis rows are scaled to ints z_a, which keeps their span; a row
+    of Z(L) is already (z_a, 0) in E's coordinates.  Every [(z_a, 0), e_j]
+    is read in one pass over E's `bracket_table()`, at the pairs that name
+    an index of z_a's support (`_ad_terms`), not by a sweep of the whole
+    table per z_a, so for an integral E the system and the combinations of
+    the z_a are ints up to the returned basis."""
     total = cover(L)
-    center = L.center().basis
-    # one row per nonzero coordinate k of some [(z_a, 0), e_j], over the z_a;
-    # a row of Z(L) is already (z_a, 0) in E's coordinates
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, z in enumerate(center.sparse_rows):
-        for j, img in enumerate(total.ad_images(z)):
-            for k, c in img.items():
-                rows.setdefault((j, k), {})[a] = c
-    coeffs = Matrix.from_sparse(rows.values(), center.rows).sparse_nullspace_basis()
-    image = L.sparse_subspace((Matrix.from_sparse(coeffs, center.rows) * center).sparse_rows)
+    center = [sparse_integer_row(z) for z in L.center().basis.sparse_rows]
+    # row (j, k) is coordinate k of [(z, 0), e_j] over the z_a; each term is
+    # added to it as read, so no image is held
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for a, j, x, terms in _ad_terms(total.bracket_table(), center):
+        for k, c in terms.items():
+            row = rows.setdefault((j, k), {})
+            y = row[a] + x * c if a in row else x * c
+            if y:
+                row[a] = y
+            else:
+                del row[a]
+    coeffs = [sparse_integer_row(r) for r in kernel_basis(rows.values(), len(center)).sparse_rows]
+    combined = Matrix.from_sparse(coeffs, len(center)) * Matrix.from_sparse(center, L.dim)
+    image = L.sparse_subspace(combined.sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")
     return image.basis

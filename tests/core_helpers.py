@@ -1,6 +1,9 @@
 """Term-by-term references for `liemult.core.LieAlgebra` that only the tests use."""
 
-from liemult.linalg import Q, Vector
+from liemult.core import Subspace
+from liemult.linalg import Matrix, Q, Vector, add_scaled, rref_basis
+
+from linalg_helpers import sparse_nullspace_basis
 
 
 def jacobi_defect(alg, i: int, j: int, k: int) -> Vector:
@@ -12,3 +15,59 @@ def jacobi_defect(alg, i: int, j: int, k: int) -> Vector:
             for m, cm in alg.bracket_basis(l, c).items():
                 out[m] += cl * cm
     return tuple(out)
+
+
+def swept_ad_images(alg, u) -> list[dict]:
+    """[u, x_j] for every j, in one sweep over the whole stored table: the
+    reference `LieAlgebra.ad_images` and the systems read at the pairs that
+    name u's support are held to."""
+    outs: list[dict] = [{} for _ in range(alg.dim)]
+    for (i, j), terms in alg.brackets.items():
+        ui, uj = u.get(i), u.get(j)
+        if ui:
+            add_scaled(outs[j], ui, terms)
+        if uj:
+            add_scaled(outs[i], -uj, terms)
+    return outs
+
+
+def fraction_centralizer_mod(alg, s: Matrix) -> Matrix:
+    """The rref basis of {x : [x, L] in S}, S the span of the rref basis s,
+    on Fraction rows: each stored bracket reduced by `Subspace.residue`, and
+    the nullspace of the stacked rows eliminated again by `rref_basis`."""
+    space = Subspace.canonical(alg, s)
+    rows: dict[tuple[int, int], dict] = {}
+    for (i, j), terms in alg.brackets.items():
+        for k, c in space.residue(terms).items():
+            rows.setdefault((j, k), {})[i] = c
+            rows.setdefault((i, k), {})[j] = -c
+    if not rows:
+        return Matrix.identity(alg.dim)
+    stacked = Matrix.from_sparse([rows[key] for key in sorted(rows)], alg.dim)
+    return rref_basis(Matrix.from_sparse(sparse_nullspace_basis(stacked), alg.dim))
+
+
+def fraction_upper_series(alg) -> list[Matrix]:
+    """Z_1, Z_2, ... up to L by `fraction_centralizer_mod`, from Z_0 = 0."""
+    series = [fraction_centralizer_mod(alg, Matrix.zero(0, alg.dim)._own_rref(()))]
+    while series[-1].rows < alg.dim:
+        series.append(fraction_centralizer_mod(alg, series[-1]))
+    return series
+
+
+def fraction_product_space(alg, u: Matrix, v: Matrix) -> Matrix:
+    """The rref basis of [U, V] from the Fraction rows [a, x_j] of
+    `swept_ad_images`, a sweep of the whole table per row a of U."""
+    rows: list[dict] = []
+    for a in u.sparse_rows:
+        images = Matrix.from_sparse(swept_ad_images(alg, a), alg.dim)
+        rows += images.sparse_rows if v.rows == alg.dim else (v * images).sparse_rows
+    return rref_basis(Matrix.from_sparse(rows, alg.dim))
+
+
+def fraction_lower_series(alg) -> list[Matrix]:
+    """L, [L, L], ... down to 0 by `fraction_product_space`."""
+    series = [Matrix.identity(alg.dim)]
+    while series[-1].rows:
+        series.append(fraction_product_space(alg, series[-1], series[0]))
+    return series

@@ -34,9 +34,18 @@ def mul_vec(m: Matrix, v) -> Vector:
     return tuple(sum((r[j] * b for j, b in nonzero if j in r), _ZERO) for r in m.sparse_rows)
 
 
+def sparse_nullspace_basis(m: Matrix) -> list[dict[int, Fraction]]:
+    """Basis of {v : m @ v = 0}, one {column: Fraction} vector with no zero
+    values per free column, in column order: `m.integer_nullspace()`
+    divided by each vector's entry at its free column.  This is the rref
+    basis of the kernel, the reference `linalg.kernel_basis` is checked
+    against."""
+    return [{j: Fraction(v, w[c]) for j, v in w.items()} for c, w in m.integer_nullspace()]
+
+
 def nullspace_basis(m: Matrix) -> list[Vector]:
-    """`m.sparse_nullspace_basis()` as dense vectors, in the same order."""
-    return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in m.sparse_nullspace_basis()]
+    """`sparse_nullspace_basis(m)` as dense vectors, in the same order."""
+    return [tuple(v.get(j, _ZERO) for j in range(m.cols)) for v in sparse_nullspace_basis(m)]
 
 
 def value_type(m: Matrix):

@@ -3,11 +3,13 @@
 import gc
 import io
 import json
+import re
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from itertools import combinations
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -45,7 +47,7 @@ from liemult.core import (
     format_rational,
     rational_expr,
 )
-from liemult import multiplier
+from liemult import core, multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
@@ -765,6 +767,44 @@ def test_integers_above_digit_cap_rejected():
     for text in ("1_" + "0" * 5000, "1" * 5000 + ".5", "1" * 5000 + "e3", "0" + "1" * 5000):
         with pytest.raises(PresentationError):
             rational_expr(text)
+
+
+def parsed_outcome(text, params=None):
+    """`rational_expr(text)` as (value, its type), or as (error type, message)."""
+    try:
+        value = rational_expr(text, params)
+    except LieError as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+PLAIN_CASES = [
+    "0", "-0", "7", "-12/8", "0/5", "-0/3", "1" * 18, "-" + "9" * 18 + "/" + "7" * 18,
+    "01", "1/0", "-1/0", "1/05", "00", " 3 ", "3 ", "+1", "--1", "-", "", "/2", "1/", "1//2",
+    "1/-2", "1.0", "1e3", "1_0", "1\n", "\u0661", "1" * 19, "1/" + "3" * 19, "-" + "9" * 19,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"[-+/ 0-9]{0,25}", fullmatch=True) | st.sampled_from(PLAIN_CASES))
+@example("eps*6")
+def test_plain_constants_skip_the_parser_with_the_same_outcome(text):
+    """Every string, plain or not, gives the value (of the same type) or the
+    error, message included, that the parser alone gives; a plain one is
+    read with the parser out of reach."""
+    params = {"eps": Q(1, 2)}
+    fast = parsed_outcome(text, params)
+    with mock.patch.object(core, "_PLAIN", re.compile(r"(?!)")):
+        assert parsed_outcome(text, params) == fast
+    if core._PLAIN.fullmatch(text):
+        with mock.patch.object(core, "ast", None):
+            assert parsed_outcome(text, params) == fast
+
+
+def test_plain_constants_are_digits_with_no_leading_zero():
+    """Only an optional minus, digits with no leading zero (or 0 alone), a
+    nonzero denominator and at most 18 digits a part take the fast path."""
+    assert [t for t in PLAIN_CASES if core._PLAIN.fullmatch(t)] == PLAIN_CASES[:8]
 
 
 def test_falsy_params_mean_none():

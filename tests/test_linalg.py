@@ -1,7 +1,7 @@
 """Exact linear algebra kernel: examples and algebraic properties."""
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 
 from liemult.core import format_rational
 from liemult import linalg
-from liemult.linalg import _ZERO, Matrix, span_rref
+from liemult.linalg import _ZERO, Matrix, kernel_basis, rref_basis, span_rref
 
-from linalg_helpers import mul_vec, nullspace_basis, transpose
+from linalg_helpers import mul_vec, nullspace_basis, sparse_nullspace_basis, transpose
 
 
 def test_rank_identity():
@@ -218,7 +218,7 @@ def test_kernel_matches_dense_reference(case):
     with mock.patch.object(linalg, "_dense_rows", wraps=linalg._dense_rows) as densify:
         assert twin.rref().pivot_columns() == pivots and nullspace_basis(twin) == null_ref
         # the sparse kernel vectors are the dense ones with their zeros left out
-        assert twin.sparse_nullspace_basis() == [{j: x for j, x in enumerate(v) if x}
+        assert sparse_nullspace_basis(twin) == [{j: x for j, x in enumerate(v) if x}
                                                  for v in null_ref]
         assert twin.is_zero() == (not pivots)
         assert twin == m and hash(twin) == hash(m)
@@ -285,7 +285,7 @@ def test_elimination_builds_only_what_is_read(case):
     kernel = m.integer_nullspace()
     assert [c for c, _ in kernel] == free
     assert all(w[c] > 0 and all(type(x) is int and x for x in w.values()) for c, w in kernel)
-    assert [{j: Q(x, w[c]) for j, x in w.items()} for c, w in kernel] == m.sparse_nullspace_basis()
+    assert [{j: Q(x, w[c]) for j, x in w.items()} for c, w in kernel] == sparse_nullspace_basis(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,6 +300,35 @@ def test_integer_nullspace_skip_filters_the_full_nullspace(case, data):
     skip = {3} if data is None else data.draw(st.sets(st.integers(-1, cols)))
     assert sparse_twin(rows, cols).integer_nullspace(skip=skip) == [
         (c, w) for c, w in full if c not in skip]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped)
+@example(([], 0))
+@example(([], 3))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[0, -3, 6, 1], [5, 1, 0, -2], [5, -2, 6, -1]], 4))
+@example(([[1, 0, 2, 0, 5], [0, 1, 3, 0, 0]], 5))
+def test_kernel_basis_is_the_rref_of_the_nullspace(case):
+    """`kernel_basis` eliminates once, with the largest column leading, and
+    returns what the two-elimination route returns, `rref_basis` of the
+    nullspace basis: Fraction rows, each in column order, its own rref with
+    the same pivots.  The rows scaled to ints, which keeps the kernel, give
+    the same basis."""
+    rows, cols = case
+    m = sparse_twin(rows, cols)
+    reference = rref_basis(Matrix.from_sparse(sparse_nullspace_basis(m), cols))
+    kernel = kernel_basis(m.sparse_rows, cols)
+    assert (kernel.rows, kernel.cols) == (reference.rows, cols)
+    assert kernel.sparse_rows == reference.sparse_rows
+    assert kernel.rref() is kernel and kernel.pivot_columns() == reference.pivot_columns()
+    assert all(type(x) is Q for r in kernel.sparse_rows for x in r.values())
+    assert all(list(r) == sorted(r) for r in kernel.sparse_rows)
+    scaled = []
+    for r in m.sparse_rows:
+        den = lcm(1, *[x.denominator for x in r.values()])
+        scaled.append({j: int(x * den) for j, x in r.items()})
+    assert kernel_basis(scaled, cols).sparse_rows == reference.sparse_rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,7 +45,10 @@ from liemult.multiplier import (
 from liemult.verify import WITNESS_EXTENSIONS, build_closure, verify_samples
 
 from catalog_helpers import full_samples
-from linalg_helpers import column, nullspace_basis, transpose, unit_vector, value_type
+from core_helpers import (
+    fraction_lower_series, fraction_product_space, fraction_upper_series, swept_ad_images)
+from linalg_helpers import (
+    column, nullspace_basis, sparse_nullspace_basis, transpose, unit_vector, value_type)
 
 
 # -- dimension values ---------------------------------------------------------
@@ -410,6 +413,101 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
     assert dropped > 0
 
 
+def fraction_epicenter(alg):
+    """The rref basis of Z*(L) on Fraction rows: each [(z_a, 0), e_j] by a
+    sweep of the cover's whole table per centre row z_a (`swept_ad_images`),
+    and the nullspace of the stacked rows eliminated again by `rref_basis`."""
+    total, center = cover(alg), alg.center().basis
+    rows = {}
+    for a, z in enumerate(center.sparse_rows):
+        for j, img in enumerate(swept_ad_images(total, z)):
+            for k, c in img.items():
+                rows.setdefault((j, k), {})[a] = c
+    coeffs = sparse_nullspace_basis(Matrix.from_sparse(rows.values(), center.rows))
+    return rref_basis(Matrix.from_sparse(coeffs, center.rows) * center)
+
+
+def structure_algebras():
+    """The closure, H(4..7), the benchmark-shaped sums, some of them scaled
+    by 1/3 and -7/5 (the Fraction path), and each closure member with
+    dim L^2 >= 2 in a basis changed by a seeded pair of integral shears,
+    where the series, the centre and their rows are seldom spanned by
+    basis vectors."""
+    closure = [m.algebra for m in build_closure(9)]
+    sums = benchmark_shaped_sums()
+    algebras = closure + [heisenberg(m) for m in range(4, 8)] + sums
+    algebras += [scaled(alg, c) for alg in closure[::7] + sums + [heisenberg(5)]
+                 for c in (Q(1, 3), Q(-7, 5))]
+    rng = random.Random(29)
+    for alg in closure:
+        if alg.derived_subalgebra().dim >= 2:
+            a, b = rng.sample(range(alg.dim), 2)
+            t1, t2 = rng.choice((-2, -1, 1, 2)), rng.choice((-3, 1, 3))
+            algebras.append(_shear(_shear(alg, a, b, t1, reverse=False), b, a, t2, reverse=True))
+    return algebras
+
+
+def test_structure_bases_match_the_fraction_route():
+    """The centre, both central series, a product of two proper subspaces
+    and the epicenter, built in ints off `bracket_table()` with each kernel
+    read off one elimination, equal the bases of the Fraction route (every
+    bracket reduced by `Subspace.residue`, each kernel eliminated twice, the
+    epicenter swept over the whole cover per centre row): the same rows of
+    the same Fraction values."""
+    for alg in structure_algebras():
+        multiplier.clear_caches()
+        center, derived = alg.center(), alg.derived_subalgebra()
+        pairs = list(zip([s.basis for s in alg.upper_central_series()],
+                         fraction_upper_series(alg), strict=True))
+        pairs += zip([s.basis for s in alg.lower_central_series()],
+                     fraction_lower_series(alg), strict=True)
+        pairs.append((alg.product_space(center, derived),
+                      fraction_product_space(alg, center.basis, derived.basis)))
+        pairs.append((epicenter(alg).basis, fraction_epicenter(alg)))
+        for got, want in pairs:
+            if isinstance(got, core.Subspace):
+                got = got.basis
+            assert (got.rows, got.cols) == (want.rows, want.cols), alg.name
+            assert got.sparse_rows == want.sparse_rows, alg.name
+            assert value_type(got) in (Q, None), alg.name
+
+
+def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
+    """On integral tables, the rows of the centre's, each upper step's,
+    each lower step's and a product's system, and of the epicenter's over
+    an integral cover, reach `sparse_integer_row` in the elimination as int
+    rows: no Fraction is built only to be cleared again."""
+    reached = []
+
+    def kernel_row(terms):
+        reached.append(terms)
+        return sparse_integer_row(terms)
+
+    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
+    closure = [m.algebra for m in build_closure(9)]
+    epicenters = 0
+    for alg in closure + [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums():
+        assert is_integral(alg), alg.name
+        multiplier.clear_caches()
+        fresh = LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
+        steps = [fresh.center, fresh.lower_central_series, fresh.upper_central_series,
+                 lambda: fresh.product_space(fresh.center(), fresh.derived_subalgebra()),
+                 lambda: epicenter(fresh)]
+        for k, step in enumerate(steps):
+            if k == 4:
+                # E's own table must be integral, and E is built first
+                if not is_integral(cover(fresh)):
+                    continue
+                epicenters += 1
+            reached.clear()
+            step()
+            # a non-abelian centre and lower series always eliminate rows
+            assert reached or k > 1 or alg.is_abelian, alg.name
+            assert all(type(x) is int for r in reached for x in r.values()), alg.name
+    # the covers of L_{6,21}(2), L_{6,22}(2) and their paddings are not integral
+    assert epicenters == len(closure) + 9 - 8
+
+
 @pytest.mark.parametrize("c", [Q(1, 3), Q(7, 5), Q(-5, 7)])
 def test_scaled_tables_take_the_fraction_path_to_the_same_results(c):
     """cL is isomorphic to L and its d2 is c times L's, so the Fraction path
@@ -696,7 +794,7 @@ def check_projection(source, target, images, kernel):
                 for a, y in images[c].items():
                     lhs[a] += x * y
             assert tuple(lhs) == target.bracket(dense[i], dense[j]), (i + 1, j + 1)
-    assert source.sparse_subspace(transpose(rows).sparse_nullspace_basis()) == kernel
+    assert source.sparse_subspace(sparse_nullspace_basis(transpose(rows))) == kernel
 
 
 def trusted_constructions(alg):
@@ -760,9 +858,9 @@ def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
         calls.append(("series", self))
         return series(self)
 
-    def counted_product(self, u, v):
+    def counted_product(self, *args):
         calls.append(("product", self))
-        return product(self, u, v)
+        return product(self, *args)
 
     monkeypatch.setattr(LieAlgebra, "lower_central_series", counted_series)
     monkeypatch.setattr(LieAlgebra, "product_space", counted_product)
