@@ -44,16 +44,16 @@ matrices, not as Subspaces, which name their ambient instance, and are
 wrapped in a new Subspace on each read: an algebra is no reference cycle
 and is freed as soon as its last user lets it go.
 
-Both central series are built inside L, without quotient algebras, and
-each reads `bracket_table()` once.  Validation computes the lower series,
-whose steps [gamma_i, L] (`product_space`) read each [a, x_j] only at
-the brackets that name an index of a's support (`_ad_terms`).  The
-upper series steps Z_{i+1} = {x : [x, L] in Z_i} (`_centralizer_mod`:
-the kernel of x -> phi([x, x_j]) over the integer functionals phi that
-vanish on Z_i, `_annihilator`, read off one elimination by
-`linalg.kernel_basis`) from Z_0 = 0, whose step is the centre.  Either
-series raises NotNilpotent when a term stops changing, also without
-validation.
+Both central series are built inside L, without quotient algebras.
+Validation computes the lower series, whose steps [gamma_i, L]
+(`product_space`) read each [a, x_j] only at the brackets that name an
+index of a's support (`_ad_terms`).  The upper series reads
+`bracket_table()` once and steps Z_{i+1} = {x : [x, L] in Z_i}
+(`_centralizer_mod`: the kernel of x -> phi([x, x_j]) over the integer
+functionals phi that vanish on Z_i, `_annihilator`, read off one
+elimination by `linalg.kernel_basis`) from Z_0 = 0, whose step is the
+centre.  Either series raises NotNilpotent when a term stops changing,
+also without validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
 brackets read through `bracket_table` (one elimination, in ints for an
 integral table); the lower series starts from that term.  It checks no
@@ -191,13 +191,6 @@ _DIGITS_BOUND = 10**MAX_DIGITS
 _PIECE = 600
 _PIECE_BASE = 10**_PIECE
 _LONG_LITERAL = re.compile(r"(?<![\w.])[1-9][0-9]{%d,}(?![\w.])" % _PIECE)
-# A plain constant "p" or "p/q", which takes no parse: an optional minus,
-# ASCII digits with no leading zero (or the single digit 0), a nonzero
-# denominator, at most _PLAIN_DIGITS digits each.  Every other string,
-# surrounding spaces or a plus sign included, takes the parser.
-_PLAIN_DIGITS = 18
-_PLAIN = re.compile(r"(-?(?:0|[1-9][0-9]{0,%d}))(?:/([1-9][0-9]{0,%d}))?"
-                    % (_PLAIN_DIGITS - 1, _PLAIN_DIGITS - 1))
 
 
 def _split_literal(match: re.Match) -> str:
@@ -274,10 +267,6 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
     """
     if not isinstance(text, str):
         raise PresentationError(f"rational expression must be a string, not {text!r}")
-    plain = _PLAIN.fullmatch(text)
-    if plain:
-        num, den = plain.groups()
-        return Q(int(num), int(den) if den else 1)
     params = params or {}
 
     try:
@@ -387,10 +376,9 @@ def _derived_basis(L: "LieAlgebra") -> Matrix:
 
 @_memoized
 def _lower_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
-    table = L.bracket_table()
     series = [L.full_space()]
     while series[-1].dim > 0:
-        nxt = L.product_space(series[-1], series[0], table)
+        nxt = L.product_space(series[-1], series[0])
         if nxt.dim == series[-1].dim:
             raise NotNilpotent(nxt.dim)
         series.append(nxt)
@@ -471,13 +459,6 @@ class LieAlgebra:
                     for k, c in terms.items():
                         out[k] += coeff * c
         return tuple(out)
-
-    def ad_images(self, u: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
-        """[u, x_j] for every basis index j, read off the stored brackets
-        that name an index of u's support (`_ad_terms`); u is a
-        {column: Fraction} row, and the images hold no zero values."""
-        images = _ad_images(self.brackets, [u])
-        return [images.get((0, j), {}) for j in range(self.dim)]
 
     def bracket_table(self) -> Mapping[tuple[int, int], Mapping[int, Scalar]]:
         """The stored brackets in the cheapest exact scalars: each constant
@@ -607,22 +588,19 @@ class LieAlgebra:
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, Matrix.zero(0, self.dim)._own_rref(()))
 
-    def product_space(self, u: "Subspace", v: "Subspace",
-                      table: Mapping[tuple[int, int], Mapping[int, Scalar]] | None = None,
-                      ) -> "Subspace":
+    def product_space(self, u: "Subspace", v: "Subspace") -> "Subspace":
         """Span of [a, b] over basis pairs of U x V, in canonical form.
 
-        The brackets are read off `table`, this algebra's `bracket_table()`
-        (read here when not given), at the pairs that name a basis row's
-        support; the rows of U and V are scaled to ints, which keeps their
-        spans.  So for an integral table the rows reach the one elimination
-        as ints."""
+        The brackets are read off `bracket_table()` at the pairs that name
+        a basis row's support; the rows of U and V are scaled to ints, which
+        keeps their spans.  So for an integral table the rows reach the one
+        elimination as ints."""
         for s in (u, v):
             if s.ambient is not self:
                 raise AmbientMismatch("subspace belongs to a different algebra")
         if u.dim == self.dim and v.dim == self.dim:
             return self.derived_subalgebra()
-        images = _ad_images(self.bracket_table() if table is None else table,
+        images = _ad_images(self.bracket_table(),
                             [sparse_integer_row(a) for a in u.basis.sparse_rows])
         if v.dim == self.dim:
             return self.sparse_subspace(images.values())

@@ -443,24 +443,34 @@ def _epicenter_basis(L: LieAlgebra) -> Matrix:
 
     Z(L)'s basis rows are scaled to ints z_a, which keeps their span; a row
     of Z(L) is already (z_a, 0) in E's coordinates.  Every [(z_a, 0), e_j]
-    is read in one pass over E's `bracket_table()`, at the pairs that name
-    an index of z_a's support (`_ad_terms`), not by a sweep of the whole
-    table per z_a, so for an integral E the system and the combinations of
-    the z_a are ints up to the returned basis."""
+    is read in one pass over E's stored brackets, at the pairs that name an
+    index of z_a's support (`_ad_terms`), not by a sweep of the whole table
+    per z_a, and no copy of the table is made: each constant read is taken
+    as an int when it is integral, so for an integral E the system and the
+    combinations of the z_a are ints up to the returned basis."""
     total = cover(L)
     center = [sparse_integer_row(z) for z in L.center().basis.sparse_rows]
     # row (j, k) is coordinate k of [(z, 0), e_j] over the z_a; each term is
     # added to it as read, so no image is held
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for a, j, x, terms in _ad_terms(total.bracket_table(), center):
+    integral = True
+    for a, j, x, terms in _ad_terms(total.brackets, center):
         for k, c in terms.items():
+            if c._denominator == 1:
+                c = c._numerator
+            else:
+                integral = False
             row = rows.setdefault((j, k), {})
             y = row[a] + x * c if a in row else x * c
             if y:
                 row[a] = y
             else:
                 del row[a]
-    coeffs = [sparse_integer_row(r) for r in kernel_basis(rows.values(), len(center)).sparse_rows]
+    # a row that met a fractional constant may mix ints and Fractions, and a
+    # row holds one type (see `Matrix.from_sparse`)
+    system = rows.values() if integral else [
+        {a: Fraction(y) for a, y in row.items()} for row in rows.values()]
+    coeffs = [sparse_integer_row(r) for r in kernel_basis(system, len(center)).sparse_rows]
     combined = Matrix.from_sparse(coeffs, len(center)) * Matrix.from_sparse(center, L.dim)
     image = L.sparse_subspace(combined.sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):

@@ -1,6 +1,6 @@
 """Term-by-term references for `liemult.core.LieAlgebra` that only the tests use."""
 
-from liemult.core import Subspace
+from liemult.core import Subspace, _ad_images
 from liemult.linalg import Matrix, Q, Vector, add_scaled, rref_basis
 
 from linalg_helpers import sparse_nullspace_basis
@@ -17,10 +17,17 @@ def jacobi_defect(alg, i: int, j: int, k: int) -> Vector:
     return tuple(out)
 
 
+def ad_images(alg, u) -> list[dict]:
+    """[u, x_j] for every j, as `core._ad_images` reads them at the pairs
+    of the stored table that name an index of u's support."""
+    images = _ad_images(alg.brackets, [u])
+    return [images.get((0, j), {}) for j in range(alg.dim)]
+
+
 def swept_ad_images(alg, u) -> list[dict]:
     """[u, x_j] for every j, in one sweep over the whole stored table: the
-    reference `LieAlgebra.ad_images` and the systems read at the pairs that
-    name u's support are held to."""
+    reference `ad_images` and the systems read at the pairs that name u's
+    support are held to."""
     outs: list[dict] = [{} for _ in range(alg.dim)]
     for (i, j), terms in alg.brackets.items():
         ui, uj = u.get(i), u.get(j)

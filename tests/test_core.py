@@ -3,13 +3,11 @@
 import gc
 import io
 import json
-import re
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from itertools import combinations
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -47,11 +45,11 @@ from liemult.core import (
     format_rational,
     rational_expr,
 )
-from liemult import core, multiplier
+from liemult import multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
-from core_helpers import jacobi_defect
+from core_helpers import ad_images, jacobi_defect
 from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
@@ -385,8 +383,8 @@ def test_intersect_matches_stacked_reference():
 def test_ad_images_drop_cancelled_entries():
     # [x1 + x2, x3] = x4 - x4 = 0
     L = LieAlgebra(4, {(0, 2): {3: Q(1)}, (1, 2): {3: Q(-1)}})
-    assert L.ad_images({0: Q(1), 1: Q(1)}) == [{}, {}, {}, {}]
-    assert L.ad_images({0: Q(1), 1: Q(2)}) == [{}, {}, {3: Q(-1)}, {}]
+    assert ad_images(L, {0: Q(1), 1: Q(1)}) == [{}, {}, {}, {}]
+    assert ad_images(L, {0: Q(1), 1: Q(2)}) == [{}, {}, {3: Q(-1)}, {}]
 
 
 def dense_residue(s, v):
@@ -425,7 +423,7 @@ def test_sparse_subspace_layer_matches_dense_references():
         for s in spaces:
             images = [L.bracket(b, unit_vector(n, j)) for b in s.basis.data for j in range(n)]
             # the sparse sweep gives the same brackets, with no zero values
-            assert [img for b in s.basis.sparse_rows for img in L.ad_images(b)] == [
+            assert [img for b in s.basis.sparse_rows for img in ad_images(L, b)] == [
                 {k: x for k, x in enumerate(w) if x} for w in images]
             assert L.is_ideal(s) == all(not any(dense_residue(s, w)) for w in images)
             for w in images:
@@ -767,44 +765,6 @@ def test_integers_above_digit_cap_rejected():
     for text in ("1_" + "0" * 5000, "1" * 5000 + ".5", "1" * 5000 + "e3", "0" + "1" * 5000):
         with pytest.raises(PresentationError):
             rational_expr(text)
-
-
-def parsed_outcome(text, params=None):
-    """`rational_expr(text)` as (value, its type), or as (error type, message)."""
-    try:
-        value = rational_expr(text, params)
-    except LieError as exc:
-        return type(exc), str(exc)
-    return value, type(value)
-
-
-PLAIN_CASES = [
-    "0", "-0", "7", "-12/8", "0/5", "-0/3", "1" * 18, "-" + "9" * 18 + "/" + "7" * 18,
-    "01", "1/0", "-1/0", "1/05", "00", " 3 ", "3 ", "+1", "--1", "-", "", "/2", "1/", "1//2",
-    "1/-2", "1.0", "1e3", "1_0", "1\n", "\u0661", "1" * 19, "1/" + "3" * 19, "-" + "9" * 19,
-]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.from_regex(r"[-+/ 0-9]{0,25}", fullmatch=True) | st.sampled_from(PLAIN_CASES))
-@example("eps*6")
-def test_plain_constants_skip_the_parser_with_the_same_outcome(text):
-    """Every string, plain or not, gives the value (of the same type) or the
-    error, message included, that the parser alone gives; a plain one is
-    read with the parser out of reach."""
-    params = {"eps": Q(1, 2)}
-    fast = parsed_outcome(text, params)
-    with mock.patch.object(core, "_PLAIN", re.compile(r"(?!)")):
-        assert parsed_outcome(text, params) == fast
-    if core._PLAIN.fullmatch(text):
-        with mock.patch.object(core, "ast", None):
-            assert parsed_outcome(text, params) == fast
-
-
-def test_plain_constants_are_digits_with_no_leading_zero():
-    """Only an optional minus, digits with no leading zero (or 0 alone), a
-    nonzero denominator and at most 18 digits a part take the fast path."""
-    assert [t for t in PLAIN_CASES if core._PLAIN.fullmatch(t)] == PLAIN_CASES[:8]
 
 
 def test_falsy_params_mean_none():

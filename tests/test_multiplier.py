@@ -858,9 +858,9 @@ def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
         calls.append(("series", self))
         return series(self)
 
-    def counted_product(self, *args):
+    def counted_product(self, u, v):
         calls.append(("product", self))
-        return product(self, *args)
+        return product(self, u, v)
 
     monkeypatch.setattr(LieAlgebra, "lower_central_series", counted_series)
     monkeypatch.setattr(LieAlgebra, "product_space", counted_product)
