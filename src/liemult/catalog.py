@@ -29,6 +29,7 @@ from fractions import Fraction
 from .core import (
     LieAlgebra,
     LieError,
+    _cached,
     central_product as _central_product,
     check_dim,
     direct_sum as _direct_sum,
@@ -66,7 +67,7 @@ def heisenberg(m: int) -> LieAlgebra:
         raise ParamOutOfDomain("H(m) needs m >= 1")
     check_dim(2 * m + 1)  # before the m brackets are built
     z = 2 * m
-    brackets = {(2 * i, 2 * i + 1): {z: Q(1)} for i in range(m)}
+    brackets = {(2 * i, 2 * i + 1): {z: 1} for i in range(m)}
     return LieAlgebra(2 * m + 1, brackets, name=f"H({m})")
 
 
@@ -112,8 +113,8 @@ class CatalogEntry:
     note: str = ""
 
     def build(self, value: Fraction | None = None) -> LieAlgebra:
-        params: dict[str, Fraction] = {}
-        label = self.name
+        """The algebra at `value` (default when None): one shared instance per
+        (entry, value) until `clear_caches()`; `get` relabels a fresh copy."""
         if self.param is not None:
             if value is None:
                 value = self.param.default
@@ -122,10 +123,14 @@ class CatalogEntry:
                     f"{self.name}: parameter {self.param.name} = {format_rational(value)} "
                     f"outside domain ({self.param.label()})"
                 )
-            params[self.param.name] = value
-            label = param_label(self.name, value)
         elif value is not None:
             raise ParamOutOfDomain(f"{self.name} takes no parameter")
+        key = (self.name, self.brackets, self.recipe, value)  # strings keep their hash
+        return _cached((CatalogEntry.build, key), self._construct, value)
+
+    def _construct(self, value: Fraction | None) -> LieAlgebra:
+        params = {self.param.name: value} if self.param is not None else {}
+        label = param_label(self.name, value) if self.param is not None else self.name
         if self.recipe is not None:
             alg = _build_expression(self.recipe, params)
             return LieAlgebra(alg.dim, alg.brackets, name=label, validate=False)

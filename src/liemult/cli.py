@@ -268,7 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         tag, text = type(exc).__name__, exc
     except OSError as exc:
         tag, text = "IOError", exc
-    except MemoryError:
+    except (MemoryError, SystemError) as exc:
+        # how CPython 3.11 can report a failed allocation under `ulimit -v`
+        if isinstance(exc, SystemError) and str(exc) != "error return without exception set":
+            raise
         tag, text = "OutOfMemory", f"ran out of memory; see the README on MAX_DIM = {MAX_DIM}"
     sys.stderr.write(f"error={tag}\n{text}\n")
     return 2

@@ -21,14 +21,15 @@ The brackets meet the basis triples in one place, `wedge_rows`: one sweep
 in which each stored [x_a, x_b] meets every third index c once, as one
 term of the d2 row of sorted(a, b, c).  The Jacobi identity is d2 . d1 = 0,
 and `check_jacobi` reads it off those rows; validation and
-`multiplier.cochain_slice` both call it.  Both read the brackets through
-`bracket_table`, the stored table with int constants when all of them are
-integral, so the sweep of an integral table builds no Fraction.
+`multiplier.cochain_slice` both call it.  The constructor alone normalises
+constants: an integral table is stored in ints, any other all in Fractions
+(one type, as `Matrix.from_sparse` asks), and every reader takes it as
+stored, so the sweep of an integral table builds no Fraction.
 
 Subspaces are held as canonical {column: Fraction} rref bases, and are
 built from sparse rows: `sparse_subspace` hands them to one elimination
 (`linalg.rref_basis`).  The centre, both central series and the
-epicenter of `multiplier` build their systems from `bracket_table()` and
+epicenter of `multiplier` build their systems from the stored brackets and
 the basis rows scaled to ints (`sparse_integer_row`; scaling a spanning
 row keeps its span), so for an integral table the rows reach the
 elimination as ints and the only Fractions are the canonical basis
@@ -37,8 +38,9 @@ outside, coerce them through `qf` and check their length; `subspace`
 ends in the same rref tail.  `Subspace.residue` reduces a sparse row at
 the pivots where it is nonzero.  Every derived
 fact of an algebra is kept in one memo (`_memoized`, keyed by the function
-and the canonical brackets), which `multiplier` and `invariants` share and
-`clear_caches()` empties; an algebra holds only its brackets and key.  The
+and the canonical brackets), which `multiplier`, `invariants` and the
+catalog's built algebras share and `clear_caches()` empties; an algebra
+holds only its brackets and key.  The
 bases of its full space, L^2, centre and central series are kept as
 matrices, not as Subspaces, which name their ambient instance, and are
 wrapped in a new Subspace on each read: an algebra is no reference cycle
@@ -47,16 +49,16 @@ and is freed as soon as its last user lets it go.
 Both central series are built inside L, without quotient algebras.
 Validation computes the lower series, whose steps [gamma_i, L]
 (`product_space`) read each [a, x_j] only at the brackets that name an
-index of a's support (`_ad_terms`).  The upper series reads
-`bracket_table()` once and steps Z_{i+1} = {x : [x, L] in Z_i}
+index of a's support (`_ad_terms`).  The upper series reads the
+stored brackets and steps Z_{i+1} = {x : [x, L] in Z_i}
 (`_centralizer_mod`: the kernel of x -> phi([x, x_j]) over the integer
 functionals phi that vanish on Z_i, `_annihilator`, read off one
 elimination by `linalg.kernel_basis`) from Z_0 = 0, whose step is the
 centre.  Either series raises NotNilpotent when a term stops changing,
 also without validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
-brackets read through `bracket_table` (one elimination, in ints for an
-integral table); the lower series starts from that term.  It checks no
+brackets (one elimination, in ints for an integral table); the lower
+series starts from that term.  It checks no
 nilpotency, which the multiplier
 needs none of: dim L^2 = rank d1 and dim H^2(L) are defined for every
 Lie algebra, so an unvalidated algebra (a quotient, a cover, a benchmark
@@ -288,7 +290,7 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
 # the algebra
 # ---------------------------------------------------------------------------
 
-BracketTable = dict[tuple[int, int], dict[int, Fraction]]
+BracketTable = dict[tuple[int, int], dict[int, Scalar]]
 
 
 def pair_index(n: int) -> list[tuple[int, int]]:
@@ -325,9 +327,20 @@ class CanonicalKey(tuple):
 # the memo: every derived fact, keyed by (function, canonical brackets)
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[tuple[object, CanonicalKey], object] = {}
+_MEMO: dict[tuple[object, object], object] = {}
 _MEMO_LOCK = threading.Lock()
 _MISSING = object()
+
+
+def _cached(key: tuple[object, object], fn, arg):
+    """fn(arg), kept in _MEMO under key, a pair (fn, hashable)."""
+    with _MEMO_LOCK:
+        value = _MEMO.get(key, _MISSING)
+    if value is _MISSING:
+        value = fn(arg)
+        with _MEMO_LOCK:
+            _MEMO[key] = value
+    return value
 
 
 def _memoized(fn):
@@ -335,21 +348,14 @@ def _memoized(fn):
     hash; equal algebras share one entry, so a value must not refer to L."""
     @functools.wraps(fn)
     def memo(L: "LieAlgebra"):
-        key = (fn, L.canonical_key())
-        with _MEMO_LOCK:
-            value = _MEMO.get(key, _MISSING)
-        if value is _MISSING:
-            value = fn(L)
-            with _MEMO_LOCK:
-                _MEMO[key] = value
-        return value
+        return _cached((fn, L.canonical_key()), fn, L)
     return memo
 
 
 def clear_caches() -> None:
-    """Drop every memoized fact, validations included, here and in
-    `multiplier` and `invariants`.  An algebra instance holds no result of
-    its own, only its hashed key, so one held across the call computes afresh."""
+    """Drop every memoized fact and built catalog algebra, validations
+    included.  An algebra instance holds no result of its own, only its
+    hashed key, so one held across the call computes afresh."""
     with _MEMO_LOCK:
         _MEMO.clear()
 
@@ -369,9 +375,9 @@ def _full_basis(L: "LieAlgebra") -> Matrix:
 
 @_memoized
 def _derived_basis(L: "LieAlgebra") -> Matrix:
-    """The rref basis of the span of `L.bracket_table()`: an integral table
+    """The rref basis of the span of the stored brackets: an integral table
     is eliminated as it is, with no Fraction cleared of its denominators."""
-    return rref_basis(Matrix.from_sparse(list(L.bracket_table().values()), L.dim))
+    return rref_basis(Matrix.from_sparse(list(L.brackets.values()), L.dim))
 
 
 @_memoized
@@ -387,19 +393,27 @@ def _lower_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
 
 @_memoized
 def _center_basis(L: "LieAlgebra") -> Matrix:
-    return L._centralizer_mod(L.zero_subspace(), L.bracket_table()).basis
+    return L._centralizer_mod(L.zero_subspace()).basis
 
 
 @_memoized
 def _upper_bases(L: "LieAlgebra") -> tuple[Matrix, ...]:
-    table = L.bracket_table()
     series = [L.center()]
     while series[-1].dim < L.dim:
-        nxt = L._centralizer_mod(series[-1], table)
+        nxt = L._centralizer_mod(series[-1])
         if nxt.dim == series[-1].dim:
             raise NotNilpotent(nxt.dim)
         series.append(nxt)
     return tuple([s.basis for s in series])
+
+
+def _exact(c) -> Scalar:
+    """A constant as stored: an int, or a Fraction unless integral; `qf`
+    refuses floats."""
+    if type(c) is int:
+        return c
+    x = qf(c)
+    return x._numerator if x._denominator == 1 else x
 
 
 class LieAlgebra:
@@ -410,7 +424,7 @@ class LieAlgebra:
     def __init__(
         self,
         dim: int,
-        brackets: Mapping[tuple[int, int], Mapping[int, Fraction]],
+        brackets: Mapping[tuple[int, int], Mapping[int, object]],
         name: str | None = None,
         validate: bool = True,
     ):
@@ -420,12 +434,16 @@ class LieAlgebra:
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < dim):
                 raise IndexOutOfRange(f"bracket pair ({i + 1}, {j + 1}) out of range for dim {dim}")
-            clean = {k: qf(c) for k, c in terms.items() if c}
+            clean = {k: x for k, c in terms.items() if (x := _exact(c))}
             for k in clean:
                 if not 0 <= k < dim:
                     raise IndexOutOfRange(f"bracket target x{k + 1} out of range for dim {dim}")
             if clean:
                 table[(i, j)] = clean
+        # a table holds one type (see `Matrix.from_sparse`): ints when every
+        # constant is integral, otherwise Fractions throughout
+        if any(type(x) is Fraction for terms in table.values() for x in terms.values()):
+            table = {p: {k: Q(x) for k, x in terms.items()} for p, terms in table.items()}
         self.dim = dim
         self.name = name
         self.brackets = table
@@ -435,7 +453,7 @@ class LieAlgebra:
 
     # -- bracket --------------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket_basis(self, i: int, j: int) -> dict[int, Scalar]:
         """[x_i, x_j] as a sparse vector; antisymmetry synthesized."""
         if i == j:
             return {}
@@ -460,25 +478,10 @@ class LieAlgebra:
                         out[k] += coeff * c
         return tuple(out)
 
-    def bracket_table(self) -> Mapping[tuple[int, int], Mapping[int, Scalar]]:
-        """The stored brackets in the cheapest exact scalars: each constant
-        as an int when every constant of the table is integral, otherwise
-        the Fraction table itself.  Equal values either way (Fraction(3) ==
-        3), so what is built from it is unchanged; no table is rescaled.
-
-        Built on each read, not memoized: a memo read costs about 1 us
-        against about 5 us to build the table of a dim 10-15 sum, but
-        memoized tables raise the peak memory of a cold `run_all(9)` by
-        0.35 MB (CPython 3.11, 2-core Xeon)."""
-        table = self.brackets
-        if all([x._denominator == 1 for terms in table.values() for x in terms.values()]):
-            return {p: {k: x._numerator for k, x in terms.items()} for p, terms in table.items()}
-        return table
-
     def wedge_rows(self) -> dict[tuple[int, int, int], dict[int, Scalar]]:
         """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
-        i < j < k, in one sweep over `bracket_table()`, so the values are
-        ints when the table has an integral form and Fractions otherwise:
+        i < j < k, in one sweep over the stored brackets, so the values are
+        ints for an integral table and Fractions otherwise:
 
             (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi).
 
@@ -494,7 +497,7 @@ class LieAlgebra:
         # the pair (l, c), l < c, is pair coordinate start[l] + c
         start = pair_starts(n)
         rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
-        for (a, b), terms in self.bracket_table().items():
+        for (a, b), terms in self.brackets.items():
             signed = [(l, x, -x) for l, x in terms.items()]
             for c in range(n):
                 if c == a or c == b:
@@ -522,7 +525,7 @@ class LieAlgebra:
 
     def check_jacobi(self, rows: Mapping[tuple[int, int, int], Mapping[int, Scalar]]) -> None:
         """The Jacobi identity on every basis triple, read off this
-        algebra's `wedge_rows()` and `bracket_table()`; raises
+        algebra's `wedge_rows()` and stored brackets; raises
         JacobiViolation, whose defect holds Fractions whatever the table.
 
         d1 sends g to (x,y) -> -g([x,y]), so (d2 d1 g)(t) = g(J(t)) with
@@ -531,7 +534,7 @@ class LieAlgebra:
         rows has J = 0.  The first triple in row order with J != 0 is
         reported.
         """
-        table = self.bracket_table()
+        table = self.brackets
         pairs = pair_index(self.dim)
         for (i, j, k), row in rows.items():
             # -J(t), negated only when it is reported
@@ -550,11 +553,11 @@ class LieAlgebra:
         """Hashable key identifying the structure-constant table exactly;
         built and hashed once per instance.  Each constant c_ij^k is held
         as the ints (k, numerator, denominator) of its lowest terms, which
-        Fraction keeps, so equal tables give equal keys."""
+        an int and a Fraction both give, so equal tables give equal keys."""
         if self._key is None:
             # from a list, not a generator (see `linalg` on free lists)
             items = tuple([
-                (i, j, tuple([(k, x._numerator, x._denominator) for k, x in sorted(terms.items())]))
+                (i, j, tuple([(k, x.numerator, x.denominator) for k, x in sorted(terms.items())]))
                 for (i, j), terms in sorted(self.brackets.items())
             ])
             self._key = CanonicalKey((self.dim, items))
@@ -591,7 +594,7 @@ class LieAlgebra:
     def product_space(self, u: "Subspace", v: "Subspace") -> "Subspace":
         """Span of [a, b] over basis pairs of U x V, in canonical form.
 
-        The brackets are read off `bracket_table()` at the pairs that name
+        The stored brackets are read at the pairs that name
         a basis row's support; the rows of U and V are scaled to ints, which
         keeps their spans.  So for an integral table the rows reach the one
         elimination as ints."""
@@ -600,8 +603,7 @@ class LieAlgebra:
                 raise AmbientMismatch("subspace belongs to a different algebra")
         if u.dim == self.dim and v.dim == self.dim:
             return self.derived_subalgebra()
-        images = _ad_images(self.bracket_table(),
-                            [sparse_integer_row(a) for a in u.basis.sparse_rows])
+        images = _ad_images(self.brackets, [sparse_integer_row(a) for a in u.basis.sparse_rows])
         if v.dim == self.dim:
             return self.sparse_subspace(images.values())
         # [a, b] = sum_j b_j [a, x_j] over the rows a of U and b of V
@@ -635,10 +637,9 @@ class LieAlgebra:
     def lower_central_dims(self) -> tuple[int, ...]:
         return tuple([b.rows for b in _lower_bases(self)])
 
-    def _centralizer_mod(self, s: "Subspace",
-                         table: Mapping[tuple[int, int], Mapping[int, Scalar]]) -> "Subspace":
-        """{x : [x, L] in S}, read off `table`, this algebra's
-        `bracket_table()`; S = 0 gives the centre.
+    def _centralizer_mod(self, s: "Subspace") -> "Subspace":
+        """{x : [x, L] in S}, read off the stored brackets; S = 0 gives the
+        centre.
 
         [x, x_j] lies in S iff phi([x, x_j]) = 0 for each integer functional
         phi_k vanishing on S (`_annihilator`), so {x : [x, L] in S} is the
@@ -649,7 +650,7 @@ class LieAlgebra:
         # row (j, k); its entry i comes from the one bracket of the pair
         # {i, j} alone, so it is assigned once and never accumulates
         rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (i, j), terms in table.items():
+        for (i, j), terms in self.brackets.items():
             for k, c in _apply_functionals(meets, terms).items():
                 rows.setdefault((j, k), {})[i] = c
                 rows.setdefault((i, k), {})[j] = -c
@@ -985,8 +986,8 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
             if not _is_int(k) or not 1 <= k <= dim:
                 raise PresentationError(f"bracket target {k!r} out of range in pair ({i}, {j})")
             c = rational_expr(str(term.get("c", "1")), declared)
-            if c:
-                terms[k - 1] = terms.get(k - 1, Q(0)) + c
+            # a repeated target sums; a zero left is dropped by LieAlgebra
+            terms[k - 1] = terms[k - 1] + c if k - 1 in terms else c
         brackets[(i - 1, j - 1)] = terms
     return LieAlgebra(dim, brackets, name=name)
 

@@ -29,13 +29,13 @@ d2 . d1 = 0; the slice checks it on its d2 rows (`LieAlgebra.check_jacobi`),
 so both routes, which read the cocycle basis, refuse a table that breaks
 it.
 
-The sweep, the Jacobi check, d1, d2 and boundary_3 all read the table
-through `LieAlgebra.bracket_table()`, and the coboundaries are d1's
-columns.  When every structure constant of L is integral (every table the
-catalog builds), they hold Python ints, and the complex is built and
+The sweep, the Jacobi check, d1, d2 and boundary_3 all read the stored
+brackets `L.brackets`, and the coboundaries are d1's columns.  When every
+structure constant of L is integral (every table the catalog builds),
+`LieAlgebra` stores them as Python ints, and the complex is built and
 eliminated with no Fraction from the sweep to the echelon: only the dim M
 kept cocycles become Fractions.
-A table with a non-integral constant keeps its Fractions, and the
+A table with a non-integral constant is stored in Fractions, and the
 elimination clears each row of denominators as it meets it.  No table is
 rescaled to integers: a common denominator of constants with thousands
 of digits could be far larger than any one row's.
@@ -131,8 +131,8 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     identity, is checked by `L.check_jacobi` on the rows d2 is built from.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
-    d2 = -b3^T); d1 is read off `L.bracket_table()`, d2 off `L.wedge_rows()`,
-    so both hold ints when the table has an integral form.  Each swept row
+    d2 = -b3^T); d1 is read off `L.brackets`, d2 off `L.wedge_rows()`,
+    so both hold ints for an integral table.  Each swept row
     of d2 goes to its triple's index (`triple_positions`); no triple is
     enumerated.  The rows of d1 for pairs with no bracket, and those of d2
     for triples no bracket reaches, share one empty row each: at n = 200 a
@@ -143,7 +143,7 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """
     n = L.dim
     pairs = pair_index(n)
-    table = L.bracket_table()
+    table = L.brackets
     unbracketed: dict[int, Scalar] = {}
     d1 = Matrix.from_sparse(
         [{k: -c for k, c in table[p].items()} if p in table else unbracketed for p in pairs], n)
@@ -160,8 +160,8 @@ def boundary3(L: LieAlgebra) -> Matrix:
     """Lambda^3 L -> Lambda^2 L, the negated standard boundary, d2^T.
 
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
-    only the rank, so the swept entries (ints when the table has an
-    integral form) are used without a sign copy, each placed in the column
+    only the rank, so the swept entries (ints for an integral table) are
+    used without a sign copy, each placed in the column
     of its triple's index (`triple_positions`).
     """
     n = L.dim
@@ -206,7 +206,7 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     d2 = slice_.d2
     pivots = set(d2.pivot_columns())
     # the coboundaries restricted to the free columns, gathered from d1's
-    # sparse rows: ints when L's table has an integral form, like d1 itself
+    # sparse rows: ints when L's table is integral, like d1 itself
     coboundaries: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
         if a not in pivots:
@@ -403,9 +403,9 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     for col, f in enumerate(reps, n):
         for idx, x in f.items():
             adjoined.setdefault(idx, {})[col] = x
-    # L's terms first; E's constructor copies every row, so L's stored rows
-    # and the scattered ones are handed over as they are
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # L's terms first; E's constructor copies every row and stores one type,
+    # so L's stored rows and the scattered Fractions are handed over as they are
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for idx, (i, j) in enumerate(pair_index(n)):
         terms = L.bracket_basis(i, j)
         extra = adjoined.pop(idx, None)
@@ -445,32 +445,23 @@ def _epicenter_basis(L: LieAlgebra) -> Matrix:
     of Z(L) is already (z_a, 0) in E's coordinates.  Every [(z_a, 0), e_j]
     is read in one pass over E's stored brackets, at the pairs that name an
     index of z_a's support (`_ad_terms`), not by a sweep of the whole table
-    per z_a, and no copy of the table is made: each constant read is taken
-    as an int when it is integral, so for an integral E the system and the
-    combinations of the z_a are ints up to the returned basis."""
+    per z_a, and no copy of the table is made.  The system takes the type of
+    E's table, so for an integral E it and the combinations of the z_a are
+    ints up to the returned basis."""
     total = cover(L)
     center = [sparse_integer_row(z) for z in L.center().basis.sparse_rows]
     # row (j, k) is coordinate k of [(z, 0), e_j] over the z_a; each term is
     # added to it as read, so no image is held
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    integral = True
     for a, j, x, terms in _ad_terms(total.brackets, center):
         for k, c in terms.items():
-            if c._denominator == 1:
-                c = c._numerator
-            else:
-                integral = False
             row = rows.setdefault((j, k), {})
             y = row[a] + x * c if a in row else x * c
             if y:
                 row[a] = y
             else:
                 del row[a]
-    # a row that met a fractional constant may mix ints and Fractions, and a
-    # row holds one type (see `Matrix.from_sparse`)
-    system = rows.values() if integral else [
-        {a: Fraction(y) for a, y in row.items()} for row in rows.values()]
-    coeffs = [sparse_integer_row(r) for r in kernel_basis(system, len(center)).sparse_rows]
+    coeffs = [sparse_integer_row(r) for r in kernel_basis(rows.values(), len(center)).sparse_rows]
     combined = Matrix.from_sparse(coeffs, len(center)) * Matrix.from_sparse(center, L.dim)
     image = L.sparse_subspace(combined.sparse_rows)
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):

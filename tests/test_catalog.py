@@ -16,7 +16,13 @@ from liemult import (
     s_invariant,
 )
 from liemult.catalog import DSUM
-from liemult.core import MAX_DIGITS, DimensionTooLarge, PresentationError, rational_expr
+from liemult.core import (
+    MAX_DIGITS,
+    DimensionTooLarge,
+    PresentationError,
+    clear_caches,
+    rational_expr,
+)
 
 from catalog_helpers import full_samples
 from core_helpers import jacobi_defect
@@ -45,6 +51,25 @@ def test_param_domains():
             get("147E", lam=bad)
     with pytest.raises(ParamOutOfDomain):
         get("L_{6,26}", eps=1)  # takes no parameter
+
+
+def test_each_entry_value_is_built_once_until_caches_are_cleared():
+    """`CatalogEntry.build` shares one instance per (entry, value) until
+    `clear_caches()`; `get` hands out a fresh copy under its display name."""
+    clear_caches()
+    entry, plain = cat.lookup("L_{6,22}"), cat.lookup("L_{5,6}")
+    one = entry.build(Q(1))
+    assert entry.build(Q(1)) is one and entry.build() is one
+    assert plain.build() is plain.build()
+    minus = entry.build(Q(-1))
+    assert minus is not one and minus != one
+    assert (one.name, minus.name) == ("L_{6,22}(1)", "L_{6,22}(-1)")
+    got = get("L_{6,22}", eps=1)
+    assert got is not one and got == one and got.name == "L_{6,22}(1)"
+    assert get("L_{6,22}(1)") is not got
+    clear_caches()
+    again = entry.build(Q(1))
+    assert again is not one and again == one and again.name == one.name
 
 
 def test_unknown_name():

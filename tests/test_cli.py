@@ -382,6 +382,25 @@ def test_out_of_memory_is_a_tagged_input_error(capsys, monkeypatch, tmp_path, co
     assert f"MAX_DIM = {liemult.MAX_DIM}" in text
 
 
+def test_failed_allocation_system_error_is_out_of_memory(capsys, monkeypatch):
+    """CPython 3.11 can report a failed allocation under an address-space
+    limit as a SystemError with this text; like MemoryError (above) it
+    exits 2 with the OutOfMemory tag.  Any other SystemError propagates."""
+    def raising(text):
+        def report(*args, **kwargs):
+            raise SystemError(text)
+        return report
+
+    monkeypatch.setattr(cli, "invariant_report", raising("error return without exception set"))
+    code, out, err = run_cli(capsys, "info", "A(3)")
+    assert code == 2 and out == ""
+    tag, text = err.splitlines()
+    assert tag == "error=OutOfMemory" and f"MAX_DIM = {liemult.MAX_DIM}" in text
+    monkeypatch.setattr(cli, "invariant_report", raising("some other internal error"))
+    with pytest.raises(SystemError, match="some other internal error"):
+        cli.main(["info", "A(3)"])
+
+
 @pytest.mark.parametrize("argv", [
     (),
     ("bogus",),

@@ -215,6 +215,37 @@ def test_canonical_keys_compare_tables_exactly():
     assert all(alg != base for alg in unequal)
 
 
+def test_integral_tables_are_stored_in_ints_and_others_in_fractions():
+    """The constructor stores a table whose constants are all integral in
+    ints, whatever form each constant comes in (int, Fraction, Fraction(4, 2),
+    string), and a table with a non-integral constant all in Fractions, its
+    integral constants too; one table gives one key in every form, and a
+    float is refused."""
+    def stored(c12, c13):
+        # [x1, x2] = c12 x3, [x1, x3] = c13 x4: Jacobi holds for any constants
+        return LieAlgebra(4, {(0, 1): {2: c12}, (0, 2): {3: c13}})
+
+    def types(alg):
+        return {type(x) for terms in alg.brackets.values() for x in terms.values()}
+
+    integral = [stored(2, -3), stored(Q(2), Q(-3)), stored(Q(4, 2), Q(-6, 2)),
+                stored("2", "-3"), stored("4/2", Q(-3)), stored(2, Q(-3))]
+    for alg in integral:
+        assert types(alg) == {int}
+        assert alg.brackets == {(0, 1): {2: 2}, (0, 2): {3: -3}}
+    assert len({alg.canonical_key() for alg in integral}) == 1
+    fractional = [stored(2, Q(1, 2)), stored(Q(2), Q(1, 2)), stored("2", "1/2"),
+                  stored(Q(4, 2), "2/4")]
+    for alg in fractional:
+        assert types(alg) == {Q}
+        assert alg.brackets == {(0, 1): {2: Q(2)}, (0, 2): {3: Q(1, 2)}}
+    assert len({alg.canonical_key() for alg in fractional}) == 1
+    assert fractional[0].canonical_key() != integral[0].canonical_key()
+    for bad in (2.0, 0.5):
+        with pytest.raises(TypeError):
+            stored(2, bad)
+
+
 def test_a_failing_table_raises_on_every_construction():
     """A failed validation stores nothing, so an equal table raises again."""
     multiplier.clear_caches()
@@ -656,6 +687,28 @@ def test_presentation_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     again = load_presentation(str(path))
     assert again == get("L_{6,19}", eps=Q(1, 2))
+
+
+def test_presentation_sums_a_repeated_target_and_drops_a_cancelled_one():
+    """A term whose target k repeats in a bracket is added to the one before;
+    a sum that cancels, and a bracket all of whose terms cancel, are dropped.
+    Every closure member's presentation round-trips byte for byte."""
+    doc = {"dim": 4, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}, {"k": 4, "c": "2"},
+                                   {"k": 3, "c": "1/2"}, {"k": 4, "c": "-2"}]},
+        {"i": 1, "j": 3, "terms": [{"k": 4, "c": "3"}, {"k": 4, "c": "-1"}]},
+        {"i": 2, "j": 3, "terms": [{"k": 4, "c": "5"}, {"k": 4, "c": "-5"}]},
+    ]}
+    alg = presentation_from_dict(doc)
+    assert alg.brackets == {(0, 1): {2: Q(3, 2)}, (0, 2): {3: Q(2)}}
+    assert presentation_to_dict(alg)["brackets"] == [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "c": "3/2"}]},
+        {"i": 1, "j": 3, "terms": [{"k": 4, "c": "2"}]},
+    ]
+    for member in build_closure(9):
+        text = json.dumps(presentation_to_dict(member.algebra))
+        again = presentation_from_dict(json.loads(text))
+        assert json.dumps(presentation_to_dict(again)) == text, member.name
 
 
 def test_presentation_rational_strings():

@@ -346,7 +346,8 @@ def test_cochains_are_negated_chain_boundaries():
     route reads only its rank), on every catalog sample, H(4..7) and sums of
     total dim 10-14 (up to 455 x 105), and on a non-integral multiple of
     some.  Every value is nonzero and exact, each matrix is all-int or
-    all-Fraction, and d1, d2 and b3 of an integral table are all-int."""
+    all-Fraction, and d1, d2, b3 and b2 (the stored brackets as they are)
+    of an integral table are all-int."""
     algebras = [entry.build(v) for entry in cat.entries() for v in full_samples(entry)]
     algebras += [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums()
     assert [alg.dim for alg in algebras[-9:]] == [9, 11, 13, 15, 10, 11, 12, 13, 14]
@@ -360,9 +361,8 @@ def test_cochains_are_negated_chain_boundaries():
         assert b3 == _negated(reference_boundary3(alg)), alg.name
         # the kernel clears a Fraction row of denominators and takes an int
         # row as it is, reading the first value's type for the row's
-        kinds = {value_type(m) for m in (slice_.d1, slice_.d2, b3)} - {None}
+        kinds = {value_type(m) for m in (slice_.d1, slice_.d2, b3, b2)} - {None}
         assert kinds == ({int} if is_integral(alg) else {Q}), alg.name
-        assert value_type(b2) in (Q, None), alg.name
 
 
 def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
@@ -449,7 +449,7 @@ def structure_algebras():
 
 def test_structure_bases_match_the_fraction_route():
     """The centre, both central series, a product of two proper subspaces
-    and the epicenter, built in ints off `bracket_table()` with each kernel
+    and the epicenter, built in ints off the stored brackets with each kernel
     read off one elimination, equal the bases of the Fraction route (every
     bracket reduced by `Subspace.residue`, each kernel eliminated twice, the
     epicenter swept over the whole cover per centre row): the same rows of
@@ -577,8 +577,8 @@ def test_rows_placed_by_triple_index_match_the_enumerated_builds():
 
 
 def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
-    """L^2's basis is the rref of `bracket_table()`: equal to the basis of the
-    stored Fraction rows, and an integral table's rows reach the kernel as
+    """L^2's basis is the rref of the stored brackets: equal to the basis of
+    their Fraction copies, and an integral table's rows reach the kernel as
     ints, on the closure and on scaled Fraction tables."""
     reached = []
 
@@ -594,7 +594,8 @@ def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
         basis = core._derived_basis(alg)
         kinds = {type(x) for r in reached for x in r.values()}
         assert kinds == ({int} if is_integral(alg) else {Q}) or not alg.brackets, alg.name
-        expected = rref_basis(Matrix.from_sparse(list(alg.brackets.values()), alg.dim))
+        expected = rref_basis(Matrix.from_sparse(
+            [{k: Q(x) for k, x in terms.items()} for terms in alg.brackets.values()], alg.dim))
         assert basis == expected and value_type(basis) in (Q, None), alg.name
 
 
