@@ -534,13 +534,17 @@ class LieAlgebra:
         rows has J = 0.  The first triple in row order with J != 0 is
         reported.
         """
-        table = self.brackets
-        pairs = pair_index(self.dim)
+        n = self.dim
+        start = pair_starts(n)
+        # the stored bracket at each pair coordinate, read once
+        by_pair: list[Mapping[int, Scalar]] = [{}] * (n * (n - 1) // 2)
+        for (a, b), terms in self.brackets.items():
+            by_pair[start[a] + b] = terms
         for (i, j, k), row in rows.items():
             # -J(t), negated only when it is reported
             acc: dict[int, Scalar] = {}
             for p, x in row.items():
-                add_scaled(acc, x, table.get(pairs[p], {}))
+                add_scaled(acc, x, by_pair[p])
             if acc:
                 defect = [Q(0)] * self.dim
                 for m, y in acc.items():

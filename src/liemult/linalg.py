@@ -25,9 +25,11 @@ collection.
 
 Elimination is fraction-free (after Bareiss): each row is reduced as a
 {column: int} dict with integer combinations, an int row as it is and a
-Fraction row once cleared of its denominators (`sparse_integer_row`).
-Its products are built lazily, each from the one before and only when
-something reads it:
+Fraction row once cleared of its denominators (`sparse_integer_row`), the
+type of each read inline off its first value.  The forward step
+(`extend_integer_echelon`) does each cancellation in one loop, with no
+call.  Its products are built lazily, each from the one before and only
+when something reads it:
 
 * the forward echelon, primitive integer rows keyed by leading column,
   gives `pivot_columns` and `rank`, with no back substitution and no
@@ -117,12 +119,13 @@ def add_scaled(row: dict, a, terms: Mapping) -> None:
 def sparse_integer_row(terms: Mapping[int, Scalar]) -> dict[int, int]:
     """A row with no zero values as {column: int}: an int row as it is, a
     Fraction row scaled by the lcm of its denominators."""
-    # A matrix holds one value type (see `Matrix.from_sparse`), so the first
-    # value tells the row's.  Fraction keeps its lowest-terms value in the
+    # A row holds one value type (see `Matrix.from_sparse`), so its first
+    # value tells its type.  Fraction keeps its lowest-terms value in the
     # _numerator and _denominator slots; reading them directly skips a
     # Python-level call per entry.  A row that mixes the two types fails
-    # here or in the elimination (gcd takes ints only), never silently;
-    # tests/test_verify.py checks the contract on every row the package builds.
+    # here or in the elimination (gcd takes ints only), or cancels exactly:
+    # never a wrong result.  tests/test_verify.py checks the contract on
+    # every row the package builds.
     for x in terms.values():
         if type(x) is int:
             return terms
@@ -140,17 +143,54 @@ def _primitive(w: dict[int, int]) -> dict[int, int]:
 
 def extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
     """Reduce a {column: int} row against `echelon`, primitive integer rows
-    keyed by leading column.  If a nonzero remainder is left, add it as a new
-    pivot row and return True; return False when the row lies in their
-    span."""
-    w = _primitive(w)
+    keyed by leading column.  If a nonzero remainder is left, add it, made
+    primitive, as a new pivot row and return True; return False when the
+    row lies in their span.  `w` is not changed: it is copied at its first
+    cancellation, w <- a*w - b*p as in `_cancel`, and reduced in place.
+
+    The row is made primitive only when stored and after a step with
+    |a| > 1, which bounds its entries: a row k*w, k > 0, cancels to a
+    positive multiple of what w does, so the stored rows are those of
+    `_cancel`, which makes the row primitive after every step."""
+    copied = False
     while w:
         c = min(w)
         p = echelon.get(c)
         if p is None:
+            g = gcd(*w.values())
+            if g > 1:
+                if copied:
+                    for j in w:
+                        w[j] //= g
+                else:
+                    w = {j: v // g for j, v in w.items()}
             echelon[c] = w
             return True
-        w = _cancel(w, p, c)
+        g = gcd(w[c], p[c])
+        a, b = p[c] // g, -(w[c] // g)
+        if a != 1:
+            if copied:
+                for j in w:
+                    w[j] *= a
+            else:
+                w = {j: a * v for j, v in w.items()}
+        elif not copied:
+            w = dict(w)
+        copied = True
+        for j, y in p.items():
+            if j in w:
+                x = w[j] + b * y
+                if x:
+                    w[j] = x
+                else:
+                    del w[j]
+            else:
+                w[j] = b * y
+        if a > 1 or a < -1:
+            g = gcd(*w.values())
+            if g > 1:
+                for j in w:
+                    w[j] //= g
     return False
 
 
@@ -310,7 +350,9 @@ class Matrix:
         echelon: dict[int, dict[int, int]] = {}
         for row in self.sparse_rows:
             if row:
-                extend_integer_echelon(echelon, sparse_integer_row(row))
+                for x in row.values():
+                    break
+                extend_integer_echelon(echelon, row if type(x) is int else sparse_integer_row(row))
         self._echelon = echelon
         self._pivots = tuple(sorted(echelon))
 
@@ -406,7 +448,11 @@ def kernel_basis(rows: Iterable[Mapping[int, Scalar]], cols: int) -> Matrix:
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
         if row:
-            extend_integer_echelon(echelon, {-j: x for j, x in sparse_integer_row(row).items()})
+            for x in row.values():
+                break
+            if type(x) is not int:
+                row = sparse_integer_row(row)
+            extend_integer_echelon(echelon, {-j: x for j, x in row.items()})
     keys = sorted(echelon)
     reduced = _back_substitute(echelon, keys)
     # each free column's v_c, its entries in column order: c, then the

@@ -33,8 +33,8 @@ The sweep, the Jacobi check, d1, d2 and boundary_3 all read the stored
 brackets `L.brackets`, and the coboundaries are d1's columns.  When every
 structure constant of L is integral (every table the catalog builds),
 `LieAlgebra` stores them as Python ints, and the complex is built and
-eliminated with no Fraction from the sweep to the echelon: only the dim M
-kept cocycles become Fractions.
+eliminated with no Fraction from the sweep to the cocycles, primitive
+integer rows for any table, so the cover of an integral L is integral.
 A table with a non-integral constant is stored in Fractions, and the
 elimination clears each row of denominators as it meets it.  No table is
 rescaled to integers: a common denominator of constants with thousands
@@ -81,8 +81,7 @@ series; `clear_caches()`, re-exported here, empties it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Collection, Iterable
 
 from .core import (
@@ -177,7 +176,7 @@ def boundary3(L: LieAlgebra) -> Matrix:
 # multiplier dimension, both methods
 # ---------------------------------------------------------------------------
 
-Cochain = dict[int, Fraction]
+Cochain = dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class MultiplierResult:
 @_memoized
 def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int], ...]]:
     """L's d2, swept (`cochain_slice`) and eliminated once: the canonical
-    cocycle basis as sparse {pair index: Fraction} rows, and d2's reduced
+    cocycle basis as primitive {pair index: int} rows, and d2's reduced
     integer echelon rows (`Matrix.integer_rref_rows`), which the quotient
     reads restrict.
 
@@ -200,26 +199,29 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     the span of the coboundaries and of the v_c' with c' < c exactly when
     no restricted coboundary combination has its last nonzero at c, that
     is when c leads no row of their echelon with the largest column
-    leading.  Only the dim M vectors kept are built, and they become
-    Fractions."""
+    leading.  Only the dim M vectors kept are built, each made primitive."""
     slice_ = cochain_slice(L)
     d2 = slice_.d2
     pivots = set(d2.pivot_columns())
     # the coboundaries restricted to the free columns, gathered from d1's
-    # sparse rows: ints when L's table is integral, like d1 itself
+    # sparse rows at negated columns (`extend_integer_echelon` leads with
+    # the smallest): ints when L's table is integral, like d1 itself
     coboundaries: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
         if a not in pivots:
             for k, c in row.items():
-                coboundaries[k][a] = c
-    # negated columns: `extend_integer_echelon` leads with the smallest
+                coboundaries[k][-a] = c
     echelon: dict[int, dict[int, int]] = {}
     for coboundary in coboundaries:
-        extend_integer_echelon(echelon, {-a: v for a, v in sparse_integer_row(coboundary).items()})
+        if coboundary:
+            for x in coboundary.values():
+                break
+            extend_integer_echelon(
+                echelon, coboundary if type(x) is int else sparse_integer_row(coboundary))
     kept = []
-    for c, w in d2.integer_nullspace(skip={-a for a in echelon}):
-        den = w[c]
-        kept.append({j: Fraction(v, den) for j, v in w.items()})
+    for _, w in d2.integer_nullspace(skip={-a for a in echelon}):
+        g = gcd(*w.values())
+        kept.append({j: v // g for j, v in w.items()} if g > 1 else w)
     return tuple(kept), d2.integer_rref_rows()
 
 
@@ -227,12 +229,14 @@ def cocycle_representatives(L: LieAlgebra) -> tuple[Cochain, ...]:
     """Canonical basis of a complement of im(d1) inside ker(d2), memoized
     with d2's reduced integer rows (`_cohomology`).
 
-    Each cocycle is a sparse {pair index: Fraction} row with no zero
-    values: the value of the 2-form on x_i^x_j, pairs ordered
-    lexicographically. Deterministic: the coboundary span is extended by
-    nullspace vectors in rref order, keeping those that enlarge it (which
-    does not depend on the basis the span is reduced in); `_cohomology`
-    finds them in kernel coordinates, without extending any span.
+    Each cocycle is a primitive {pair index: int} row with no zero values:
+    the value of the 2-form on x_i^x_j, pairs ordered lexicographically.
+    Divided by its entry at its one free column of d2, which is positive,
+    it is an rref kernel vector of d2.  Deterministic: the
+    coboundary span is extended by nullspace vectors in rref order, keeping
+    those that enlarge it (which does not depend on the basis the span is
+    reduced in); `_cohomology` finds them in kernel coordinates, without
+    extending any span.
     """
     return _cohomology(L)[0]
 
@@ -399,12 +403,13 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     m = len(reps)
     # each cocycle's entries scattered to their pairs in one pass, so each
     # pair holds its adjoined terms n + t with t ascending
-    adjoined: dict[int, dict[int, Fraction]] = {}
+    adjoined: dict[int, dict[int, int]] = {}
     for col, f in enumerate(reps, n):
         for idx, x in f.items():
             adjoined.setdefault(idx, {})[col] = x
     # L's terms first; E's constructor copies every row and stores one type,
-    # so L's stored rows and the scattered Fractions are handed over as they are
+    # so L's stored rows and the scattered ints are handed over as they are
+    # (a positive multiple of a cocycle changes neither E's rank nor Z*(L))
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for idx, (i, j) in enumerate(pair_index(n)):
         terms = L.bracket_basis(i, j)

@@ -7,7 +7,22 @@ package against.
 
 from fractions import Fraction
 
-from liemult.linalg import _ONE, _ZERO, Matrix, Vector
+from liemult.linalg import _ONE, _ZERO, Matrix, Vector, _cancel, _primitive
+
+
+def eager_extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
+    """`linalg.extend_integer_echelon` made primitive at the start and after
+    every cancellation, each a call to `linalg._cancel` on a new row: the
+    reference the fused step, which defers that, is held to."""
+    w = _primitive(w)
+    while w:
+        c = min(w)
+        p = echelon.get(c)
+        if p is None:
+            echelon[c] = w
+            return True
+        w = _cancel(w, p, c)
+    return False
 
 
 def unit_vector(n: int, i: int) -> Vector:

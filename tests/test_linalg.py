@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 
 from liemult.core import format_rational
 from liemult import linalg
-from liemult.linalg import _ZERO, Matrix, kernel_basis, rref_basis, span_rref
+from liemult.linalg import (
+    _ZERO, Matrix, extend_integer_echelon, kernel_basis, rref_basis, span_rref)
 
-from linalg_helpers import mul_vec, nullspace_basis, sparse_nullspace_basis, transpose
+from linalg_helpers import (
+    eager_extend_integer_echelon, mul_vec, nullspace_basis, sparse_nullspace_basis, transpose)
 
 
 def test_rank_identity():
@@ -248,6 +250,51 @@ def test_kernel_matches_dense_reference(case):
     assert span.pivot_columns() == pivots
     assert span.rref() is span
     assert all(type(x) is Q for r in span.data for x in r)
+
+
+huge = st.integers(10**60, 10**70) | st.integers(-(10**70), -(10**60))
+int_entries = st.one_of(
+    st.just(0), st.integers(-6, 6), st.sampled_from([2, -3, 6, 12, -30]), huge)
+# rows of c columns, then rows that are integer combinations a*r_i + b*r_j
+# of those, which lie in their span and cancel over several steps
+int_row_cases = st.integers(1, 7).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(int_entries, min_size=c, max_size=c), max_size=9),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                           st.sampled_from([1, -1, 2, 3, -4, 10**61]),
+                           st.sampled_from([1, -2, 5, -(10**62)])), max_size=4),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_row_cases)
+@example(([[6, 4, 10**61], [4, 6, 0], [3, 0, -9]], [(0, 1, 3, -2)]))
+@example(([[2, 3], [3, 2], [0, 5]], [(0, 1, 2, 5)]))
+def test_fused_echelon_step_matches_the_eager_one(case):
+    """The fused forward step, made primitive only when a row is stored and
+    after a step that scaled it by |a| > 1, stores the rows that making the
+    row primitive after every cancellation (`_cancel`) stores: the same
+    return values, pivot keys in the same order, and each row with the same
+    values in the same key order.  A row handed in is never changed."""
+    base, combos = case
+    rows = [{j: x for j, x in enumerate(r) if x} for r in base]
+    for i, j, a, b in combos:
+        if base and rows[i % len(rows)]:
+            combo = {}
+            for r, f in ((rows[i % len(rows)], a), (rows[j % len(rows)], b)):
+                for k, x in r.items():
+                    combo[k] = combo.get(k, 0) + f * x
+            rows.append({k: x for k, x in combo.items() if x})
+    fused: dict[int, dict[int, int]] = {}
+    eager: dict[int, dict[int, int]] = {}
+    for row in rows:
+        before = list(row.items())
+        assert extend_integer_echelon(fused, row) == eager_extend_integer_echelon(eager, dict(row))
+        assert list(row.items()) == before
+    assert list(fused) == list(eager)
+    assert [list(r.items()) for r in fused.values()] == [list(r.items()) for r in eager.values()]
+    assert all(gcd(*r.values()) == 1 for r in fused.values())
 
 
 def divided_by_pivots(pivots, reduced):

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -36,7 +36,7 @@ import liemult.catalog as cat
 from liemult import core, invariants, linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
-from liemult.linalg import Matrix, rref_basis, sparse_integer_row
+from liemult.linalg import Matrix, extend_integer_echelon, qf, rref_basis, sparse_integer_row
 from liemult.multiplier import (
     boundary3,
     cochain_slice,
@@ -365,21 +365,37 @@ def test_cochains_are_negated_chain_boundaries():
         assert kinds == ({int} if is_integral(alg) else {Q}), alg.name
 
 
+def spy_kernel_entry(monkeypatch, module):
+    """Record the rows `module` hands to `extend_integer_echelon`, the one
+    entry of the elimination, and those it hands to `sparse_integer_row`
+    to be cleared of denominators first: (reached, cleared).  A row of an
+    integral table must reach the first as an int row and never the
+    second, so no Fraction is built only to be cleared again."""
+    reached, cleared = [], []
+
+    def extend(echelon, w):
+        reached.append(w)
+        return extend_integer_echelon(echelon, w)
+
+    def clear(terms):
+        cleared.append(terms)
+        return sparse_integer_row(terms)
+
+    monkeypatch.setattr(module, "extend_integer_echelon", extend)
+    monkeypatch.setattr(module, "sparse_integer_row", clear)
+    return reached, cleared
+
+
 def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
     """For H(7) and two benchmark-shaped sums, every row of d2 and b3
-    reaches `sparse_integer_row` in the elimination as an int row, and so
-    does each coboundary in `_cohomology`, restricted to d2's free columns
-    (a column of d1 with d2's pivot columns dropped): no Fraction is built
-    from an integral table only to be cleared of denominators again."""
-    reached, coboundaries, built = [], [], {}
-
-    def kernel_row(terms):
-        reached.append(terms)
-        return sparse_integer_row(terms)
-
-    def coboundary_row(terms):
-        coboundaries.append(terms)
-        return sparse_integer_row(terms)
+    reaches `extend_integer_echelon` in the elimination as itself, an int
+    row, and so does each nonzero coboundary in `_cohomology`, restricted to
+    d2's free columns (a column of d1 with d2's pivot columns dropped, at
+    negated columns): no row is cleared of denominators, so no Fraction is
+    built from an integral table only to be cleared again."""
+    built = {}
+    reached, cleared = spy_kernel_entry(monkeypatch, linalg)
+    coboundaries, cleared_coboundaries = spy_kernel_entry(monkeypatch, multiplier)
 
     def spy(name, fn):
         def wrapped(alg):
@@ -387,15 +403,13 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
             return built[name]
         monkeypatch.setattr(multiplier, name, wrapped)
 
-    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
-    monkeypatch.setattr(multiplier, "sparse_integer_row", coboundary_row)
     spy("cochain_slice", cochain_slice)
     spy("boundary3", boundary3)
     dropped = 0
     for alg in (heisenberg(7), benchmark_shaped_sums()[3], benchmark_shaped_sums()[-1]):
         multiplier.clear_caches()
-        reached.clear()
-        coboundaries.clear()
+        for spied in (reached, cleared, coboundaries, cleared_coboundaries):
+            spied.clear()
         fresh = LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
         assert dim_multiplier_cover(fresh).dim_M == dim_multiplier(alg)
         d1, d2 = built["cochain_slice"].d1, built["cochain_slice"].d2
@@ -404,11 +418,12 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
         assert rows and all(id(r) in ids for r in rows), alg.name
         pivots = set(d2.pivot_columns())
         columns = transpose(d1).sparse_rows
-        assert coboundaries == [{a: x for a, x in col.items() if a not in pivots}
-                                for col in columns], alg.name
+        restricted = [{-a: x for a, x in col.items() if a not in pivots} for col in columns]
+        assert coboundaries == [r for r in restricted if r], alg.name
         dropped += sum(len(col) for col in columns) - sum(len(r) for r in coboundaries)
-        for r in rows + coboundaries:
+        for r in reached + coboundaries:
             assert all(type(x) is int for x in r.values()), alg.name
+        assert not cleared and not cleared_coboundaries, alg.name
     # L_{6,17}+147E(-1) has a bracket at a pivot column of d2
     assert dropped > 0
 
@@ -475,17 +490,11 @@ def test_structure_bases_match_the_fraction_route():
 def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
     """On integral tables, the rows of the centre's, each upper step's,
     each lower step's and a product's system, and of the epicenter's over
-    an integral cover, reach `sparse_integer_row` in the elimination as int
-    rows: no Fraction is built only to be cleared again."""
-    reached = []
-
-    def kernel_row(terms):
-        reached.append(terms)
-        return sparse_integer_row(terms)
-
-    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
+    the cover, reach `extend_integer_echelon` in the elimination as int
+    rows, and none is cleared of denominators: no Fraction is built only to
+    be cleared again.  The cover of an integral table is integral."""
+    reached, cleared = spy_kernel_entry(monkeypatch, linalg)
     closure = [m.algebra for m in build_closure(9)]
-    epicenters = 0
     for alg in closure + [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums():
         assert is_integral(alg), alg.name
         multiplier.clear_caches()
@@ -495,17 +504,15 @@ def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
                  lambda: epicenter(fresh)]
         for k, step in enumerate(steps):
             if k == 4:
-                # E's own table must be integral, and E is built first
-                if not is_integral(cover(fresh)):
-                    continue
-                epicenters += 1
+                # E is built first, and its own table is integral
+                assert is_integral(cover(fresh)), alg.name
             reached.clear()
+            cleared.clear()
             step()
             # a non-abelian centre and lower series always eliminate rows
             assert reached or k > 1 or alg.is_abelian, alg.name
             assert all(type(x) is int for r in reached for x in r.values()), alg.name
-    # the covers of L_{6,21}(2), L_{6,22}(2) and their paddings are not integral
-    assert epicenters == len(closure) + 9 - 8
+            assert not cleared, alg.name
 
 
 @pytest.mark.parametrize("c", [Q(1, 3), Q(7, 5), Q(-5, 7)])
@@ -578,22 +585,24 @@ def test_rows_placed_by_triple_index_match_the_enumerated_builds():
 
 def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
     """L^2's basis is the rref of the stored brackets: equal to the basis of
-    their Fraction copies, and an integral table's rows reach the kernel as
-    ints, on the closure and on scaled Fraction tables."""
-    reached = []
-
-    def kernel_row(terms):
-        reached.append(terms)
-        return sparse_integer_row(terms)
-
-    monkeypatch.setattr(linalg, "sparse_integer_row", kernel_row)
+    their Fraction copies, on the closure and on scaled Fraction tables.  An
+    integral table's rows reach the kernel as int rows and none is cleared
+    of denominators; a Fraction table's rows are each cleared, as Fraction
+    rows, before they reach it."""
+    reached, cleared = spy_kernel_entry(monkeypatch, linalg)
     closure = [m.algebra for m in build_closure(9)]
     for alg in closure + [scaled(alg, Q(-2, 3)) for alg in closure[::17]]:
         multiplier.clear_caches()
         reached.clear()
+        cleared.clear()
         basis = core._derived_basis(alg)
-        kinds = {type(x) for r in reached for x in r.values()}
-        assert kinds == ({int} if is_integral(alg) else {Q}) or not alg.brackets, alg.name
+        assert len(reached) == len(alg.brackets), alg.name
+        assert all(type(x) is int for r in reached for x in r.values()), alg.name
+        kinds = {type(x) for r in cleared for x in r.values()}
+        if is_integral(alg):
+            assert not cleared, alg.name
+        else:
+            assert kinds == {Q} and len(cleared) == len(alg.brackets), alg.name
         expected = rref_basis(Matrix.from_sparse(
             [{k: Q(x) for k, x in terms.items()} for terms in alg.brackets.values()], alg.dim))
         assert basis == expected and value_type(basis) in (Q, None), alg.name
@@ -657,11 +666,12 @@ def reference_cocycle_representatives(alg):
 
 
 def test_cocycle_representatives_match_dense_reference():
-    """The sparse cocycles hold no zero values and, densified, are the
-    reference's vectors, which it keeps by extending the coboundary span
-    with every kernel vector: on the closure, H(4..7), the benchmark-shaped
-    sums, A(1..8), and tables scaled by non-integral constants (the
-    Fraction path)."""
+    """The cocycles are primitive int rows with no zero values, each with
+    one entry, positive, at a free column of d2.  Each divided exactly by
+    that entry and densified, they are the reference's vectors, which it
+    keeps by extending the coboundary span with every kernel vector: on
+    the closure, H(4..7), the benchmark-shaped sums, A(1..8), and tables
+    scaled by non-integral constants (the Fraction path)."""
     closure = [m.algebra for m in build_closure(9)]
     sums = benchmark_shaped_sums()
     algebras = closure + [heisenberg(m) for m in range(4, 8)] + sums
@@ -672,8 +682,15 @@ def test_cocycle_representatives_match_dense_reference():
     for alg in algebras:
         reps = cocycle_representatives(alg)
         pairs = alg.dim * (alg.dim - 1) // 2
-        assert all(type(x) is Q and x for f in reps for x in f.values()), alg.name
-        dense = Matrix.from_sparse(reps, pairs).data
+        pivots = set(cochain_slice(alg).d2.pivot_columns())
+        assert all(type(x) is int and x for f in reps for x in f.values()), alg.name
+        divided = []
+        for f in reps:
+            assert gcd(*f.values()) == 1, alg.name
+            (free,) = [j for j in f if j not in pivots]
+            assert f[free] > 0, alg.name
+            divided.append({j: Q(x, f[free]) for j, x in f.items()})
+        dense = Matrix.from_sparse(divided, pairs).data
         assert dense == reference_cocycle_representatives(alg), alg.name
 
 
@@ -1178,6 +1195,36 @@ def test_cover_brackets_match_the_per_pair_build():
         got = [(p, list(terms.items())) for p, terms in cover(alg).brackets.items()]
         want = [(p, list(terms.items())) for p, terms in per_pair_cover_brackets(alg).items()]
         assert got == want, alg.name
+
+
+def test_integral_covers_are_built_in_ints(monkeypatch):
+    """The cocycles of an integral table are int rows, so its cover's table
+    arrives in ints and is stored as it is, with no `core.qf` call, on every
+    closure member and H(1..7).  The cover of each table scaled by 1/3 and
+    by -7/5 is stored all in Fractions, and its epicenter is the unscaled
+    one: cL is L under x -> x/c, which keeps every subspace."""
+    converted = []
+
+    def counting_qf(x):
+        converted.append(x)
+        return qf(x)
+
+    algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(1, 8)]
+    for alg in algebras:
+        assert is_integral(alg), alg.name
+        multiplier.clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "qf", counting_qf)
+            E = cover(alg)
+        assert not converted, alg.name
+        assert all(type(x) is int for terms in E.brackets.values() for x in terms.values())
+        want = epicenter(alg).basis
+        for c in (Q(1, 3), Q(-7, 5)):
+            c_alg = scaled(alg, c)
+            c_E = cover(c_alg)
+            assert c_E.dim == E.dim, alg.name
+            assert all(type(x) is Q for terms in c_E.brackets.values() for x in terms.values())
+            assert epicenter(c_alg).basis == want, alg.name
 
 
 def test_cover_of_A1_is_trivial():
