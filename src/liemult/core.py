@@ -19,8 +19,10 @@ every kind of trusted algebra.
 
 The brackets meet the basis triples in one place, `wedge_rows`: one sweep
 in which each stored [x_a, x_b] meets every third index c once, as one
-term of the d2 row of sorted(a, b, c).  The Jacobi identity is d2 . d1 = 0,
-and `check_jacobi` reads it off those rows; validation and
+term of the d2 row of sorted(a, b, c), keyed by that triple's index in
+`combinations(range(n), 3)` (a closed form, no triple built).  The Jacobi
+identity is d2 . d1 = 0, and `check_jacobi` reads it off those rows,
+turning a key back into its triple only to report it; validation and
 `multiplier.cochain_slice` both call it.  The constructor alone normalises
 constants: an integral table is stored in ints, any other all in Fractions
 (one type, as `Matrix.from_sparse` asks), and every reader takes it as
@@ -78,7 +80,7 @@ import re
 import threading
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -478,10 +480,11 @@ class LieAlgebra:
                         out[k] += coeff * c
         return tuple(out)
 
-    def wedge_rows(self) -> dict[tuple[int, int, int], dict[int, Scalar]]:
-        """The d2 rows of L in pair coordinates, keyed by triple (i, j, k),
-        i < j < k, in one sweep over the stored brackets, so the values are
-        ints for an integral table and Fractions otherwise:
+    def wedge_rows(self) -> dict[int, dict[int, Scalar]]:
+        """The d2 rows of L in pair coordinates, keyed by the index of the
+        triple (i, j, k), i < j < k, in `combinations(range(n), 3)`, in one
+        sweep over the stored brackets, so the values are ints for an
+        integral table and Fractions otherwise:
 
             (d2 f)(xi,xj,xk) = -f([xi,xj],xk) + f([xi,xk],xj) - f([xj,xk],xi).
 
@@ -489,6 +492,10 @@ class LieAlgebra:
         first (c > b), second (a < c < b) or third (c < a) term of the triple
         sorted(a, b, c), with sign -1, +1, -1; l^c with l > c folds into
         -(c^l).  Each bracket's terms are negated once, not once per c.
+        The key of (i, j, k) is lead[i] - mid[j] + k, the closed form
+        C(n,3) - C(n-i,3) + C(n-i-1,2) - C(n-j,2) + (k-j-1): the triples
+        before i, then those (i, b, c) with i < b < j, then k's place after
+        j; no triple is enumerated.
         Triples that no bracket reaches are absent, and entries whose
         terms cancel are dropped, so rows hold no zero values but may be empty.
         Rows are kept in the order first met (bracket order, then c
@@ -496,19 +503,27 @@ class LieAlgebra:
         n = self.dim
         # the pair (l, c), l < c, is pair coordinate start[l] + c
         start = pair_starts(n)
-        rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
+        # lead[i]: the triples that lead with i or less; C(n-j, 2) in mid[j]:
+        # the (i, b, c) with b >= j, for any i < j
+        lead, mid, led = [], [], 0
+        for i in range(n):
+            led += (n - i - 1) * (n - i - 2) // 2
+            lead.append(led)
+            mid.append((n - i) * (n - i - 1) // 2 + i + 1)
+        rows: dict[int, dict[int, Scalar]] = {}
         for (a, b), terms in self.brackets.items():
             signed = [(l, x, -x) for l, x in terms.items()]
+            first, second, third = lead[a] - mid[b], lead[a] + b, b - mid[a]
             for c in range(n):
                 if c == a or c == b:
                     continue
                 if c > b:
-                    triple, negate = (a, b, c), True
+                    t, negate = first + c, True
                 elif c > a:
-                    triple, negate = (a, c, b), False
+                    t, negate = second - mid[c], False
                 else:
-                    triple, negate = (c, a, b), True
-                row = rows.setdefault(triple, {})
+                    t, negate = third + lead[c], True
+                row = rows.setdefault(t, {})
                 for l, x, minus_x in signed:
                     if l == c:
                         continue
@@ -523,7 +538,7 @@ class LieAlgebra:
                         del row[idx]
         return rows
 
-    def check_jacobi(self, rows: Mapping[tuple[int, int, int], Mapping[int, Scalar]]) -> None:
+    def check_jacobi(self, rows: Mapping[int, Mapping[int, Scalar]]) -> None:
         """The Jacobi identity on every basis triple, read off this
         algebra's `wedge_rows()` and stored brackets; raises
         JacobiViolation, whose defect holds Fractions whatever the table.
@@ -532,7 +547,8 @@ class LieAlgebra:
         J(t) = [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] = -sum_p row_t[p] [x_p]
         over the pairs p: Jacobi is d2 . d1 = 0.  A triple absent from the
         rows has J = 0.  The first triple in row order with J != 0 is
-        reported.
+        reported; only then is its index turned back into the triple, by
+        walking the blocks of `combinations(range(n), 3)` (O(n) steps).
         """
         n = self.dim
         start = pair_starts(n)
@@ -540,7 +556,7 @@ class LieAlgebra:
         by_pair: list[Mapping[int, Scalar]] = [{}] * (n * (n - 1) // 2)
         for (a, b), terms in self.brackets.items():
             by_pair[start[a] + b] = terms
-        for (i, j, k), row in rows.items():
+        for t, row in rows.items():
             # -J(t), negated only when it is reported
             acc: dict[int, Scalar] = {}
             for p, x in row.items():
@@ -549,7 +565,16 @@ class LieAlgebra:
                 defect = [Q(0)] * self.dim
                 for m, y in acc.items():
                     defect[m] = Q(-y)
-                raise JacobiViolation((i + 1, j + 1, k + 1), tuple(defect))
+                # C(n-i-1, 2) triples lead with i, n-j-1 of them with (i, j)
+                i = 0
+                while t >= comb(n - i - 1, 2):
+                    t -= comb(n - i - 1, 2)
+                    i += 1
+                j = i + 1
+                while t >= n - j - 1:
+                    t -= n - j - 1
+                    j += 1
+                raise JacobiViolation((i + 1, j + 1, j + t + 2), tuple(defect))
 
     # -- identity -------------------------------------------------------------
 

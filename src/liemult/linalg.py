@@ -26,10 +26,15 @@ collection.
 Elimination is fraction-free (after Bareiss): each row is reduced as a
 {column: int} dict with integer combinations, an int row as it is and a
 Fraction row once cleared of its denominators (`sparse_integer_row`), the
-type of each read inline off its first value.  The forward step
-(`extend_integer_echelon`) does each cancellation in one loop, with no
-call.  Its products are built lazily, each from the one before and only
-when something reads it:
+type of each read inline off its first value.  Every elimination enters
+through one forward pass, `_forward_echelon`, which takes the
+single-entry (unit) rows first, as structured sparse elimination does:
+each is the pivot {c: +-1} with no elimination step, a repeated one is
+dropped, and the longer rows, stripped of the unit columns, go one by one
+to the forward step (`extend_integer_echelon`), which does each
+cancellation in one loop, with no call.  Most rows of d2 have one entry,
+so most of its pivots cost no step.  The products are built lazily, each
+from the one before and only when something reads it:
 
 * the forward echelon, primitive integer rows keyed by leading column,
   gives `pivot_columns` and `rank`, with no back substitution and no
@@ -37,9 +42,10 @@ when something reads it:
 * the reduced integer echelon (`integer_rref_rows`), one primitive row per
   pivot and zero at every other pivot column, is back substituted from it
   and gives the nullspace in integers (`integer_nullspace`), each kernel
-  vector scaled by the lcm of the pivot values it meets, built only for the
-  free columns its caller does not skip; divided by its entry at its free
-  column it is a vector of the rref kernel basis;
+  vector scaled by the lcm of the pivot values it meets (a free column no
+  reduced row meets gets {c: 1}), built only for the free columns its
+  caller does not skip; divided by its entry at its free column it is a
+  vector of the rref kernel basis;
 * the Fraction `rref`, each reduced row divided by its pivot value, is
   built from that for the callers that read it, such as subspace bases.
 
@@ -53,9 +59,10 @@ has no echelon: its products read its rows.  The reduced row echelon form
 of a matrix is unique, so `rref`, `pivot_columns`, `rank`, `kernel_basis`
 and the rref kernel vectors (and everything derived from them, e.g.
 canonical subspace bases) are canonical, whatever order the kernel
-eliminates in; the reduced integer rows are the rref rows up to a nonzero
-integer factor each.  `extend_integer_echelon` exposes the forward
-reduction step for growing a span one {column: int} row at a time.
+eliminates in (units first or not); the reduced integer rows are the rref
+rows up to a nonzero integer factor each, primitive, so fixed up to sign.
+`extend_integer_echelon` exposes the forward reduction step for growing a
+span one {column: int} row at a time.
 
 `rref_basis` turns a matrix into the canonical basis of its row space,
 held as sparse rows: its rref without the zero rows.  Subspaces are built
@@ -192,6 +199,45 @@ def extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]
                 for j in w:
                     w[j] //= g
     return False
+
+
+def _forward_echelon(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, int]]:
+    """The forward echelon of {column: value} rows, each with no zero values
+    and all of one type: primitive integer rows keyed by leading column,
+    unit rows first.
+
+    A row with one entry at c puts e_c in the span, so it becomes the pivot
+    {c: +-1}: the row itself when it is an int +-1 row, else a new one of
+    its sign.  A later unit row at c is dependent and dropped.  Every other
+    row, stripped of the unit columns (a copy only when it meets one), is
+    cleared of denominators when it is a Fraction row and handed to
+    `extend_integer_echelon`; a stripped row meets no unit pivot, so the
+    longer rows are eliminated among themselves.  The pivots are those of
+    eliminating the rows one by one; each row of the reduced echelon is the
+    same up to its sign."""
+    units: dict[int, dict[int, int]] = {}
+    longer = []
+    for row in rows:
+        if row:
+            if len(row) == 1:
+                [(c, x)] = row.items()
+                if c not in units:
+                    unit = type(x) is int and (x == 1 or x == -1)
+                    units[c] = row if unit else {c: 1 if x > 0 else -1}
+            else:
+                longer.append(row)
+    echelon: dict[int, dict[int, int]] = {}
+    unit_columns = units.keys()
+    for row in longer:
+        if not unit_columns.isdisjoint(row):
+            row = {j: x for j, x in row.items() if j not in units}
+            if not row:
+                continue
+        for x in row.values():
+            break
+        extend_integer_echelon(echelon, row if type(x) is int else sparse_integer_row(row))
+    units.update(echelon)
+    return units
 
 
 def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
@@ -347,12 +393,7 @@ class Matrix:
     def _eliminate(self) -> None:
         """Forward elimination: primitive integer rows keyed by leading
         column, not yet reduced above their pivots."""
-        echelon: dict[int, dict[int, int]] = {}
-        for row in self.sparse_rows:
-            if row:
-                for x in row.values():
-                    break
-                extend_integer_echelon(echelon, row if type(x) is int else sparse_integer_row(row))
+        echelon = _forward_echelon(self.sparse_rows)
         self._echelon = echelon
         self._pivots = tuple(sorted(echelon))
 
@@ -423,10 +464,13 @@ class Matrix:
                     entries.append((pcol, x, pv))
         kernel = []
         for c, entries in meets.items():
-            den = lcm(1, *[pv for _, _, pv in entries])
-            w = {c: den}
-            for pcol, x, pv in entries:
-                w[pcol] = -x * (den // pv)
+            if entries:
+                den = lcm(*[pv for _, _, pv in entries])
+                w = {c: den}
+                for pcol, x, pv in entries:
+                    w[pcol] = -x * (den // pv)
+            else:
+                w = {c: 1}
             kernel.append((c, w))
         return kernel
 
@@ -438,21 +482,14 @@ def kernel_basis(rows: Iterable[Mapping[int, Scalar]], cols: int) -> Matrix:
     until the basis is built.
 
     The rows are eliminated with the largest column leading (negated column
-    keys, as `extend_integer_echelon` leads with the smallest) and back
-    substituted.  A reduced row is then zero at every column greater than
-    its pivot and at every other pivot, so the kernel vector v_c of a free
-    column c is 1 at c, 0 at the other free columns, and nonzero only at
-    pivots greater than c: v_c is already the rref row of the kernel with
-    pivot c, and no second elimination is needed.  The result is its own
+    keys, as `_forward_echelon` leads with the smallest, unit rows first)
+    and back substituted.  A reduced row is then zero at every column
+    greater than its pivot and at every other pivot, so the kernel vector
+    v_c of a free column c is 1 at c, 0 at the other free columns, and
+    nonzero only at pivots greater than c: v_c is already the rref row of
+    the kernel with pivot c, and no second elimination is needed.  The result is its own
     rref, with those free columns as its pivots."""
-    echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if row:
-            for x in row.values():
-                break
-            if type(x) is not int:
-                row = sparse_integer_row(row)
-            extend_integer_echelon(echelon, {-j: x for j, x in row.items()})
+    echelon = _forward_echelon({-j: x for j, x in row.items()} for row in rows)
     keys = sorted(echelon)
     reduced = _back_substitute(echelon, keys)
     # each free column's v_c, its entries in column order: c, then the

@@ -12,19 +12,21 @@ Two independent routes compute dim M(L):
 * cover (the generators-and-relations elimination count): the homological
   chain slice Lambda^3 L -> Lambda^2 L -> L; adjoining a central generator
   s_ij to every bracket and absorbing redundant ones leaves
-  C(n,2) - dim L^2 - rank(boundary_3) survivors; the rank is read off
-  the forward echelon of `boundary3`, built as -boundary_3 = d2^T.
+  C(n,2) - dim L^2 - rank(boundary_3) survivors; both ranks are read off
+  forward echelons, dim L^2 as the rank of the stored brackets (rank d1),
+  and rank(boundary_3) off `boundary3`, built as -boundary_3 = d2^T.
 
 Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
 columns) come from one sweep over the stored brackets,
 `LieAlgebra.wedge_rows` in `core`, in which each bracket [xa,xb] meets
 every third index c once; it runs once per matrix and is not memoized.
-Each swept row goes to its triple's index in `combinations(range(n), 3)`
-by a closed form (`triple_positions`), so no matrix enumerates the C(n,3)
-triples.  The agreement checks the ranks but not that assembly; the tests
-check it against a dense per-entry reference on brackets with several
-terms and on the shapes of the benchmark.  L's Jacobi identity is
+The sweep keys each row by its triple's index in
+`combinations(range(n), 3)`, computed by a closed form as the row is met,
+so d2 and boundary_3 place the rows by their keys and no matrix
+enumerates the C(n,3) triples.  The agreement checks the ranks but not
+that assembly; the tests check it against a dense per-entry reference on
+brackets with several terms and on the shapes of the benchmark.  L's Jacobi identity is
 d2 . d1 = 0; the slice checks it on its d2 rows (`LieAlgebra.check_jacobi`),
 so both routes, which read the cocycle basis, refuse a table that breaks
 it.
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd, lcm
-from typing import Collection, Iterable
+from typing import Collection
 
 from .core import (
     LieAlgebra,
@@ -98,6 +100,7 @@ from .core import (
 from .linalg import (
     Matrix,
     Scalar,
+    _forward_echelon,
     add_scaled,
     extend_integer_echelon,
     kernel_basis,
@@ -115,26 +118,16 @@ class CochainComplexSlice:
     d2: Matrix
 
 
-def triple_positions(n: int, triples: Iterable[tuple[int, int, int]]) -> list[int]:
-    """The index of each triple i < j < k in `combinations(range(n), 3)`, by
-    the closed form C(n,3) - C(n-i,3) + C(n-i-1,2) - C(n-j,2) + (k-j-1):
-    the triples before i, then those (i, b, c) with i < b < j, then k's
-    place after j."""
-    lead = [comb(n, 3) - comb(n - i, 3) + comb(n - i - 1, 2) for i in range(n)]
-    mid = [comb(n - j, 2) + j + 1 for j in range(n)]
-    return [lead[i] - mid[j] + k for i, j, k in triples]
-
-
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """Build the degree-(1,2) cochain slice; d2 . d1 = 0, the Jacobi
     identity, is checked by `L.check_jacobi` on the rows d2 is built from.
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
     d2 = -b3^T); d1 is read off `L.brackets`, d2 off `L.wedge_rows()`,
-    so both hold ints for an integral table.  Each swept row
-    of d2 goes to its triple's index (`triple_positions`); no triple is
-    enumerated.  The rows of d1 for pairs with no bracket, and those of d2
-    for triples no bracket reaches, share one empty row each: at n = 200 a
+    so both hold ints for an integral table.  Each swept row of d2 goes to
+    its key, its triple's index; no triple is enumerated.  The rows of d1
+    for pairs with no bracket, and those of d2 for triples no bracket
+    reaches, share one empty row each: at n = 200 a
     dict for each of the C(n,3) = 1,313,400 rows of d2 would take about
     180 MB.
     rank d1 = dim L^2 holds by construction (d1's nonzero rows are the
@@ -150,7 +143,7 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     L.check_jacobi(swept)
     unreached: dict[int, Scalar] = {}
     rows = [unreached] * comb(n, 3)
-    for t, row in zip(triple_positions(n, swept), swept.values()):
+    for t, row in swept.items():
         rows[t] = row
     return CochainComplexSlice(d1, Matrix.from_sparse(rows, len(pairs)))
 
@@ -161,12 +154,12 @@ def boundary3(L: LieAlgebra) -> Matrix:
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
     only the rank, so the swept entries (ints for an integral table) are
     used without a sign copy, each placed in the column
-    of its triple's index (`triple_positions`).
+    of its key, its triple's index.
     """
     n = L.dim
     swept = L.wedge_rows()
     rows: list[dict[int, Scalar]] = [{} for _ in pair_index(n)]
-    for t, row in zip(triple_positions(n, swept), swept.values()):
+    for t, row in swept.items():
         for a, x in row.items():
             rows[a][t] = x
     return Matrix.from_sparse(rows, comb(n, 3))
@@ -199,29 +192,27 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     the span of the coboundaries and of the v_c' with c' < c exactly when
     no restricted coboundary combination has its last nonzero at c, that
     is when c leads no row of their echelon with the largest column
-    leading.  Only the dim M vectors kept are built, each made primitive."""
+    leading.  Only the dim M vectors kept are built, each made primitive;
+    one that is 1 at c already is."""
     slice_ = cochain_slice(L)
     d2 = slice_.d2
     pivots = set(d2.pivot_columns())
     # the coboundaries restricted to the free columns, gathered from d1's
-    # sparse rows at negated columns (`extend_integer_echelon` leads with
-    # the smallest): ints when L's table is integral, like d1 itself
+    # sparse rows at negated columns (`_forward_echelon` leads with the
+    # smallest): ints when L's table is integral, like d1 itself
     coboundaries: list[dict[int, Scalar]] = [{} for _ in range(L.dim)]
     for a, row in enumerate(slice_.d1.sparse_rows):
         if a not in pivots:
             for k, c in row.items():
                 coboundaries[k][-a] = c
-    echelon: dict[int, dict[int, int]] = {}
-    for coboundary in coboundaries:
-        if coboundary:
-            for x in coboundary.values():
-                break
-            extend_integer_echelon(
-                echelon, coboundary if type(x) is int else sparse_integer_row(coboundary))
+    echelon = _forward_echelon(coboundaries)
     kept = []
-    for _, w in d2.integer_nullspace(skip={-a for a in echelon}):
-        g = gcd(*w.values())
-        kept.append({j: v // g for j, v in w.items()} if g > 1 else w)
+    for c, w in d2.integer_nullspace(skip={-a for a in echelon}):
+        if w[c] != 1:
+            g = gcd(*w.values())
+            if g > 1:
+                w = {j: v // g for j, v in w.items()}
+        kept.append(w)
     return tuple(kept), d2.integer_rref_rows()
 
 
@@ -252,11 +243,14 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
 
     Adjoining central generators to every bracket, imposing the Jacobi
     relations, and absorbing generators into a basis change on L^2 kills
-    exactly rank(boundary_3) + dim L^2 of the C(n,2) candidates.  L's own
-    Jacobi identity is checked on the way, by `cocycle_representatives`.
+    exactly rank(boundary_3) + dim L^2 of the C(n,2) candidates.  dim L^2
+    is the rank of the stored brackets, read off their forward echelon
+    with no Fraction basis built.  L's own Jacobi identity is checked on
+    the way, by `cocycle_representatives`.
     """
     reps = cocycle_representatives(L)
-    m = len(pair_index(L.dim)) - L.derived_subalgebra().dim - boundary3(L).rank()
+    derived = Matrix.from_sparse(list(L.brackets.values()), L.dim).rank()
+    m = len(pair_index(L.dim)) - derived - boundary3(L).rank()
     if len(reps) != m:
         raise LieError("cover and cohomology multiplier dimensions disagree")
     return MultiplierResult(dim_M=m)

@@ -7,7 +7,8 @@ package against.
 
 from fractions import Fraction
 
-from liemult.linalg import _ONE, _ZERO, Matrix, Vector, _cancel, _primitive
+from liemult.linalg import (
+    _ONE, _ZERO, Matrix, Vector, _cancel, _primitive, extend_integer_echelon, sparse_integer_row)
 
 
 def eager_extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
@@ -23,6 +24,20 @@ def eager_extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int
             return True
         w = _cancel(w, p, c)
     return False
+
+
+def rowwise_forward_echelon(rows) -> dict[int, dict[int, int]]:
+    """Each nonzero row, cleared of denominators if it is a Fraction row,
+    handed to `linalg.extend_integer_echelon` in turn, unit rows and all:
+    the reference `linalg._forward_echelon`, which takes unit rows first,
+    is held to."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if row:
+            for x in row.values():
+                break
+            extend_integer_echelon(echelon, row if type(x) is int else sparse_integer_row(row))
+    return echelon
 
 
 def unit_vector(n: int, i: int) -> Vector:

@@ -147,6 +147,25 @@ def test_jacobi_sweep_reports_the_reference_triple(case):
     assert all(type(x) is Q for x in err.value.defect)
 
 
+def test_jacobi_violation_at_max_dim_reports_its_triple_in_little_memory():
+    """At n = MAX_DIM a table that breaks Jacobi only on its last three
+    indices is reported on that triple, 1-based: the sweep's index is
+    turned back into the triple only when it raises, with no list of the
+    C(200,3) = 1,313,400 triples (about 90 MB)."""
+    table = {(196, 197): {198: 1}, (196, 198): {199: 1}, (197, 199): {198: 1}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(JacobiViolation) as err:
+            LieAlgebra(MAX_DIM, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert MAX_DIM == 200
+    assert err.value.triple == (197, 198, 199)
+    assert err.value.defect == tuple(Q(1) if m == 198 else Q(0) for m in range(MAX_DIM))
+    assert peak < 2_000_000
+
+
 def test_jacobi_example_has_several_violations():
     n, table = SEVERAL_VIOLATIONS
     alg = LieAlgebra(n, table, validate=False)

@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from liemult.core import format_rational
 from liemult import linalg
 from liemult.linalg import (
-    _ZERO, Matrix, extend_integer_echelon, kernel_basis, rref_basis, span_rref)
+    _ZERO, Matrix, _back_substitute, _forward_echelon, extend_integer_echelon, kernel_basis,
+    rref_basis, span_rref)
 
 from linalg_helpers import (
-    eager_extend_integer_echelon, mul_vec, nullspace_basis, sparse_nullspace_basis, transpose)
+    eager_extend_integer_echelon, mul_vec, nullspace_basis, rowwise_forward_echelon,
+    sparse_nullspace_basis, transpose)
 
 
 def test_rank_identity():
@@ -295,6 +297,61 @@ def test_fused_echelon_step_matches_the_eager_one(case):
     assert list(fused) == list(eager)
     assert [list(r.items()) for r in fused.values()] == [list(r.items()) for r in eager.values()]
     assert all(gcd(*r.values()) == 1 for r in fused.values())
+
+
+# (columns, Fraction rows?, rows): each row a unit ("unit", column, value,
+# denominator) or a longer row ("row", entries, denominator); a Fraction
+# matrix divides each value by its row's denominator, an int one ignores it
+unit_row_cases = st.integers(1, 6).flatmap(
+    lambda c: st.tuples(
+        st.just(c),
+        st.booleans(),
+        st.lists(st.one_of(
+            st.tuples(st.just("unit"), st.integers(0, c - 1),
+                      st.sampled_from([1, -1, 2, -3, 7, 10**40]), st.sampled_from([1, 2, 5])),
+            st.tuples(st.just("row"),
+                      st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -5, 3]), min_size=c, max_size=c),
+                      st.sampled_from([1, 3, 4]))),
+            max_size=10),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_row_cases)
+@example((3, False, [("row", [1, 1, 0], 1), ("unit", 0, 1, 1)]))
+@example((3, False, [("row", [1, 2, 0], 1), ("unit", 0, -3, 1), ("unit", 0, 1, 1)]))
+@example((2, False, [("row", [2, 3], 1), ("unit", 0, 2, 1), ("unit", 1, -1, 1)]))
+@example((3, True, [("unit", 1, 3, 2), ("row", [1, 1, 1], 3), ("unit", 1, -1, 5)]))
+@example((2, False, [("unit", 1, -7, 1), ("row", [0, 1], 1), ("row", [1, 1], 1)]))
+def test_unit_rows_first_match_the_row_by_row_step(case):
+    """`_forward_echelon`, which takes the single-entry rows first and strips
+    their columns from the longer rows, has the pivots of handing every row
+    in turn to `extend_integer_echelon` (`rowwise_forward_echelon`), and
+    back substituted, the same reduced rows up to the sign of each: int
+    and Fraction units of +-1 and +-k, repeated units, a unit row after a
+    longer row that holds its column, and rows stripped to empty.  Every
+    stored row is a primitive int row, and no row handed in is changed."""
+    cols, fractions, drawn = case
+    rows = []
+    for kind, *spec in drawn:
+        if kind == "unit":
+            c, x, d = spec
+            rows.append({c: Q(x, d) if fractions else x})
+        else:
+            entries, d = spec
+            rows.append({j: Q(x, d) if fractions else x for j, x in enumerate(entries) if x})
+    before = [list(r.items()) for r in rows]
+    got, want = _forward_echelon(rows), rowwise_forward_echelon(rows)
+    assert [list(r.items()) for r in rows] == before
+    keys = sorted(want)
+    assert sorted(got) == keys
+    assert all(type(x) is int for r in got.values() for x in r.values())
+    assert all(gcd(*r.values()) == 1 for r in got.values())
+    for r, s in zip(_back_substitute(got, keys), _back_substitute(want, keys)):
+        assert r == s or r == {j: -x for j, x in s.items()}
+    for c, r in got.items():
+        assert min(r) == c
 
 
 def divided_by_pivots(pivots, reduced):

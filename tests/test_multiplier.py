@@ -36,7 +36,7 @@ import liemult.catalog as cat
 from liemult import core, invariants, linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
-from liemult.linalg import Matrix, extend_integer_echelon, qf, rref_basis, sparse_integer_row
+from liemult.linalg import Matrix, _forward_echelon, qf, rref_basis, sparse_integer_row
 from liemult.multiplier import (
     boundary3,
     cochain_slice,
@@ -311,7 +311,7 @@ def test_wedge_sweep_drops_cancelled_terms():
         for m in (cochain_slice(alg).d2, boundary3(alg)):
             assert all(all(row.values()) for row in m.sparse_rows), alg.name
     h1_skew = _multi_term_algebras()[1][0]
-    assert h1_skew.wedge_rows() == {(0, 1, 2): {}}
+    assert h1_skew.wedge_rows() == {0: {}}
 
 
 def benchmark_shaped_sums(seed=13):
@@ -366,33 +366,34 @@ def test_cochains_are_negated_chain_boundaries():
 
 
 def spy_kernel_entry(monkeypatch, module):
-    """Record the rows `module` hands to `extend_integer_echelon`, the one
-    entry of the elimination, and those it hands to `sparse_integer_row`
-    to be cleared of denominators first: (reached, cleared).  A row of an
-    integral table must reach the first as an int row and never the
-    second, so no Fraction is built only to be cleared again."""
+    """Record the rows `module` hands to `_forward_echelon`, the one entry
+    of the elimination, and those handed to `sparse_integer_row` to be
+    cleared of denominators: (reached, cleared).  A row of an integral
+    table must reach the first as an int row and never the second, so no
+    Fraction is built only to be cleared again."""
     reached, cleared = [], []
 
-    def extend(echelon, w):
-        reached.append(w)
-        return extend_integer_echelon(echelon, w)
+    def forward(rows):
+        rows = list(rows)
+        reached.extend(rows)
+        return _forward_echelon(rows)
 
     def clear(terms):
         cleared.append(terms)
         return sparse_integer_row(terms)
 
-    monkeypatch.setattr(module, "extend_integer_echelon", extend)
+    monkeypatch.setattr(module, "_forward_echelon", forward)
     monkeypatch.setattr(module, "sparse_integer_row", clear)
     return reached, cleared
 
 
 def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
     """For H(7) and two benchmark-shaped sums, every row of d2 and b3
-    reaches `extend_integer_echelon` in the elimination as itself, an int
-    row, and so does each nonzero coboundary in `_cohomology`, restricted to
-    d2's free columns (a column of d1 with d2's pivot columns dropped, at
-    negated columns): no row is cleared of denominators, so no Fraction is
-    built from an integral table only to be cleared again."""
+    reaches `_forward_echelon` in the elimination as itself, an int row,
+    and so does each coboundary in `_cohomology`, restricted to d2's free
+    columns (a column of d1 with d2's pivot columns dropped, at negated
+    columns): no row is cleared of denominators, so no Fraction is built
+    from an integral table only to be cleared again."""
     built = {}
     reached, cleared = spy_kernel_entry(monkeypatch, linalg)
     coboundaries, cleared_coboundaries = spy_kernel_entry(monkeypatch, multiplier)
@@ -419,7 +420,7 @@ def test_integral_tables_reach_the_kernel_with_no_fraction(monkeypatch):
         pivots = set(d2.pivot_columns())
         columns = transpose(d1).sparse_rows
         restricted = [{-a: x for a, x in col.items() if a not in pivots} for col in columns]
-        assert coboundaries == [r for r in restricted if r], alg.name
+        assert coboundaries == restricted, alg.name
         dropped += sum(len(col) for col in columns) - sum(len(r) for r in coboundaries)
         for r in reached + coboundaries:
             assert all(type(x) is int for x in r.values()), alg.name
@@ -490,9 +491,9 @@ def test_structure_bases_match_the_fraction_route():
 def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
     """On integral tables, the rows of the centre's, each upper step's,
     each lower step's and a product's system, and of the epicenter's over
-    the cover, reach `extend_integer_echelon` in the elimination as int
-    rows, and none is cleared of denominators: no Fraction is built only to
-    be cleared again.  The cover of an integral table is integral."""
+    the cover, reach `_forward_echelon` in the elimination as int rows,
+    and none is cleared of denominators: no Fraction is built only to be
+    cleared again.  The cover of an integral table is integral."""
     reached, cleared = spy_kernel_entry(monkeypatch, linalg)
     closure = [m.algebra for m in build_closure(9)]
     for alg in closure + [heisenberg(m) for m in range(4, 8)] + benchmark_shaped_sums():
@@ -510,7 +511,7 @@ def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
             cleared.clear()
             step()
             # a non-abelian centre and lower series always eliminate rows
-            assert reached or k > 1 or alg.is_abelian, alg.name
+            assert any(reached) or k > 1 or alg.is_abelian, alg.name
             assert all(type(x) is int for r in reached for x in r.values()), alg.name
             assert not cleared, alg.name
 
@@ -539,36 +540,71 @@ def test_scaled_tables_take_the_fraction_path_to_the_same_results(c):
             [{j: c * v for j, v in r.items()} for r in d2.sparse_rows]), alg.name
 
 
+def triple_keyed_d2_rows(alg):
+    """The d2 row of every triple a stored bracket reaches, keyed by the
+    triple (i, j, k) in `combinations` order and built per triple from its
+    three brackets: the reference the sweep (`wedge_rows`) and its keys are
+    held to.  A row whose terms cancel is empty."""
+    n, start = alg.dim, multiplier.pair_starts(alg.dim)
+    rows = {}
+    for i, j, k in combinations(range(n), 3):
+        if not {(i, j), (i, k), (j, k)} & alg.brackets.keys():
+            continue
+        row = {}
+        for (a, b, c), sign in zip(((i, j, k), (i, k, j), (j, k, i)), (-1, 1, -1)):
+            for l, cl in alg.bracket_basis(a, b).items():
+                if l != c:
+                    idx = start[l] + c if l < c else start[c] + l
+                    x = row.get(idx, 0) + (sign if l < c else -sign) * cl
+                    if x:
+                        row[idx] = x
+                    else:
+                        row.pop(idx, None)
+        rows[(i, j, k)] = row
+    return rows
+
+
 def enumerated_d2(alg):
-    """d2 with a row per triple in `combinations` order, read off the sweep by
+    """d2 with a row per triple in `combinations` order, built by
     enumerating every triple: the build `cochain_slice` places by index."""
-    swept = alg.wedge_rows()
-    return Matrix.from_sparse([swept.get(t, {}) for t in combinations(range(alg.dim), 3)],
+    reference = triple_keyed_d2_rows(alg)
+    return Matrix.from_sparse([reference.get(t, {}) for t in combinations(range(alg.dim), 3)],
                               comb(alg.dim, 2))
 
 
 def enumerated_boundary3(alg):
     """d2^T with a column per triple, filled by enumerating every triple."""
-    swept = alg.wedge_rows()
+    reference = triple_keyed_d2_rows(alg)
     rows = [{} for _ in range(comb(alg.dim, 2))]
     for t, triple in enumerate(combinations(range(alg.dim), 3)):
-        for a, x in swept.get(triple, {}).items():
+        for a, x in reference.get(triple, {}).items():
             rows[a][t] = x
     return Matrix.from_sparse(rows, comb(alg.dim, 3))
 
 
-def test_triple_positions_are_the_combinations_order():
+def test_wedge_rows_are_keyed_by_the_combinations_index():
+    """For every n <= 20, on a seeded table that brackets about half the
+    pairs (every pair for n <= 4) with one to three terms, the sweep keys
+    each reached triple's row by the triple's index in
+    `combinations(range(n), 3)`: the same rows as the per-triple reference,
+    and no key for a triple that no bracket reaches."""
+    rng = random.Random(33)
     for n in range(21):
-        triples = list(combinations(range(n), 3))
-        assert multiplier.triple_positions(n, triples) == list(range(len(triples))), n
-        assert multiplier.triple_positions(n, reversed(triples)) == list(range(len(triples)))[::-1]
+        pairs = [p for p in combinations(range(n), 2) if n <= 4 or rng.random() < 0.5]
+        table = {p: {rng.randrange(n): rng.choice((1, -1, 2)) for _ in range(rng.randint(1, 3))}
+                 for p in pairs}
+        alg = LieAlgebra(n, table, validate=False)
+        index = {t: a for a, t in enumerate(combinations(range(n), 3))}
+        expected = {index[t]: row for t, row in triple_keyed_d2_rows(alg).items()}
+        assert alg.wedge_rows() == expected, n
 
 
 def test_rows_placed_by_triple_index_match_the_enumerated_builds():
-    """d2 and b3 place each swept row at its triple's index; they equal the
-    builds that enumerate all C(n,3) triples, on the closure, H(4..7) and the
-    benchmark-shaped sums.  d1's rows for pairs with no bracket, and d2's
-    for triples no bracket reaches, are one shared empty row each."""
+    """d2 and b3 place each swept row at its key, the triple's index; they
+    equal the builds that enumerate all C(n,3) triples, on the closure,
+    H(4..7) and the benchmark-shaped sums.  d1's rows for pairs with no
+    bracket, and d2's for triples no bracket reaches, are one shared empty
+    row each."""
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
     algebras += benchmark_shaped_sums()
     for alg in algebras:
@@ -576,19 +612,21 @@ def test_rows_placed_by_triple_index_match_the_enumerated_builds():
         assert slice_.d2 == enumerated_d2(alg), alg.name
         assert boundary3(alg) == enumerated_boundary3(alg), alg.name
         assert len({id(r) for r in slice_.d1.sparse_rows if not r}) <= 1, alg.name
-        swept = alg.wedge_rows()
+        reference = triple_keyed_d2_rows(alg)
         unreached = {id(slice_.d2.sparse_rows[t])
                      for t, triple in enumerate(combinations(range(alg.dim), 3))
-                     if triple not in swept}
+                     if triple not in reference}
         assert len(unreached) <= 1, alg.name
 
 
 def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
     """L^2's basis is the rref of the stored brackets: equal to the basis of
-    their Fraction copies, on the closure and on scaled Fraction tables.  An
-    integral table's rows reach the kernel as int rows and none is cleared
-    of denominators; a Fraction table's rows are each cleared, as Fraction
-    rows, before they reach it."""
+    their Fraction copies, on the closure and on scaled Fraction tables.
+    The stored rows themselves reach the kernel, as int rows for an
+    integral table, and none is cleared of denominators.  Of a Fraction
+    table, the unit rows become pivots with no clearing, and each longer
+    row is cleared once, as the Fraction row left when the unit columns
+    are dropped, unless nothing is left."""
     reached, cleared = spy_kernel_entry(monkeypatch, linalg)
     closure = [m.algebra for m in build_closure(9)]
     for alg in closure + [scaled(alg, Q(-2, 3)) for alg in closure[::17]]:
@@ -596,13 +634,16 @@ def test_derived_basis_is_eliminated_from_the_integral_table(monkeypatch):
         reached.clear()
         cleared.clear()
         basis = core._derived_basis(alg)
-        assert len(reached) == len(alg.brackets), alg.name
-        assert all(type(x) is int for r in reached for x in r.values()), alg.name
-        kinds = {type(x) for r in cleared for x in r.values()}
+        assert [id(r) for r in reached] == [id(r) for r in alg.brackets.values()], alg.name
+        kinds = {type(x) for r in reached for x in r.values()}
         if is_integral(alg):
-            assert not cleared, alg.name
+            assert kinds <= {int} and not cleared, alg.name
         else:
-            assert kinds == {Q} and len(cleared) == len(alg.brackets), alg.name
+            units = {c for r in alg.brackets.values() if len(r) == 1 for c in r}
+            stripped = [{c: x for c, x in r.items() if c not in units}
+                        for r in alg.brackets.values() if len(r) > 1]
+            assert kinds == {Q} and cleared == [r for r in stripped if r], alg.name
+            assert all(type(x) is Q for r in cleared for x in r.values()), alg.name
         expected = rref_basis(Matrix.from_sparse(
             [{k: Q(x) for k, x in terms.items()} for terms in alg.brackets.values()], alg.dim))
         assert basis == expected and value_type(basis) in (Q, None), alg.name
