@@ -132,7 +132,7 @@ class CatalogEntry:
         params = {self.param.name: value} if self.param is not None else {}
         label = param_label(self.name, value) if self.param is not None else self.name
         if self.recipe is not None:
-            alg = _build_expression(self.recipe, params)
+            alg = _build_expression(self.recipe, params, set())
             return LieAlgebra(alg.dim, alg.brackets, name=label, validate=False)
         table = _parse_bracket_spec(self.brackets, self.dim, params)
         return LieAlgebra(self.dim, table, name=label)
@@ -460,20 +460,26 @@ def _split_top(s: str) -> tuple[list[str], list[str]]:
 _ATOM_RE = re.compile(r"^(?P<base>.+?)\((?P<arg>-?\d+(/\d+)?)\)$")
 
 
-def _build_atom(atom: str, params: dict[str, Fraction]) -> LieAlgebra:
-    m = _ATOM_RE.match(atom)
-    base, arg = (m.group("base"), m.group("arg")) if m else (atom, None)
-    # the package's parser: no ZeroDivisionError, and no int/str digit limit
-    value = rational_expr(arg) if arg is not None else None
-    if base in ("A", "H") and arg is not None and "/" not in arg:
-        return (abelian if base == "A" else heisenberg)(value.numerator)
-    entry = _INDEX.get(_canonical(atom if arg is None else base))
-    if entry is None and arg is None:
-        raise UnknownName(f"no catalog entry named {atom!r}")
+def _build_atom(atom: str, params: dict[str, Fraction], used: set[str]) -> LieAlgebra:
+    """An entry by name, at its value in `params` (the parameter's name is
+    added to `used`), or one at an inline value, or A(n) or H(m)."""
+    entry = _INDEX.get(_canonical(atom))
+    value = None
     if entry is None:
-        raise UnknownName(f"no catalog entry named {base!r}")
-    if entry.param is not None and value is None:
+        m = _ATOM_RE.match(atom)
+        if m is None:
+            raise UnknownName(f"no catalog entry named {atom!r}")
+        base, arg = m.group("base"), m.group("arg")
+        # the package's parser: no ZeroDivisionError, and no int/str digit limit
+        value = rational_expr(arg)
+        if base in ("A", "H") and "/" not in arg:
+            return (abelian if base == "A" else heisenberg)(value.numerator)
+        entry = _INDEX.get(_canonical(base))
+        if entry is None:
+            raise UnknownName(f"no catalog entry named {base!r}")
+    elif entry.param is not None:
         value = params.get(entry.param.name)
+        used.add(entry.param.name)
     return entry.build(value)
 
 
@@ -486,15 +492,15 @@ def _central_glue(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return _central_product(a, b, [(wa.basis.data[0], wb.basis.data[0])])
 
 
-def _build_expression(name: str, params: dict[str, Fraction]) -> LieAlgebra:
-    """Build a name expression left to right.  Each step is capped like a
-    declared dimension: both kinds of step build the direct sum of the two
-    factors (a central product then glues it), so its dimension is checked
-    before it is built."""
+def _build_expression(name: str, params: dict[str, Fraction], used: set[str]) -> LieAlgebra:
+    """Build a name expression left to right, each atom by `_build_atom`.
+    Each step is capped like a declared dimension: both kinds of step build
+    the direct sum of the two factors (a central product then glues it), so
+    its dimension is checked before it is built."""
     atoms, ops = _split_top(_canonical(name))
-    result = _build_atom(atoms[0], params)
+    result = _build_atom(atoms[0], params, used)
     for op, atom in zip(ops, atoms[1:]):
-        nxt = _build_atom(atom, params)
+        nxt = _build_atom(atom, params, used)
         check_dim(result.dim + nxt.dim)
         result = _direct_sum(result, nxt) if op == "sum" else _central_glue(result, nxt)
     return result
@@ -507,30 +513,26 @@ def _build_expression(name: str, params: dict[str, Fraction]) -> LieAlgebra:
 def get(name: str, eps=None, lam=None) -> LieAlgebra:
     """Build a catalog algebra (or a sum/product expression over them).
     eps and lam are coerced through `qf`: a float is refused, not read as
-    its binary fraction."""
+    its binary fraction.  A parameter that no atom of the name reads (the
+    name has no such parameter, or gives its value inline) is refused:
+    ParamOutOfDomain."""
     params: dict[str, Fraction] = {}
     if eps is not None:
         params["eps"] = qf(eps)
     if lam is not None:
         params["lam"] = qf(lam)
     norm = _canonical(name)
-    entry = _INDEX.get(norm)
-    if entry is not None:
-        unused = set(params) - ({entry.param.name} if entry.param else set())
-        if unused:
-            raise ParamOutOfDomain(
-                f"{entry.name} takes no parameter {sorted(unused)[0]!r}"
-            )
-        value = params.get(entry.param.name) if entry.param else None
-        alg = entry.build(value)
+    m = _ATOM_RE.match(norm)
+    used: set[str] = set()
+    if norm in _INDEX or (m and _canonical(m.group("base")) in _INDEX):
+        alg = _build_atom(norm, params, used)
+    elif any(op in norm for op in (DSUM, CPROD)) or m or norm in ("A", "H"):
+        alg = _build_expression(norm, params, used)
     else:
-        m = _ATOM_RE.match(norm)
-        if m and _INDEX.get(_canonical(m.group("base"))) is not None:
-            alg = _build_atom(norm, params)
-        elif any(op in norm for op in (DSUM, CPROD)) or m or norm in ("A", "H"):
-            alg = _build_expression(norm, params)
-        else:
-            raise UnknownName(f"no catalog entry named {name!r}")
+        raise UnknownName(f"no catalog entry named {name!r}")
+    for pname in params:
+        if pname not in used:
+            raise ParamOutOfDomain(f"{norm} takes no parameter {pname!r}")
     display = _display_name(norm, params)
     return LieAlgebra(alg.dim, alg.brackets, name=display, validate=False)
 

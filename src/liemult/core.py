@@ -415,7 +415,7 @@ def _exact(c) -> Scalar:
     if type(c) is int:
         return c
     x = qf(c)
-    return x._numerator if x._denominator == 1 else x
+    return x.numerator if x.denominator == 1 else x
 
 
 class LieAlgebra:
@@ -795,10 +795,10 @@ def _annihilator(basis: Matrix) -> dict[int, list[tuple[int, int]]]:
         if k in pivot_set:
             continue
         at_k = entries.get(k, ())
-        den = lcm(1, *[x._denominator for _, x in at_k])
+        den = lcm(1, *[x.denominator for _, x in at_k])
         meets.setdefault(k, []).append((k, den))
         for p, x in at_k:
-            meets.setdefault(p, []).append((k, -x._numerator * (den // x._denominator)))
+            meets.setdefault(p, []).append((k, -x.numerator * (den // x.denominator)))
     return meets
 
 

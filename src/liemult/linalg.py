@@ -31,10 +31,12 @@ through one forward pass, `_forward_echelon`, which takes the
 single-entry (unit) rows first, as structured sparse elimination does:
 each is the pivot {c: +-1} with no elimination step, a repeated one is
 dropped, and the longer rows, stripped of the unit columns, go one by one
-to the forward step (`extend_integer_echelon`), which does each
-cancellation in one loop, with no call.  Most rows of d2 have one entry,
-so most of its pivots cost no step.  The products are built lazily, each
-from the one before and only when something reads it:
+to the forward step (`extend_integer_echelon`), which makes a row
+primitive and cancels it against the pivot row at its leading column
+with `_cancel`, the one integer cancellation, which back substitution
+uses too.  Most rows of d2 have one entry, so most of its pivots cost no
+step.  The products are built lazily, each from the one before and only
+when something reads it:
 
 * the forward echelon, primitive integer rows keyed by leading column,
   gives `pivot_columns` and `rank`, with no back substitution and no
@@ -127,18 +129,16 @@ def sparse_integer_row(terms: Mapping[int, Scalar]) -> dict[int, int]:
     """A row with no zero values as {column: int}: an int row as it is, a
     Fraction row scaled by the lcm of its denominators."""
     # A row holds one value type (see `Matrix.from_sparse`), so its first
-    # value tells its type.  Fraction keeps its lowest-terms value in the
-    # _numerator and _denominator slots; reading them directly skips a
-    # Python-level call per entry.  A row that mixes the two types fails
-    # here or in the elimination (gcd takes ints only), or cancels exactly:
-    # never a wrong result.  tests/test_verify.py checks the contract on
-    # every row the package builds.
+    # value tells its type.  A row that mixes the two types fails here or
+    # in the elimination (gcd takes ints only), or cancels exactly: never a
+    # wrong result.  tests/test_verify.py checks the contract on every row
+    # the package builds.
     for x in terms.values():
         if type(x) is int:
             return terms
         break
-    den = lcm(*[x._denominator for x in terms.values()])
-    return {j: x._numerator * (den // x._denominator) for j, x in terms.items()}
+    den = lcm(*[x.denominator for x in terms.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in terms.items()}
 
 
 def _primitive(w: dict[int, int]) -> dict[int, int]:
@@ -148,56 +148,30 @@ def _primitive(w: dict[int, int]) -> dict[int, int]:
     return w
 
 
+def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """The primitive integer row a*w - b*p whose entry in column c is 0."""
+    g = gcd(w[c], p[c])
+    a, b = p[c] // g, w[c] // g
+    out = dict(w) if a == 1 else {j: a * v for j, v in w.items()}
+    add_scaled(out, -b, p)
+    return _primitive(out)
+
+
 def extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
     """Reduce a {column: int} row against `echelon`, primitive integer rows
-    keyed by leading column.  If a nonzero remainder is left, add it, made
-    primitive, as a new pivot row and return True; return False when the
-    row lies in their span.  `w` is not changed: it is copied at its first
-    cancellation, w <- a*w - b*p as in `_cancel`, and reduced in place.
-
-    The row is made primitive only when stored and after a step with
-    |a| > 1, which bounds its entries: a row k*w, k > 0, cancels to a
-    positive multiple of what w does, so the stored rows are those of
-    `_cancel`, which makes the row primitive after every step."""
-    copied = False
+    keyed by leading column.  If a nonzero remainder is left, add it as a
+    new pivot row and return True; return False when the row lies in their
+    span.  The row is made primitive, then cancelled (`_cancel`, a new row
+    each step) against the pivot row at its leading column until it leads
+    a column with no pivot or vanishes; `w` is not changed."""
+    w = _primitive(w)
     while w:
         c = min(w)
         p = echelon.get(c)
         if p is None:
-            g = gcd(*w.values())
-            if g > 1:
-                if copied:
-                    for j in w:
-                        w[j] //= g
-                else:
-                    w = {j: v // g for j, v in w.items()}
             echelon[c] = w
             return True
-        g = gcd(w[c], p[c])
-        a, b = p[c] // g, -(w[c] // g)
-        if a != 1:
-            if copied:
-                for j in w:
-                    w[j] *= a
-            else:
-                w = {j: a * v for j, v in w.items()}
-        elif not copied:
-            w = dict(w)
-        copied = True
-        for j, y in p.items():
-            if j in w:
-                x = w[j] + b * y
-                if x:
-                    w[j] = x
-                else:
-                    del w[j]
-            else:
-                w[j] = b * y
-        if a > 1 or a < -1:
-            g = gcd(*w.values())
-            if g > 1:
-                for j in w:
-                    w[j] //= g
+        w = _cancel(w, p, c)
     return False
 
 
@@ -238,15 +212,6 @@ def _forward_echelon(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int
         extend_integer_echelon(echelon, row if type(x) is int else sparse_integer_row(row))
     units.update(echelon)
     return units
-
-
-def _cancel(w: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
-    """The primitive integer row a*w - b*p whose entry in column c is 0."""
-    g = gcd(w[c], p[c])
-    a, b = p[c] // g, w[c] // g
-    out = dict(w) if a == 1 else {j: a * v for j, v in w.items()}
-    add_scaled(out, -b, p)
-    return _primitive(out)
 
 
 def _back_substitute(forward: dict[int, dict[int, int]], keys: Sequence[int]) -> tuple[dict[int, int], ...]:
@@ -310,7 +275,7 @@ class Matrix:
         self.rows = len(rows)
         self.cols = cols
         self.sparse_rows: tuple[dict[int, Scalar], ...] = tuple(
-            {j: x for j, x in enumerate(r) if x._numerator} for r in rows)
+            {j: x for j, x in enumerate(r) if x} for r in rows)
         self._pivots: tuple[int, ...] | None = None
         self._echelon: dict[int, dict[int, int]] | None = None
         self._reduced: tuple[dict[int, int], ...] | None = None

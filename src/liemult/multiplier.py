@@ -83,7 +83,7 @@ series; `clear_caches()`, re-exported here, empties it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Collection
 
 from .core import (
@@ -101,6 +101,7 @@ from .linalg import (
     Matrix,
     Scalar,
     _forward_echelon,
+    _primitive,
     add_scaled,
     extend_integer_echelon,
     kernel_basis,
@@ -158,7 +159,7 @@ def boundary3(L: LieAlgebra) -> Matrix:
     """
     n = L.dim
     swept = L.wedge_rows()
-    rows: list[dict[int, Scalar]] = [{} for _ in pair_index(n)]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(comb(n, 2))]
     for t, row in swept.items():
         for a, x in row.items():
             rows[a][t] = x
@@ -206,13 +207,8 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
             for k, c in row.items():
                 coboundaries[k][-a] = c
     echelon = _forward_echelon(coboundaries)
-    kept = []
-    for c, w in d2.integer_nullspace(skip={-a for a in echelon}):
-        if w[c] != 1:
-            g = gcd(*w.values())
-            if g > 1:
-                w = {j: v // g for j, v in w.items()}
-        kept.append(w)
+    kept = [w if w[c] == 1 else _primitive(w)
+            for c, w in d2.integer_nullspace(skip={-a for a in echelon})]
     return tuple(kept), d2.integer_rref_rows()
 
 
@@ -250,7 +246,7 @@ def dim_multiplier_cover(L: LieAlgebra) -> MultiplierResult:
     """
     reps = cocycle_representatives(L)
     derived = Matrix.from_sparse(list(L.brackets.values()), L.dim).rank()
-    m = len(pair_index(L.dim)) - derived - boundary3(L).rank()
+    m = comb(L.dim, 2) - derived - boundary3(L).rank()
     if len(reps) != m:
         raise LieError("cover and cohomology multiplier dimensions disagree")
     return MultiplierResult(dim_M=m)

@@ -725,13 +725,13 @@ def suites_section(closure: list[ClosureMember]) -> Section:
     doc = {"bounds": {key: asdict(s) for key, s in bounds.items()},
            "structure": {key: asdict(s) for key, s in structure.items()},
            **{key: asdict(s) for key, s in single.items()}}
-    rows = [
-        _csv_row("suite", key, f"{s.checked} {'pairs' if key == 'kunneth' else 'checks'}",
-                 len(s.violations), 0, s.passed, "|".join(s.violations))
-        for key, s in suites.items()
-    ]
+    counts = {key: f"{s.checked} {'pairs' if key == 'kunneth' else 'checks'}"
+              for key, s in suites.items()}
+    rows = [_csv_row("suite", key, counts[key], len(s.violations), 0, s.passed,
+                     "|".join(s.violations))
+            for key, s in suites.items()]
     lines = ["## Suites", ""]
-    lines += [f"- {key}: {s.checked} checks, "
+    lines += [f"- {key}: {counts[key]}, "
               + ("pass" if s.passed else "FAIL: " + "; ".join(s.violations))
               for key, s in suites.items()]
     return Section("suites", all(s.passed for s in suites.values()),

@@ -7,23 +7,7 @@ package against.
 
 from fractions import Fraction
 
-from liemult.linalg import (
-    _ONE, _ZERO, Matrix, Vector, _cancel, _primitive, extend_integer_echelon, sparse_integer_row)
-
-
-def eager_extend_integer_echelon(echelon: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
-    """`linalg.extend_integer_echelon` made primitive at the start and after
-    every cancellation, each a call to `linalg._cancel` on a new row: the
-    reference the fused step, which defers that, is held to."""
-    w = _primitive(w)
-    while w:
-        c = min(w)
-        p = echelon.get(c)
-        if p is None:
-            echelon[c] = w
-            return True
-        w = _cancel(w, p, c)
-    return False
+from liemult.linalg import _ONE, _ZERO, Matrix, Vector, extend_integer_echelon, sparse_integer_row
 
 
 def rowwise_forward_echelon(rows) -> dict[int, dict[int, int]]:

@@ -53,6 +53,27 @@ def test_param_domains():
         get("L_{6,26}", eps=1)  # takes no parameter
 
 
+@pytest.mark.parametrize("name, params, unread", [
+    ("L_{6,10}", {"eps": 2}, "eps"),
+    ("A(3)", {"eps": 2}, "eps"),
+    ("H(2)", {"lam": 3}, "lam"),
+    ("L_{6,10}" + DSUM + "H(1)", {"eps": 2}, "eps"),
+    ("L_{6,22}(2)", {"eps": 3}, "eps"),  # given inline, so the flag is not read
+    ("147E", {"lam": 3, "eps": 2}, "eps"),
+    ("L_{6,22}" + DSUM + "A(1)", {"eps": 2, "lam": 3}, "lam"),
+])
+def test_a_parameter_no_atom_reads_is_refused(name, params, unread):
+    """Every kind of name, an entry, A(n) or H(m), a sum or an inline
+    value, refuses a parameter that none of its atoms reads."""
+    with pytest.raises(ParamOutOfDomain, match=f"takes no parameter '{unread}'"):
+        get(name, **params)
+
+
+def test_each_parameter_is_read_by_the_atom_that_takes_it():
+    assert get("L_{6,22}" + DSUM + "147E", eps=2, lam=3) == direct_sum(
+        get("L_{6,22}", eps=2), get("147E", lam=3))
+
+
 def test_each_entry_value_is_built_once_until_caches_are_cleared():
     """`CatalogEntry.build` shares one instance per (entry, value) until
     `clear_caches()`; `get` hands out a fresh copy under its display name."""

@@ -62,6 +62,12 @@ def test_info_param_out_of_domain(capsys):
     assert err.splitlines()[0] == "error=ParamOutOfDomain"
 
 
+def test_info_refuses_a_parameter_the_name_does_not_read(capsys):
+    code, _, err = run_cli(capsys, "info", "A(3)", "--eps", "2")
+    assert code == 2
+    assert err.splitlines()[0] == "error=ParamOutOfDomain"
+
+
 def test_compute_presentation_file(tmp_path, capsys):
     doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}
     path = tmp_path / "h1.json"

@@ -15,8 +15,7 @@ from liemult.linalg import (
     rref_basis, span_rref)
 
 from linalg_helpers import (
-    eager_extend_integer_echelon, mul_vec, nullspace_basis, rowwise_forward_echelon,
-    sparse_nullspace_basis, transpose)
+    mul_vec, nullspace_basis, rowwise_forward_echelon, sparse_nullspace_basis, transpose)
 
 
 def test_rank_identity():
@@ -234,8 +233,7 @@ def test_kernel_matches_dense_reference(case):
         assert a == m and hash(a) == hash(m)
         t = transpose(a)
         assert (t.rows, t.cols) == (cols, len(rows)) and transpose(t) == m
-        # the kernel reads Fraction's slots directly, so entries must be exact
-        # Fractions, in a lazily built dense view too
+        # entries must be exact Fractions, in a lazily built dense view too
         assert all(type(x) is Q for r in a.data + a.rref().data + t.data for x in r)
         assert a.rref().data == red
         assert a.rref().rows == len(rows) and a.rref().cols == cols
@@ -273,13 +271,15 @@ int_row_cases = st.integers(1, 7).flatmap(
 @given(int_row_cases)
 @example(([[6, 4, 10**61], [4, 6, 0], [3, 0, -9]], [(0, 1, 3, -2)]))
 @example(([[2, 3], [3, 2], [0, 5]], [(0, 1, 2, 5)]))
-def test_fused_echelon_step_matches_the_eager_one(case):
-    """The fused forward step, made primitive only when a row is stored and
-    after a step that scaled it by |a| > 1, stores the rows that making the
-    row primitive after every cancellation (`_cancel`) stores: the same
-    return values, pivot keys in the same order, and each row with the same
-    values in the same key order.  A row handed in is never changed."""
+def test_forward_step_keeps_its_input_and_stores_primitive_rows(case):
+    """`extend_integer_echelon` never changes a row handed in and stores
+    every new pivot row primitive, led by its key.  Each return value says
+    whether the row raised the rank of the rows before it, and the pivot
+    keys, in order, are `rowwise_forward_echelon`'s; sorted they are the
+    pivots of a dense Fraction rref of all the rows (`reference_rref`),
+    and the stored rows span what the rows do."""
     base, combos = case
+    cols = len(base[0]) if base else 0
     rows = [{j: x for j, x in enumerate(r) if x} for r in base]
     for i, j, a, b in combos:
         if base and rows[i % len(rows)]:
@@ -288,15 +288,26 @@ def test_fused_echelon_step_matches_the_eager_one(case):
                 for k, x in r.items():
                     combo[k] = combo.get(k, 0) + f * x
             rows.append({k: x for k, x in combo.items() if x})
-    fused: dict[int, dict[int, int]] = {}
-    eager: dict[int, dict[int, int]] = {}
-    for row in rows:
+
+    def dense(sparse):
+        return [[r.get(j, 0) for j in range(cols)] for r in sparse]
+
+    echelon: dict[int, dict[int, int]] = {}
+    rank = 0
+    for n, row in enumerate(rows, 1):
         before = list(row.items())
-        assert extend_integer_echelon(fused, row) == eager_extend_integer_echelon(eager, dict(row))
+        grew = extend_integer_echelon(echelon, row)
         assert list(row.items()) == before
-    assert list(fused) == list(eager)
-    assert [list(r.items()) for r in fused.values()] == [list(r.items()) for r in eager.values()]
-    assert all(gcd(*r.values()) == 1 for r in fused.values())
+        prefix_rank = len(reference_rref(dense(rows[:n]), cols)[1])
+        assert grew == (prefix_rank > rank) and len(echelon) == prefix_rank
+        rank = prefix_rank
+    assert list(echelon) == list(rowwise_forward_echelon(rows))
+    red, pivots = reference_rref(dense(rows), cols)
+    assert tuple(sorted(echelon)) == pivots
+    assert reference_rref(dense(echelon.values()), cols)[0][: len(pivots)] == red[: len(pivots)]
+    for c, r in echelon.items():
+        assert min(r) == c and gcd(*r.values()) == 1
+        assert all(type(x) is int for x in r.values())
 
 
 # (columns, Fraction rows?, rows): each row a unit ("unit", column, value,

@@ -453,7 +453,7 @@ def test_every_suite_violation_is_named_in_csv_and_markdown(monkeypatch):
     assert ["suite", "subalgebra_series_law", "1 checks", "1", "0", "fail",
             "L_{6,10} .+ H(1)"] in rows
     markdown = report_to_markdown(report)
-    assert "- kunneth: 5 checks, FAIL: A + B: 3 != 4\n" in markdown
+    assert "- kunneth: 5 pairs, FAIL: A + B: 3 != 4\n" in markdown
     assert "- subalgebra_series_law: 1 checks, FAIL: L_{6,10} .+ H(1)\n" in markdown
 
 
@@ -492,7 +492,7 @@ def test_reports_deterministic(full_report):
 # bytes; a change that alters the report on purpose says what and why.
 REPORT_SHA256 = "6cab71cbe9e8a699b2ed7759b5f834103236c0062a79159e61fddce6bae74681"
 REPORT_CSV_SHA256 = "ca7a599b30358314100147bacf1bb8014f875f36d1698b50c7002d250f0b475c"
-REPORT_MARKDOWN_SHA256 = "d774dfbb9941f95345d8a3c01ada6a99cc9053caa1d55300f638810a39d4f1b0"
+REPORT_MARKDOWN_SHA256 = "27959dc68ee4f6e31b64464ec1a03d5b03b394b830a2b8698fe1cec96447e8aa"
 
 
 def test_report_bytes_pinned(full_report):
