@@ -114,7 +114,7 @@ class CatalogEntry:
 
     def build(self, value: Fraction | None = None) -> LieAlgebra:
         """The algebra at `value` (default when None): one shared instance per
-        (entry, value) until `clear_caches()`; `get` relabels a fresh copy."""
+        (entry, value) until `clear_caches()`; `get` returns a fresh copy."""
         if self.param is not None:
             if value is None:
                 value = self.param.default
@@ -515,7 +515,8 @@ def get(name: str, eps=None, lam=None) -> LieAlgebra:
     eps and lam are coerced through `qf`: a float is refused, not read as
     its binary fraction.  A parameter that no atom of the name reads (the
     name has no such parameter, or gives its value inline) is refused:
-    ParamOutOfDomain."""
+    ParamOutOfDomain.  The name is the built algebra's: each atom labelled
+    with its own parameter value, joined by the sum or product."""
     params: dict[str, Fraction] = {}
     if eps is not None:
         params["eps"] = qf(eps)
@@ -533,19 +534,7 @@ def get(name: str, eps=None, lam=None) -> LieAlgebra:
     for pname in params:
         if pname not in used:
             raise ParamOutOfDomain(f"{norm} takes no parameter {pname!r}")
-    display = _display_name(norm, params)
-    return LieAlgebra(alg.dim, alg.brackets, name=display, validate=False)
-
-
-def _display_name(norm: str, params: dict[str, Fraction]) -> str:
-    out = norm
-    for pname, value in params.items():
-        out = out.replace(f"({pname})", f"({format_rational(value)})")
-    entry = _INDEX.get(norm)
-    if entry is not None and entry.param is not None:
-        value = params.get(entry.param.name, entry.param.default)
-        out = param_label(norm, value)
-    return out
+    return LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
 
 
 def entries() -> list[CatalogEntry]:

@@ -12,7 +12,11 @@ by theorem: a direct sum of nilpotent Lie algebras is one, and L/I is a
 nilpotent Lie algebra whenever I is an ideal of a nilpotent L, with a
 projection that is a homomorphism of full rank, so only `is_ideal` is
 checked.  `quotient` returns L/I with the images pi(x_c) of L's basis
-vectors as sparse rows, and builds no map object.  The stem covers of
+vectors as sparse rows, and builds no map object.  One function builds the
+projection pi onto L/S, `_projection`: d * pi(x_c) for every basis vector,
+an int row at S's free columns, with d the one lcm of the denominators of
+S's rref basis.  The centre, the upper series, `quotient` and the quotient
+inflation of `multiplier` all read it.  The stem covers of
 `multiplier` are plain algebras, built trusted by the theorems stated
 there; their projection is coordinate truncation.  The tests re-validate
 every kind of trusted algebra.
@@ -53,11 +57,11 @@ Validation computes the lower series, whose steps [gamma_i, L]
 (`product_space`) read each [a, x_j] only at the brackets that name an
 index of a's support (`_ad_terms`).  The upper series reads the
 stored brackets and steps Z_{i+1} = {x : [x, L] in Z_i}
-(`_centralizer_mod`: the kernel of x -> phi([x, x_j]) over the integer
-functionals phi that vanish on Z_i, `_annihilator`, read off one
-elimination by `linalg.kernel_basis`) from Z_0 = 0, whose step is the
-centre.  Either series raises NotNilpotent when a term stops changing,
-also without validation.
+(`_centralizer_mod`: the kernel of x -> d * pi([x, x_j]), pi the
+projection onto L/Z_i of `_projection`, read off one elimination by
+`linalg.kernel_basis`) from Z_0 = 0, whose step is the centre.  Either
+series raises NotNilpotent when a term stops changing, also without
+validation.
 `derived_subalgebra` computes L^2 alone, as the span of the stored
 brackets (one elimination, in ints for an integral table); the lower
 series starts from that term.  It checks no
@@ -670,17 +674,20 @@ class LieAlgebra:
         """{x : [x, L] in S}, read off the stored brackets; S = 0 gives the
         centre.
 
-        [x, x_j] lies in S iff phi([x, x_j]) = 0 for each integer functional
-        phi_k vanishing on S (`_annihilator`), so {x : [x, L] in S} is the
-        kernel of the rows (j, k): x -> phi_k([x, x_j]).  For an integral
-        table they are ints, and `kernel_basis` returns the canonical basis
-        from one elimination."""
-        meets = _annihilator(s.basis)
+        [x, x_j] lies in S iff pi([x, x_j]) = 0 in L/S, so {x : [x, L] in S}
+        is the kernel of the rows (j, k): x -> coordinate k of
+        d * pi([x, x_j]), summed from the images d * pi(x_l) of
+        `_projection`.  For an integral table they are ints, and
+        `kernel_basis` returns the canonical basis from one elimination."""
+        image, _ = _projection(s.basis)
         # row (j, k); its entry i comes from the one bracket of the pair
         # {i, j} alone, so it is assigned once and never accumulates
         rows: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), terms in self.brackets.items():
-            for k, c in _apply_functionals(meets, terms).items():
+            projected: dict[int, Scalar] = {}
+            for l, c in terms.items():
+                add_scaled(projected, c, image[l])
+            for k, c in projected.items():
                 rows.setdefault((j, k), {})[i] = c
                 rows.setdefault((i, k), {})[j] = -c
         if not rows:
@@ -719,31 +726,30 @@ class LieAlgebra:
         The quotient basis is the set of standard basis vectors whose
         columns are non-pivot in I's rref, so the construction is
         deterministic and reproducible.  images[c] is pi(x_c), a
-        {column: Fraction} row in L/I's coordinates with no zero values.
-        Only `is_ideal` is checked; the target is built without validation
-        (see the module docstring).
+        {column: Fraction} row in L/I's coordinates with no zero values,
+        read off `_projection`.  L/I's table is pi of L's stored brackets
+        whose two indices are both free: [pi x_i, pi x_j] = pi [x_i, x_j],
+        and a free pair keeps its order.  Only `is_ideal` is checked; the
+        target is built without validation (see the module docstring).
         """
         if not self.is_ideal(ideal):
             raise NotAnIdeal("subspace is not an ideal")
+        image, d = _projection(ideal.basis)
         pivots = set(ideal.basis.pivot_columns())
-        free = [c for c in range(self.dim) if c not in pivots]
-        qdim = len(free)
-        pos = {c: a for a, c in enumerate(free)}
-
-        def project(terms: Mapping[int, Fraction]) -> dict[int, Fraction]:
-            """terms modulo I in L/I's coordinates: the residue is zero at
-            every pivot column, so its columns are all free."""
-            return {pos[c]: x for c, x in sorted(ideal.residue(terms).items())}
-
-        images = [project({c: Q(1)}) for c in range(self.dim)]
         new_brackets: BracketTable = {}
-        for a in range(qdim):
-            for b in range(a + 1, qdim):
-                terms = project(self.bracket_basis(free[a], free[b]))
-                if terms:
-                    new_brackets[(a, b)] = terms
+        for (i, j), terms in self.brackets.items():
+            if i in pivots or j in pivots:
+                continue
+            projected: dict[int, Scalar] = {}
+            for l, c in terms.items():
+                add_scaled(projected, c, image[l])
+            if projected:
+                # a free column's image is {its position: d}
+                (a,), (b,) = image[i], image[j]
+                new_brackets[(a, b)] = {k: Q(x, d) for k, x in projected.items()}
         label = f"{self.name}/I" if self.name else None
-        return LieAlgebra(qdim, new_brackets, name=label, validate=False), images
+        images = [{a: Q(x, d) for a, x in row.items()} for row in image]
+        return LieAlgebra(self.dim - ideal.dim, new_brackets, name=label, validate=False), images
 
 
 def _ad_terms(table: Mapping[tuple[int, int], Mapping[int, Scalar]],
@@ -775,46 +781,25 @@ def _ad_images(table: Mapping[tuple[int, int], Mapping[int, Scalar]],
     return images
 
 
-def _annihilator(basis: Matrix) -> dict[int, list[tuple[int, int]]]:
-    """The integer functionals vanishing on the row space of an rref basis,
-    by column: {l: [(k, phi_k[l])]} over the free columns k.
+def _projection(basis: Matrix) -> tuple[list[dict[int, int]], int]:
+    """(image, d): image[c] is d * pi(x_c) as an {index: int} row in the
+    coordinates of L/S, S the row space of the rref basis, whose basis is
+    the free (non-pivot) columns of S, by position; d is the lcm of the
+    basis's denominators, so every image holds ints.
 
-    phi_k = e_k - sum_p row_p[k] e_p (p over the pivots) reads a vector's
-    residue at k, and is zero on every basis row; it is scaled by the lcm of
-    its denominators, which keeps its kernel, so its entries are ints."""
+    A free column c goes to {pos[c]: d}.  A pivot p goes to -d * row_p off
+    p, which lies at free columns only: an rref row is zero at every other
+    pivot.  The one builder of pi, which the centre, the upper series,
+    `LieAlgebra.quotient` and the inflation of `multiplier` read."""
     pivots = basis.pivot_columns()
-    # free column k -> the (pivot, row_p[k]) of the rows nonzero at k
-    entries: dict[int, list[tuple[int, Fraction]]] = {}
-    for p, row in zip(pivots, basis.sparse_rows):
-        for k, x in row.items():
-            if k != p:
-                entries.setdefault(k, []).append((p, x))
+    rows = basis.sparse_rows
     pivot_set = set(pivots)
-    meets: dict[int, list[tuple[int, int]]] = {}
-    for k in range(basis.cols):
-        if k in pivot_set:
-            continue
-        at_k = entries.get(k, ())
-        den = lcm(1, *[x.denominator for _, x in at_k])
-        meets.setdefault(k, []).append((k, den))
-        for p, x in at_k:
-            meets.setdefault(p, []).append((k, -x.numerator * (den // x.denominator)))
-    return meets
-
-
-def _apply_functionals(meets: Mapping[int, list[tuple[int, int]]],
-                       terms: Mapping[int, Scalar]) -> dict[int, Scalar]:
-    """{k: phi_k(terms)} over the functionals of `_annihilator`, zero
-    values dropped."""
-    out: dict[int, Scalar] = {}
-    for l, x in terms.items():
-        for k, f in meets.get(l, ()):
-            y = out[k] + x * f if k in out else x * f
-            if y:
-                out[k] = y
-            else:
-                del out[k]
-    return out
+    pos = {c: a for a, c in enumerate([c for c in range(basis.cols) if c not in pivot_set])}
+    d = lcm(1, *[x.denominator for row in rows for x in row.values()])
+    image: list[dict[int, int]] = [{pos[c]: d} if c in pos else {} for c in range(basis.cols)]
+    for p, row in zip(pivots, rows):
+        image[p] = {pos[c]: -x.numerator * (d // x.denominator) for c, x in row.items() if c != p}
+    return image, d
 
 
 class Subspace:

@@ -71,9 +71,10 @@ rank is read off d2's reduced rows by their pivots
 (`dim_coordinate_quotient_exterior_square`): only the rows whose pivot
 pair meets K's indices are restricted and eliminated, and no pair map is
 built.  Any other K takes the general inflation product, eliminated as a
-whole.  The Ganea sequence would give dim M(L/K) for central K from L's
-cocycles, but it would make the central-ideal bound hold by
-construction, so it is used only in the tests, as a third route.
+whole, whose pair map wedges the images of `core._projection`.  The
+Ganea sequence would give dim M(L/K) for central K from L's cocycles, but
+it would make the central-ideal bound hold by construction, so it is used
+only in the tests, as a third route.
 
 The d2 elimination, covers and epicenter bases are memoized per algebra
 in `core`'s one memo (`_memoized`), with L^2, the centre and the central
@@ -83,7 +84,7 @@ series; `clear_caches()`, re-exported here, empties it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 from typing import Collection
 
 from .core import (
@@ -93,6 +94,7 @@ from .core import (
     Subspace,
     _ad_terms,
     _memoized,
+    _projection,
     clear_caches,  # noqa: F401 (re-exported)
     pair_index,
     pair_starts,
@@ -322,24 +324,14 @@ def dim_multiplier_quotient(L: LieAlgebra, K: Subspace) -> int:
 
 
 def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
-    """d2(L) P_K for any ideal K: L/K's dual forms are
-    phi_c = e^c - sum_p K[p][c] e^p (p over K's pivot rows), and column
-    (i,j) goes to the wedge of pi(x_i) and pi(x_j), both in L/K's
-    coordinates."""
-    pivots = K.basis.pivot_columns()
-    pivot_set = set(pivots)
-    free = [c for c in range(L.dim) if c not in pivot_set]
-    pos = {c: a for a, c in enumerate(free)}
-    # pi(x_c) in L/K's coordinates, all scaled by one common denominator; an
-    # rref row of K is zero at every other pivot, so off p it is all free
-    rows = K.basis.sparse_rows
-    den = lcm(1, *(x.denominator for row in rows for x in row.values()))
-    image: dict[int, dict[int, int]] = {c: {pos[c]: den} for c in free}
-    for row, p in zip(rows, pivots):
-        image[p] = {pos[c]: -int(x * den) for c, x in row.items() if c != p}
+    """d2(L) P_K for any ideal K: column (i,j) goes to the wedge of
+    pi(x_i) and pi(x_j) in L/K's coordinates, both scaled by one common
+    denominator (`core._projection`); L/K's dual forms are the forms on L
+    that vanish on K."""
+    image, _ = _projection(K.basis)
     # e_a ^ e_b as the single-entry row {pair column: +-1} of L/K, a != b
     unit_wedge: dict[tuple[int, int], dict[int, int]] = {}
-    for col, (a, b) in enumerate(pair_index(len(free))):
+    for col, (a, b) in enumerate(pair_index(L.dim - K.dim)):
         unit_wedge[(a, b)], unit_wedge[(b, a)] = {col: 1}, {col: -1}
     inflate: dict[int, dict[int, int]] = {}
     for idx, (i, j) in enumerate(pair_index(L.dim)):

@@ -1,6 +1,6 @@
 """Term-by-term references for `liemult.core.LieAlgebra` that only the tests use."""
 
-from liemult.core import Subspace, _ad_images
+from liemult.core import LieAlgebra, NotAnIdeal, Subspace, _ad_images
 from liemult.linalg import Matrix, Q, Vector, add_scaled, rref_basis
 
 from linalg_helpers import sparse_nullspace_basis
@@ -36,6 +36,33 @@ def swept_ad_images(alg, u) -> list[dict]:
         if uj:
             add_scaled(outs[i], -uj, terms)
     return outs
+
+
+def residue_quotient(alg, ideal) -> tuple[LieAlgebra, list[dict]]:
+    """(L/I, images) as `LieAlgebra.quotient` returns them, built pair by
+    pair with `Subspace.residue`: pi(v) is the residue of v modulo I read
+    at I's free columns, and the table holds pi([x_a, x_b]) for every pair
+    of free columns.  The reference the tests hold `quotient` and the
+    quotient inflation of `multiplier` to; it shares no projection with
+    them."""
+    if not alg.is_ideal(ideal):
+        raise NotAnIdeal("subspace is not an ideal")
+    pivots = set(ideal.basis.pivot_columns())
+    free = [c for c in range(alg.dim) if c not in pivots]
+    pos = {c: a for a, c in enumerate(free)}
+
+    def project(terms):
+        # the residue is zero at every pivot column, so its columns are free
+        return {pos[c]: x for c, x in sorted(ideal.residue(terms).items())}
+
+    images = [project({c: Q(1)}) for c in range(alg.dim)]
+    table = {}
+    for a in range(len(free)):
+        for b in range(a + 1, len(free)):
+            terms = project(alg.bracket_basis(free[a], free[b]))
+            if terms:
+                table[(a, b)] = terms
+    return LieAlgebra(len(free), table, validate=False), images
 
 
 def fraction_centralizer_mod(alg, s: Matrix) -> Matrix:

@@ -213,6 +213,10 @@ def test_display_names():
     assert get("L_{6,22}", eps=Q(1, 2)).name == "L_{6,22}(1/2)"
     assert get("147E", lam=3).name == "147E(3)"
     assert get("L_{6,19}(eps)" + DSUM + "A(1)", eps=2).name == "L_{6,19}(2)" + DSUM + "A(1)"
+    # a sum is named by its atoms' labels, each with its own parameter
+    assert get("L_{6,22}" + DSUM + "147E", eps=2, lam=3).name == "L_{6,22}(2)" + DSUM + "147E(3)"
+    assert get("L_{6,22}" + DSUM + "A(1)", eps=2).name == "L_{6,22}(2)" + DSUM + "A(1)"
+    assert get("L6_22+A(1)").name == "L_{6,22}(1)" + DSUM + "A(1)"
 
 
 def test_parameters_go_through_the_rational_parser():

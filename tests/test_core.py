@@ -8,6 +8,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -42,6 +43,8 @@ from liemult.cli import main
 from liemult.core import (
     MAX_DIGITS,
     DimensionMismatch,
+    Subspace,
+    _projection,
     format_rational,
     rational_expr,
 )
@@ -49,7 +52,7 @@ from liemult import multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
-from core_helpers import ad_images, jacobi_defect
+from core_helpers import ad_images, fraction_centralizer_mod, jacobi_defect, residue_quotient
 from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
@@ -374,17 +377,21 @@ def test_series_consistency_across_catalog_samples():
 
 def quotient_upper_central_series(L):
     """Reference: Z_{i+1} is the preimage of the centre of L/Z_i, built
-    through the validated quotient algebra."""
-    series = [L.center()]
+    through the quotient algebra of `residue_quotient`, each centre by
+    `fraction_centralizer_mod`: no step reads `core._projection`."""
+    def center(alg):
+        return fraction_centralizer_mod(alg, Matrix.zero(0, alg.dim)._own_rref(()))
+
+    series = [L.sparse_subspace(center(L).sparse_rows)]
     while series[-1].dim < L.dim:
-        q, images = L.quotient(series[-1])
-        z = q.center()
-        if z.dim == q.dim:
+        q, images = residue_quotient(L, series[-1])
+        z = center(q)
+        if z.rows == q.dim:
             series.append(L.full_space())
             continue
         # v in the preimage iff pi(v) is annihilated by every functional
         # vanishing on Z(L/Z_i); pi's matrix has the images as its columns
-        perp = Matrix(nullspace_basis(z.basis), cols=q.dim) if z.dim else Matrix.identity(q.dim)
+        perp = Matrix(nullspace_basis(z), cols=q.dim) if z.rows else Matrix.identity(q.dim)
         projection = transpose(Matrix.from_sparse(images, q.dim))
         series.append(L.subspace(nullspace_basis(perp * projection)))
     return series
@@ -511,6 +518,41 @@ def test_residue_matches_dense_reference(data):
     coeffs = data.draw(st.lists(COORDINATE, min_size=s.dim, max_size=s.dim))
     inside = [sum((c * row[k] for c, row in zip(coeffs, s.basis.data)), Q(0)) for k in range(n)]
     assert not s.residue(dict(enumerate(inside)))
+
+
+@st.composite
+def rref_bases(draw):
+    """A random rref basis: Fraction rows, each 1 at its pivot, 0 left of
+    it and at every other pivot, some of them unit rows."""
+    n = draw(st.integers(1, 8))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    rows = []
+    for p in pivots:
+        row = {p: Q(1)}
+        if not draw(st.booleans()):  # otherwise a unit row
+            for c in range(p + 1, n):
+                x = draw(COORDINATE) if c not in pivots else Q(0)
+                if x:
+                    row[c] = x
+        rows.append(row)
+    return Matrix.from_sparse(rows, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rref_bases())
+def test_projection_matches_residue(basis):
+    """image[c] of `core._projection` is d times the residue of e_c modulo
+    the basis's span, read at the free columns by position, in ints; d is
+    the lcm of the basis's denominators."""
+    image, d = _projection(basis)
+    s = Subspace.canonical(abelian(basis.cols), basis)
+    pivots = set(basis.pivot_columns())
+    pos = {c: a for a, c in enumerate([c for c in range(basis.cols) if c not in pivots])}
+    assert d == lcm(1, *[x.denominator for row in basis.sparse_rows for x in row.values()])
+    assert len(image) == basis.cols
+    for c in range(basis.cols):
+        assert all(type(x) is int for x in image[c].values())
+        assert image[c] == {pos[k]: x * d for k, x in s.residue({c: Q(1)}).items()}
 
 
 def test_series_and_center_build_no_quotient(monkeypatch):

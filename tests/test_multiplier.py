@@ -36,7 +36,8 @@ import liemult.catalog as cat
 from liemult import core, invariants, linalg, multiplier, verify
 from liemult.core import AmbientMismatch, LieError
 from liemult.invariants import central_basis_vectors, check_central_ideal_bound, invariant_report
-from liemult.linalg import Matrix, _forward_echelon, qf, rref_basis, sparse_integer_row
+from liemult.linalg import (
+    Matrix, _forward_echelon, add_scaled, qf, rref_basis, sparse_integer_row)
 from liemult.multiplier import (
     boundary3,
     cochain_slice,
@@ -46,7 +47,8 @@ from liemult.verify import WITNESS_EXTENSIONS, build_closure, verify_samples
 
 from catalog_helpers import full_samples
 from core_helpers import (
-    fraction_lower_series, fraction_product_space, fraction_upper_series, swept_ad_images)
+    fraction_lower_series, fraction_product_space, fraction_upper_series, residue_quotient,
+    swept_ad_images)
 from linalg_helpers import (
     column, nullspace_basis, sparse_nullspace_basis, transpose, unit_vector, value_type)
 
@@ -486,6 +488,31 @@ def test_structure_bases_match_the_fraction_route():
             assert (got.rows, got.cols) == (want.rows, want.cols), alg.name
             assert got.sparse_rows == want.sparse_rows, alg.name
             assert value_type(got) in (Q, None), alg.name
+
+
+def test_quotient_matches_the_residue_reference():
+    """`LieAlgebra.quotient` (pi read off `core._projection`, the table from
+    the stored brackets of free pairs) equals `residue_quotient` (each pair
+    of free columns reduced by `Subspace.residue`): the same table by
+    canonical key and the same images, Fraction for Fraction, at the
+    centre, L^2, every lower and upper term and a central line through a
+    fractional combination of the centre's rows, on `structure_algebras`."""
+    checked = non_coordinate = 0
+    for alg in structure_algebras():
+        z = alg.center()
+        mix = {}
+        for t, row in enumerate(z.basis.sparse_rows):
+            add_scaled(mix, Q((-1) ** t * (t + 1), t + 2), row)
+        ideals = [z, alg.derived_subalgebra(), alg.sparse_subspace([mix])]
+        ideals += alg.lower_central_series() + alg.upper_central_series()
+        for ideal in ideals:
+            (got, images), (want, want_images) = alg.quotient(ideal), residue_quotient(alg, ideal)
+            assert got.canonical_key() == want.canonical_key(), (alg.name, ideal.basis)
+            assert images == want_images, (alg.name, ideal.basis)
+            assert all(type(x) is Q for row in images for x in row.values()), alg.name
+            checked += 1
+            non_coordinate += any(len(row) > 1 for row in ideal.basis.sparse_rows)
+    assert checked > 6000 and non_coordinate > 1200
 
 
 def test_structure_systems_reach_the_kernel_with_no_fraction(monkeypatch):
@@ -957,7 +984,7 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
         a, b, t = 0, alg.dim - 1, Q(-3, 2)
         sheared = _shear(alg, a, b, t, reverse=False)
         for ideal in quotient_cross_check_ideals(alg):
-            expected = dim_multiplier(alg.quotient(ideal)[0])
+            expected = dim_multiplier(residue_quotient(alg, ideal)[0])
             assert dim_multiplier_quotient(alg, ideal) == expected, (alg.name, ideal.basis)
             image = sheared.subspace(
                 [v[:a] + (v[a] - t * v[b],) + v[a + 1:] for v in ideal.basis_vectors()])
@@ -1032,7 +1059,7 @@ def test_dim_multiplier_quotient_on_sums(data):
         coeffs = data.draw(st.lists(FRACTIONS, min_size=len(z), max_size=len(z)))
         extra.append([sum((x * v[c] for x, v in zip(coeffs, z)), Q(0)) for c in range(alg.dim)])
     ideal = term.sum(alg.subspace(extra))
-    assert dim_multiplier_quotient(alg, ideal) == dim_multiplier(alg.quotient(ideal)[0])
+    assert dim_multiplier_quotient(alg, ideal) == dim_multiplier(residue_quotient(alg, ideal)[0])
 
 
 def ganea_dim_multiplier_quotient(alg, i):
