@@ -114,7 +114,7 @@ class CatalogEntry:
 
     def build(self, value: Fraction | None = None) -> LieAlgebra:
         """The algebra at `value` (default when None): one shared instance per
-        (entry, value) until `clear_caches()`; `get` returns a fresh copy."""
+        (entry, value) until `clear_caches()`; `get` relabels it on its rows."""
         if self.param is not None:
             if value is None:
                 value = self.param.default
@@ -133,7 +133,7 @@ class CatalogEntry:
         label = param_label(self.name, value) if self.param is not None else self.name
         if self.recipe is not None:
             alg = _build_expression(self.recipe, params, set())
-            return LieAlgebra(alg.dim, alg.brackets, name=label, validate=False)
+            return LieAlgebra.from_stored(alg.dim, alg.brackets, name=label)
         table = _parse_bracket_spec(self.brackets, self.dim, params)
         return LieAlgebra(self.dim, table, name=label)
 
@@ -534,7 +534,7 @@ def get(name: str, eps=None, lam=None) -> LieAlgebra:
     for pname in params:
         if pname not in used:
             raise ParamOutOfDomain(f"{norm} takes no parameter {pname!r}")
-    return LieAlgebra(alg.dim, alg.brackets, name=alg.name, validate=False)
+    return LieAlgebra.from_stored(alg.dim, alg.brackets, name=alg.name)
 
 
 def entries() -> list[CatalogEntry]:

@@ -5,8 +5,8 @@ An algebra is a dimension n plus a table of basis brackets
 presentation format and all human-facing output are 1-based).  Outside
 input is validated: a table given to `LieAlgebra` (a presentation, a
 catalog table) is checked for the Jacobi identity on every basis triple and
-for nilpotency of the lower central series, once per distinct table (a
-fact in the memo below; a failing table raises each time).  Non-nilpotent
+for nilpotency of the lower central series, once per distinct table (facts
+in the memo below; a failing table raises each time).  Non-nilpotent
 input is an error, not a supported case.  Algebras derived from validated ones are built trusted,
 by theorem: a direct sum of nilpotent Lie algebras is one, and L/I is a
 nilpotent Lie algebra whenever I is an ideal of a nilpotent L, with a
@@ -27,10 +27,11 @@ term of the d2 row of sorted(a, b, c), keyed by that triple's index in
 `combinations(range(n), 3)` (a closed form, no triple built).  The Jacobi
 identity is d2 . d1 = 0, and `check_jacobi` reads it off those rows,
 turning a key back into its triple only to report it; validation and
-`multiplier.cochain_slice` both call it.  The constructor alone normalises
-constants: an integral table is stored in ints, any other all in Fractions
-(one type, as `Matrix.from_sparse` asks), and every reader takes it as
-stored, so the sweep of an integral table builds no Fraction.
+`multiplier.cochain_slice` share one memo entry for it (`_jacobi_checked`).
+The constructor alone normalises constants: an integral table is stored in
+ints, any other all in Fractions (one type, as `Matrix.from_sparse` asks),
+and every reader takes it as stored, so the sweep of an integral table
+builds no Fraction; a table made of stored rows skips it (`from_stored`).
 
 Subspaces are held as canonical {column: Fraction} rref bases, and are
 built from sparse rows: `sparse_subspace` hands them to one elimination
@@ -71,8 +72,8 @@ Lie algebra, so an unvalidated algebra (a quotient, a cover, a benchmark
 copy) pays for the rest of the series only if it asks for it.
 
 Everything here is immutable after construction and all operations are
-pure, and the memo locks each access, so concurrent use needs no other
-coordination.
+pure, and the memo's dict reads and writes are atomic (no lock), so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ import ast
 import functools
 import json
 import re
-import threading
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -334,18 +334,16 @@ class CanonicalKey(tuple):
 # ---------------------------------------------------------------------------
 
 _MEMO: dict[tuple[object, object], object] = {}
-_MEMO_LOCK = threading.Lock()
 _MISSING = object()
 
 
 def _cached(key: tuple[object, object], fn, arg):
-    """fn(arg), kept in _MEMO under key, a pair (fn, hashable)."""
-    with _MEMO_LOCK:
-        value = _MEMO.get(key, _MISSING)
+    """fn(arg), kept in _MEMO under key, a pair (fn, hashable).  No lock: a
+    dict read or write is atomic, and two threads that miss both store equal
+    values."""
+    value = _MEMO.get(key, _MISSING)
     if value is _MISSING:
-        value = fn(arg)
-        with _MEMO_LOCK:
-            _MEMO[key] = value
+        value = _MEMO[key] = fn(arg)
     return value
 
 
@@ -362,15 +360,20 @@ def clear_caches() -> None:
     """Drop every memoized fact and built catalog algebra, validations
     included.  An algebra instance holds no result of its own, only its
     hashed key, so one held across the call computes afresh."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
 
 
-@_memoized
+def _jacobi_checked(L: "LieAlgebra", rows=None) -> None:
+    """`L.check_jacobi` on `rows` (L's `wedge_rows()`, swept when None), once
+    per table: only a pass is stored, so a failing table raises again."""
+    _cached((_jacobi_checked, L.canonical_key()),
+            lambda swept: L.check_jacobi(L.wedge_rows() if swept is None else swept), rows)
+
+
 def _validated(L: "LieAlgebra") -> None:
     """Jacobi on every basis triple and a lower series reaching 0; a failing
     table raises and stores nothing, so it raises again when rebuilt."""
-    L.check_jacobi(L.wedge_rows())
+    _jacobi_checked(L)
     L.lower_central_series()
 
 
@@ -446,16 +449,29 @@ class LieAlgebra:
                     raise IndexOutOfRange(f"bracket target x{k + 1} out of range for dim {dim}")
             if clean:
                 table[(i, j)] = clean
+        self._store(dim, table, name)
+        if validate:
+            _validated(self)
+
+    @classmethod
+    def from_stored(cls, dim: int, table: BracketTable, name: str | None = None) -> "LieAlgebra":
+        """Trusted constructor from stored rows (a cover, a direct sum, a
+        relabelled copy), unchecked and not copied: the caller hands them over
+        and never changes them again, and a cover may share L's rows.  An
+        int/Fraction mix is made Fractions, as `__init__` makes it."""
+        alg = cls.__new__(cls)
+        alg._store(dim, table, name)
+        return alg
+
+    def _store(self, dim: int, table: BracketTable, name: str | None) -> None:
         # a table holds one type (see `Matrix.from_sparse`): ints when every
         # constant is integral, otherwise Fractions throughout
-        if any(type(x) is Fraction for terms in table.values() for x in terms.values()):
+        if len({type(x) for terms in table.values() for x in terms.values()}) > 1:
             table = {p: {k: Q(x) for k, x in terms.items()} for p, terms in table.items()}
         self.dim = dim
         self.name = name
         self.brackets = table
         self._key: CanonicalKey | None = None
-        if validate:
-            _validated(self)
 
     # -- bracket --------------------------------------------------------------
 
@@ -901,13 +917,13 @@ class Subspace:
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
     """Block direct sum; B's basis is appended after A's.  Built without
     validation: a direct sum of nilpotent Lie algebras is one."""
-    brackets: BracketTable = {k: dict(v) for k, v in a.brackets.items()}
+    brackets: BracketTable = dict(a.brackets)
     shift = a.dim
     for (i, j), terms in b.brackets.items():
         brackets[(i + shift, j + shift)] = {k + shift: c for k, c in terms.items()}
     if name is None and a.name and b.name:
         name = f"{a.name}⊕{b.name}"
-    return LieAlgebra(a.dim + b.dim, brackets, name=name, validate=False)
+    return LieAlgebra.from_stored(a.dim + b.dim, brackets, name=name)
 
 
 def central_product(
@@ -939,7 +955,7 @@ def central_product(
     result, _ = total.quotient(ideal)
     if name is None and a.name and b.name:
         name = f"{a.name}∔{b.name}"
-    return LieAlgebra(result.dim, result.brackets, name=name, validate=False)
+    return LieAlgebra.from_stored(result.dim, result.brackets, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ so d2 and boundary_3 place the rows by their keys and no matrix
 enumerates the C(n,3) triples.  The agreement checks the ranks but not
 that assembly; the tests check it against a dense per-entry reference on
 brackets with several terms and on the shapes of the benchmark.  L's Jacobi identity is
-d2 . d1 = 0; the slice checks it on its d2 rows (`LieAlgebra.check_jacobi`),
-so both routes, which read the cocycle basis, refuse a table that breaks
-it.
+d2 . d1 = 0; the slice checks it on its d2 rows once per table, as
+validation does (`core._jacobi_checked`), so both routes, which read the
+cocycle basis, refuse a table that breaks it.
 
 The sweep, the Jacobi check, d1, d2 and boundary_3 all read the stored
 brackets `L.brackets`, and the coboundaries are d1's columns.  When every
@@ -93,6 +93,7 @@ from .core import (
     NotAnIdeal,
     Subspace,
     _ad_terms,
+    _jacobi_checked,
     _memoized,
     _projection,
     clear_caches,  # noqa: F401 (re-exported)
@@ -123,7 +124,8 @@ class CochainComplexSlice:
 
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     """Build the degree-(1,2) cochain slice; d2 . d1 = 0, the Jacobi
-    identity, is checked by `L.check_jacobi` on the rows d2 is built from.
+    identity, is checked on the rows d2 is built from unless validation has
+    checked the table: one check per table (`core._jacobi_checked`).
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
     d2 = -b3^T); d1 is read off `L.brackets`, d2 off `L.wedge_rows()`,
@@ -143,7 +145,7 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     d1 = Matrix.from_sparse(
         [{k: -c for k, c in table[p].items()} if p in table else unbracketed for p in pairs], n)
     swept = L.wedge_rows()
-    L.check_jacobi(swept)
+    _jacobi_checked(L, swept)
     unreached: dict[int, Scalar] = {}
     rows = [unreached] * comb(n, 3)
     for t, row in swept.items():
@@ -389,9 +391,9 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     for col, f in enumerate(reps, n):
         for idx, x in f.items():
             adjoined.setdefault(idx, {})[col] = x
-    # L's terms first; E's constructor copies every row and stores one type,
-    # so L's stored rows and the scattered ints are handed over as they are
-    # (a positive multiple of a cocycle changes neither E's rank nor Z*(L))
+    # L's terms first; L's stored rows and the scattered ints are handed over
+    # as they are, not copied (a positive multiple of a cocycle changes
+    # neither E's rank nor Z*(L))
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for idx, (i, j) in enumerate(pair_index(n)):
         terms = L.bracket_basis(i, j)
@@ -404,7 +406,7 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     # Jacobi for E is L's (d2 . d1 = 0, checked by cochain_slice) plus each
     # cocycle lying in ker d2, and a central extension of a nilpotent
     # algebra is nilpotent, so E is built without validation
-    total = LieAlgebra(n + m, brackets, name=label, validate=False)
+    total = LieAlgebra.from_stored(n + m, brackets, name=label)
     if Matrix.from_sparse(total.brackets.values(), n + m).rank() != L.derived_subalgebra().dim + m:
         raise LieError("cover kernel escaped E^2: stem property failed")
     return total

@@ -29,6 +29,8 @@ from liemult import (
     get,
     heisenberg,
     is_capable,
+    presentation_from_dict,
+    presentation_to_dict,
     quotient_exterior_check,
     s_invariant,
 )
@@ -1263,6 +1265,82 @@ def test_cover_brackets_match_the_per_pair_build():
         got = [(p, list(terms.items())) for p, terms in cover(alg).brackets.items()]
         want = [(p, list(terms.items())) for p, terms in per_pair_cover_brackets(alg).items()]
         assert got == want, alg.name
+
+
+def stored_form(alg):
+    """The table as stored: pairs and terms in order, each value with its type."""
+    return [(p, [(k, type(x), x) for k, x in terms.items()]) for p, terms in alg.brackets.items()]
+
+
+def test_trusted_tables_equal_normalised_ones():
+    """`LieAlgebra.from_stored` keeps the rows that `cover` and
+    `direct_sum` hand it, and makes an int/Fraction mix Fractions: each
+    table equals the one `LieAlgebra(dim, table, validate=False)`
+    normalises from it, in canonical key, value types, pair order and term
+    order, on integral tables, on tables scaled by 1/3 and -7/5 (whose
+    covers mix Fraction rows with int cocycles) and on int (+) Fraction
+    sums in both orders."""
+    closure = [m.algebra for m in build_closure(9)]
+    integral = closure + [heisenberg(m) for m in range(4, 8)]
+    fractional = [scaled(alg, c) for alg in integral for c in (Q(1, 3), Q(-7, 5))]
+    h1 = heisenberg(1)
+    built = closure + benchmark_shaped_sums()
+    for alg in integral + fractional:
+        built += [cover(alg), direct_sum(alg, h1), direct_sum(h1, alg)]
+    built += [direct_sum(fractional[0], integral[-1]), direct_sum(integral[-1], fractional[0])]
+    for alg in built:
+        again = LieAlgebra(alg.dim, alg.brackets, validate=False)
+        assert alg.canonical_key() == again.canonical_key(), alg.name
+        assert stored_form(alg) == stored_form(again), alg.name
+    mixed = direct_sum(h1, fractional[0]).brackets.values()
+    assert {type(x) for terms in mixed for x in terms.values()} == {Q}
+    # the rows are taken over, not copied
+    total = direct_sum(integral[-1], h1)
+    assert all(total.brackets[p] is terms for p, terms in integral[-1].brackets.items())
+
+
+def test_jacobi_identity_is_checked_once_per_table(monkeypatch):
+    """Validation and `cochain_slice` share one memo entry per table, stored
+    only when the check passes: `invariant_report` of a parsed closure
+    document checks its table once.  An unvalidated copy of a
+    Jacobi-breaking table still raises on the triple validation reports,
+    and a table is checked again after a failure and after
+    `clear_caches()`."""
+    checked = []
+    original = LieAlgebra.check_jacobi
+
+    def spy(self, rows):
+        checked.append(self.canonical_key())
+        return original(self, rows)
+
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", spy)
+    for doc in [presentation_to_dict(m.algebra) for m in build_closure(9)]:
+        multiplier.clear_caches()
+        checked.clear()
+        alg = presentation_from_dict(doc)
+        invariant_report(alg)
+        assert checked == [alg.canonical_key()], doc.get("name")
+    for n, table in JACOBI_BREAKING:
+        checked.clear()
+        with pytest.raises(JacobiViolation) as validated:
+            LieAlgebra(n, table)
+        with pytest.raises(JacobiViolation) as err:
+            dim_multiplier(LieAlgebra(n, table, validate=False))
+        assert err.value.triple == validated.value.triple
+        with pytest.raises(JacobiViolation):
+            LieAlgebra(n, table)
+        assert len(checked) == 3
+    alg = get("L_{6,10}")
+    checked.clear()
+    dim_multiplier(LieAlgebra(alg.dim, alg.brackets))
+    assert checked == []
+    multiplier.clear_caches()
+    dim_multiplier(LieAlgebra(alg.dim, alg.brackets, validate=False))
+    LieAlgebra(alg.dim, alg.brackets)
+    assert checked == [alg.canonical_key()]
+    multiplier.clear_caches()
+    LieAlgebra(alg.dim, alg.brackets)
+    assert checked == [alg.canonical_key()] * 2
 
 
 def test_integral_covers_are_built_in_ints(monkeypatch):
