@@ -154,22 +154,23 @@ _BRACKET_RE = re.compile(r"^\[(\d+),(\d+)\]=(.+)$")
 
 
 def _parse_bracket_spec(spec: str, dim: int, params: dict[str, Fraction]):
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Fraction | int]] = {}
     for token in spec.split():
         m = _BRACKET_RE.match(token)
         if not m:
             raise LieError(f"bad bracket token {token!r}")
         i, j, rhs = int(m.group(1)), int(m.group(2)), m.group(3)
+        # only a written coefficient is parsed; an implicit one is the int +-1
         if "*" in rhs:
             coeff_text, target = rhs.rsplit("*", 1)
+            coeff = rational_expr(coeff_text, params)
         elif rhs.startswith("-"):
-            coeff_text, target = "-1", rhs[1:]
+            coeff, target = -1, rhs[1:]
         else:
-            coeff_text, target = "1", rhs
+            coeff, target = 1, rhs
         k = int(target)
         if not (1 <= i < j <= dim and 1 <= k <= dim):
             raise LieError(f"indices out of range in {token!r}")
-        coeff = rational_expr(coeff_text, params)
         if (i - 1, j - 1) in table:
             raise LieError(f"duplicate bracket pair in spec: {token!r}")
         if coeff:

@@ -35,7 +35,9 @@ builds no Fraction; a table made of stored rows skips it (`from_stored`).
 
 Subspaces are held as canonical {column: Fraction} rref bases, and are
 built from sparse rows: `sparse_subspace` hands them to one elimination
-(`linalg.rref_basis`).  The centre, both central series and the
+(`linalg.rref_basis`).  `Subspace.intersect` and the epicenter eliminate
+only their kernel: its rref rows combine an rref basis into an rref one
+(`linalg.rref_product`).  The centre, both central series and the
 epicenter of `multiplier` build their systems from the stored brackets and
 the basis rows scaled to ints (`sparse_integer_row`; scaling a spanning
 row keeps its span), so for an integral table the rows reach the
@@ -96,6 +98,7 @@ from .linalg import (
     kernel_basis,
     qf,
     rref_basis,
+    rref_product,
     span_rref,
     sparse_integer_row,
 )
@@ -875,6 +878,7 @@ class Subspace:
         return not self.residue(dict(enumerate(row)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        self._same_ambient(other)
         return not any(self.residue(row) for row in other.basis.sparse_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -882,15 +886,18 @@ class Subspace:
         return self.ambient.sparse_subspace(self.basis.sparse_rows + other.basis.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """U ^ V, from one elimination: sum_a c_a u_a lies in V iff
+        sum_a c_a residue_V(u_a) = 0, so the c are the kernel of the matrix
+        whose columns are those residues.  Its rref basis (`kernel_basis`)
+        combines U's rref rows into the rref basis of U ^ V
+        (`linalg.rref_product`), which is not eliminated again."""
         self._same_ambient(other)
-        # sum_a c_a u_a lies in V iff sum_a c_a residue_V(u_a) = 0: the c are
-        # the nullspace of the matrix whose columns are those residues
         columns: list[dict[int, Fraction]] = [{} for _ in range(self.ambient.dim)]
         for a, u in enumerate(self.basis.sparse_rows):
             for k, x in other.residue(u).items():
                 columns[k][a] = x
         coeffs = kernel_basis(columns, self.dim)
-        return self.ambient.sparse_subspace((coeffs * self.basis).sparse_rows)
+        return Subspace.canonical(self.ambient, rref_product(coeffs, self.basis))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient is not other.ambient:

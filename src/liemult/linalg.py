@@ -54,10 +54,13 @@ when something reads it:
 A kernel's canonical basis, as the centre and the central series read
 it, comes from `kernel_basis`: one elimination of a stack of rows with
 the largest column leading, whose kernel vectors are already the rref
-rows of the kernel, so no second elimination runs.
+rows of the kernel, so no second elimination runs.  Combining an rref
+basis by such kernel rows gives an rref matrix again (`rref_product`), so
+an intersection or an image read that way is not eliminated either.
 
-A matrix that is its own rref (`Matrix.identity`, `rref_basis` outputs)
-has no echelon: its products read its rows.  The reduced row echelon form
+A matrix that is its own rref (`Matrix.identity`, the outputs of
+`rref_basis`, `kernel_basis` and `rref_product`) has no echelon: its
+products read its rows.  The reduced row echelon form
 of a matrix is unique, so `rref`, `pivot_columns`, `rank`, `kernel_basis`
 and the rref kernel vectors (and everything derived from them, e.g.
 canonical subspace bases) are canonical, whatever order the kernel
@@ -468,6 +471,22 @@ def kernel_basis(rows: Iterable[Mapping[int, Scalar]], cols: int) -> Matrix:
             if j != key:
                 free[-j][-key] = Q(-x, pv)
     return Matrix.from_sparse(free.values(), cols)._own_rref(tuple(free))
+
+
+def rref_product(coeffs: Matrix, basis: Matrix) -> Matrix:
+    """coeffs * basis, marked as its own rref, with no elimination: the
+    canonical basis of the span of those combinations of `basis`'s rows.
+
+    The lemma: if C is an rref matrix with no zero rows (as `kernel_basis`
+    returns it) and B is an rref basis, then C * B is in rref, and its
+    pivots are B's pivots at C's pivot indices.  Row i of C is 1 at its
+    pivot p_i, 0 before it and at every other pivot of C, so row i of
+    C * B is b_{p_i} plus multiples of rows b_k with k > p_i that are no
+    pivot of C.  Each b_k leads at a column past b_{p_i}'s pivot q_{p_i},
+    and every row of B is zero at the other rows' pivots, so row i leads at
+    q_{p_i} with a 1 and reads C[i, p_j] = 0 at q_{p_j} for j != i."""
+    pivots = basis.pivot_columns()
+    return (coeffs * basis)._own_rref(tuple([pivots[i] for i in coeffs.pivot_columns()]))
 
 
 def rref_basis(m: Matrix) -> Matrix:

@@ -56,8 +56,11 @@ checked at runtime by one rank (dim E^2 = dim L^2 + m).  The
 epicenter is the image of Z(E) under the projection, computed without
 building Z(E): it is the set of z in Z(L) whose lift (z, 0) is central in
 E, one kernel in dim Z(L) unknowns (`kernel_basis`), whose rows read E's
-brackets only at the pairs that name a centre row's support.  L is
-capable iff that image vanishes.
+brackets only at the pairs that name a centre row's support, and there
+only at E's adjoined coordinates, as the L-part [z, x_j] of a centre
+row's bracket is 0.  The kernel's rref rows combine Z(L)'s rref basis
+into the rref basis of the image (`linalg.rref_product`), which is not
+eliminated again.  L is capable iff that image vanishes.
 
 dim M of a quotient L/K is read off L's own d2 (`dim_multiplier_quotient`),
 without building L/K or a second slice.  By inflation (Hochschild-Serre),
@@ -108,6 +111,7 @@ from .linalg import (
     add_scaled,
     extend_integer_echelon,
     kernel_basis,
+    rref_product,
     sparse_integer_row,
 )
 
@@ -394,14 +398,15 @@ def cover(L: LieAlgebra) -> LieAlgebra:
     # L's terms first; L's stored rows and the scattered ints are handed over
     # as they are, not copied (a positive multiple of a cocycle changes
     # neither E's rank nor Z*(L))
+    table = L.brackets
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for idx, (i, j) in enumerate(pair_index(n)):
-        terms = L.bracket_basis(i, j)
+    for idx, pair in enumerate(pair_index(n)):
+        terms = table.get(pair)
         extra = adjoined.pop(idx, None)
         if extra is not None:
             terms = {**terms, **extra} if terms else extra
         if terms:
-            brackets[(i, j)] = terms
+            brackets[pair] = terms
     label = f"cover({L.name})" if L.name else "cover"
     # Jacobi for E is L's (d2 . d1 = 0, checked by cochain_slice) plus each
     # cocycle lying in ker d2, and a central extension of a nilpotent
@@ -430,29 +435,42 @@ def epicenter(L: LieAlgebra) -> Subspace:
 def _epicenter_basis(L: LieAlgebra) -> Matrix:
     """The rref basis of Z*(L).
 
-    Z(L)'s basis rows are scaled to ints z_a, which keeps their span; a row
-    of Z(L) is already (z_a, 0) in E's coordinates.  Every [(z_a, 0), e_j]
-    is read in one pass over E's stored brackets, at the pairs that name an
-    index of z_a's support (`_ad_terms`), not by a sweep of the whole table
-    per z_a, and no copy of the table is made.  The system takes the type of
-    E's table, so for an integral E it and the combinations of the z_a are
-    ints up to the returned basis."""
+    Z(L)'s rref rows b_a are scaled to ints z_a = s_a * b_a, s_a the lcm of
+    b_a's denominators and z_a's entry at b_a's pivot.  A row of Z(L) is
+    already (z_a, 0) in E's coordinates, and the L-part of [(z_a, 0), e_j]
+    is [z_a, x_j] = 0, so only E's adjoined coordinates k >= n are read.
+    Every [(z_a, 0), e_j] is read in one pass over E's stored brackets, at
+    the pairs that name an index of z_a's support (`_ad_terms`), not by a
+    sweep of the whole table per z_a, and no copy of the table is made.  The
+    system takes the type of E's table, so for an integral E it is ints up
+    to its rref kernel, in the coordinates of the z_a.  Each kernel row,
+    multiplied by s_a at a and divided by its value at its pivot, is the
+    rref kernel row in the coordinates of the b_a, which combines them into
+    the rref basis of Z*(L) with no elimination (`linalg.rref_product`)."""
+    n = L.dim
     total = cover(L)
-    center = [sparse_integer_row(z) for z in L.center().basis.sparse_rows]
-    # row (j, k) is coordinate k of [(z, 0), e_j] over the z_a; each term is
-    # added to it as read, so no image is held
+    basis = L.center().basis
+    center = [sparse_integer_row(b) for b in basis.sparse_rows]
+    scale = [z[p] for z, p in zip(center, basis.pivot_columns())]
+    # row (j, k) is coordinate k >= n of [(z, 0), e_j] over the z_a; each
+    # term is added to it as read, so no image is held
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for a, j, x, terms in _ad_terms(total.brackets, center):
         for k, c in terms.items():
-            row = rows.setdefault((j, k), {})
-            y = row[a] + x * c if a in row else x * c
-            if y:
-                row[a] = y
-            else:
-                del row[a]
-    coeffs = [sparse_integer_row(r) for r in kernel_basis(rows.values(), len(center)).sparse_rows]
-    combined = Matrix.from_sparse(coeffs, len(center)) * Matrix.from_sparse(center, L.dim)
-    image = L.sparse_subspace(combined.sparse_rows)
+            if k >= n:
+                row = rows.setdefault((j, k), {})
+                y = row[a] + x * c if a in row else x * c
+                if y:
+                    row[a] = y
+                else:
+                    del row[a]
+    coeffs = kernel_basis(rows.values(), len(center))
+    if any(s != 1 for s in scale):
+        pivots = coeffs.pivot_columns()
+        coeffs = Matrix.from_sparse(
+            [{a: x * scale[a] / scale[p] for a, x in row.items()}
+             for p, row in zip(pivots, coeffs.sparse_rows)], len(center))._own_rref(pivots)
+    image = Subspace.canonical(L, rref_product(coeffs, basis))
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")
     return image.basis

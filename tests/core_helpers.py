@@ -3,7 +3,7 @@
 from liemult.core import LieAlgebra, NotAnIdeal, Subspace, _ad_images
 from liemult.linalg import Matrix, Q, Vector, add_scaled, rref_basis
 
-from linalg_helpers import sparse_nullspace_basis
+from linalg_helpers import nullspace_basis, sparse_nullspace_basis, transpose
 
 
 def jacobi_defect(alg, i: int, j: int, k: int) -> Vector:
@@ -105,3 +105,24 @@ def fraction_lower_series(alg) -> list[Matrix]:
     while series[-1].rows:
         series.append(fraction_product_space(alg, series[-1], series[0]))
     return series
+
+
+def dense_residue(s, v):
+    """Reference for `Subspace.residue`: the dense vector v reduced by one
+    rref row after another."""
+    w = list(v)
+    for row, pcol in zip(s.basis.data, s.basis.pivot_columns()):
+        f = w[pcol]
+        if f:
+            w = [x - f * y if y else x for x, y in zip(w, row)]
+    return w
+
+
+def residue_intersection(u, v):
+    """Reference for `Subspace.intersect` on dense rows: the coefficients
+    of U's basis are the nullspace of the transposed matrix of dense
+    residues mod V, and U ^ V is the span of their combinations."""
+    L = u.ambient
+    residues = Matrix([dense_residue(v, r) for r in u.basis.data], cols=L.dim)
+    coeffs = Matrix(nullspace_basis(transpose(residues)), cols=u.dim)
+    return L.subspace((coeffs * u.basis).data)

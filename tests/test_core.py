@@ -52,7 +52,9 @@ from liemult import multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
-from core_helpers import ad_images, fraction_centralizer_mod, jacobi_defect, residue_quotient
+from core_helpers import (
+    ad_images, dense_residue, fraction_centralizer_mod, jacobi_defect, residue_intersection,
+    residue_quotient)
 from linalg_helpers import column, nullspace_basis, transpose, unit_vector
 
 
@@ -444,37 +446,19 @@ def test_ad_images_drop_cancelled_entries():
     assert ad_images(L, {0: Q(1), 1: Q(2)}) == [{}, {}, {3: Q(-1)}, {}]
 
 
-def dense_residue(s, v):
-    """Reference for `Subspace.residue`: the dense vector v reduced by one
-    rref row after another."""
-    w = list(v)
-    for row, pcol in zip(s.basis.data, s.basis.pivot_columns()):
-        f = w[pcol]
-        if f:
-            w = [x - f * y if y else x for x, y in zip(w, row)]
-    return w
-
-
-def residue_intersection(u, v):
-    """Reference for `Subspace.intersect` on dense rows: the coefficients
-    of U's basis are the nullspace of the transposed matrix of dense
-    residues mod V, and U ^ V is the span of their combinations."""
-    L = u.ambient
-    residues = Matrix([dense_residue(v, r) for r in u.basis.data], cols=L.dim)
-    coeffs = Matrix(nullspace_basis(transpose(residues)), cols=u.dim)
-    return L.subspace((coeffs * u.basis).data)
-
-
 def test_sparse_subspace_layer_matches_dense_references():
     """Over the closure: Z(L) ^ L^2, is_ideal and contains_subspace, on the
     series terms, Z(L) ^ L^2 and the spans <x_i> (mostly not ideals),
-    agree with the dense residue and the residue-nullspace intersection."""
+    agree with the dense residue and the residue-nullspace intersection,
+    and the fingerprint's dim(Z ^ L^2), read without an intersection, is
+    the intersection's dimension."""
     for member in build_closure(9):
         L = member.algebra
         n = L.dim
         z, d = L.center(), L.derived_subalgebra()
         meet = z.intersect(d)
         assert meet == residue_intersection(z, d) == residue_intersection(d, z), member.name
+        assert fingerprint(L)[4] == meet.dim, member.name
         units = [L.subspace([unit_vector(n, i)]) for i in range(n)]
         spaces = L.lower_central_series() + L.upper_central_series() + [meet] + units
         for s in spaces:

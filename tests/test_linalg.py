@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: examples and algebraic properties."""
 
+import random
 from fractions import Fraction as Q
 from math import gcd, lcm
 from unittest import mock
@@ -12,7 +13,7 @@ from liemult.core import format_rational
 from liemult import linalg
 from liemult.linalg import (
     _ZERO, Matrix, _back_substitute, _forward_echelon, extend_integer_echelon, kernel_basis,
-    rref_basis, span_rref)
+    rref_basis, rref_product, span_rref)
 
 from linalg_helpers import (
     mul_vec, nullspace_basis, rowwise_forward_echelon, sparse_nullspace_basis, transpose)
@@ -492,6 +493,36 @@ def test_own_rref_matrices_are_never_eliminated(case):
         assert divided_by_pivots(pivots, span.integer_rref_rows()) == list(span.sparse_rows)
         assert identity.integer_rref_rows() == tuple({c: 1} for c in range(cols))
         assert span.rank() == len(pivots) and span.rref() is span
+
+
+def test_rref_product_is_the_rref_of_the_product():
+    """An rref coefficient matrix C, from `kernel_basis` or `span_rref`,
+    times an rref basis B is already the rref basis of C * B's row space,
+    with B's pivots at C's pivot indices: `rref_product` equals
+    `rref_basis` of the same product, row for row, and eliminates nothing.
+    On seeded pairs with integer and fractional entries."""
+    rng = random.Random(37)
+    value = lambda: rng.choice((0, 0, 0, 1, -1, 2, Q(1, 2), Q(-3, 4), 7))
+    checked = 0
+    for _ in range(300):
+        rank, cols = rng.randint(0, 6), rng.randint(0, 8)
+        basis = span_rref([[value() for _ in range(cols)] for _ in range(rank)], cols)
+        m = basis.rows
+        rows = [[value() for _ in range(m)] for _ in range(rng.randint(0, m + 1))]
+        dense = Matrix(rows, cols=m)
+        for coeffs in (kernel_basis(dense.sparse_rows, m), span_rref(rows, m)):
+            want = rref_basis(coeffs * basis)
+            with mock.patch.object(Matrix, "_eliminate", side_effect=AssertionError("eliminated")):
+                got = rref_product(coeffs, basis)
+                assert got.rref() is got
+                assert got.pivot_columns() == tuple(basis.pivot_columns()[i]
+                                                    for i in coeffs.pivot_columns())
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.sparse_rows == want.sparse_rows
+            assert got.pivot_columns() == want.pivot_columns()
+            assert all(type(x) is Q for r in got.sparse_rows for x in r.values())
+            checked += got.rows > 1 and any(len(r) > 1 for r in got.sparse_rows)
+    assert checked > 50
 
 
 @settings(max_examples=100, deadline=None)

@@ -49,8 +49,8 @@ from liemult.verify import WITNESS_EXTENSIONS, build_closure, verify_samples
 
 from catalog_helpers import full_samples
 from core_helpers import (
-    fraction_lower_series, fraction_product_space, fraction_upper_series, residue_quotient,
-    swept_ad_images)
+    fraction_lower_series, fraction_product_space, fraction_upper_series, residue_intersection,
+    residue_quotient, swept_ad_images)
 from linalg_helpers import (
     column, nullspace_basis, sparse_nullspace_basis, transpose, unit_vector, value_type)
 
@@ -490,6 +490,43 @@ def test_structure_bases_match_the_fraction_route():
             assert (got.rows, got.cols) == (want.rows, want.cols), alg.name
             assert got.sparse_rows == want.sparse_rows, alg.name
             assert value_type(got) in (Q, None), alg.name
+
+
+def test_epicenter_combines_centre_rows_of_different_denominators():
+    """H(2)+A(1) and H(2)+A(2) in bases changed by three shears: Z(L)'s
+    rref rows are cleared to ints by different factors, and Z*(L) is no
+    multiple of one of them, so the kernel solved on the int rows must be
+    rescaled before it combines the rref rows.  The epicenter equals the
+    Fraction route's."""
+    cases = [
+        (direct_sum(heisenberg(2), abelian(1)), [(1, 5, Q(1)), (5, 0, Q(3)), (1, 4, Q(-3, 2))]),
+        (direct_sum(heisenberg(2), abelian(2)), [(6, 4, Q(-1, 2)), (3, 6, Q(2)), (2, 3, Q(-3))]),
+    ]
+    for alg, shears in cases:
+        for a, b, t in shears:
+            alg = _shear(alg, a, b, t, reverse=False)
+        center, image = alg.center().basis, epicenter(alg)
+        assert len({sparse_integer_row(row)[p] for p, row in
+                    zip(center.pivot_columns(), center.sparse_rows)}) > 1, alg.name
+        assert not any(image.contains_subspace(alg.sparse_subspace([row]))
+                       for row in center.sparse_rows), alg.name
+        assert image.basis.sparse_rows == fraction_epicenter(alg).sparse_rows, alg.name
+
+
+def test_fingerprint_meet_matches_the_intersection():
+    """Z(L) ^ L^2 (`Subspace.intersect`, no second elimination) equals the
+    dense residue-nullspace reference both ways, and the fingerprint's
+    dim(Z ^ L^2), read as dim Z less the rank of Z's rows modulo L^2, is
+    its dimension, on `structure_algebras`: in the sheared and scaled
+    tables Z and L^2 are often not spanned by basis vectors."""
+    skew = 0
+    for alg in structure_algebras():
+        z, d = alg.center(), alg.derived_subalgebra()
+        meet = z.intersect(d)
+        assert meet == residue_intersection(z, d) == residue_intersection(d, z), alg.name
+        assert invariants.fingerprint(alg)[4] == meet.dim, alg.name
+        skew += any(len(row) > 1 for row in z.basis.sparse_rows + d.basis.sparse_rows)
+    assert skew > 150
 
 
 def test_quotient_matches_the_residue_reference():
@@ -1032,6 +1069,13 @@ def test_dim_multiplier_quotient_edge_cases():
         other.quotient(h.center())
     with pytest.raises(AmbientMismatch):
         dim_multiplier_quotient(other, h.center())
+    # coordinates of different algebras are never compared
+    for u, v in ((h.full_space(), abelian(5).full_space()),
+                 (abelian(5).full_space(), h.center()),
+                 (other.full_space(), h.center())):
+        for op in (u.contains_subspace, u.sum, u.intersect):
+            with pytest.raises(AmbientMismatch):
+                op(v)
 
 
 @functools.cache
