@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import LieAlgebra, LieError, Subspace, _memoized
-from .linalg import extend_integer_echelon, sparse_integer_row
 from .multiplier import (
     dim_coordinate_quotient_exterior_square,
     dim_exterior_square,
@@ -222,24 +221,17 @@ Fingerprint = tuple
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     """(n, gamma dims, Z dims, dim M, dim(Z ^ L^2)), a fact in the one memo.
 
-    dim(Z ^ L^2) = dim Z - dim((Z + L^2) / L^2): Z's basis rows reduced
-    modulo L^2 (`Subspace.residue`) and ranked in integers, as
-    `dim_quotient_derived` ranks L^2 modulo K, so no intersection is built.
-
     Equal fingerprints are necessary, never sufficient, for isomorphism;
     collisions between distinct catalog names are reported by the
     verification harness, not resolved.
     """
-    center, derived = L.center(), L.derived_subalgebra()
-    escaped: dict[int, dict[int, int]] = {}
-    for z in center.basis.sparse_rows:
-        extend_integer_echelon(escaped, sparse_integer_row(derived.residue(z)))
+    zl2 = L.center().intersect(L.derived_subalgebra()).dim
     return (
         L.dim,
         L.lower_central_dims(),
         L.upper_central_dims(),
         dim_multiplier(L),
-        center.dim - len(escaped),
+        zl2,
     )
 
 

@@ -465,11 +465,10 @@ def _epicenter_basis(L: LieAlgebra) -> Matrix:
                 else:
                     del row[a]
     coeffs = kernel_basis(rows.values(), len(center))
-    if any(s != 1 for s in scale):
-        pivots = coeffs.pivot_columns()
-        coeffs = Matrix.from_sparse(
-            [{a: x * scale[a] / scale[p] for a, x in row.items()}
-             for p, row in zip(pivots, coeffs.sparse_rows)], len(center))._own_rref(pivots)
+    pivots = coeffs.pivot_columns()
+    coeffs = Matrix.from_sparse(
+        [{a: x * scale[a] / scale[p] for a, x in row.items()}
+         for p, row in zip(pivots, coeffs.sparse_rows)], len(center))._own_rref(pivots)
     image = Subspace.canonical(L, rref_product(coeffs, basis))
     if not L.is_abelian and not L.derived_subalgebra().contains_subspace(image):
         raise LieError("epicenter escaped Z(L) ^ L^2")

@@ -450,8 +450,7 @@ def test_sparse_subspace_layer_matches_dense_references():
     """Over the closure: Z(L) ^ L^2, is_ideal and contains_subspace, on the
     series terms, Z(L) ^ L^2 and the spans <x_i> (mostly not ideals),
     agree with the dense residue and the residue-nullspace intersection,
-    and the fingerprint's dim(Z ^ L^2), read without an intersection, is
-    the intersection's dimension."""
+    and the fingerprint's dim(Z ^ L^2) is the intersection's dimension."""
     for member in build_closure(9):
         L = member.algebra
         n = L.dim

@@ -516,9 +516,8 @@ def test_epicenter_combines_centre_rows_of_different_denominators():
 def test_fingerprint_meet_matches_the_intersection():
     """Z(L) ^ L^2 (`Subspace.intersect`, no second elimination) equals the
     dense residue-nullspace reference both ways, and the fingerprint's
-    dim(Z ^ L^2), read as dim Z less the rank of Z's rows modulo L^2, is
-    its dimension, on `structure_algebras`: in the sheared and scaled
-    tables Z and L^2 are often not spanned by basis vectors."""
+    dim(Z ^ L^2) is its dimension, on `structure_algebras`: in the sheared
+    and scaled tables Z and L^2 are often not spanned by basis vectors."""
     skew = 0
     for alg in structure_algebras():
         z, d = alg.center(), alg.derived_subalgebra()
