@@ -150,9 +150,14 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     """`all` prints the full report.  A single scope builds the one report
     section it names and prints it as the report does: its JSON value, its
-    CSV rows under the report's CSV header, its Markdown lines."""
+    CSV rows under the report's CSV header, its Markdown lines.  A flag
+    the scope does not read is a usage error, not ignored."""
+    for flag, readers in (("s", ("theorems",)), ("dim_cap", ("theorems", "all"))):
+        if getattr(args, flag) is not None and args.scope not in readers:
+            args.refuse(f"verify {args.scope} takes no --{flag.replace('_', '-')}")
+    dim_cap = 9 if args.dim_cap is None else args.dim_cap
     if args.scope == "all":
-        report = verify.run_all(args.dim_cap)
+        report = verify.run_all(dim_cap)
         writers = {"json": verify.report_to_json, "csv": verify.report_to_csv,
                    "md": verify.report_to_markdown}
         _emit(writers[args.format](report), args.out)
@@ -161,8 +166,7 @@ def cmd_verify(args) -> int:
         section = verify.tables_section()
     elif args.scope == "theorems":
         s_values = [args.s] if args.s is not None else range(8)
-        section = verify.classification_section(verify.build_closure(args.dim_cap),
-                                                args.dim_cap, s_values)
+        section = verify.classification_section(verify.build_closure(dim_cap), dim_cap, s_values)
     else:
         section = verify.capability_section()
     if args.format == "json":
@@ -245,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scope", nargs="?", default="all",
                           choices=["tables", "theorems", "capability", "all"])
     p_verify.add_argument("--s", type=int, choices=range(8))
-    p_verify.add_argument("--dim-cap", type=_dim_cap, default=9, dest="dim_cap")
+    p_verify.add_argument("--dim-cap", type=_dim_cap, dest="dim_cap", help="default 9")
     p_verify.add_argument("--format", choices=["json", "csv", "md"], default="json")
     p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, refuse=p_verify.error)
 
     p_export = sub.add_parser("export", help="write the presentation JSON of a catalog algebra")
     p_export.add_argument("name")

@@ -27,7 +27,7 @@ term of the d2 row of sorted(a, b, c), keyed by that triple's index in
 `combinations(range(n), 3)` (a closed form, no triple built).  The Jacobi
 identity is d2 . d1 = 0, and `check_jacobi` reads it off those rows,
 turning a key back into its triple only to report it; validation and
-`multiplier.cochain_slice` share one memo entry for it (`_jacobi_checked`).
+`multiplier.cochain_slice` share one fact for it (`_jacobi_checked`).
 The constructor alone normalises constants: an integral table is stored in
 ints, any other all in Fractions (one type, as `Matrix.from_sparse` asks),
 and every reader takes it as stored, so the sweep of an integral table
@@ -46,11 +46,11 @@ returned.  `subspace` and `Subspace.contains` take dense vectors from
 outside, coerce them through `qf` and check their length; `subspace`
 ends in the same rref tail.  `Subspace.residue` reduces a sparse row at
 the pivots where it is nonzero.  Every derived
-fact of an algebra is kept in one memo (`_memoized`, keyed by the function
-and the canonical brackets), which `multiplier`, `invariants` and the
-catalog's built algebras share and `clear_caches()` empties; an algebra
-holds only its brackets and key.  The
-bases of its full space, L^2, centre and central series are kept as
+fact of an algebra is kept in one dict per canonical table (`_memoized`,
+keyed by the function), which `multiplier` and `invariants` share and
+`clear_caches()` empties; an algebra holds its brackets, its key and the
+dict it binds at its first miss, so a hit is one lookup.  The bases of
+its full space, L^2, centre and central series are kept as
 matrices, not as Subspaces, which name their ambient instance, and are
 wrapped in a new Subspace on each read: an algebra is no reference cycle
 and is freed as soon as its last user lets it go.
@@ -313,64 +313,65 @@ def pair_starts(n: int) -> list[int]:
     return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
 
 
-class CanonicalKey(tuple):
-    """A tuple that hashes its entries once, when it is made.
-
-    A tuple does not keep its hash, so each lookup of a plain key would
-    hash the whole table again; this one keeps the value.  It equals, and
-    hashes like, the plain tuple of the same entries.  The entries are
-    ints and tuples of ints (`LieAlgebra.canonical_key`), so a memo hit on
-    an equal table built separately compares them in C, with no
-    Python-level `Fraction.__eq__` per constant."""
-
-    def __new__(cls, entries: tuple) -> "CanonicalKey":
-        key = super().__new__(cls, entries)
-        key._hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 # ---------------------------------------------------------------------------
-# the memo: every derived fact, keyed by (function, canonical brackets)
+# the memo: every derived fact, in one dict per canonical table
 # ---------------------------------------------------------------------------
 
-_MEMO: dict[tuple[object, object], object] = {}
+_MEMO: dict[tuple, dict[object, object]] = {}  # canonical key -> {function: fact}
+_BUILT: dict[tuple[object, object], object] = {}
 _MISSING = object()
+# marks a dropped fact dict, and the one an algebra starts with, as unbound
+_STALE = object()
+_UNBOUND: dict[object, object] = {_STALE: True}
 
 
-def _cached(key: tuple[object, object], fn, arg):
-    """fn(arg), kept in _MEMO under key, a pair (fn, hashable).  No lock: a
-    dict read or write is atomic, and two threads that miss both store equal
-    values."""
-    value = _MEMO.get(key, _MISSING)
+def _cached(key, fn, arg, memo: dict = _BUILT):
+    """fn(arg), kept in `memo` (the catalog's built algebras by default)
+    under key.  No lock: a dict read or write is atomic, and two threads
+    that miss both store equal values."""
+    value = memo.get(key, _MISSING)
     if value is _MISSING:
-        value = _MEMO[key] = fn(arg)
+        value = memo[key] = fn(arg)
     return value
 
 
+def _facts(L: "LieAlgebra") -> dict[object, object]:
+    """L's table's fact dict, bound to L afresh (one hash of its key) when
+    the one L holds is stale."""
+    if _STALE in L._facts:
+        L._facts = _MEMO.setdefault(L.canonical_key(), {})
+    return L._facts
+
+
 def _memoized(fn):
-    """Memoize fn(L) in _MEMO under (fn, L.canonical_key()), a key that keeps its
-    hash; equal algebras share one entry, so a value must not refer to L."""
+    """Memoize fn(L) in L's fact dict under fn: a hit is one dict lookup.
+    Equal algebras share one dict, so a value must not refer to L."""
     @functools.wraps(fn)
     def memo(L: "LieAlgebra"):
-        return _cached((fn, L.canonical_key()), fn, L)
+        value = L._facts.get(fn, _MISSING)
+        return _cached(fn, fn, L, _facts(L)) if value is _MISSING else value
     return memo
 
 
 def clear_caches() -> None:
     """Drop every memoized fact and built catalog algebra, validations
-    included.  An algebra instance holds no result of its own, only its
-    hashed key, so one held across the call computes afresh."""
+    included.  Each fact dict is emptied in place and marked stale, so an
+    algebra held across the call computes afresh, and shares its facts
+    with equal tables built after it once it binds its table's new dict."""
+    for facts in _MEMO.values():
+        facts.clear()
+        facts[_STALE] = True
     _MEMO.clear()
+    _BUILT.clear()
 
 
 def _jacobi_checked(L: "LieAlgebra", rows=None) -> None:
     """`L.check_jacobi` on `rows` (L's `wedge_rows()`, swept when None), once
-    per table: only a pass is stored, so a failing table raises again."""
-    _cached((_jacobi_checked, L.canonical_key()),
-            lambda swept: L.check_jacobi(L.wedge_rows() if swept is None else swept), rows)
+    per table, as a fact: only a pass is stored, so a failing table raises
+    again."""
+    _cached(_jacobi_checked,
+            lambda swept: L.check_jacobi(L.wedge_rows() if swept is None else swept),
+            rows, _facts(L))
 
 
 def _validated(L: "LieAlgebra") -> None:
@@ -431,7 +432,7 @@ def _exact(c) -> Scalar:
 class LieAlgebra:
     """Structure-constant Lie algebra on basis x_1..x_n (stored 0-based)."""
 
-    __slots__ = ("dim", "name", "brackets", "_key")
+    __slots__ = ("dim", "name", "brackets", "_key", "_facts")
 
     def __init__(
         self,
@@ -474,7 +475,8 @@ class LieAlgebra:
         self.dim = dim
         self.name = name
         self.brackets = table
-        self._key: CanonicalKey | None = None
+        self._key: tuple | None = None
+        self._facts = _UNBOUND  # bound to its table's facts at the first miss
 
     # -- bracket --------------------------------------------------------------
 
@@ -601,18 +603,19 @@ class LieAlgebra:
 
     # -- identity -------------------------------------------------------------
 
-    def canonical_key(self) -> "CanonicalKey":
+    def canonical_key(self) -> tuple:
         """Hashable key identifying the structure-constant table exactly;
-        built and hashed once per instance.  Each constant c_ij^k is held
-        as the ints (k, numerator, denominator) of its lowest terms, which
-        an int and a Fraction both give, so equal tables give equal keys."""
+        built once per instance.  Each constant c_ij^k is held as the ints
+        (k, numerator, denominator) of its lowest terms, which an int and a
+        Fraction both give, so equal tables give equal keys, compared and
+        hashed in C with no Python-level `Fraction.__eq__`."""
         if self._key is None:
             # from a list, not a generator (see `linalg` on free lists)
             items = tuple([
                 (i, j, tuple([(k, x.numerator, x.denominator) for k, x in sorted(terms.items())]))
                 for (i, j), terms in sorted(self.brackets.items())
             ])
-            self._key = CanonicalKey((self.dim, items))
+            self._key = (self.dim, items)
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -866,6 +869,13 @@ class Subspace:
             if f:
                 add_scaled(w, -f, row)
         return w
+
+    def unit_pivots(self) -> list[int]:
+        """The i with x_i in the subspace, the pivots of the one-entry rows
+        of its rref basis: a vector of it is the sum of the rows at its
+        pivots, weighted by its entries there."""
+        return [p for p, row in zip(self.basis.pivot_columns(), self.basis.sparse_rows)
+                if len(row) == 1]
 
     def contains(self, v: Sequence) -> bool:
         """Whether the dense vector v from outside lies in the subspace; its

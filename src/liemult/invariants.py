@@ -13,7 +13,6 @@ tight) so reports can show tightness patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import LieAlgebra, LieError, Subspace, _memoized
 from .multiplier import (
@@ -105,16 +104,16 @@ def _central_ideal_check(check_id: str, n: int, m: int, dim_M: int, k: int,
 
 def _central_line_checks(L: LieAlgebra) -> list[BoundCheck]:
     """The central-ideal bound for K = <x_i> at each central basis vector
-    x_i, with id central-ideal-bound[x_i], in one pass: it is
-    `check_central_ideal_bound(L, <x_i>)` with no Subspace, ideal test or
-    reduction modulo K per line.  dim (L/<x_i>)^2 = dim L^2 - [x_i in L^2],
-    one residue against L^2, and dim (L/<x_i>)^(L/<x_i>) is read off d2's
-    pivots (`dim_coordinate_quotient_exterior_square`)."""
-    n, derived, dim_M = L.dim, L.derived_subalgebra(), dim_multiplier(L)
+    x_i, with id central-ideal-bound[x_i], in one pass that reads L's facts
+    once: it is `check_central_ideal_bound(L, <x_i>)` with no Subspace,
+    ideal test or reduction per line.  dim (L/<x_i>)^2 is dim L^2 less
+    [x_i in L^2] (`Subspace.unit_pivots`), and the exterior square is read
+    off the d2 rows that i leads (`dim_coordinate_quotient_exterior_square`)."""
+    n, m, dim_M = L.dim, L.derived_subalgebra().dim, dim_multiplier(L)
+    in_derived = set(L.derived_subalgebra().unit_pivots())
     return [
         _central_ideal_check(
-            f"central-ideal-bound[x{i + 1}]", n, derived.dim, dim_M, 1,
-            derived.dim - (not derived.residue({i: Fraction(1)})),
+            f"central-ideal-bound[x{i + 1}]", n, m, dim_M, 1, m - (i in in_derived),
             dim_coordinate_quotient_exterior_square(L, (i,)))
         for i in central_basis_vectors(L)
     ]
@@ -178,15 +177,11 @@ def central_basis_vectors(L: LieAlgebra) -> list[int]:
     off the table: [x_i, x_j] = 0 for every j exactly when no stored
     bracket names i, as a stored bracket is nonzero.
 
-    Checked against Z(L): x_i lies in Z(L) exactly when Z(L)'s rref basis
-    has the row x_i (a vector in the span is the sum of the rows at its
-    pivots, weighted by its entries there), so the indices must be the
-    pivots of Z(L)'s one-entry rows; raises LieError if they are not."""
+    Checked against Z(L): they must be Z(L)'s `unit_pivots`, the pivots of
+    its one-entry rows; raises LieError if they are not."""
     named = {i for pair in L.brackets for i in pair}
     central = [i for i in range(L.dim) if i not in named]
-    center = L.center().basis
-    units = [p for p, row in zip(center.pivot_columns(), center.sparse_rows) if len(row) == 1]
-    if units != central:
+    if L.center().unit_pivots() != central:
         raise LieError("central basis vectors read off the table disagree with Z(L)")
     return central
 

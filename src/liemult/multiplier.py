@@ -72,8 +72,8 @@ dim (L/K)^2 (`dim_quotient_derived`).  When K is spanned by basis vectors
 (every <x_i> of the bound checks, and gamma3 in an adapted basis), the
 rank is read off d2's reduced rows by their pivots
 (`dim_coordinate_quotient_exterior_square`): only the rows whose pivot
-pair meets K's indices are restricted and eliminated, and no pair map is
-built.  Any other K takes the general inflation product, eliminated as a
+pair meets K's indices, read by their pivots, are restricted and
+eliminated, and no pair map is built.  Any other K takes the general inflation product, eliminated as a
 whole, whose pair map wedges the images of `core._projection`.  The
 Ganea sequence would give dim M(L/K) for central K from L's cocycles, but
 it would make the central-ideal bound hold by construction, so it is used
@@ -187,11 +187,11 @@ class MultiplierResult:
 
 
 @_memoized
-def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int], ...]]:
+def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], dict[int, dict[int, int]]]:
     """L's d2, swept (`cochain_slice`) and eliminated once: the canonical
     cocycle basis as primitive {pair index: int} rows, and d2's reduced
-    integer echelon rows (`Matrix.integer_rref_rows`), which the quotient
-    reads restrict.
+    integer echelon rows (`Matrix.integer_rref_rows`) keyed by their pivot
+    columns, in pivot order, which the quotient reads restrict.
 
     The cocycles are picked in kernel coordinates.  The kernel vector v_c
     of d2 (`Matrix.integer_nullspace`) is 1 at its free column c and 0 at
@@ -217,7 +217,7 @@ def _cohomology(L: LieAlgebra) -> tuple[tuple[Cochain, ...], tuple[dict[int, int
     echelon = _forward_echelon(coboundaries)
     kept = [w if w[c] == 1 else _primitive(w)
             for c, w in d2.integer_nullspace(skip={-a for a in echelon})]
-    return tuple(kept), d2.integer_rref_rows()
+    return tuple(kept), dict(zip(d2.pivot_columns(), d2.integer_rref_rows()))
 
 
 def cocycle_representatives(L: LieAlgebra) -> tuple[Cochain, ...]:
@@ -271,17 +271,17 @@ def dim_quotient_exterior_square(L: LieAlgebra, K: Subspace) -> int:
 
     for q = dim L - dim K.  P_K sends column (i,j) of d2(L) to
     pi(x_i) ^ pi(x_j) in L/K's pair coordinates; it is applied to d2's
-    reduced integer rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When
-    every rref row of K has one entry, K is spanned by the basis vectors at
-    its pivots and the rank is read by pivots
-    (`dim_coordinate_quotient_exterior_square`); any other K takes the
+    reduced integer rows, as rowspace(d2 P_K) = rowspace(d2) P_K.  When K
+    is spanned by basis vectors (`Subspace.unit_pivots`), the rank is read
+    by pivots (`dim_coordinate_quotient_exterior_square`); any other K takes the
     general product (`_inflate_pairs`).  Raises NotAnIdeal where
     `L.quotient` does.
     """
     if not L.is_ideal(K):
         raise NotAnIdeal("subspace is not an ideal")
-    if all(len(row) == 1 for row in K.basis.sparse_rows):
-        return dim_coordinate_quotient_exterior_square(L, K.basis.pivot_columns())
+    units = K.unit_pivots()
+    if len(units) == K.dim:
+        return dim_coordinate_quotient_exterior_square(L, units)
     q = L.dim - K.dim
     echelon: dict[int, dict[int, int]] = {}
     for w in _inflate_pairs(L, K):
@@ -304,7 +304,8 @@ def dim_coordinate_quotient_exterior_square(L: LieAlgebra, indices: Collection[i
     and only T is restricted and eliminated.  Without rows (every A(n))
     nothing is built; otherwise the pairs met are found by the closed form
     of their pair coordinates, |indices| * (n - 1) of them, not by a map
-    over all C(n,2) pairs.
+    over all C(n,2) pairs, and T is read at those of them that are pivots,
+    as d2's rows are keyed by their pivots, with no scan of the other rows.
     """
     n = L.dim
     q = n - len(indices)
@@ -314,12 +315,11 @@ def dim_coordinate_quotient_exterior_square(L: LieAlgebra, indices: Collection[i
         start = pair_starts(n)
         met = {start[a] + b if a < b else start[b] + a
                for a in indices for b in range(n) if b != a}
+        led = [rows[p] for p in met if p in rows]
         echelon: dict[int, dict[int, int]] = {}
-        for w in rows:
-            if min(w) in met:
-                rank -= 1
-                extend_integer_echelon(echelon, {c: x for c, x in w.items() if c not in met})
-        rank += len(echelon)
+        for w in led:
+            extend_integer_echelon(echelon, {c: x for c, x in w.items() if c not in met})
+        rank += len(echelon) - len(led)
     return q * (q - 1) // 2 - rank
 
 
@@ -349,7 +349,7 @@ def _inflate_pairs(L: LieAlgebra, K: Subspace) -> list[dict[int, int]]:
         if wedge:
             inflate[idx] = wedge
     out = []
-    for w in _cohomology(L)[1]:
+    for w in _cohomology(L)[1].values():
         row: dict[int, int] = {}
         for idx, x in w.items():
             if idx in inflate:

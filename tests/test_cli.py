@@ -215,6 +215,35 @@ def test_verify_theorems_single_s(capsys):
     assert doc[0]["computed"] == ["L_{5,8}"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "all", "--s", "3"), "all takes no --s"),
+    (("verify", "--s", "3"), "all takes no --s"),
+    (("verify", "tables", "--s", "3"), "tables takes no --s"),
+    (("verify", "tables", "--dim-cap", "9"), "tables takes no --dim-cap"),
+    (("verify", "capability", "--dim-cap", "5"), "capability takes no --dim-cap"),
+    (("verify", "capability", "--s", "0"), "capability takes no --s"),
+])
+def test_verify_refuses_flags_its_scope_does_not_read(capsys, argv, flag):
+    """A verify scope refuses a flag it does not read, as a usage error,
+    before any sweep runs: `all` reads --dim-cap, `theorems` --s and
+    --dim-cap, `tables` and `capability` neither; an explicit --dim-cap 9
+    counts as given."""
+    with pytest.raises(SystemExit) as refused:
+        main(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert refused.value.code == 2 and captured.out == ""
+    assert lines[0] == "error=UsageError" and lines[-1].endswith(flag)
+
+
+def test_verify_scopes_take_the_flags_they_read(capsys, full_report):
+    code, out, _ = run_cli(capsys, "verify", "theorems", "--s", "6", "--dim-cap", "9",
+                           "--format", "json")
+    assert code == 0 and [sweep["s"] for sweep in json.loads(out)] == [6]
+    code, out, _ = run_cli(capsys, "verify", "all", "--dim-cap", "9")
+    assert code == 0 and out == verify.report_to_json(full_report)
+
+
 def test_verify_capability(capsys):
     code, out, _ = run_cli(capsys, "verify", "capability", "--format", "json")
     assert code == 0
@@ -415,6 +444,8 @@ def test_failed_allocation_system_error_is_out_of_memory(capsys, monkeypatch):
     # below 3, the dim of H(1), the closure is empty and would pass
     ("verify", "--dim-cap", "-3"),
     ("verify", "theorems", "--dim-cap", "2"),
+    ("verify", "all", "--s", "3"),
+    ("verify", "capability", "--dim-cap", "5"),
 ])
 def test_usage_errors_are_tagged(argv):
     """argparse's usage errors print the error=UsageError line first, then

@@ -48,7 +48,7 @@ from liemult.core import (
     format_rational,
     rational_expr,
 )
-from liemult import multiplier
+from liemult import core, multiplier
 from liemult.linalg import Matrix
 from liemult.verify import build_closure
 
@@ -281,6 +281,72 @@ def test_a_failing_table_raises_on_every_construction():
     for _ in range(2):
         with pytest.raises(NotNilpotent):
             LieAlgebra(2, {(0, 1): {0: Q(1)}})
+
+
+def test_equal_tables_share_one_fact_dict():
+    """The memo holds one fact dict per canonical table: equal tables built
+    separately, from ints, Fractions or a presentation, bind that one dict,
+    and a fact computed on one is a hit on the others; an unequal table
+    has its own."""
+    spec = {(1, 2): {3: 1}, (1, 3): {4: Q(-7, 5)}, (2, 3): {5: Q(1, 3)}}
+    multiplier.clear_caches()
+    first = mk(5, spec)
+    equal = [mk(5, spec), LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: Q(-7, 5)},
+                                         (1, 2): {4: Q(1, 3)}}, validate=False),
+             presentation_from_dict(presentation_to_dict(first))]
+    facts = core._MEMO[first.canonical_key()]
+    dim_M = multiplier.dim_multiplier(first)
+    assert first._facts is facts and multiplier._cohomology.__wrapped__ in facts
+    for alg in equal:
+        assert alg.center().basis is first.center().basis
+        assert multiplier.cocycle_representatives(alg) is multiplier.cocycle_representatives(first)
+        assert multiplier.dim_multiplier(alg) == dim_M and alg._facts is facts
+    other = mk(5, {**spec, (2, 3): {5: 3}})
+    assert other._facts is not facts and core._MEMO[other.canonical_key()] is other._facts
+    assert len([d for d in core._MEMO.values() if d is facts]) == 1
+
+
+def test_held_instance_recomputes_after_clear_caches_then_shares(monkeypatch):
+    """`clear_caches()` empties every fact dict in place: an instance held
+    across the call computes afresh, then shares its facts with an equal
+    instance built after the call, whichever of the two computes first."""
+    computed = []
+    centralizer = LieAlgebra._centralizer_mod
+
+    def counted(self, s):
+        computed.append(self)
+        return centralizer(self, s)
+
+    monkeypatch.setattr(LieAlgebra, "_centralizer_mod", counted)
+    spec = {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}}
+    multiplier.clear_caches()
+    held = mk(6, spec)
+    want = held.center().basis
+    assert computed == [held]
+    for held_first in (True, False):
+        multiplier.clear_caches()
+        assert not core._MEMO and not [f for f in held._facts if f is not core._STALE]
+        computed.clear()
+        fresh = mk(6, spec)
+        order = [held, fresh] if held_first else [fresh, held]
+        assert [alg.center().basis for alg in order] == [want, want]
+        assert computed == order[:1]
+        assert held._facts is fresh._facts is core._MEMO[held.canonical_key()]
+
+
+def test_a_failed_jacobi_check_stores_nothing():
+    """Only a passing Jacobi check is a fact: an unvalidated Jacobi-breaking
+    table whose check fails in `cochain_slice` leaves its fact dict without
+    that fact, so every read raises again; a passing table stores it."""
+    multiplier.clear_caches()
+    n, table = SEVERAL_VIOLATIONS
+    broken = LieAlgebra(n, table, validate=False)
+    for _ in range(2):
+        with pytest.raises(JacobiViolation):
+            multiplier.dim_multiplier(broken)
+        assert core._jacobi_checked not in core._MEMO.get(broken.canonical_key(), {})
+    passing = mk(5, {(1, 2): {4: 1}, (1, 3): {5: 1}})
+    assert core._jacobi_checked in core._MEMO[passing.canonical_key()]
 
 
 # -- bracket ------------------------------------------------------------------

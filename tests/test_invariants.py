@@ -285,11 +285,11 @@ def test_invariant_report_sweeps_the_brackets_once(monkeypatch):
 
 def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
     """dim (L/K)^2 is found once per central line <x_i>, though the
-    central-ideal bound uses it three times: one residue of x_i against
-    L^2, and no reduction of L^2 modulo K (`dim_quotient_derived`); for
-    gamma3, which lies in L^2, it is dim L^2 - dim gamma3 and takes no
-    reduction either.  With every fact of the algebra memoized, those
-    residues are the only ones bound_checks takes."""
+    central-ideal bound uses it three times: x_i lies in L^2 exactly when
+    L^2's rref basis has the row x_i, read with no residue, and L^2 is not
+    reduced modulo K (`dim_quotient_derived`); for gamma3, which lies in
+    L^2, it is dim L^2 - dim gamma3 and takes no reduction either.  With
+    every fact of the algebra memoized, bound_checks takes no residue."""
     import liemult.invariants as invariants
 
     def refused(alg, K):
@@ -316,10 +316,8 @@ def test_bound_checks_find_each_quotient_derived_dim_once(monkeypatch):
         recording.append(True)
         bound_checks(alg)
         recording.clear()
-        central = central_basis_vectors(alg)
-        derived = alg.derived_subalgebra().basis
-        assert residues == [(derived, {i: 1}) for i in central], member.name
-        lines += len(central)
+        assert residues == [], member.name
+        lines += len(central_basis_vectors(alg))
     assert lines == 758
     multiplier.clear_caches()
 

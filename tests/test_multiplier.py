@@ -594,8 +594,8 @@ def test_scaled_tables_take_the_fraction_path_to_the_same_results(c):
         c_alg = scaled(alg, c)
         assert cocycle_representatives(c_alg) == cocycle_representatives(alg), alg.name
         rows, c_rows = multiplier._cohomology(alg)[1], multiplier._cohomology(c_alg)[1]
-        assert len(rows) == len(c_rows), alg.name
-        for r, s in zip(rows, c_rows):
+        assert list(rows) == list(c_rows), alg.name
+        for r, s in zip(rows.values(), c_rows.values()):
             assert s == r or (c < 0 and s == {j: -v for j, v in r.items()}), alg.name
         dim_m = dim_multiplier(alg)
         assert dim_multiplier(c_alg) == dim_multiplier_cover(c_alg).dim_M == dim_m, alg.name
@@ -993,7 +993,14 @@ def test_cover_builds_no_product_space_and_no_series_on_E(monkeypatch):
     E = cover(L)
     assert E.dim == 12
     assert [kind for kind, alg in calls if alg is E] == []
-    assert [fn for fn, key in core._MEMO if key == E.canonical_key()] == []
+
+    def stored(alg):
+        return list(core._MEMO.get(alg.canonical_key(), ()))
+
+    assert stored(E) == []
+    # the check sees a fact of E once one is stored
+    E.derived_subalgebra()
+    assert stored(E) == [core._derived_basis.__wrapped__]
 
 
 # -- dim M of a quotient, read off L's d2 ---------------------------------------
@@ -1037,15 +1044,17 @@ def test_dim_multiplier_quotient_matches_quotient_algebra():
 def test_d2_echelon_has_rank_d2_rows_spanning_d2():
     """The d2 rows memoized with the cocycle basis (`_cohomology`) are an
     echelon basis of d2's row space: rank d2 rows with distinct leading
-    columns, which add nothing to d2's rows.  They are d2's rref rows as
+    columns, which add nothing to d2's rows, each keyed by its leading
+    column, d2's pivot, in pivot order.  They are d2's rref rows as
     primitive integer rows (`sparse_integer_row`), up to the sign of each
     row."""
     algebras = [m.algebra for m in build_closure(9)] + [heisenberg(m) for m in range(4, 8)]
     for alg in algebras:
         d2 = cochain_slice(alg).d2
-        rows = multiplier._cohomology(alg)[1]
+        by_pivot = multiplier._cohomology(alg)[1]
+        rows = list(by_pivot.values())
         assert len(rows) == d2.rank(), alg.name
-        assert len({min(r) for r in rows}) == len(rows), alg.name
+        assert list(by_pivot) == [min(r) for r in rows] == list(d2.pivot_columns()), alg.name
         stacked = [{j: Q(x) for j, x in r.items()} for r in rows] + list(d2.sparse_rows)
         assert Matrix.from_sparse(stacked, d2.cols).rank() == d2.rank(), alg.name
         for row, ref in zip(rows, rref_basis(d2).sparse_rows):
@@ -1250,7 +1259,7 @@ def column_selection_pairs(alg, K):
             if i not in pivots and j not in pivots)
     select = {idx: col for col, idx in enumerate(kept)}
     return [{select[idx]: x for idx, x in w.items() if idx in select}
-            for w in multiplier._cohomology(alg)[1]]
+            for w in multiplier._cohomology(alg)[1].values()]
 
 
 def test_pivot_restriction_rank_matches_column_selection():
@@ -1282,6 +1291,24 @@ def test_pivot_restriction_rank_matches_column_selection():
             assert multiplier.dim_quotient_exterior_square(alg, K) == want, (alg.name, kind)
             counted[kind] += 1
     assert counted == {"line": 924, "plane": 1135, "gamma3": 243, "epicenter": 114}, counted
+
+
+def test_unit_row_read_of_derived_membership_matches_the_residue():
+    """x_i lies in L^2 exactly when L^2's rref basis has the row x_i
+    (`Subspace.unit_pivots`), read with no residue.  On every structure
+    algebra, the sheared and scaled tables included, it agrees with the
+    residue of x_i against L^2 at every index, also where L^2 is not
+    spanned by basis vectors."""
+    counted = Counter()
+    for alg in structure_algebras():
+        derived = alg.derived_subalgebra()
+        units = derived.unit_pivots()
+        for i in range(alg.dim):
+            inside = not derived.residue({i: Q(1)})
+            assert (i in units) == inside, (alg.name, i)
+            counted["inside" if inside else "outside"] += 1
+        counted["not coordinate"] += len(units) < derived.dim
+    assert counted == {"inside": 1699, "outside": 3028, "not coordinate": 127}, counted
 
 
 def per_pair_cover_brackets(alg):

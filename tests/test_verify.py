@@ -306,10 +306,19 @@ def test_dim_one_references_built_once_per_dimension(monkeypatch):
         built.append((a.dim + b.dim, (a.dim - 1) // 2))
         return direct_sum(a, b, name)
 
+    class Facts(dict):
+        def __init__(self, key):
+            super().__init__()
+            self.key = key
+
+        def __setitem__(self, fn, value):
+            stored.append((fn, self.key))
+            super().__setitem__(fn, value)
+
     class Memo(dict):
-        def __setitem__(self, key, value):
-            stored.append(key)
-            super().__setitem__(key, value)
+        # the fact dict of each table, bound by `core._facts`
+        def setdefault(self, key, default=None):
+            return super().setdefault(key, Facts(key))
 
     monkeypatch.setattr(verify, "direct_sum", counted)
     monkeypatch.setattr(core, "_MEMO", Memo())
