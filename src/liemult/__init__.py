@@ -19,6 +19,7 @@ from .core import (
     NotAnIdeal,
     NotCentral,
     NotNilpotent,
+    ParamOutOfDomain,
     PresentationError,
     Subspace,
     central_product,
@@ -27,7 +28,7 @@ from .core import (
     presentation_from_dict,
     presentation_to_dict,
 )
-from .catalog import ParamOutOfDomain, UnknownName, abelian, get, heisenberg
+from .catalog import UnknownName, abelian, get, heisenberg
 from .invariants import (
     AbelianInput,
     NotCentralIdeal,

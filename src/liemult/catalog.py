@@ -29,6 +29,7 @@ from fractions import Fraction
 from .core import (
     LieAlgebra,
     LieError,
+    ParamOutOfDomain,
     _cached,
     central_product as _central_product,
     check_dim,
@@ -43,10 +44,6 @@ CPROD = "∔"  # central product
 
 
 class UnknownName(LieError):
-    pass
-
-
-class ParamOutOfDomain(LieError):
     pass
 
 

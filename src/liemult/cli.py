@@ -21,7 +21,9 @@ from .invariants import InvariantReport, invariant_report
 
 
 def _params(args) -> dict | None:
-    """The --eps/--lambda values a presentation file's coefficients may name."""
+    """The --eps/--lambda values a presentation file's coefficients may name;
+    `presentation_from_dict` refuses one the file neither declares nor
+    reads, as `catalog.get` refuses one the name does not read."""
     params = {key: value for key, value in (("eps", args.eps), ("lam", args.lam))
               if value is not None}
     return params or None

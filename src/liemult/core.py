@@ -25,9 +25,14 @@ The brackets meet the basis triples in one place, `wedge_rows`: one sweep
 in which each stored [x_a, x_b] meets every third index c once, as one
 term of the d2 row of sorted(a, b, c), keyed by that triple's index in
 `combinations(range(n), 3)` (a closed form, no triple built).  The Jacobi
-identity is d2 . d1 = 0, and `check_jacobi` reads it off those rows,
-turning a key back into its triple only to report it; validation and
-`multiplier.cochain_slice` share one fact for it (`_jacobi_checked`).
+identity is d2 . d1 = 0, and `check_jacobi` reads it off those rows (a
+row that meets no bracketed pair by one set test), turning a key back
+into its triple only to report it; validation and `multiplier`'s checked
+sweep share one fact for it (`_jacobi_checked`).  `multiplier` keeps its
+checked sweep as a fact, which d2 and boundary_3 both read; validation
+keeps no sweep, as every validated summand of a sum would hold one: in
+`liemult info "H(99)⊕A(1)"` the kept 6 MB sweep of H(99), which is never
+sliced, raised the peak from 45.4 to 51.2 MB, over the 50 MB at n = 200.
 The constructor alone normalises constants: an integral table is stored in
 ints, any other all in Fractions (one type, as `Matrix.from_sparse` asks),
 and every reader takes it as stored, so the sweep of an integral table
@@ -140,6 +145,11 @@ class JacobiViolation(LieError):
         super().__init__(f"Jacobi identity fails on triple {triple}: defect {terms}")
 
 
+class ParamOutOfDomain(LieError):
+    """A parameter value outside its family's domain, or a parameter that
+    nothing reads: no catalog name, or no presentation, takes it."""
+
+
 class NotNilpotent(LieError):
     """A central series stabilized short of its end (0 for the lower, L for the upper)."""
 
@@ -240,17 +250,20 @@ def format_rational(x: Fraction) -> str:
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
-def _eval_rational(n: ast.AST, params: Mapping[str, Fraction], text: str) -> Fraction:
-    """The value of one node of a parsed `rational_expr`.  A module-level
+def _eval_rational(n: ast.AST, params: Mapping[str, Fraction], text: str,
+                   used: set[str] | None) -> Fraction:
+    """The value of one node of a parsed `rational_expr`; each parameter
+    name read is added to `used` unless it is None.  A module-level
     function rather than a closure: a recursive closure refers to itself,
     a reference cycle per call."""
     if isinstance(n, ast.Constant) and _is_int(n.value):
         return Q(n.value)
     if isinstance(n, ast.UnaryOp) and isinstance(n.op, (ast.USub, ast.UAdd)):
-        v = _eval_rational(n.operand, params, text)
+        v = _eval_rational(n.operand, params, text, used)
         return -v if isinstance(n.op, ast.USub) else v
     if isinstance(n, ast.BinOp) and isinstance(n.op, _ALLOWED_BINOPS):
-        a, b = _eval_rational(n.left, params, text), _eval_rational(n.right, params, text)
+        a = _eval_rational(n.left, params, text, used)
+        b = _eval_rational(n.right, params, text, used)
         if isinstance(n.op, ast.Add):
             return a + b
         if isinstance(n.op, ast.Sub):
@@ -263,12 +276,16 @@ def _eval_rational(n: ast.AST, params: Mapping[str, Fraction], text: str) -> Fra
     if isinstance(n, ast.Name):
         if n.id not in params:
             raise PresentationError(f"unknown parameter {n.id!r} in {text!r}")
+        if used is not None:
+            used.add(n.id)
         return params[n.id]
     raise PresentationError(f"bad rational expression {text!r}")
 
 
-def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fraction:
-    """Evaluate a rational expression with optional named parameters.
+def rational_expr(text: str, params: Mapping[str, Fraction] | None = None,
+                  used: set[str] | None = None) -> Fraction:
+    """Evaluate a rational expression with optional named parameters,
+    adding each name it reads to `used` when one is given.
 
     Plain rational strings "p" and "p/q" are the common case; parameter
     names and +,-,*,/ with parentheses are accepted so parameterized
@@ -282,7 +299,7 @@ def rational_expr(text: str, params: Mapping[str, Fraction] | None = None) -> Fr
 
     try:
         tree = ast.parse(_LONG_LITERAL.sub(_split_literal, text.strip()), mode="eval")
-        value = _eval_rational(tree.body, params, text)
+        value = _eval_rational(tree.body, params, text, used)
     except (SyntaxError, ValueError) as exc:  # ValueError: null bytes, older Pythons
         raise PresentationError(f"bad rational expression {text!r}") from exc
     except RecursionError as exc:
@@ -376,7 +393,9 @@ def _jacobi_checked(L: "LieAlgebra", rows=None) -> None:
 
 def _validated(L: "LieAlgebra") -> None:
     """Jacobi on every basis triple and a lower series reaching 0; a failing
-    table raises and stores nothing, so it raises again when rebuilt."""
+    table raises and stores nothing, so it raises again when rebuilt.  The
+    sweep the check reads is not kept: `multiplier` keeps its own, only
+    for the tables it slices."""
     _jacobi_checked(L)
     L.lower_central_series()
 
@@ -571,17 +590,24 @@ class LieAlgebra:
         d1 sends g to (x,y) -> -g([x,y]), so (d2 d1 g)(t) = g(J(t)) with
         J(t) = [[xi,xj],xk] + [[xj,xk],xi] + [[xk,xi],xj] = -sum_p row_t[p] [x_p]
         over the pairs p: Jacobi is d2 . d1 = 0.  A triple absent from the
-        rows has J = 0.  The first triple in row order with J != 0 is
-        reported; only then is its index turned back into the triple, by
-        walking the blocks of `combinations(range(n), 3)` (O(n) steps).
+        rows has J = 0, and so does a row that meets no pair with a stored
+        bracket: such a row, a one-entry row at an unbracketed pair above
+        all, is passed by one set test, with no sum.  The first triple in
+        row order with J != 0 is reported; only then is its index turned
+        back into the triple, by walking the blocks of
+        `combinations(range(n), 3)` (O(n) steps).
         """
         n = self.dim
         start = pair_starts(n)
         # the stored bracket at each pair coordinate, read once
         by_pair: list[Mapping[int, Scalar]] = [{}] * (n * (n - 1) // 2)
+        bracketed: set[int] = set()
         for (a, b), terms in self.brackets.items():
             by_pair[start[a] + b] = terms
+            bracketed.add(start[a] + b)
         for t, row in rows.items():
+            if bracketed.isdisjoint(row):
+                continue
             # -J(t), negated only when it is reported
             acc: dict[int, Scalar] = {}
             for p, x in row.items():
@@ -988,6 +1014,10 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
 
     Indices are 1-based and i < j is required; duplicate (i, j) entries
     are rejected.  Coefficients may reference declared parameter names.
+    `params` sets parameter values, over the declared ones; a name in it
+    that the document neither declares nor reads in a coefficient is
+    refused (ParamOutOfDomain), as `catalog.get` refuses one that no atom
+    of a name reads.
     """
     if not isinstance(doc, Mapping):
         raise PresentationError("presentation must be a JSON object")
@@ -1010,6 +1040,7 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
     if not isinstance(raw_brackets, list):
         raise PresentationError('"brackets" must be a list')
     brackets: BracketTable = {}
+    used: set[str] = set()
     for item in raw_brackets:
         if not (isinstance(item, Mapping) and "i" in item and "j" in item):
             raise PresentationError('each bracket needs integer "i" and "j"')
@@ -1032,10 +1063,13 @@ def presentation_from_dict(doc: Mapping, params: Mapping[str, Fraction] | None =
             k = term.get("k")
             if not _is_int(k) or not 1 <= k <= dim:
                 raise PresentationError(f"bracket target {k!r} out of range in pair ({i}, {j})")
-            c = rational_expr(str(term.get("c", "1")), declared)
+            c = rational_expr(str(term.get("c", "1")), declared, used)
             # a repeated target sums; a zero left is dropped by LieAlgebra
             terms[k - 1] = terms[k - 1] + c if k - 1 in terms else c
         brackets[(i - 1, j - 1)] = terms
+    for key in params or ():
+        if key not in raw_params and key not in used:
+            raise ParamOutOfDomain(f"{name or 'the presentation'} takes no parameter {key!r}")
     return LieAlgebra(dim, brackets, name=name)
 
 

@@ -20,16 +20,23 @@ Both are exact ranks over Q and must agree on every input; the agreement
 is asserted whenever both run.  Their wedge terms (d2 rows, boundary_3
 columns) come from one sweep over the stored brackets,
 `LieAlgebra.wedge_rows` in `core`, in which each bracket [xa,xb] meets
-every third index c once; it runs once per matrix and is not memoized.
+every third index c once.  d2 and boundary_3 share one checked sweep per
+table, a fact in the memo (`_swept`), so a table whose dim M is read by
+both routes is swept once; each route still eliminates its own matrix.
+Validation sweeps for its Jacobi check too, but does not keep its sweep:
+every validated summand would hold one, and in `liemult info
+"H(99)⊕A(1)"` the dim-199 summand H(99), validated and never sliced,
+would keep about 6 MB of rows, which raised the peak resident memory from
+45.4 to 51.2 MB, over the 50 MB that the n = 200 budget allows.
 The sweep keys each row by its triple's index in
 `combinations(range(n), 3)`, computed by a closed form as the row is met,
 so d2 and boundary_3 place the rows by their keys and no matrix
 enumerates the C(n,3) triples.  The agreement checks the ranks but not
 that assembly; the tests check it against a dense per-entry reference on
 brackets with several terms and on the shapes of the benchmark.  L's Jacobi identity is
-d2 . d1 = 0; the slice checks it on its d2 rows once per table, as
-validation does (`core._jacobi_checked`), so both routes, which read the
-cocycle basis, refuse a table that breaks it.
+d2 . d1 = 0; the shared sweep is checked for it once per table, as
+validation checks its own (`core._jacobi_checked`), so both routes
+refuse a table that breaks it, and such a table keeps no sweep.
 
 The sweep, the Jacobi check, d1, d2 and boundary_3 all read the stored
 brackets `L.brackets`, and the coboundaries are d1's columns.  When every
@@ -79,9 +86,10 @@ Ganea sequence would give dim M(L/K) for central K from L's cocycles, but
 it would make the central-ideal bound hold by construction, so it is used
 only in the tests, as a third route.
 
-The d2 elimination, covers and epicenter bases are memoized per algebra
-in `core`'s one memo (`_memoized`), with L^2, the centre and the central
-series; `clear_caches()`, re-exported here, empties it.
+The checked sweep, the d2 elimination, covers and epicenter bases are
+memoized per algebra in `core`'s one memo (`_memoized`), with L^2, the
+centre and the central series; `clear_caches()`, re-exported here,
+empties it.
 """
 
 from __future__ import annotations
@@ -126,13 +134,25 @@ class CochainComplexSlice:
     d2: Matrix
 
 
+@_memoized
+def _swept(L: LieAlgebra) -> dict[int, dict[int, Scalar]]:
+    """L's d2 rows, `L.wedge_rows()`, with d2 . d1 = 0, the Jacobi identity,
+    checked on them unless validation has checked the table
+    (`core._jacobi_checked`): one checked sweep per table, which
+    `cochain_slice` and `boundary3` both read.  A table that fails the
+    check stores nothing and raises again.  The rows are shared, so no
+    reader changes them."""
+    rows = L.wedge_rows()
+    _jacobi_checked(L, rows)
+    return rows
+
+
 def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
-    """Build the degree-(1,2) cochain slice; d2 . d1 = 0, the Jacobi
-    identity, is checked on the rows d2 is built from unless validation has
-    checked the table: one check per table (`core._jacobi_checked`).
+    """Build the degree-(1,2) cochain slice from L's checked sweep
+    (`_swept`).
 
     d1 and d2 are the negated transposes of the chain boundaries (d1 = -b2^T,
-    d2 = -b3^T); d1 is read off `L.brackets`, d2 off `L.wedge_rows()`,
+    d2 = -b3^T); d1 is read off `L.brackets`, d2 off the swept rows,
     so both hold ints for an integral table.  Each swept row of d2 goes to
     its key, its triple's index; no triple is enumerated.  The rows of d1
     for pairs with no bracket, and those of d2 for triples no bracket
@@ -148,11 +168,9 @@ def cochain_slice(L: LieAlgebra) -> CochainComplexSlice:
     unbracketed: dict[int, Scalar] = {}
     d1 = Matrix.from_sparse(
         [{k: -c for k, c in table[p].items()} if p in table else unbracketed for p in pairs], n)
-    swept = L.wedge_rows()
-    _jacobi_checked(L, swept)
     unreached: dict[int, Scalar] = {}
     rows = [unreached] * comb(n, 3)
-    for t, row in swept.items():
+    for t, row in _swept(L).items():
         rows[t] = row
     return CochainComplexSlice(d1, Matrix.from_sparse(rows, len(pairs)))
 
@@ -161,14 +179,14 @@ def boundary3(L: LieAlgebra) -> Matrix:
     """Lambda^3 L -> Lambda^2 L, the negated standard boundary, d2^T.
 
     d(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x is -d2^T; the cover count reads
-    only the rank, so the swept entries (ints for an integral table) are
-    used without a sign copy, each placed in the column
-    of its key, its triple's index.
+    only the rank, so the entries of L's checked sweep (`_swept`, ints for
+    an integral table) are used without a sign copy, each placed in the
+    column of its key, its triple's index.  The sweep is d2's, but the rank
+    is eliminated here, apart from d2.
     """
     n = L.dim
-    swept = L.wedge_rows()
     rows: list[dict[int, Scalar]] = [{} for _ in range(comb(n, 2))]
-    for t, row in swept.items():
+    for t, row in _swept(L).items():
         for a, x in row.items():
             rows[a][t] = x
     return Matrix.from_sparse(rows, comb(n, 3))

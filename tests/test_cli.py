@@ -126,6 +126,33 @@ def test_compute_and_info_print_the_same_report(tmp_path, capsys, extra):
     assert compute[0] == 0 and ("dim M:      5" in compute[1] or '"dim_M": 5' in compute[1])
 
 
+@pytest.mark.parametrize("command", ["compute", "info"])
+def test_a_parameter_the_file_does_not_read_is_refused(tmp_path, capsys, command):
+    # an exported H(1) declares no parameter and reads none: a flag on it is
+    # refused as `info NAME` refuses one the name does not read
+    path = tmp_path / "h1.json"
+    assert run_cli(capsys, "export", "H(1)", "--out", str(path))[0] == 0
+    for flags in (["--eps", "5"], ["--lambda", "7"], ["--eps", "5", "--lambda", "7"]):
+        code, out, err = run_cli(capsys, command, str(path), *flags)
+        assert (code, out) == (2, ""), flags
+        assert err.splitlines()[0] == "error=ParamOutOfDomain", flags
+
+
+def test_a_parameter_the_file_reads_is_taken(tmp_path, capsys):
+    # [x1, x2] = x5, [x3, x4] = eps x5 with eps undeclared: --eps sets it,
+    # and --lambda, which no coefficient reads, is still refused
+    doc = {"dim": 5, "brackets": [
+        {"i": 1, "j": 2, "terms": [{"k": 5, "c": "1"}]},
+        {"i": 3, "j": 4, "terms": [{"k": 5, "c": "eps"}]}]}
+    path = tmp_path / "h2.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "info"):
+        code, out, _ = run_cli(capsys, command, str(path), "--eps", "2")
+        assert code == 0 and "dim M:      5" in out, command
+        code, _, err = run_cli(capsys, command, str(path), "--eps", "2", "--lambda", "3")
+        assert code == 2 and err.splitlines()[0] == "error=ParamOutOfDomain", command
+
+
 def test_export_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "l610.json"
     code, _, _ = run_cli(capsys, "export", "L_{6,10}", "--out", str(out_path))

@@ -135,10 +135,21 @@ SEVERAL_VIOLATIONS = (5, {(0, 3): {1: Q(1), 4: Q(2)}, (1, 2): {0: Q(1, 2), 4: Q(
                           (0, 1): {2: Q(1), 3: Q(-2)}, (2, 4): {3: Q(3)}})
 
 
+# the first failing row in sweep order has one entry: [x1,x2] = x3 meets x4
+# only at the pair (x3, x4), whose bracket is stored
+ONE_ENTRY_FAILURE = (4, {(0, 1): {2: Q(1)}, (2, 3): {0: Q(1)}})
+# the first failing row has two entries, at the bracketed pair (x3, x5) and
+# at the unbracketed (x4, x5); the rows before it have one entry each, at
+# the unbracketed pair (x3, x4), and pass
+MIXED_ROW_FAILURE = (5, {(0, 1): {2: Q(1), 3: Q(1)}, (2, 4): {0: Q(1)}})
+
+
 @settings(max_examples=300, deadline=None)
 @given(bracket_tables())
 @example(SEVERAL_VIOLATIONS)
 @example((4, {(0, 1): {2: Q(1)}, (0, 2): {3: Q(1)}, (1, 3): {2: Q(1)}}))
+@example(ONE_ENTRY_FAILURE)
+@example(MIXED_ROW_FAILURE)
 def test_jacobi_sweep_reports_the_reference_triple(case):
     n, table = case
     alg = LieAlgebra(n, table, validate=False)
@@ -179,6 +190,22 @@ def test_jacobi_example_has_several_violations():
     assert [tuple(t + 1 for t in v) for v in violating_triples(alg)] == [
         (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4)]
     assert first_jacobi_violation(alg)[0] == (1, 3, 4)
+
+
+@pytest.mark.parametrize("case, entries", [
+    (ONE_ENTRY_FAILURE, 1), (SEVERAL_VIOLATIONS, 2), (MIXED_ROW_FAILURE, 2)])
+def test_jacobi_check_reports_one_entry_and_longer_rows_alike(case, entries):
+    """`check_jacobi` passes a row that meets no bracketed pair by a set
+    test, with no sum; a first failing row of one entry, or of several, is
+    reported on the reference's triple and defect."""
+    n, table = case
+    alg = LieAlgebra(n, table, validate=False)
+    rows = alg.wedge_rows()
+    with pytest.raises(JacobiViolation) as err:
+        alg.check_jacobi(rows)
+    assert (err.value.triple, err.value.defect) == first_jacobi_violation(alg)
+    key = list(combinations(range(n), 3)).index(tuple(t - 1 for t in err.value.triple))
+    assert len(rows[key]) == entries
 
 
 def test_equal_tables_share_one_validation(monkeypatch):

@@ -1413,6 +1413,47 @@ def test_jacobi_identity_is_checked_once_per_table(monkeypatch):
     assert checked == [alg.canonical_key()] * 2
 
 
+def test_both_routes_read_one_checked_sweep_per_table(monkeypatch):
+    """d2 and boundary_3 read one checked sweep per table
+    (`multiplier._swept`): on an unvalidated copy of each of the benchmark's
+    sum shapes, `dim_multiplier` then `dim_multiplier_cover` sweeps the
+    table once, and once more after `clear_caches()`.  The kept rows equal
+    a fresh sweep after both routes have run, so no reader changed a shared
+    row.  A table that breaks Jacobi keeps neither the sweep nor the check,
+    and a validated table that is never sliced keeps no sweep: validation's
+    is dropped, which keeps `liemult info` at n = 200 under its memory cap."""
+    swept = []
+    sweep = LieAlgebra.wedge_rows
+
+    def counted(alg):
+        swept.append(alg.canonical_key())
+        return sweep(alg)
+
+    monkeypatch.setattr(LieAlgebra, "wedge_rows", counted)
+    kept = multiplier._swept.__wrapped__
+    for total in benchmark_shaped_sums():
+        for _ in range(2):
+            multiplier.clear_caches()
+            swept.clear()
+            alg = LieAlgebra(total.dim, total.brackets, name=total.name, validate=False)
+            assert dim_multiplier(alg) == dim_multiplier_cover(alg).dim_M
+            assert swept == [alg.canonical_key()], alg.name
+        assert core._MEMO[alg.canonical_key()][kept] == sweep(alg), alg.name
+    for n, table in JACOBI_BREAKING:
+        broken = LieAlgebra(n, table, validate=False)
+        for route in (dim_multiplier, dim_multiplier_cover, boundary3):
+            with pytest.raises(JacobiViolation):
+                route(broken)
+            facts = core._MEMO.get(broken.canonical_key(), {})
+            assert kept not in facts and core._jacobi_checked not in facts, route.__name__
+    multiplier.clear_caches()
+    summand, total = heisenberg(9), get("H(9)⊕A(1)")
+    invariant_report(total)
+    assert kept in core._MEMO[total.canonical_key()]
+    facts = core._MEMO[summand.canonical_key()]
+    assert core._jacobi_checked in facts and kept not in facts
+
+
 def test_integral_covers_are_built_in_ints(monkeypatch):
     """The cocycles of an integral table are int rows, so its cover's table
     arrives in ints and is stored as it is, with no `core.qf` call, on every
